@@ -1,0 +1,44 @@
+"""Byte-for-byte CLI outputs: every subcommand, table and JSON, over every field family.
+
+``golden/cli_outputs.json`` holds, for each argv (and standard input where
+``mw-verify`` reads one), the exact standard output and exit code.  The file
+is data, not a snapshot to refresh: a difference here is an output change and
+must be announced as one.  Cases are grouped by subcommand and field.
+"""
+
+import io
+import json
+import pathlib
+
+import pytest
+
+from mwslice.cli import main
+
+CASES = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli_outputs.json").read_text(encoding="utf-8")
+)
+
+
+def _group(argv: list[str]) -> str:
+    command = next(
+        w for i, w in enumerate(argv)
+        if not w.startswith("-") and (i == 0 or argv[i - 1] != "--output")
+    )
+    for flag in ("--field", "--ext"):
+        if flag in argv:
+            return f"{command} {argv[argv.index(flag) + 1]}"
+    return command
+
+
+GROUPS: dict[str, list[dict]] = {}
+for _case in CASES:
+    GROUPS.setdefault(_group(_case["argv"]), []).append(_case)
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_cli_output_is_byte_stable(group, capsys, monkeypatch):
+    for case in GROUPS[group]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(case.get("stdin", "")))
+        code = main(list(case["argv"]))
+        got = (capsys.readouterr().out, code)
+        assert got == (case["stdout"], case["exit"]), case["argv"]
