@@ -236,16 +236,30 @@ class SubgroupDescription:
         return self == zero_subgroup(self.ambient)
 
     def order(self) -> int | None:
-        """Order of the subgroup, or None if infinite."""
+        """Order of the subgroup, or None if infinite.
+
+        A finite subgroup lies in the torsion part, where its lattice contains
+        the relation lattice; the order is the index of the one in the other,
+        prod(torsion moduli) / prod(HNF pivots).
+        """
         f = self.ambient.free_rank
         if any(any(g[:f]) for g in self.generators):
             return None
-        if not self.ambient.torsion and f == 0:
-            return 1
-        # finite: lies in the torsion part; count by closure
-        seen: set[Vec] = {self.ambient.reduce((0,) * self.ambient.dim)}
+        out = 1
+        for d in self.ambient.torsion:
+            out *= d
+        for row in self._basis:
+            out //= next(x for x in row if x)
+        return out
+
+    def elements(self) -> list[Vec]:
+        """All elements of a finite subgroup, sorted, by closure under the generators."""
+        f = self.ambient.free_rank
+        gens = [g for g in self.generators if any(g)]
+        if any(any(g[:f]) for g in gens):
+            raise ValueError("cannot enumerate a subgroup with free directions")
+        seen = {(0,) * self.ambient.dim}
         frontier = list(seen)
-        gens = [self.ambient.reduce(g) for g in self.generators]
         while frontier:
             x = frontier.pop()
             for g in gens:
@@ -253,7 +267,7 @@ class SubgroupDescription:
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
-        return len(seen)
+        return sorted(seen)
 
     def index_in_saturation(self) -> int:
         """Product of the elementary divisors of the generator matrix.

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from mwslice.abelian import SubgroupDescription
+from mwslice.abelian import SubgroupDescription, full_subgroup
 from mwslice.fields import (
     COMPLEXES,
     REALS,
@@ -26,6 +26,7 @@ from mwslice.fields import (
 from mwslice.filtration import (
     FiltrationQuery,
     convergence_check,
+    eta_image_subgroup,
     filtration_in_degree_coords,
     kmw_times_In,
     moore_filtration,
@@ -37,6 +38,7 @@ from mwslice.forms import (
     brute_force_gw,
     fundamental_power_description,
     gw_ambient,
+    gw_box,
     gw_of_form,
     rep_form,
     witt_oracle_classes,
@@ -45,6 +47,7 @@ from mwslice.milnor_witt import (
     cartesian_check,
     eta_atom,
     eta_power_image,
+    kmw_ambient,
     mw_eta,
     mw_int,
     mw_symbols,
@@ -92,126 +95,115 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail} ({self.cases} cases){timing}"
 
 
-def _result(name: str, started: float, ok: bool, cases: int, detail: str) -> CheckResult:
-    return CheckResult(name, ok, cases, detail, time.time() - started)
+class _Run:
+    """The case count and timer of one check while it runs."""
+
+    def __init__(self, name: str) -> None:
+        self.name, self.cases, self.started = name, 0, time.perf_counter()
+
+    def _done(self, ok: bool, detail: str) -> CheckResult:
+        return CheckResult(self.name, ok, self.cases, detail, time.perf_counter() - self.started)
+
+    def passed(self, detail: str) -> CheckResult:
+        return self._done(True, detail)
+
+    def fail(self, detail: str) -> CheckResult:
+        return self._done(False, detail)
 
 
 def check_real_ideal_ladder(profile: str = "full") -> CheckResult:
     """I(R)^n = (2^(n-1)) in the index coordinate, signature in 2^n Z, n = 0..12."""
-    t0 = time.time()
+    run = _Run("real_ideal_ladder")
     ambient = gw_ambient(REALS)
-    cases = 0
     for n in range(0, 13):
         desc = fundamental_power_description(REALS, n)
-        cases += 1
+        run.cases += 1
         if n == 0:
             if not desc.is_full:
-                return _result("real_ideal_ladder", t0, False, cases, f"I^0 != GW at n={n}")
+                return run.fail(f"I^0 != GW at n={n}")
             continue
         expected = SubgroupDescription(ambient, ((0, 1 << (n - 1)),))
         if desc != expected:
-            return _result("real_ideal_ladder", t0, False, cases, f"descriptor mismatch at n={n}")
+            return run.fail(f"descriptor mismatch at n={n}")
         if desc.index_in_saturation() != 1 << (n - 1):
-            return _result("real_ideal_ladder", t0, False, cases, f"ideal generator != 2^{n-1}")
+            return run.fail(f"ideal generator != 2^{n-1}")
         sig_in = GWClass(REALS, 0, 0, 1 << n)
         sig_out = GWClass(REALS, 0, 0, (1 << n) - 2) if n >= 2 else None
         if not desc.contains(sig_in.coords()):
-            return _result("real_ideal_ladder", t0, False, cases, f"2^{n} signature missing at n={n}")
+            return run.fail(f"2^{n} signature missing at n={n}")
         if sig_out is not None and desc.contains(sig_out.coords()):
-            return _result("real_ideal_ladder", t0, False, cases, f"spurious element at n={n}")
-    return _result("real_ideal_ladder", t0, True, cases, "I(R)^n ladder exact for n = 0..12")
+            return run.fail(f"spurious element at n={n}")
+    return run.passed("I(R)^n ladder exact for n = 0..12")
 
 
 def check_filtration_at_origin(profile: str = "full") -> CheckResult:
     """tate_filtration(n, 0, 0, F) = I(F)^max(n,0) for -3 <= n <= 8."""
-    t0 = time.time()
-    cases = 0
+    run = _Run("filtration_at_origin")
     for field in STANDARD_FIELDS:
         for n in range(-3, 9):
-            cases += 1
+            run.cases += 1
             got = tate_filtration(FiltrationQuery(n, 0, 0, field))
             want = fundamental_power_description(field, max(n, 0))
             if got != want:
-                return _result(
-                    "filtration_at_origin", t0, False, cases,
-                    f"F={field}, n={n}: {got} != {want}",
-                )
-    return _result(
-        "filtration_at_origin", t0, True, cases,
-        "F^n pi_00 = I^max(n,0) over all six fields",
-    )
+                return run.fail(f"F={field}, n={n}: {got} != {want}")
+    return run.passed("F^n pi_00 = I^max(n,0) over all six fields")
 
 
 def check_grid_law(profile: str = "full") -> CheckResult:
-    """tate = K^MW_{q-p} I^N with N = shift_index, shift-invariant under diagonal shifts."""
-    t0 = time.time()
+    """tate = K^MW_{q-p} I^N with N = shift_index, shift-invariant under diagonal shifts.
+
+    For n > p the level in degree coordinates must also equal the image of
+    eta^M computed from the generators of K^MW_{q-p+M}: the proof's
+    identification of each level, computed independently of the level.
+    """
+    run = _Run("grid_law")
     bound = 6 if profile == "full" else 3
     shifts = (-2, -1, 1, 2)
-    cases = 0
     for field in STANDARD_FIELDS:
         for n, p, q in itertools.product(range(-bound, bound + 1), repeat=3):
-            cases += 1
+            run.cases += 1
             query = FiltrationQuery(n, p, q, field)
             got = tate_filtration(query)
             if n <= p:
-                from mwslice.abelian import full_subgroup
-                from mwslice.milnor_witt import kmw_ambient
-
                 want = full_subgroup(kmw_ambient(field, q - p))
             else:
                 want = kmw_times_In(q - p, shift_index(n - p, n - q), field)
             if got != want:
-                return _result("grid_law", t0, False, cases, f"{field} {(n,p,q)}: law fails")
+                return run.fail(f"{field} {(n,p,q)}: law fails")
+            cur = filtration_in_degree_coords(query)
+            if n > p and cur != eta_image_subgroup(query):
+                return run.fail(f"{field} {(n,p,q)}: level != eta-image")
             for r in shifts:
                 shifted = tate_filtration(FiltrationQuery(n + r, p + r, q + r, field))
                 if shifted != got:
-                    return _result(
-                        "grid_law", t0, False, cases,
-                        f"{field} {(n,p,q)} shift r={r}: not invariant",
-                    )
+                    return run.fail(f"{field} {(n,p,q)} shift r={r}: not invariant")
             nxt = filtration_in_degree_coords(FiltrationQuery(n + 1, p, q, field))
-            cur = filtration_in_degree_coords(query)
             if not nxt <= cur:
-                return _result(
-                    "grid_law", t0, False, cases, f"{field} {(n,p,q)}: not monotone"
-                )
-    return _result(
-        "grid_law", t0, True, cases,
-        f"filtration law + shift invariance + monotonicity on |n|,|p|,|q| <= {bound}",
+                return run.fail(f"{field} {(n,p,q)}: not monotone")
+    return run.passed(
+        f"filtration law + shift invariance + monotonicity on |n|,|p|,|q| <= {bound}"
     )
 
 
 def check_extended_steinberg(profile: str = "full") -> CheckResult:
     """Every sum-to-one tuple (q <= 9, n <= 4) yields a verified derivation of 0."""
-    t0 = time.time()
-    cases = 0
+    run = _Run("extended_steinberg")
     for q in (3, 5, 7, 9):
         field = finite_field(q)
         for n in (2, 3, 4):
             for tup in sum_to_one_tuples(field, n):
-                cases += 1
+                run.cases += 1
                 label = tuple(str(u) for u in tup)
                 try:
                     d = derive_extended_steinberg(list(tup))
                 except Exception as exc:  # a corrupted rule must name its tuple
-                    return _result(
-                        "extended_steinberg", t0, False, cases, f"q={q} tuple {label}: {exc}"
-                    )
+                    return run.fail(f"q={q} tuple {label}: {exc}")
                 res = verify_derivation(d)
                 if not res.ok:
-                    return _result(
-                        "extended_steinberg", t0, False, cases,
-                        f"q={q} tuple {label}: {res.reason}",
-                    )
+                    return run.fail(f"q={q} tuple {label}: {res.reason}")
                 if not normalize(mw_symbols(list(tup)), degree=n).is_zero:
-                    return _result(
-                        "extended_steinberg", t0, False, cases,
-                        f"q={q} tuple {label}: nonzero normal form",
-                    )
-    return _result(
-        "extended_steinberg", t0, True, cases,
-        "all sum-to-one tuples certified and vanish",
-    )
+                    return run.fail(f"q={q} tuple {label}: nonzero normal form")
+    return run.passed("all sum-to-one tuples certified and vanish")
 
 
 def _rule_instances(field: FieldDescriptor):
@@ -241,8 +233,7 @@ def _rule_instances(field: FieldDescriptor):
 
 def check_relation_soundness(profile: str = "full") -> CheckResult:
     """normalize(LHS) = normalize(RHS) for all eleven rules, exhaustively (q <= 9)."""
-    t0 = time.time()
-    cases = 0
+    run = _Run("relation_soundness")
     seen_rules: set[str] = set()
     for q in (3, 5, 7, 9):
         field = finite_field(q)
@@ -263,25 +254,19 @@ def check_relation_soundness(profile: str = "full") -> CheckResult:
                         continue
                     ctx_expr = mw_symbols([ctx])
                     left, right = ctx_expr * lhs, ctx_expr * rhs
-                cases += 1
+                run.cases += 1
                 deg = left.degree() if left.terms else right.degree()
                 if normalize(left, degree=deg) != normalize(right, degree=deg):
-                    return _result(
-                        "relation_soundness", t0, False, cases,
-                        f"{rule} over F{q} with {bindings}: normal forms differ",
-                    )
+                    return run.fail(f"{rule} over F{q} with {bindings}: normal forms differ")
     missing = set(RULE_NAMES) - seen_rules
     if missing:
-        return _result("relation_soundness", t0, False, cases, f"rules not exercised: {missing}")
-    return _result(
-        "relation_soundness", t0, True, cases, "all eleven rules preserve normal forms"
-    )
+        return run.fail(f"rules not exercised: {missing}")
+    return run.passed("all eleven rules preserve normal forms")
 
 
 def check_theta0_and_eta_images(profile: str = "full") -> CheckResult:
     """theta0 is a ring isomorphism onto GW coordinates; eta^n image = I^n, n <= 8."""
-    t0 = time.time()
-    cases = 0
+    run = _Run("theta0_eta_images")
     for q in (3, 5, 7):
         field = finite_field(q)
         units = enumerate_units(field)
@@ -289,171 +274,107 @@ def check_theta0_and_eta_images(profile: str = "full") -> CheckResult:
         exprs += [mw_eta(field) * mw_symbols([u]) for u in units]
         for e1 in exprs:
             for e2 in exprs:
-                cases += 1
+                run.cases += 1
                 if theta0(e1 * e2) != theta0(e1) * theta0(e2):
-                    return _result(
-                        "theta0_eta_images", t0, False, cases, f"theta0 not multiplicative over F{q}"
-                    )
+                    return run.fail(f"theta0 not multiplicative over F{q}")
                 if theta0(e1 + e2) != theta0(e1) + theta0(e2):
-                    return _result(
-                        "theta0_eta_images", t0, False, cases, f"theta0 not additive over F{q}"
-                    )
+                    return run.fail(f"theta0 not additive over F{q}")
     for field in STANDARD_FIELDS:
-        box: list[GWClass]
-        if field.kind == "finite":
-            box = [GWClass(field, r, d) for r in range(-4, 5) for d in (0, 1)]
-        elif field.kind == "real":
-            box = [
-                GWClass(field, r, 0, s)
-                for r in range(-4, 5)
-                for s in range(-4, 5)
-                if (r - s) % 2 == 0
-            ]
-        else:
-            box = [GWClass(field, r) for r in range(-4, 5)]
-        for x in box:
-            cases += 1
+        for x in gw_box(field, 4):
+            run.cases += 1
             if theta0(theta0_inverse(x)) != x:
-                return _result(
-                    "theta0_eta_images", t0, False, cases, f"theta0 not onto {x} over {field}"
-                )
+                return run.fail(f"theta0 not onto {x} over {field}")
         for n in range(1, 9):
-            cases += 1
+            run.cases += 1
             image = eta_power_image(field, n)  # raises on any mismatch with I^n
             if image != fundamental_power_description(field, n):
-                return _result(
-                    "theta0_eta_images", t0, False, cases, f"eta^{n} image != I^{n} over {field}"
-                )
-    return _result(
-        "theta0_eta_images", t0, True, cases,
-        "theta0 bijective ring map; eta-power images equal ideal powers",
-    )
+                return run.fail(f"eta^{n} image != I^{n} over {field}")
+    return run.passed("theta0 bijective ring map; eta-power images equal ideal powers")
 
 
 def check_cartesian_square(profile: str = "full") -> CheckResult:
     """Cartesian square commutes and has fiber-product order, q <= 13, m <= 2."""
-    t0 = time.time()
-    cases = 0
+    run = _Run("cartesian_square")
     for q in (3, 5, 7, 9, 11, 13):
         field = finite_field(q)
         for m in (1, 2):
-            cases += 1
+            run.cases += 1
             rep = cartesian_check(field, m)
             expected = q - 1 if m == 1 else 1
             if not rep.ok or rep.fiber_order != expected:
-                return _result(
-                    "cartesian_square", t0, False, cases,
-                    f"q={q}, m={m}: {rep.to_json()}",
-                )
-    return _result(
-        "cartesian_square", t0, True, cases,
-        "fiber-product orders q-1 (m=1) and 1 (m=2), commutation exhaustive",
-    )
+                return run.fail(f"q={q}, m={m}: {rep.to_json()}")
+    return run.passed("fiber-product orders q-1 (m=1) and 1 (m=2), commutation exhaustive")
 
 
 def check_oracle_equivalence(profile: str = "full") -> CheckResult:
     """Brute-force classification = (rank, disc); W(F_q) is Z/4 iff q = 3 mod 4."""
-    t0 = time.time()
-    cases = 0
+    run = _Run("oracle_equivalence")
     for q in (3, 5, 7, 9, 11, 13):
         field = finite_field(q)
         table = brute_force_gw(field, 6)
         for rank in range(0, 7):
-            cases += 1
+            run.cases += 1
             expected = 1 if rank == 0 else 2
             if table.class_count(rank) != expected:
-                return _result(
-                    "oracle_equivalence", t0, False, cases,
-                    f"q={q} rank {rank}: {table.class_count(rank)} classes",
-                )
+                return run.fail(f"q={q} rank {rank}: {table.class_count(rank)} classes")
         for cls in table.classes:
             invariants = {gw_of_form(rep_form(field, bits)).coords() for bits in cls}
-            cases += 1
+            run.cases += 1
             if len(invariants) != 1:
-                return _result(
-                    "oracle_equivalence", t0, False, cases,
-                    f"q={q}: invariants not constant on a class",
-                )
+                return run.fail(f"q={q}: invariants not constant on a class")
         witt_classes = witt_oracle_classes(field, 6)
-        cases += 1
+        run.cases += 1
         if len(witt_classes) != 4:
-            return _result(
-                "oracle_equivalence", t0, False, cases,
-                f"q={q}: W has {len(witt_classes)} classes, not 4",
-            )
+            return run.fail(f"q={q}: W has {len(witt_classes)} classes, not 4")
         zero_class = next(cls for cls in witt_classes if () in cls)
         two_ones = (0, 0)
         is_z4 = two_ones not in zero_class
-        cases += 1
+        run.cases += 1
         if is_z4 != (q % 4 == 3):
-            return _result(
-                "oracle_equivalence", t0, False, cases,
-                f"q={q}: Z/4 structure is {is_z4}",
-            )
-    return _result(
-        "oracle_equivalence", t0, True, cases,
-        "(rank, disc) complete, Witt group structure matches q mod 4",
-    )
+            return run.fail(f"q={q}: Z/4 structure is {is_z4}")
+    return run.passed("(rank, disc) complete, Witt group structure matches q mod 4")
 
 
 def check_moore_spectrum(profile: str = "full") -> CheckResult:
     """Moore filtration: constant Z/ell over R; zero over finite fields (n >= 1)."""
-    t0 = time.time()
-    cases = 0
+    run = _Run("moore_spectrum")
     for ell in (3, 5, 7):
         prev = None
         for n in range(0, 11):
-            cases += 1
+            run.cases += 1
             desc = moore_filtration(ell, REALS, n)
             if n == 0:
                 if not desc.is_full:
-                    return _result("moore_spectrum", t0, False, cases, f"ell={ell}: I^0 image not full")
+                    return run.fail(f"ell={ell}: I^0 image not full")
                 continue
             if desc.order() != ell:
-                return _result(
-                    "moore_spectrum", t0, False, cases,
-                    f"ell={ell}, n={n}: image order {desc.order()}",
-                )
+                return run.fail(f"ell={ell}, n={n}: image order {desc.order()}")
             if prev is not None and desc != prev:
-                return _result(
-                    "moore_spectrum", t0, False, cases, f"ell={ell}, n={n}: not constant"
-                )
+                return run.fail(f"ell={ell}, n={n}: not constant")
             prev = desc
         for q in (3, 5, 7, 9):
             field = finite_field(q)
             for n in range(1, 11):
-                cases += 1
+                run.cases += 1
                 if not moore_filtration(ell, field, n).is_zero:
-                    return _result(
-                        "moore_spectrum", t0, False, cases,
-                        f"ell={ell}, q={q}, n={n}: image nonzero",
-                    )
-    return _result(
-        "moore_spectrum", t0, True, cases,
-        "constant Z/ell over R, vanishing over finite fields",
-    )
+                    return run.fail(f"ell={ell}, q={q}, n={n}: image nonzero")
+    return run.passed("constant Z/ell over R, vanishing over finite fields")
 
 
 def check_convergence(profile: str = "full") -> CheckResult:
     """convergence_check passes with structural certificates, cutoff 12."""
-    t0 = time.time()
-    cases = 0
+    run = _Run("convergence")
     for field in STANDARD_FIELDS:
-        cases += 1
+        run.cases += 1
         rep = convergence_check(field, 12)
         if not rep.separated:
-            return _result(
-                "convergence", t0, False, cases, f"{field}: {rep.details}"
-            )
-    return _result(
-        "convergence", t0, True, cases, "I-adic filtration separated on all families"
-    )
+            return run.fail(f"{field}: {rep.details}")
+    return run.passed("I-adic filtration separated on all families")
 
 
 def check_transfers(profile: str = "full") -> CheckResult:
     """Projection formula, filtration preservation, and the closure identity."""
-    t0 = time.time()
-    cases = 0
+    run = _Run("transfers")
     f3, f5 = finite_field(3), finite_field(5)
     extensions = [
         FiniteExtension(f3, finite_field(9)),
@@ -463,32 +384,24 @@ def check_transfers(profile: str = "full") -> CheckResult:
     ]
     for ext in extensions:
         rep = projection_formula_check(ext, 4)
-        cases += rep.checked
+        run.cases += rep.checked
         if not rep.ok:
-            return _result("transfers", t0, False, cases, f"{ext}: {rep.counterexample}")
+            return run.fail(f"{ext}: {rep.counterexample}")
     for ext in extensions[:3]:
         for m in range(-3, 4):
             for N in range(0, 4):
                 rep = filtration_preservation_check(ext, m, N)
-                cases += max(rep.checked, 1)
+                run.cases += max(rep.checked, 1)
                 if not rep.ok:
-                    return _result(
-                        "transfers", t0, False, cases, f"{ext} m={m} N={N}: {rep.counterexample}"
-                    )
+                    return run.fail(f"{ext} m={m} N={N}: {rep.counterexample}")
     for base in (f3, f5):
         for n, p, q in itertools.product(range(-3, 4), repeat=3):
-            cases += 1
+            run.cases += 1
             closure = transfer_closure_subgroup(base, q, p, n, 3)
             level = tate_filtration(FiltrationQuery(n, p, q, base))
             if closure != level:
-                return _result(
-                    "transfers", t0, False, cases,
-                    f"base {base}, (n,p,q)=({n},{p},{q}): closure != filtration",
-                )
-    return _result(
-        "transfers", t0, True, cases,
-        "projection formula, preservation grid, closure identity all exact",
-    )
+                return run.fail(f"base {base}, (n,p,q)=({n},{p},{q}): closure != filtration")
+    return run.passed("projection formula, preservation grid, closure identity all exact")
 
 
 CRITERIA: tuple[tuple[str, Callable[[str], CheckResult]], ...] = (
@@ -509,9 +422,9 @@ CRITERIA: tuple[tuple[str, Callable[[str], CheckResult]], ...] = (
 def run_all(profile: str = "full") -> list[CheckResult]:
     out = []
     for name, func in CRITERIA:
-        started = time.time()
+        run = _Run(name.split(" ", 1)[1])
         try:
             out.append(func(profile))
         except Exception as exc:  # a crashing criterion is a failing criterion
-            out.append(_result(name.split(" ", 1)[1], started, False, 0, f"crashed: {exc}"))
+            out.append(run.fail(f"crashed: {exc}"))
     return out

@@ -65,12 +65,7 @@ def _normal_form_json(nf) -> dict:
     elif nf.degree is not None and nf.degree < 0:
         out["witt"] = list(nf.witt.coords)
     elif nf.degree is not None:
-        if nf.field.kind == "finite":
-            if nf.degree == 1:
-                out["unit_class"] = str(nf.milnor_unit)
-                out["ideal_bit"] = nf.ideal_bit
-        else:
-            out["coord"] = nf.real_coord
+        out.update(nf.field.model.kmw_json(nf))
     return out
 
 
@@ -146,12 +141,8 @@ def cmd_filtration(args) -> int:
         f"  N = {report.N}",
         f"  subgroup: {report.subgroup}",
     ]
-    if field.kind == "real" and args.p == args.q == 0 and args.n >= 1:
-        k = report.subgroup.index_in_saturation()
-        lines.append(
-            f"  ladder row: I(R)^{args.n} = ({k}) in the index coordinate"
-            f"  (signature in {2 * k}Z)"
-        )
+    if args.p == args.q == 0 < args.n and (row := field.model.ladder_row(args.n, report.subgroup)):
+        lines.append(row)
     emit(args, payload, lines)
     return EXIT_OK
 
@@ -233,12 +224,15 @@ def cmd_check_all(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
-def _output_options(sub_parser: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, func, summary: str, field: bool = True) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    if field:
+        p.add_argument("--field", required=True)
     # accepted after the subcommand too; SUPPRESS keeps pre-subcommand values
-    sub_parser.add_argument(
-        "--output", choices=("table", "json"), default=argparse.SUPPRESS
-    )
-    sub_parser.add_argument("--out", default=argparse.SUPPRESS)
+    p.add_argument("--output", choices=("table", "json"), default=argparse.SUPPRESS)
+    p.add_argument("--out", default=argparse.SUPPRESS)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,77 +244,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="also write the output to this path")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("gw", help="GW class of a diagonal form")
-    p.add_argument("--field", required=True)
+    p = _command(sub, "gw", cmd_gw, "GW class of a diagonal form")
     p.add_argument("--form", required=True, help='form literal, e.g. "<1,-1>"')
-    _output_options(p)
-    p.set_defaults(func=cmd_gw)
-
-    p = sub.add_parser("witt", help="Witt class of a diagonal form")
-    p.add_argument("--field", required=True)
+    p = _command(sub, "witt", cmd_witt, "Witt class of a diagonal form")
     p.add_argument("--form", required=True)
-    _output_options(p)
-    p.set_defaults(func=cmd_witt)
-
-    p = sub.add_parser("mw-normalize", help="normal form of a Milnor-Witt expression")
-    p.add_argument("--field", required=True)
+    p = _command(sub, "mw-normalize", cmd_mw_normalize, "normal form of a Milnor-Witt expression")
     p.add_argument("--expr", required=True, help='e.g. "eta*(2 + eta*[-1])"')
-    _output_options(p)
-    p.set_defaults(func=cmd_mw_normalize)
-
-    p = sub.add_parser("mw-derive", help="certified extended-Steinberg derivation")
-    p.add_argument("--field", required=True)
+    p = _command(sub, "mw-derive", cmd_mw_derive, "certified extended-Steinberg derivation")
     p.add_argument("--units", required=True, help="comma-separated units summing to 1")
-    _output_options(p)
-    p.set_defaults(func=cmd_mw_derive)
-
-    p = sub.add_parser("mw-verify", help="replay a serialized derivation")
+    p = _command(sub, "mw-verify", cmd_mw_verify, "replay a serialized derivation", field=False)
     p.add_argument("--derivation", required=True, help="path to JSON, or - for stdin")
-    _output_options(p)
-    p.set_defaults(func=cmd_mw_verify)
-
-    p = sub.add_parser("filtration", help="Tate filtration subgroup")
-    p.add_argument("--field", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    _output_options(p)
-    p.set_defaults(func=cmd_filtration)
-
-    p = sub.add_parser("graded", help="graded piece F^n/F^(n+1)")
-    p.add_argument("--field", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    _output_options(p)
-    p.set_defaults(func=cmd_graded)
-
-    p = sub.add_parser("convergence", help="separatedness of the filtration")
-    p.add_argument("--field", required=True)
+    for name, func, summary in (("filtration", cmd_filtration, "Tate filtration subgroup"),
+                             ("graded", cmd_graded, "graded piece F^n/F^(n+1)")):
+        p = _command(sub, name, func, summary)
+        for flag in ("--n", "--p", "--q"):
+            p.add_argument(flag, type=int, required=True)
+    p = _command(sub, "convergence", cmd_convergence, "separatedness of the filtration")
     p.add_argument("--cutoff", type=int, default=12)
-    _output_options(p)
-    p.set_defaults(func=cmd_convergence)
-
-    p = sub.add_parser("moore", help="mod-ell Moore spectrum filtration")
-    p.add_argument("--field", required=True)
+    p = _command(sub, "moore", cmd_moore, "mod-ell Moore spectrum filtration")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _output_options(p)
-    p.set_defaults(func=cmd_moore)
-
-    p = sub.add_parser("transfer", help="trace transfer of a form, or property checks")
+    p = _command(sub, "transfer", cmd_transfer, "trace transfer of a form, or property checks",
+                 field=False)
     p.add_argument("--ext", required=True, help='extension literal, e.g. "Fq(9)/Fq(3)"')
     p.add_argument("--form", help="form over the top field")
     p.add_argument("--check", choices=("projection",))
     p.add_argument("--rank-bound", type=int, default=4)
-    _output_options(p)
-    p.set_defaults(func=cmd_transfer)
-
-    p = sub.add_parser("check-all", help="run the acceptance suite")
+    p = _command(sub, "check-all", cmd_check_all, "run the acceptance suite", field=False)
     p.add_argument("--profile", choices=("quick", "full"))
-    _output_options(p)
-    p.set_defaults(func=cmd_check_all)
-
     return parser
 
 

@@ -11,18 +11,19 @@ degree-coordinate group when N = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from mwslice.abelian import (
     Ambient,
     QuotientShape,
     SubgroupDescription,
     full_subgroup,
-    zero_subgroup,
 )
-from mwslice.fields import FINITE, REAL, FieldDescriptor
+from mwslice.fields import FieldDescriptor
 from mwslice.forms import (
     fundamental_power_description,
     fundamental_power_in_witt,
+    gw_ambient,
 )
 from mwslice.milnor_witt import (
     eta_power_times,
@@ -99,12 +100,8 @@ def filtration_in_degree_coords(query: FiltrationQuery) -> SubgroupDescription:
         return fundamental_power_in_witt(field, N)
     if m == 0:
         return fundamental_power_description(field, N)
-    # positive degree: pull I^{N+m} back through the degree-m coordinates
-    if field.kind == FINITE:
-        return zero_subgroup(ambient)  # I^{N+m} = 0 once N + m >= 2
-    if field.kind == REAL:
-        return SubgroupDescription(ambient, ((1 << N,),))
-    return zero_subgroup(ambient)
+    # positive degree: I^{N+m} read in the degree-m coordinates
+    return SubgroupDescription(ambient, field.model.level_generators(N))
 
 
 @dataclass(frozen=True)
@@ -176,12 +173,15 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> ConvergenceReport:
     """Verify that the filtration of K^MW_{q-p} is separated up to the cutoff.
 
     Checks monotonicity of the chain on a small (p, q) grid and certifies the
-    vanishing of the intersection structurally: I^2 = 0 over a finite field,
-    the dyadic valuation bound on signatures over a real closed field, and
-    I = 0 over a quadratically closed field.
+    vanishing of the intersection structurally with the model's certificate:
+    I^2 = 0 over a finite field, the dyadic valuation bound on signatures over
+    a real closed field, and I = 0 over a quadratically closed field.  Where
+    some I^k vanishes the tail of each chain must be zero; otherwise fixed
+    elements are probed to leave the chain.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    vanishing = field.model.vanishing_power
     details = []
     ok = True
     for p in range(0, 3):
@@ -194,39 +194,23 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> ConvergenceReport:
                 if not b <= a:
                     ok = False
                     details.append(f"monotonicity fails at (p,q)=({p},{q})")
-            tail = chain[-1]
-            if field.kind == FINITE:
-                if not tail.is_zero and cutoff >= max(p, q) + 2:
+            if vanishing is not None:
+                if not chain[-1].is_zero and cutoff >= max(p, q) + 2:
                     ok = False
                     details.append(f"tail not zero at (p,q)=({p},{q})")
-            elif field.kind == REAL:
-                # any fixed nonzero coordinate leaves the chain at a finite stage
-                probe = [1, 2, 3, 4]
-                for c in probe:
-                    stays = all(level.contains(_embed(field, q - p, c)) for level in chain[1:])
-                    if stays and cutoff > p + c.bit_length() + 2:
-                        ok = False
-                        details.append(f"element {c} never leaves the chain at ({p},{q})")
-            else:
-                if not tail.is_zero and cutoff >= max(p, q) + 2:
+                continue
+            # any fixed nonzero coordinate leaves the chain at a finite stage
+            for c in (1, 2, 3, 4):
+                stays = all(level.contains(_embed(field, q - p, c)) for level in chain[1:])
+                if stays and cutoff > p + c.bit_length() + 2:
                     ok = False
-                    details.append(f"tail not zero at (p,q)=({p},{q})")
-    if field.kind == FINITE:
-        sq = fundamental_power_description(field, 2)
-        cert = "I^2 = 0"
-        if not sq.is_zero:
-            ok = False
-            details.append("I^2 is not zero")
-    elif field.kind == REAL:
-        cert = "nonzero signatures have bounded dyadic valuation"
-    else:
-        cert = "I = 0"
-        if not fundamental_power_description(field, 1).is_zero:
-            ok = False
-            details.append("I(C) is not zero")
+                    details.append(f"element {c} never leaves the chain at ({p},{q})")
+    if vanishing is not None and not fundamental_power_description(field, vanishing).is_zero:
+        ok = False
+        details.append(f"I^{vanishing} is not zero")
     if ok:
         details.append("intersection of the chain is zero at the cutoff")
-    return ConvergenceReport(field, cutoff, ok, cert, tuple(details))
+    return ConvergenceReport(field, cutoff, ok, field.model.certificate, tuple(details))
 
 
 def _embed(field: FieldDescriptor, m: int, c: int) -> tuple[int, ...]:
@@ -236,8 +220,6 @@ def _embed(field: FieldDescriptor, m: int, c: int) -> tuple[int, ...]:
         return ()
     v = [0] * amb.dim
     v[-1] = c
-    if m == 0 and field.kind == REAL:
-        return (0, c)
     return tuple(v)
 
 
@@ -245,12 +227,13 @@ def _embed(field: FieldDescriptor, m: int, c: int) -> tuple[int, ...]:
 
 
 def gw_mod_ell_ambient(field: FieldDescriptor, ell: int) -> Ambient:
-    """GW(F)/ell coordinates (the odd-torsion part; disc_dev dies for odd ell)."""
-    if field.kind == FINITE:
-        return Ambient(0, (ell,), ("rank",), f"GW({field})/{ell}")
-    if field.kind == REAL:
-        return Ambient(0, (ell, ell), ("rank", "index"), f"GW(R)/{ell}")
-    return Ambient(0, (ell,), ("rank",), f"GW(C)/{ell}")
+    """GW(F)/ell coordinates: the free GW coordinates mod ell.
+
+    The torsion of GW(F) is 2-primary (disc_dev over F_q), so it dies for odd ell.
+    """
+    amb = gw_ambient(field)
+    free = amb.free_rank
+    return Ambient(0, (ell,) * free, amb.coord_names[:free], f"GW({field})/{ell}")
 
 
 def moore_filtration(ell: int, field: FieldDescriptor, n: int) -> SubgroupDescription:
@@ -260,7 +243,7 @@ def moore_filtration(ell: int, field: FieldDescriptor, n: int) -> SubgroupDescri
     filtration is constant, hence not separated); over a finite field the
     augmentation ideal is 2-primary torsion, so the image vanishes.
     """
-    if ell == 2 or ell < 2 or any(ell % k == 0 for k in range(2, ell)):
+    if ell == 2 or ell < 2 or any(ell % k == 0 for k in range(2, isqrt(ell) + 1)):
         raise ValueError("ell must be an odd prime")
     if n < 0:
         raise ValueError("filtration levels are indexed by naturals")
@@ -268,13 +251,6 @@ def moore_filtration(ell: int, field: FieldDescriptor, n: int) -> SubgroupDescri
     if n == 0:
         return full_subgroup(ambient)
     desc = fundamental_power_description(field, n)
-    gens = []
-    for g in desc.generators:
-        if field.kind == FINITE:
-            # disc_dev is killed: (0, 1) = ell * (0, 1) in GW since ell is odd
-            gens.append((g[0] % ell,))
-        elif field.kind == REAL:
-            gens.append((g[0] % ell, g[1] % ell))
-        else:
-            gens.append((g[0] % ell,))
-    return SubgroupDescription(ambient, tuple(gens))
+    # torsion coordinates are killed: (0, 1) = ell * (0, 1) in GW(F_q) since ell is odd
+    gens = tuple(tuple(c % ell for c in g[: ambient.dim]) for g in desc.generators)
+    return SubgroupDescription(ambient, gens)

@@ -1,6 +1,6 @@
 """Grothendieck-Witt and Witt ring arithmetic via complete invariants.
 
-Coordinates per field family:
+Coordinates per field family (the facts live on ``field.model``):
 
 * finite F_q:  GW = (rank, disc_dev) in Z x Z/2, where disc_dev is the square
   class of the product of diagonal entries (deviation from the all-<1> form of
@@ -20,10 +20,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mwslice.abelian import Ambient, SubgroupDescription, full_subgroup, zero_subgroup
+from mwslice.abelian import Ambient, SubgroupDescription, full_subgroup
 from mwslice.fields import (
-    FINITE,
-    REAL,
     FieldDescriptor,
     FieldMismatchError,
     Unit,
@@ -82,19 +80,11 @@ class GWClass:
     signature: int = 0  # real closed only
 
     def __post_init__(self) -> None:
-        if self.field.kind == FINITE:
-            if self.disc_dev not in (0, 1) or self.signature:
-                raise ValueError("finite-field classes carry (rank, disc_dev)")
-        elif self.field.kind == REAL:
-            if self.disc_dev:
-                raise ValueError("real classes carry (rank, signature)")
-            if (self.rank - self.signature) % 2:
-                raise ValueError(
-                    f"rank {self.rank} and signature {self.signature} have different parity"
-                )
-        else:
-            if self.disc_dev or self.signature:
-                raise ValueError("quadratically closed classes carry only the rank")
+        if not self.field.model.is_gw(self.rank, self.disc_dev, self.signature):
+            raise ValueError(
+                f"(rank, disc_dev, signature) = ({self.rank}, {self.disc_dev}, "
+                f"{self.signature}) is not a class over {self.field}"
+            )
 
     def _check(self, other: "GWClass") -> None:
         if self.field != other.field:
@@ -129,33 +119,17 @@ class GWClass:
     def is_zero(self) -> bool:
         return self.rank == 0 and self.disc_dev == 0 and self.signature == 0
 
-    @property
-    def index(self) -> int:
-        """Virtual index (r - s)/2; the second Z-coordinate of GW(R)."""
-        assert self.field.kind == REAL
-        return (self.rank - self.signature) // 2
-
     def coords(self) -> tuple[int, ...]:
-        if self.field.kind == FINITE:
-            return (self.rank, self.disc_dev)
-        if self.field.kind == REAL:
-            return (self.rank, self.index)
-        return (self.rank,)
+        """Coordinates in ``gw_ambient(field)``; over R, (rank, index)."""
+        return self.field.model.gw_coords(self)
 
     def to_json(self) -> dict:
-        out: dict = {"field": str(self.field), "rank": self.rank}
-        if self.field.kind == FINITE:
-            out["disc_dev"] = self.disc_dev
-        elif self.field.kind == REAL:
-            out["signature"] = self.signature
-        return out
+        return {"field": str(self.field), "rank": self.rank,
+                **self.field.model.gw_display(self)}
 
     def __str__(self) -> str:
-        if self.field.kind == FINITE:
-            return f"(rank {self.rank}, disc_dev {self.disc_dev})"
-        if self.field.kind == REAL:
-            return f"(rank {self.rank}, signature {self.signature})"
-        return f"(rank {self.rank})"
+        extra = self.field.model.gw_display(self).items()
+        return f"(rank {self.rank}" + "".join(f", {k} {v}" for k, v in extra) + ")"
 
 
 def gw_zero(field: FieldDescriptor) -> GWClass:
@@ -163,26 +137,16 @@ def gw_zero(field: FieldDescriptor) -> GWClass:
 
 
 def gw_one(field: FieldDescriptor) -> GWClass:
-    return GWClass(field, 1, 0, 1 if field.kind == REAL else 0)
+    return GWClass(field, 1, *field.model.one_invariants)
 
 
 def gw_from_coords(field: FieldDescriptor, coords: tuple[int, ...]) -> GWClass:
-    if field.kind == FINITE:
-        return GWClass(field, coords[0], coords[1] % 2)
-    if field.kind == REAL:
-        rank, idx = coords
-        return GWClass(field, rank, 0, rank - 2 * idx)
-    return GWClass(field, coords[0])
+    return GWClass(field, *field.model.gw_from_coords(coords))
 
 
 def gw_of_unit(u: Unit) -> GWClass:
     """Class of the rank-one form <u>."""
-    f = u.field
-    if f.kind == FINITE:
-        return GWClass(f, 1, square_class_bit(u))
-    if f.kind == REAL:
-        return GWClass(f, 1, 0, 1 if u.value > 0 else -1)
-    return GWClass(f, 1)
+    return GWClass(u.field, 1, *u.field.model.unit_invariants(u))
 
 
 def gw_of_form(qf: QuadraticForm) -> GWClass:
@@ -192,16 +156,18 @@ def gw_of_form(qf: QuadraticForm) -> GWClass:
     return out
 
 
-def gw_add(x: GWClass, y: GWClass) -> GWClass:
-    return x + y
+def gw_box(field: FieldDescriptor, rank_bound: int) -> list[GWClass]:
+    """Every class with |rank| and |signature| at most rank_bound."""
+    span = range(-rank_bound, rank_bound + 1)
+    return [
+        GWClass(field, r, d, s)
+        for r in span for d in (0, 1) for s in span if field.model.is_gw(r, d, s)
+    ]
 
 
-def gw_mul(x: GWClass, y: GWClass) -> GWClass:
-    return x * y
-
-
-def gw_neg(x: GWClass) -> GWClass:
-    return -x
+def gw_generators(field: FieldDescriptor) -> list[GWClass]:
+    """Rank-one classes generating GW(F) as a group."""
+    return [gw_one(field)] + [gw_of_unit(u) for u in field.model.gw_generator_units()]
 
 
 def hyperbolic(field: FieldDescriptor) -> GWClass:
@@ -236,7 +202,7 @@ class WittClass:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _witt_reduce(self.field, self.coords))
+        object.__setattr__(self, "coords", self.field.model.witt_ambient.reduce(self.coords))
 
     def _check(self, other: "WittClass") -> None:
         if self.field != other.field:
@@ -267,49 +233,16 @@ class WittClass:
         return not any(self.coords)
 
     def __str__(self) -> str:
-        f = self.field
-        if f.kind == FINITE:
-            if f.order % 4 == 3:
-                return f"{self.coords[0]} in Z/4"
-            return f"{self.coords} in Z/2+Z/2"
-        if f.kind == REAL:
-            return f"signature {self.coords[0]}"
-        return f"{self.coords[0]} in Z/2"
-
-
-def _witt_reduce(field: FieldDescriptor, coords: tuple[int, ...]) -> tuple[int, ...]:
-    if field.kind == FINITE:
-        if field.order % 4 == 3:
-            return (coords[0] % 4,)
-        return (coords[0] % 2, coords[1] % 2)
-    if field.kind == REAL:
-        return (coords[0],)
-    return (coords[0] % 2,)
+        return self.field.model.witt_str(self.coords)
 
 
 def witt_class(x: GWClass) -> WittClass:
-    f = x.field
-    if f.kind == FINITE:
-        if f.order % 4 == 3:
-            return WittClass(f, (x.rank + 2 * x.disc_dev,))
-        return WittClass(f, (x.rank, x.disc_dev))
-    if f.kind == REAL:
-        return WittClass(f, (x.signature,))
-    return WittClass(f, (x.rank,))
+    return WittClass(x.field, x.field.model.witt_coords(x))
 
 
 def _witt_lift(w: WittClass) -> GWClass:
     """A GW representative of a Witt class."""
-    f = w.field
-    if f.kind == FINITE:
-        if f.order % 4 == 3:
-            v = w.coords[0]
-            return GWClass(f, v % 2, (v - v % 2) // 2 % 2)
-        return GWClass(f, w.coords[0], w.coords[1])
-    if f.kind == REAL:
-        s = w.coords[0]
-        return GWClass(f, abs(s), 0, s)
-    return GWClass(f, w.coords[0])
+    return GWClass(w.field, *w.field.model.witt_lift(w.coords))
 
 
 def witt_zero(field: FieldDescriptor) -> WittClass:
@@ -325,36 +258,15 @@ def witt_one(field: FieldDescriptor) -> WittClass:
 
 def in_fundamental_power(x: GWClass, n: int) -> bool:
     """Decide x in I(F)^n.  I^0 = GW."""
-    if n < 0:
-        raise ValueError("fundamental powers are indexed by naturals")
-    if n == 0:
-        return True
-    f = x.field
-    if f.kind == FINITE:
-        if n == 1:
-            return x.rank == 0
-        return x.is_zero
-    if f.kind == REAL:
-        return x.rank == 0 and x.signature % (1 << n) == 0
-    return x.is_zero
+    return fundamental_power_description(x.field, n).contains(x.coords())
 
 
 def gw_ambient(field: FieldDescriptor) -> Ambient:
-    if field.kind == FINITE:
-        return Ambient(1, (2,), ("rank", "disc_dev"), f"GW({field})")
-    if field.kind == REAL:
-        return Ambient(2, (), ("rank", "index"), "GW(R)")
-    return Ambient(1, (), ("rank",), "GW(C)")
+    return field.model.gw_ambient
 
 
 def witt_ambient(field: FieldDescriptor) -> Ambient:
-    if field.kind == FINITE:
-        if field.order % 4 == 3:
-            return Ambient(0, (4,), ("w",), f"W({field})")
-        return Ambient(0, (2, 2), ("rank2", "disc_dev"), f"W({field})")
-    if field.kind == REAL:
-        return Ambient(1, (), ("signature",), "W(R)")
-    return Ambient(0, (2,), ("rank2",), "W(C)")
+    return field.model.witt_ambient
 
 
 def fundamental_power_description(field: FieldDescriptor, n: int) -> SubgroupDescription:
@@ -364,14 +276,7 @@ def fundamental_power_description(field: FieldDescriptor, n: int) -> SubgroupDes
     ambient = gw_ambient(field)
     if n == 0:
         return full_subgroup(ambient)
-    if field.kind == FINITE:
-        if n == 1:
-            return SubgroupDescription(ambient, ((0, 1),))
-        return zero_subgroup(ambient)
-    if field.kind == REAL:
-        # generator <<-1,...,-1>> has signature (-2)^n, i.e. index 2^(n-1)
-        return SubgroupDescription(ambient, ((0, 1 << (n - 1)),))
-    return zero_subgroup(ambient)
+    return SubgroupDescription(ambient, field.model.ideal_generators(n))
 
 
 def fundamental_power_in_witt(field: FieldDescriptor, n: int) -> SubgroupDescription:
@@ -393,7 +298,7 @@ def fundamental_power_in_witt(field: FieldDescriptor, n: int) -> SubgroupDescrip
 
 def represents(field: FieldDescriptor, entries: tuple[Unit, ...], c: Unit) -> bool:
     """Exhaustive test: does the diagonal form with these entries represent c?"""
-    if field.kind != FINITE:
+    if not field.is_finite:
         raise ValueError("the exhaustive oracle only runs over finite fields")
     values = [None] + list(enumerate_units(field))
     for point in itertools.product(values, repeat=len(entries)):
@@ -428,13 +333,6 @@ class BruteForceTable:
     max_rank: int
     classes: tuple[tuple[tuple[int, ...], ...], ...]  # forms as sorted bit tuples
 
-    def class_of(self, bits: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        key = tuple(sorted(bits))
-        for cls in self.classes:
-            if key in cls:
-                return cls
-        raise KeyError(f"form {bits} exceeds the enumerated rank bound")
-
     def class_count(self, rank: int) -> int:
         return sum(1 for cls in self.classes if len(cls[0]) == rank)
 
@@ -451,7 +349,7 @@ def brute_force_gw(field: FieldDescriptor, max_rank: int) -> BruteForceTable:
     exhaustive representation search).  Completeness of the (rank, disc)
     invariants is checked against this table by the test suite, not assumed.
     """
-    if field.kind != FINITE:
+    if not field.is_finite:
         raise ValueError("brute_force_gw runs over finite fields")
     if max_rank > MAX_BRUTE_RANK:
         raise ValueError(f"rank bound {max_rank} exceeds {MAX_BRUTE_RANK}")

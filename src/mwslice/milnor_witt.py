@@ -21,26 +21,19 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from typing import Sequence
 
 from mwslice.abelian import Ambient, SubgroupDescription
 from mwslice.fields import (
-    FINITE,
-    REAL,
     FieldDescriptor,
     FieldMismatchError,
     Unit,
     discrete_log_table,
     enumerate_units,
-    multiplicative_generator,
     one,
     parse_unit,
-    square_class_bit,
-    unit as mk_unit,
-    unit_mul,
-    unit_pow,
     unit_sub,
 )
 from mwslice.forms import (
@@ -115,14 +108,7 @@ class MWMonomial:
         return len(self.factors) - 2 * self.eta_power  # = #sym - #eta
 
     def __str__(self) -> str:
-        if not self.factors:
-            return str(self.coeff)
-        word = "*".join(str(a) for a in self.factors)
-        if self.coeff == 1:
-            return word
-        if self.coeff == -1:
-            return f"-{word}"
-        return f"{self.coeff}*{word}"
+        return _render((self,), str)
 
 
 @dataclass(frozen=True)
@@ -135,10 +121,6 @@ class MWExpression:
             for a in t.factors:
                 if a.kind == SYM and a.unit.field != self.field:
                     raise FieldMismatchError("symbol unit over the wrong field")
-
-    @property
-    def is_zero_expression(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int | None:
         """Common degree of all terms; None for the empty expression."""
@@ -181,13 +163,7 @@ class MWExpression:
             raise FieldMismatchError(f"expressions over {self.field} and {other.field}")
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        out = str(self.terms[0])
-        for t in self.terms[1:]:
-            s = str(t)
-            out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
-        return out
+        return _render(self.terms, str)
 
 
 def collect(e: MWExpression) -> MWExpression:
@@ -257,14 +233,8 @@ class MWNormalForm:
     witt: WittClass | None = None    # degree < 0
 
     def __post_init__(self) -> None:
-        if self.field.kind == FINITE and self.degree == 1:
-            if self.milnor_unit is None:
-                raise ValueError("degree-1 normal forms carry a unit class")
-            if square_class_bit(self.milnor_unit) != self.ideal_bit:
-                raise ValueError(
-                    "cartesian-square compatibility violated: "
-                    f"unit {self.milnor_unit} vs ideal bit {self.ideal_bit}"
-                )
+        if self.degree is not None and self.degree > 0:
+            self.field.model.check_kmw(self)
 
     @property
     def is_zero(self) -> bool:
@@ -274,11 +244,7 @@ class MWNormalForm:
             return self.gw.is_zero
         if self.degree < 0:
             return self.witt.is_zero
-        if self.field.kind == FINITE:
-            if self.degree >= 2:
-                return True
-            return self.milnor_unit == one(self.field) and self.ideal_bit == 0
-        return self.real_coord == 0
+        return self.field.model.kmw_is_zero(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MWNormalForm):
@@ -313,13 +279,7 @@ class MWNormalForm:
             return self.gw.coords()
         if m < 0:
             return self.witt.coords
-        if self.field.kind == FINITE:
-            if m >= 2:
-                return ()
-            return (discrete_log_table(self.field)[self.milnor_unit],)
-        if self.field.kind == REAL:
-            return (self.real_coord,)
-        return ()
+        return self.field.model.kmw_coords(self)
 
     def __str__(self) -> str:
         m = self.degree
@@ -329,11 +289,7 @@ class MWNormalForm:
             return str(self.gw)
         if m < 0:
             return str(self.witt)
-        if self.field.kind == FINITE:
-            if m >= 2:
-                return "0"
-            return f"(unit class {self.milnor_unit}, ideal bit {self.ideal_bit})"
-        return f"{self.real_coord} * [-1]^{m}"
+        return self.field.model.kmw_str(self)
 
 
 def kmw_ambient(field: FieldDescriptor, m: int) -> Ambient:
@@ -342,14 +298,7 @@ def kmw_ambient(field: FieldDescriptor, m: int) -> Ambient:
         return gw_ambient(field)
     if m < 0:
         return witt_ambient(field)
-    if field.kind == FINITE:
-        if m >= 2:
-            return Ambient(0, (), (), f"K^MW_{m}({field}) = 0")
-        q = field.order
-        return Ambient(0, (q - 1,), ("log_g",), f"K^MW_1({field})")
-    if field.kind == REAL:
-        return Ambient(1, (), ("c",), f"K^MW_{m}(R) mod divisible")
-    return Ambient(0, (), (), f"K^MW_{m}(C) ideal part = 0")
+    return field.model.kmw_ambient(m)
 
 
 def normal_form_from_coords(
@@ -359,14 +308,7 @@ def normal_form_from_coords(
         return MWNormalForm(field, 0, gw=gw_from_coords(field, coords))
     if m < 0:
         return MWNormalForm(field, m, witt=WittClass(field, coords))
-    if field.kind == FINITE:
-        if m >= 2:
-            return MWNormalForm(field, m)
-        u = enumerate_units(field)[coords[0] % (field.order - 1)]
-        return MWNormalForm(field, 1, milnor_unit=u, ideal_bit=square_class_bit(u))
-    if field.kind == REAL:
-        return MWNormalForm(field, m, real_coord=coords[0])
-    return MWNormalForm(field, m)
+    return MWNormalForm(field, m, **field.model.kmw_from_coords(m, coords))
 
 
 def _term_gw_part(field: FieldDescriptor, t: MWMonomial) -> GWClass:
@@ -401,26 +343,8 @@ def normalize(e: MWExpression, degree: int | None = None) -> MWNormalForm:
         for t in e.terms:
             acc_w = acc_w + witt_class(_term_gw_part(field, t))
         return MWNormalForm(field, d, witt=acc_w)
-    # positive degree
-    if field.kind == FINITE:
-        if d >= 2:
-            return MWNormalForm(field, d)
-        u_acc = one(field)
-        bit = 0
-        for t in e.terms:
-            if t.eta_power == 0:
-                u_acc = unit_mul(u_acc, unit_pow(t.symbol[0], t.coeff))
-            bit = (bit + _term_gw_part(field, t).disc_dev) % 2
-        return MWNormalForm(field, 1, milnor_unit=u_acc, ideal_bit=bit)
-    if field.kind == REAL:
-        c = 0
-        for t in e.terms:
-            sig = _term_gw_part(field, t).signature
-            q, r = divmod(sig, (-2) ** d)
-            assert r == 0, "ideal part of a degree-d monomial must lie in I^d"
-            c += q
-        return MWNormalForm(field, d, real_coord=c)
-    return MWNormalForm(field, d)
+    coords = field.model.kmw_normalize(d, e.terms, partial(_term_gw_part, field))
+    return MWNormalForm(field, d, **coords)
 
 
 def theta0(e: MWExpression) -> GWClass:
@@ -432,24 +356,17 @@ def theta0(e: MWExpression) -> GWClass:
 
 
 def theta0_inverse(x: GWClass) -> MWExpression:
-    """A degree-zero expression mapping to the given GW class under theta0."""
+    """A degree-zero expression mapping to the given GW class under theta0.
+
+    Past the rank, each GW coordinate counts copies of <u> - <1> = eta*[u] for
+    the matching generator unit u of the field's model.
+    """
     f = x.field
-    if f.kind == FINITE:
-        s = multiplicative_generator(f)
-        e = mw_int(f, x.rank)
-        if x.disc_dev:
-            e = e + MWExpression(f, (MWMonomial(1, (eta_atom(), sym_atom(s))),))
-        return e
-    if f.kind == REAL:
-        k = (x.rank - x.signature) // 2
-        minus_one = mk_unit(f, -1)
-        e = mw_int(f, x.rank)
-        if k:
-            e = e + MWExpression(
-                f, (MWMonomial(k, (eta_atom(), sym_atom(minus_one))),)
-            )
-        return e
-    return mw_int(f, x.rank)
+    e = mw_int(f, x.rank)
+    for c, u in zip(x.coords()[1:], f.model.gw_generator_units()):
+        if c:
+            e = e + MWExpression(f, (MWMonomial(c, (eta_atom(), sym_atom(u))),))
+    return e
 
 
 def to_witt(e: MWExpression) -> WittClass:
@@ -468,25 +385,12 @@ def eta_times(nf: MWNormalForm, field_degree: int | None = None) -> MWNormalForm
     m = nf.degree if nf.degree is not None else field_degree
     if m is None:
         raise ValueError("eta action on the zero form needs an explicit degree")
-    if m <= 0:
-        if m == 0:
-            return MWNormalForm(field, -1, witt=witt_class(nf.gw))
-        return MWNormalForm(field, m - 1, witt=nf.witt)
-    if field.kind == FINITE:
-        if m >= 2:
-            return MWNormalForm(field, m - 1) if m - 1 >= 2 else normal_form_from_coords(
-                field, 1, (0,)
-            )
-        gw = GWClass(field, 0, nf.ideal_bit)
-        return MWNormalForm(field, 0, gw=gw)
-    if field.kind == REAL:
-        if m >= 2:
-            return MWNormalForm(field, m - 1, real_coord=-2 * nf.real_coord)
-        gw = GWClass(field, 0, 0, -2 * nf.real_coord)
-        return MWNormalForm(field, 0, gw=gw)
-    if m >= 2:
-        return MWNormalForm(field, m - 1)
-    return MWNormalForm(field, 0, gw=gw_zero(field))
+    if m <= 0:  # into W: from GW by witt_class, within W the identity
+        w = witt_zero(field) if nf.degree is None else witt_class(nf.gw) if m == 0 else nf.witt
+        return MWNormalForm(field, m - 1, witt=w)
+    if m == 1:
+        return MWNormalForm(field, 0, gw=GWClass(field, 0, *field.model.eta_to_gw(nf)))
+    return MWNormalForm(field, m - 1, **field.model.eta_kmw(nf, m))
 
 
 def eta_power_times(nf: MWNormalForm, n: int) -> MWNormalForm:
@@ -509,21 +413,14 @@ def kmw_generating_forms(field: FieldDescriptor, m: int) -> tuple[MWNormalForm, 
 
 def kmw_generating_expressions(field: FieldDescriptor, m: int) -> tuple[MWExpression, ...]:
     """Expressions whose normal forms generate the degree-m coordinate group."""
+    units = field.model.gw_generator_units()
     if m >= 1:
-        if field.kind == FINITE:
-            if m >= 2:
-                return ()
-            return (mw_symbol(multiplicative_generator(field)),)
-        if field.kind == REAL:
-            minus_one = mk_unit(field, -1)
-            return (mw_symbols([minus_one] * m),)
-        return ()
+        # where K^MW_m keeps coordinates, [u]^m generates them (u = g, resp. -1)
+        if kmw_ambient(field, m).is_trivial:
+            return ()
+        return tuple(mw_symbols([u] * m) for u in units)
     # degree <= 0: eta-power times the GW generators
-    gens0: list[MWExpression] = [mw_int(field, 1)]
-    if field.kind == FINITE:
-        gens0.append(mw_unit_form(multiplicative_generator(field)))
-    elif field.kind == REAL:
-        gens0.append(mw_unit_form(mk_unit(field, -1)))
+    gens0 = [mw_int(field, 1)] + [mw_unit_form(u) for u in units]
     if m == 0:
         return tuple(gens0)
     eta = mw_eta(field)
@@ -564,13 +461,7 @@ def milnor_ambient(field: FieldDescriptor, m: int) -> Ambient:
         raise ValueError("Milnor K-theory lives in degrees >= 0")
     if m == 0:
         return Ambient(1, (), ("n",), f"K^M_0({field})")
-    if field.kind == FINITE:
-        if m == 1:
-            return Ambient(0, (field.order - 1,), ("log_g",), f"K^M_1({field})")
-        return Ambient(0, (), (), f"K^M_{m}({field}) = 0")
-    if field.kind == REAL:
-        return Ambient(0, (2,), ("sign",), f"K^M_{m}(R) mod divisible")
-    return Ambient(0, (), (), f"K^M_{m}(C) mod divisible = 0")
+    return field.model.milnor_ambient(m)
 
 
 @lru_cache(maxsize=None)
@@ -580,7 +471,7 @@ def k2_brute_force_order(field: FieldDescriptor) -> int:
     The group is cyclic, generated by {g, g}; each relation {u, 1-u} = 0
     contributes log(u)*log(1-u) to the annihilator of the generator.
     """
-    if field.kind != FINITE:
+    if not field.is_finite:
         raise ValueError("the K_2 oracle runs over finite fields")
     q = field.order
     logs = discrete_log_table(field)
@@ -638,7 +529,7 @@ def cartesian_check(field: FieldDescriptor, m: int) -> CartesianReport:
     Milnor image agrees with the ideal coordinate modulo I^(m+1);
     (b) cartesianness: the coordinate group has the fiber-product order.
     """
-    if field.kind != FINITE:
+    if not field.is_finite:
         raise ValueError("cartesian_check runs over finite fields")
     if m not in (1, 2):
         raise ValueError("the decidable range is m in {1, 2}")
@@ -677,9 +568,7 @@ def cartesian_check(field: FieldDescriptor, m: int) -> CartesianReport:
 
 def unit_literal(u: Unit) -> str:
     """Render a unit in the canonical parseable literal syntax (g^k over F_q)."""
-    if u.field.kind == FINITE:
-        return f"g^{discrete_log_table(u.field)[u]}"
-    return str(u.value)
+    return u.field.model.literal(u)
 
 
 def atom_literal(a: MWAtom) -> str:
@@ -688,21 +577,24 @@ def atom_literal(a: MWAtom) -> str:
 
 def expression_literal(e: MWExpression) -> str:
     """Render an expression so that parse_expression reads it back verbatim."""
-    if not e.terms:
-        return "0"
+    return _render(e.terms, atom_literal)
+
+
+def _render(terms: Sequence[MWMonomial], atom_str) -> str:
+    """A signed sum of monomials coeff*atom*...*atom, atoms drawn by atom_str."""
 
     def term_str(t: MWMonomial) -> str:
         if not t.factors:
             return str(t.coeff)
-        word = "*".join(atom_literal(a) for a in t.factors)
-        if t.coeff == 1:
-            return word
-        if t.coeff == -1:
-            return f"-{word}"
+        word = "*".join(atom_str(a) for a in t.factors)
+        if t.coeff in (1, -1):
+            return word if t.coeff == 1 else f"-{word}"
         return f"{t.coeff}*{word}"
 
-    out = term_str(e.terms[0])
-    for t in e.terms[1:]:
+    if not terms:
+        return "0"
+    out = term_str(terms[0])
+    for t in terms[1:]:
         s = term_str(t)
         out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
     return out

@@ -222,16 +222,33 @@ def _bindings_to_json(bindings: dict) -> dict:
     return out
 
 
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(f"malformed derivation: {what}")
+
+
 def derivation_from_json(data: dict) -> Derivation:
+    """Rebuild a derivation; input of the wrong shape raises ValueError."""
     from mwslice.fields import parse_field
 
+    _require(isinstance(data, dict), "expected a JSON object")
+    _require(all(isinstance(data.get(k), str) for k in ("field", "start", "end")),
+             "field, start and end must be strings")
+    _require(isinstance(data.get("steps"), list), "steps must be a list")
     fld = parse_field(data["field"])
     start = parse_expression(fld, data["start"])
     end = parse_expression(fld, data["end"])
     steps = []
     for s in data["steps"]:
+        _require(isinstance(s, dict), "each step must be a JSON object")
+        pos, raw = s.get("position"), s.get("bindings", {})
+        _require(isinstance(s.get("rule"), str) and isinstance(pos, dict)
+                 and all(isinstance(pos.get(k), int) for k in ("term", "factor")),
+                 "each step needs a rule name and an integer term and factor position")
+        _require(isinstance(raw, dict) and all(isinstance(v, str) for v in raw.values()),
+                 "step bindings must map names to strings")
         bindings = {}
-        for k, v in s.get("bindings", {}).items():
+        for k, v in raw.items():
             if k == "z":
                 bindings[k] = parse_expression(fld, v)
             elif k == "atom":

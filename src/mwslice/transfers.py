@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from mwslice.abelian import SubgroupDescription
 from mwslice.fields import (
-    COMPLEX,
-    FINITE,
-    REAL,
+    COMPLEXES,
+    REALS,
     FieldDescriptor,
     Unit,
     canonical_nonsquare,
@@ -30,6 +30,7 @@ from mwslice.fields import (
     one,
     parse_field,
     square_class_bit,
+    unit,
     unit_add,
     unit_inv,
     unit_mul,
@@ -41,6 +42,9 @@ from mwslice.forms import (
     GWClass,
     WittClass,
     _witt_lift,
+    gw_box,
+    gw_from_coords,
+    gw_generators,
     gw_of_unit,
     gw_one,
     gw_zero,
@@ -51,6 +55,7 @@ from mwslice.milnor_witt import (
     MWNormalForm,
     kmw_ambient,
     kmw_generating_expressions,
+    normal_form_from_coords,
     normalize,
 )
 
@@ -67,9 +72,9 @@ class FiniteExtension:
     top: FieldDescriptor
 
     def __post_init__(self) -> None:
-        if self.base.kind == REAL and self.top.kind == COMPLEX:
+        if (self.base, self.top) == (REALS, COMPLEXES):
             return
-        if self.base.kind == FINITE and self.top.kind == FINITE:
+        if self.base.is_finite and self.top.is_finite:
             if self.base.p != self.top.p:
                 raise ExtensionError("extension fields must share characteristic")
             if self.top.degree % self.base.degree != 0:
@@ -81,13 +86,11 @@ class FiniteExtension:
 
     @property
     def degree(self) -> int:
-        if self.base.kind == REAL:
+        if not self.base.is_finite:
             return 2
         return self.top.degree // self.base.degree
 
     def __str__(self) -> str:
-        if self.base.kind == REAL:
-            return "C/R"
         return f"{self.top}/{self.base}"
 
 
@@ -103,49 +106,34 @@ def parse_extension(text: str) -> FiniteExtension:
 @lru_cache(maxsize=None)
 def embedding_image_of_generator(ext: FiniteExtension) -> Unit:
     """Canonical root of the base modulus in the top field (defines base -> top)."""
-    assert ext.base.kind == FINITE
+    assert ext.base.is_finite
     if ext.base.degree == 1:
         return one(ext.top)
-    coeffs = ext.base.modulus
     for cand in sorted(enumerate_units(ext.top), key=lambda u: u.encoding):
-        acc: Unit | None = None
-        for i, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            term = unit_pow(cand, i) if i else one(ext.top)
-            term = _scalar_mul(ext.top, c, term)
-            acc = term if acc is None else unit_add(acc, term)
-        if acc is None:
+        if _evaluate(ext.top, ext.base.modulus, cand) is None:
             return cand
     raise ExtensionError(f"no root of the base modulus found in {ext.top}")
 
 
-def _scalar_mul(field: FieldDescriptor, c: int, u: Unit) -> Unit | None:
-    c %= field.p
-    if c == 0:
-        return None
+def _evaluate(field: FieldDescriptor, coeffs: Sequence[int], x: Unit) -> Unit | None:
+    """sum(c_i * x^i) for integer coefficients c_i; None when the sum is 0."""
     acc: Unit | None = None
-    for _ in range(c):
-        acc = u if acc is None else unit_add(acc, u)
+    for i, c in enumerate(coeffs):
+        if c % field.p:
+            term = unit_mul(unit(field, c), unit_pow(x, i))
+            acc = term if acc is None else unit_add(acc, term)
     return acc
 
 
 def embed_unit(ext: FiniteExtension, u: Unit) -> Unit:
     """Image of a base unit in the top field."""
-    if ext.base.kind == REAL:
+    if not ext.base.is_finite:
         return Unit(ext.top, u.value)
     if ext.base.degree == 1:
         return Unit(ext.top, (u.value[0],) + (0,) * (ext.top.degree - 1))
-    x = embedding_image_of_generator(ext)
-    acc: Unit | None = None
-    for i, c in enumerate(u.value):
-        if c == 0:
-            continue
-        term = unit_pow(x, i) if i else one(ext.top)
-        term = _scalar_mul(ext.top, c, term)
-        acc = term if acc is None else unit_add(acc, term)
-    assert acc is not None
-    return acc
+    image = _evaluate(ext.top, u.value, embedding_image_of_generator(ext))
+    assert image is not None
+    return image
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +143,7 @@ def _embedding_inverse_table(ext: FiniteExtension) -> dict[Unit, Unit]:
 
 def trace_to_base(ext: FiniteExtension, z: Unit | None) -> Unit | None:
     """Tr_{top/base}(z) = sum of Frobenius conjugates, expressed over the base."""
-    assert ext.base.kind == FINITE
+    assert ext.base.is_finite
     if z is None:
         return None
     qb = ext.base.order
@@ -225,7 +213,7 @@ def _symmetric_diagonalize(field: FieldDescriptor, gram: list[list[Unit | None]]
 @lru_cache(maxsize=None)
 def transfer_of_unit_form(ext: FiniteExtension, a: Unit) -> GWClass:
     """Scharlau transfer of the rank-one form <a> along the field trace."""
-    if ext.base.kind == REAL:
+    if not ext.base.is_finite:
         return hyperbolic(ext.base)  # Gram of Tr(a x y) in basis {1, i} is hyperbolic
     d = ext.degree
     x = _top_power_basis(ext)
@@ -256,7 +244,7 @@ def trace_transfer_gw(ext: FiniteExtension, x: GWClass) -> GWClass:
     """Additive transfer GW(top) -> GW(base), computed on rank-one generators."""
     if x.field != ext.top:
         raise ExtensionError(f"class over {x.field} is not over {ext.top}")
-    if ext.base.kind == REAL:
+    if not ext.base.is_finite:
         return hyperbolic(ext.base).scale(x.rank)  # every <a> over C transfers to h
     s = canonical_nonsquare(ext.top)
     dev = x.disc_dev
@@ -269,7 +257,7 @@ def p_star(ext: FiniteExtension, x: GWClass) -> GWClass:
     """Extension of scalars GW(base) -> GW(top)."""
     if x.field != ext.base:
         raise ExtensionError(f"class over {x.field} is not over {ext.base}")
-    if ext.base.kind == REAL:
+    if not ext.base.is_finite:
         return GWClass(ext.top, x.rank)
     s = canonical_nonsquare(ext.base)
     dev = x.disc_dev
@@ -284,7 +272,7 @@ def trace_transfer_witt(ext: FiniteExtension, w: WittClass) -> WittClass:
 
 def norm_to_base(ext: FiniteExtension, u: Unit) -> Unit:
     """Field norm top -> base: the product of Frobenius conjugates."""
-    assert ext.base.kind == FINITE
+    assert ext.base.is_finite
     acc = one(ext.top)
     conj = u
     qb = ext.base.order
@@ -313,7 +301,7 @@ def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
         return MWNormalForm(base, 0, gw=trace_transfer_gw(ext, nf.gw))
     if m < 0:
         return MWNormalForm(base, m, witt=trace_transfer_witt(ext, nf.witt))
-    if base.kind != FINITE:
+    if not base.is_finite:
         raise ExtensionError("positive-degree transfers are implemented over finite fields")
     if m >= 2:
         return MWNormalForm(base, m)
@@ -357,8 +345,8 @@ def projection_formula_check(ext: FiniteExtension, rank_bound: int = 4) -> Check
     y ranges over GW(top) classes with |rank| <= rank_bound, x over the
     rank-one generators of GW(base).
     """
-    ys = _gw_box(ext.top, rank_bound)
-    xs = _gw_generators(ext.base)
+    ys = gw_box(ext.top, rank_bound)
+    xs = gw_generators(ext.base)
     checked = 0
     for y in ys:
         for x in xs:
@@ -373,31 +361,6 @@ def projection_formula_check(ext: FiniteExtension, rank_bound: int = 4) -> Check
     return CheckReport("projection_formula", str(ext), True, checked)
 
 
-def _gw_box(field: FieldDescriptor, rank_bound: int) -> list[GWClass]:
-    out = []
-    if field.kind == FINITE:
-        for r in range(-rank_bound, rank_bound + 1):
-            for dev in (0, 1):
-                out.append(GWClass(field, r, dev))
-    elif field.kind == COMPLEX:
-        for r in range(-rank_bound, rank_bound + 1):
-            out.append(GWClass(field, r))
-    else:
-        for r in range(-rank_bound, rank_bound + 1):
-            for s in range(-rank_bound, rank_bound + 1):
-                if (r - s) % 2 == 0:
-                    out.append(GWClass(field, r, 0, s))
-    return out
-
-
-def _gw_generators(field: FieldDescriptor) -> list[GWClass]:
-    if field.kind == FINITE:
-        return [gw_one(field), gw_of_unit(canonical_nonsquare(field))]
-    if field.kind == REAL:
-        return [gw_one(field), GWClass(field, 1, 0, -1)]
-    return [gw_one(field)]
-
-
 def filtration_preservation_check(
     ext: FiniteExtension, q_minus_p: int, N: int
 ) -> CheckReport:
@@ -406,7 +369,7 @@ def filtration_preservation_check(
     The source subgroup is finite in every nontrivial case (N >= 1); for N = 0
     both sides are the full group and the check is trivial.
     """
-    if ext.base.kind != FINITE:
+    if not ext.base.is_finite:
         raise ExtensionError("the exhaustive check runs over finite extensions")
     if N < 0:
         raise ValueError("N must be a natural number")
@@ -417,7 +380,7 @@ def filtration_preservation_check(
     source = kmw_times_In(m, N, ext.top)
     target = kmw_times_In(m, N, ext.base)
     checked = 0
-    for coords in _subgroup_elements(source):
+    for coords in source.elements():
         nf = _subgroup_element_to_normal_form(ext.top, m, N, coords)
         image = transfer_kmw(ext, nf)
         checked += 1
@@ -429,46 +392,19 @@ def filtration_preservation_check(
     return CheckReport(name, str(ext), True, checked)
 
 
-def _subgroup_elements(desc: SubgroupDescription):
-    amb = desc.ambient
-    if not amb.is_finite:
-        # our N >= 1 subgroups over finite fields are finite; full GW is not,
-        # but that case is the trivial N = 0 branch
-        gens = [g for g in desc.generators if any(g)]
-        if any(any(g[: amb.free_rank]) for g in gens):
-            raise ValueError("cannot enumerate a subgroup with free directions")
-        seen = {tuple([0] * amb.dim)}
-        frontier = list(seen)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = amb.reduce(tuple(a + b for a, b in zip(x, g)))
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return sorted(seen)
-    out = [v for v in amb.elements() if desc.contains(v)]
-    return out
-
-
 def _subgroup_element_to_normal_form(
     field: FieldDescriptor, m: int, N: int, coords: tuple[int, ...]
 ) -> MWNormalForm:
     """Interpret a dichotomy-ambient vector as a degree-m normal form."""
-    from mwslice.forms import gw_from_coords
-    from mwslice.milnor_witt import kmw_ambient, normal_form_from_coords
-
     if m < 0:
         return MWNormalForm(field, m, witt=WittClass(field, coords))
     gw = gw_from_coords(field, coords)
     if m == 0:
         return MWNormalForm(field, 0, gw=gw)
-    # positive degree, N >= 1: the subgroup is the eta-visible ideal part
-    if field.kind == FINITE:
-        if not gw.is_zero:
-            raise ValueError("nonzero ideal part in a vanishing subgroup")
-        return normal_form_from_coords(field, m, (0,) * kmw_ambient(field, m).dim)
-    raise ExtensionError("positive-degree subgroup elements only arise over finite fields")
+    # positive degree, N >= 1 over a finite field: the ideal part I^(N+m) is 0
+    if not gw.is_zero:
+        raise ValueError("nonzero ideal part in a vanishing subgroup")
+    return normal_form_from_coords(field, m, (0,) * kmw_ambient(field, m).dim)
 
 
 def _normal_form_in_subgroup(
@@ -493,7 +429,7 @@ def transfer_closure_subgroup(
     degree <= degree_bound.  For n <= p the filtration level is the whole
     group by stabilization and no transfer computation is involved.
     """
-    if base.kind != FINITE:
+    if not base.is_finite:
         raise ExtensionError("transfer closures are computed over finite base fields")
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")

@@ -152,3 +152,24 @@ def test_corrupted_rule_fails_naming_tuple(capsys, monkeypatch):
     code, out = run(capsys, "check-all", "--profile", "quick")
     assert code == 1
     assert "FAIL" in out and "tuple" in out
+
+
+@pytest.mark.parametrize("content", [
+    [1],
+    "x",
+    None,
+    {"field": "Fq(7)", "start": "[3]*[5]", "end": "0", "steps": [1]},
+    {"field": 7, "start": "0", "end": "0", "steps": []},
+], ids=["top-level-list", "top-level-string", "top-level-null", "step-not-object",
+        "field-not-string"])
+def test_mw_verify_wrong_shape_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "derivation.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    assert main(["mw-verify", "--derivation", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed derivation") and "Traceback" not in err
+
+
+def test_moore_large_prime_ell(capsys):
+    code, out = run(capsys, "moore", "--field", "R", "--ell", "1000000007", "--n", "3")
+    assert code == 0 and out.endswith("Z/1000000007")

@@ -166,6 +166,15 @@ def test_eta_action_on_coordinates():
     assert img.gw == GWClass(F7, 0, 1)
 
 
+def test_eta_on_the_zero_form_with_an_explicit_degree():
+    from mwslice.milnor_witt import MWNormalForm
+
+    for field in ALL_FIELDS:
+        for m in (3, 2, 1, 0, -1):
+            img = eta_times(MWNormalForm(field, None), field_degree=m)
+            assert img.degree == m - 1 and img.is_zero
+
+
 def test_eta_power_images_equal_ideal_powers():
     for field in ALL_FIELDS:
         for n in range(1, 9):
