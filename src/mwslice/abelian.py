@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -367,7 +368,9 @@ def zero_subgroup(ambient: Ambient) -> SubgroupDescription:
     return SubgroupDescription(ambient, ())
 
 
+@lru_cache(maxsize=None)
 def full_subgroup(ambient: Ambient) -> SubgroupDescription:
+    """The whole ambient, built (one HNF) once per ambient; both types are frozen."""
     gens = []
     for i in range(ambient.dim):
         v = [0] * ambient.dim

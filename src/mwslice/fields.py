@@ -44,22 +44,30 @@ class UnsupportedEnumerationError(ValueError):
     """Exhaustive enumeration requested over an infinite field."""
 
 
+def _prime_factors(n: int) -> Iterator[int]:
+    """The distinct prime factors of n >= 2 in ascending order, by trial division."""
+    r = 2
+    while r * r <= n:
+        if n % r == 0:
+            yield r
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        yield n
+
+
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 3:
         raise ValueError(f"field order must be >= 3, got {q}")
-    for p in range(2, q + 1):
-        if p * p > q:
-            return q, 1
-        if q % p == 0:
-            d = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                d += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, d
-    raise ValueError(f"{q} is not a prime power")
+    p = next(_prime_factors(q))
+    d, m = 0, q
+    while m % p == 0:
+        m //= p
+        d += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, d
 
 
 # -- polynomial helpers over Z/p (coefficient tuples, low degree first) -------
@@ -226,16 +234,7 @@ def unit_inv(a: Unit) -> Unit:
 
 
 def unit_pow(a: Unit, n: int) -> Unit:
-    if n < 0:
-        return unit_pow(unit_inv(a), -n)
-    result = one(a.field)
-    base = a
-    while n:
-        if n & 1:
-            result = unit_mul(result, base)
-        base = unit_mul(base, base)
-        n >>= 1
-    return result
+    return a.field.model.pow(a, n)
 
 
 def unit_neg(a: Unit) -> Unit:
@@ -362,8 +361,26 @@ class FiniteModel(FieldModel):
         prod = _pmulmod(a.value, b.value, f.modulus, f.p)
         return Unit(f, prod + (0,) * (f.degree - len(prod)))
 
+    def pow(self, a: Unit, n: int) -> Unit:
+        """a^n for any integer n, reduced mod q - 1 (so n < 0 needs no inverse)."""
+        return Unit(self.field, self.carrier_pow(a.value, n % (self.order - 1)))
+
+    def carrier_pow(self, c: tuple[int, ...], n: int) -> tuple[int, ...]:
+        """c^n on raw coefficient tuples for n >= 0, by square-and-multiply."""
+        f = self.field
+        if f.degree == 1:
+            return (pow(c[0], n, f.p),)
+        result: tuple[int, ...] = (1,)
+        while n:
+            if n & 1:
+                result = _pmulmod(result, c, f.modulus, f.p)
+            n >>= 1
+            if n:
+                c = _pmulmod(c, c, f.modulus, f.p)
+        return result + (0,) * (f.degree - len(result))
+
     def inv(self, a: Unit) -> Unit:
-        return unit_pow(a, self.order - 2)
+        return self.pow(a, self.order - 2)
 
     def neg(self, a: Unit) -> Unit:
         return Unit(self.field, tuple((-c) % self.field.p for c in a.value))
@@ -373,7 +390,9 @@ class FiniteModel(FieldModel):
         return Unit(self.field, coeffs) if any(coeffs) else None
 
     def square_class_label(self, a: Unit) -> str:
-        return "square" if unit_pow(a, (self.order - 1) // 2) == self.one() else "nonsquare"
+        """Euler's criterion: a is a square iff a^((q-1)/2) = 1."""
+        is_one = self.carrier_pow(a.value, (self.order - 1) // 2) == self.one().value
+        return "square" if is_one else "nonsquare"
 
     def literal(self, u: Unit) -> str:
         return f"g^{discrete_log_table(self.field)[u]}"
@@ -518,6 +537,9 @@ class _RationalModel(FieldModel):
 
     def inv(self, a: Unit) -> Unit:
         return Unit(self.field, 1 / a.value)
+
+    def pow(self, a: Unit, n: int) -> Unit:
+        return Unit(self.field, a.value**n)
 
     def neg(self, a: Unit) -> Unit:
         return Unit(self.field, -a.value)
@@ -712,33 +734,19 @@ def enumerate_units(field: FieldDescriptor) -> tuple[Unit, ...]:
 
 
 @lru_cache(maxsize=None)
-def _all_residue_units(field: FieldDescriptor) -> tuple[Unit, ...]:
-    p, d = field.p, field.degree
-    out = []
-    for coeffs in itertools.product(range(p), repeat=d):
-        if any(coeffs):
-            out.append(Unit(field, coeffs))
-    out.sort(key=lambda u: u.encoding)
-    return tuple(out)
-
-
-def _mult_order(u: Unit) -> int:
-    n = 1
-    acc = u
-    e = one(u.field)
-    while acc != e:
-        acc = unit_mul(acc, u)
-        n += 1
-    return n
-
-
-@lru_cache(maxsize=None)
 def multiplicative_generator(field: FieldDescriptor) -> Unit:
-    """Smallest generator of F_q^x in the canonical residue order."""
-    target = field.order - 1
-    for u in _all_residue_units(field):
-        if _mult_order(u) == target:
-            return u
+    """Smallest generator of F_q^x in the canonical residue order.
+
+    Residues are tried by increasing ``Unit.encoding``, decoded from its base-p
+    digits; u has order q - 1 iff u^((q-1)/r) != 1 for each prime r | q - 1.
+    """
+    exponents = [(field.order - 1) // r for r in _prime_factors(field.order - 1)]
+    model = field.model
+    e = model.one().value
+    for code in range(1, field.order):
+        c = tuple(code // field.p**i % field.p for i in range(field.degree))
+        if all(model.carrier_pow(c, k) != e for k in exponents):
+            return Unit(field, c)
     raise RuntimeError("no multiplicative generator found")
 
 

@@ -606,6 +606,10 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<eta>eta)|(?P<sym>\[[^\]]+\])|(?P<op>[-+*()]))"
 )
 
+# Parentheses and unary minus signs may nest at most this deep; the parser
+# recurses once per level, so the bound keeps it inside the recursion limit.
+MAX_NESTING = 100
+
 
 def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
     """Parse expression syntax: ``[u]``, ``eta``, integers, ``*``, ``+``, ``-``.
@@ -635,6 +639,7 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
             items.append((m.group("op"), None))
 
     idx = 0
+    depth = 0
 
     def peek():
         return items[idx][0] if idx < len(items) else None
@@ -658,13 +663,24 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
         return out
 
     def parse_factor() -> MWExpression:
-        nonlocal idx
+        nonlocal idx, depth
         kind = peek()
         if kind is None:
             raise ValueError(f"unexpected end of expression in {text!r}")
-        if kind == "-":
+        if kind in ("-", "("):
+            if depth == MAX_NESTING:
+                raise ValueError(f"expression nests deeper than {MAX_NESTING} levels")
+            depth += 1
             idx += 1
-            return -parse_factor()
+            if kind == "-":
+                inner = -parse_factor()
+            else:
+                inner = parse_expr()
+                if peek() != ")":
+                    raise ValueError(f"unbalanced parentheses in {text!r}")
+                idx += 1
+            depth -= 1
+            return inner
         if kind == "int":
             n = items[idx][1]
             idx += 1
@@ -676,13 +692,6 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
             u = items[idx][1]
             idx += 1
             return mw_symbol(u)
-        if kind == "(":
-            idx += 1
-            inner = parse_expr()
-            if peek() != ")":
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-            idx += 1
-            return inner
         raise ValueError(f"unexpected token {kind!r} in {text!r}")
 
     out = parse_expr()

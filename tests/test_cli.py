@@ -173,3 +173,19 @@ def test_mw_verify_wrong_shape_exits_2(capsys, tmp_path, content):
 def test_moore_large_prime_ell(capsys):
     code, out = run(capsys, "moore", "--field", "R", "--ell", "1000000007", "--n", "3")
     assert code == 0 and out.endswith("Z/1000000007")
+
+
+@pytest.mark.parametrize("expr", ["(" * 3000 + "[2]" + ")" * 3000, "-" * 3000 + "[2]"],
+                         ids=["parentheses", "unary-minus"])
+def test_deep_nesting_exits_2(capsys, expr):
+    assert main(["mw-normalize", "--field", "R", f"--expr={expr}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression nests deeper than") and "Traceback" not in err
+
+
+def test_nesting_at_the_bound_parses(capsys):
+    from mwslice.milnor_witt import MAX_NESTING
+
+    expr = "-(" * (MAX_NESTING // 2) + "[-1]" + ")" * (MAX_NESTING // 2)
+    code, out = run(capsys, "mw-normalize", "--field", "R", f"--expr={expr}")
+    assert code == 0 and out.endswith("1 * [-1]^1")

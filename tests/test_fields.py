@@ -196,3 +196,114 @@ def test_rational_units_exact(a, b):
     assert (s is None and a + b == 0) or s.value == a + b
     assert unit_neg(ua).value == -a
     assert unit_mul(ua, unit_inv(ua)) == one(REALS)
+
+
+# -- exponentiation, square classes and the generator against oracles ----------
+
+ODD_PRIME_POWERS = [
+    q for q in range(3, 244, 2)
+    if len({r for r in range(2, q + 1) if q % r == 0 and all(r % s for s in range(2, r))}) == 1
+]
+
+
+def _all_units(field):
+    """Every unit, from its coefficient tuple, in increasing encoding order."""
+    out = []
+    for high in itertools.product(range(field.p), repeat=field.degree):
+        if any(high):
+            out.append(unit(field, high[::-1]))
+    return out
+
+
+def _pow_by_mul(a, n):
+    """a^n for n >= 0 by square-and-multiply over unit_mul alone."""
+    result, base = one(a.field), a
+    while n:
+        if n & 1:
+            result = unit_mul(result, base)
+        base = unit_mul(base, base)
+        n >>= 1
+    return result
+
+
+def _order_by_counting(u):
+    n, acc = 1, u
+    while acc != one(u.field):
+        acc = unit_mul(acc, u)
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("q,sample", [(3, None), (9, None), (25, None), (27, None),
+                                      (2187, 12), (10007, 12)])
+def test_unit_pow_matches_multiplication_oracle(q, sample):
+    field = finite_field(q)
+    units = _all_units(field) if sample is None else [
+        unit(field, [(7919 * k + i * i) % field.p for i in range(field.degree)])
+        for k in range(1, sample + 1)
+    ]
+    for a in units:
+        for n in (0, 1, q - 2, q - 1, q, -1, -(q + 3), 10**30 + 7):
+            got = unit_pow(a, n)
+            if n >= 0:
+                assert got == _pow_by_mul(a, n), (a, n)
+            else:
+                assert unit_mul(got, _pow_by_mul(a, -n)) == one(field), (a, n)
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 10007])
+def test_unit_pow_negative_is_inverse(q):
+    field = finite_field(q)
+    for a in _all_units(field)[:30]:
+        for n in (1, 2, q - 2, q + 5, 10**30 + 7):
+            assert unit_pow(a, -n) == unit_inv(unit_pow(a, n))
+
+
+def test_rational_pow_negative_exponents():
+    assert unit_pow(unit(REALS, Fraction(2, 3)), -3) == unit(REALS, Fraction(27, 8))
+    assert unit_pow(unit(REALS, -2), -1) == unit(REALS, Fraction(-1, 2))
+    assert unit_pow(unit(REALS, -2), 0) == one(REALS)
+    assert unit_pow(unit(COMPLEXES, 5), -2) == unit(COMPLEXES, Fraction(1, 25))
+
+
+@pytest.mark.parametrize("q", [q for q in ODD_PRIME_POWERS if q <= 125])
+def test_square_class_is_membership_in_squares(q):
+    field = finite_field(q)
+    units = _all_units(field)
+    squares = {unit_mul(u, u) for u in units}
+    for u in units:
+        assert square_class_bit(u) == (0 if u in squares else 1), u
+
+
+def _oracle_generator(field):
+    return next(u for u in _all_units(field) if _order_by_counting(u) == field.order - 1)
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS)
+def test_generator_matches_order_counting(q):
+    field = finite_field(q)
+    assert multiplicative_generator(field) == _oracle_generator(field)
+
+
+def _monic_irreducibles(p, d):
+    """Monic polynomials of degree 2 or 3 over F_p without a root in F_p."""
+    out = []
+    for low in itertools.product(range(p), repeat=d):
+        coeffs = low + (1,)
+        if all(sum(c * x**i for i, c in enumerate(coeffs)) % p for x in range(p)):
+            out.append(coeffs)
+    return out
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (3, 3)])
+def test_generator_matches_order_counting_every_modulus(p, d):
+    moduli = _monic_irreducibles(p, d)
+    assert len(moduli) == (p**d - p) // d
+    for mod in moduli:
+        field = finite_field(p**d, modulus=mod)
+        assert multiplicative_generator(field) == _oracle_generator(field), mod
+
+
+def test_generator_known_large_fields():
+    assert str(multiplicative_generator(finite_field(999983))) == "5"
+    assert str(multiplicative_generator(finite_field(3**11))) == "x+2"
