@@ -12,6 +12,7 @@ from mwslice.fields import REALS, finite_field
 from mwslice.filtration import (
     FiltrationQuery,
     convergence_check,
+    filtration_report,
     moore_filtration,
     shift_index,
     tate_filtration,
@@ -27,7 +28,7 @@ F3, F5 = finite_field(3), finite_field(5)
 print("=== F^n pi_(p,p) Sigma^q S(F) = K^MW_(q-p) I^N,  N = max(0, min(n-p, n-q)) ===\n")
 for field, name in ((REALS, "R"), (F5, "F_5")):
     for (n, p, q) in ((3, 0, 0), (2, 0, 1), (4, 1, -1), (0, 2, 2)):
-        sub = tate_filtration(FiltrationQuery(n, p, q, field))
+        sub = filtration_report(FiltrationQuery(n, p, q, field)).subgroup
         n_shift = shift_index(n - p, n - q)
         print(f"{name}: (n,p,q)=({n},{p},{q})  N={n_shift}  ->  {sub}")
     print()

@@ -57,7 +57,6 @@ from mwslice.milnor_witt import (
     MWExpression,
     MWNormalForm,
     cartesian_check,
-    eta_power_image,
     normalize,
     parse_expression,
     theta0,
@@ -97,7 +96,6 @@ __all__ = [
     "convergence_check",
     "derive_extended_steinberg",
     "enumerate_units",
-    "eta_power_image",
     "finite_field",
     "form",
     "fundamental_power_description",

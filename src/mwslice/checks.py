@@ -27,10 +27,7 @@ from mwslice.filtration import (
     FiltrationQuery,
     convergence_check,
     eta_image_subgroup,
-    filtration_in_degree_coords,
-    kmw_times_In,
     moore_filtration,
-    shift_index,
     tate_filtration,
 )
 from mwslice.forms import (
@@ -46,8 +43,6 @@ from mwslice.forms import (
 from mwslice.milnor_witt import (
     cartesian_check,
     eta_atom,
-    eta_power_image,
-    kmw_ambient,
     mw_eta,
     mw_int,
     mw_symbols,
@@ -136,14 +131,27 @@ def check_real_ideal_ladder(profile: str = "full") -> CheckResult:
     return run.passed("I(R)^n ladder exact for n = 0..12")
 
 
+def _ideal_power_generators(field: FieldDescriptor, n: int) -> tuple[tuple[int, ...], ...]:
+    """GW generators of I(F)^n, n >= 1, written from the classification of GW(F)."""
+    if field == REALS:
+        return ((0, 1 << (n - 1)),)  # signature in 2^n Z
+    if field == COMPLEXES:
+        return ()  # I(C) = 0
+    return ((0, 1),) if n == 1 else ()  # over F_q, I = Z/2 and I^2 = 0
+
+
 def check_filtration_at_origin(profile: str = "full") -> CheckResult:
     """tate_filtration(n, 0, 0, F) = I(F)^max(n,0) for -3 <= n <= 8."""
     run = _Run("filtration_at_origin")
     for field in STANDARD_FIELDS:
+        ambient = gw_ambient(field)
         for n in range(-3, 9):
             run.cases += 1
             got = tate_filtration(FiltrationQuery(n, 0, 0, field))
-            want = fundamental_power_description(field, max(n, 0))
+            if n <= 0:
+                want = full_subgroup(ambient)
+            else:
+                want = SubgroupDescription(ambient, _ideal_power_generators(field, n))
             if got != want:
                 return run.fail(f"F={field}, n={n}: {got} != {want}")
     return run.passed("F^n pi_00 = I^max(n,0) over all six fields")
@@ -152,9 +160,10 @@ def check_filtration_at_origin(profile: str = "full") -> CheckResult:
 def check_grid_law(profile: str = "full") -> CheckResult:
     """tate = K^MW_{q-p} I^N with N = shift_index, shift-invariant under diagonal shifts.
 
-    For n > p the level in degree coordinates must also equal the image of
-    eta^M computed from the generators of K^MW_{q-p+M}: the proof's
-    identification of each level, computed independently of the level.
+    For n <= p the level must be the whole group (stabilization).  For n > p it
+    must equal the image of eta^M computed from the generators of
+    K^MW_{q-p+M}: the proof's identification of each level, computed
+    independently of the level.
     """
     run = _Run("grid_law")
     bound = 6 if profile == "full" else 3
@@ -163,22 +172,17 @@ def check_grid_law(profile: str = "full") -> CheckResult:
         for n, p, q in itertools.product(range(-bound, bound + 1), repeat=3):
             run.cases += 1
             query = FiltrationQuery(n, p, q, field)
-            got = tate_filtration(query)
-            if n <= p:
-                want = full_subgroup(kmw_ambient(field, q - p))
-            else:
-                want = kmw_times_In(q - p, shift_index(n - p, n - q), field)
-            if got != want:
+            level = tate_filtration(query)
+            if n <= p and not level.is_full:
                 return run.fail(f"{field} {(n,p,q)}: law fails")
-            cur = filtration_in_degree_coords(query)
-            if n > p and cur != eta_image_subgroup(query):
+            if n > p and level != eta_image_subgroup(query):
                 return run.fail(f"{field} {(n,p,q)}: level != eta-image")
             for r in shifts:
                 shifted = tate_filtration(FiltrationQuery(n + r, p + r, q + r, field))
-                if shifted != got:
+                if shifted != level:
                     return run.fail(f"{field} {(n,p,q)} shift r={r}: not invariant")
-            nxt = filtration_in_degree_coords(FiltrationQuery(n + 1, p, q, field))
-            if not nxt <= cur:
+            nxt = tate_filtration(FiltrationQuery(n + 1, p, q, field))
+            if not nxt <= level:
                 return run.fail(f"{field} {(n,p,q)}: not monotone")
     return run.passed(
         f"filtration law + shift invariance + monotonicity on |n|,|p|,|q| <= {bound}"
@@ -286,7 +290,7 @@ def check_theta0_and_eta_images(profile: str = "full") -> CheckResult:
                 return run.fail(f"theta0 not onto {x} over {field}")
         for n in range(1, 9):
             run.cases += 1
-            image = eta_power_image(field, n)  # raises on any mismatch with I^n
+            image = eta_image_subgroup(FiltrationQuery(n, 0, 0, field))
             if image != fundamental_power_description(field, n):
                 return run.fail(f"eta^{n} image != I^{n} over {field}")
     return run.passed("theta0 bijective ring map; eta-power images equal ideal powers")

@@ -35,6 +35,11 @@ FINITE = "finite"
 REAL = "real"
 COMPLEX = "complex"
 
+# Largest supported order q of a finite field.  Factoring q and searching for
+# a generator are trial divisions up to sqrt(q), and the discrete-log table
+# has q - 1 entries, so larger orders would run without useful bound.
+MAX_FIELD_ORDER = 10**6
+
 
 class FieldMismatchError(ValueError):
     """Operands belong to different fields."""
@@ -171,6 +176,8 @@ class FieldDescriptor:
 
 
 def finite_field(q: int, modulus: Sequence[int] | None = None) -> FieldDescriptor:
+    if q > MAX_FIELD_ORDER:
+        raise ValueError(f"field order {q} exceeds the supported bound {MAX_FIELD_ORDER}")
     p, d = _factor_prime_power(q)
     if p == 2:
         raise ValueError("characteristic 2 is out of scope")

@@ -2,10 +2,9 @@
 
 For integers n, p, q and a supported field F the filtration level is the
 subgroup K^MW_{q-p}(F) * I(F)^N with N = max(0, min(n-p, n-q)); for n <= p it
-is the whole group.  Subgroups are reported in the dichotomy used by the
-convergence argument: inside Witt coordinates for negative degree, inside GW
-coordinates as the ideal I^{N+m} for nonnegative degree, and as the full
-degree-coordinate group when N = 0.
+is the whole group.  Every level lives in the degree-(q-p) coordinate group
+``kmw_ambient(F, q-p)``; only the CLI report shows a positive-degree level as
+the ideal I^{N+m} in GW coordinates.
 """
 
 from __future__ import annotations
@@ -57,11 +56,11 @@ class FiltrationQuery:
 
 
 def kmw_times_In(m: int, n: int, field: FieldDescriptor) -> SubgroupDescription:
-    """The subgroup K^MW_m(F) * I(F)^n in the convergence-argument dichotomy.
+    """The subgroup K^MW_m(F) * I(F)^n in the degree-m coordinate group.
 
-    n = 0 gives the full degree-m coordinate group; for n >= 1 the subgroup is
-    I^n inside Witt coordinates when m < 0 and I^{n+m} inside GW coordinates
-    when m >= 0.
+    n = 0 gives the full group; for n >= 1 it is I^n in Witt coordinates when
+    m < 0, I^n in GW coordinates when m = 0, and the model's generators of
+    K^MW_m * I^n when m > 0.
     """
     if n < 0:
         raise ValueError("ideal powers are indexed by naturals")
@@ -69,39 +68,23 @@ def kmw_times_In(m: int, n: int, field: FieldDescriptor) -> SubgroupDescription:
         return full_subgroup(kmw_ambient(field, m))
     if m < 0:
         return fundamental_power_in_witt(field, n)
-    return fundamental_power_description(field, n + m)
+    if m == 0:
+        return fundamental_power_description(field, n)
+    return SubgroupDescription(kmw_ambient(field, m), field.model.level_generators(n))
 
 
 def tate_filtration(query: FiltrationQuery) -> SubgroupDescription:
     """F^n_Tate of pi_{p,p} of the q-fold twist, evaluated at the field.
 
-    For n <= p the filtration level is the whole group (the stabilization
-    regime); otherwise it is K^MW_{q-p} * I^N with N from shift_index.
+    The level is K^MW_{q-p} * I^N with N from shift_index; for n <= p, N = 0
+    and the level is the whole group (the stabilization regime).
     """
-    if query.n <= query.p:
-        return full_subgroup(kmw_ambient(query.field, query.degree))
     return kmw_times_In(query.degree, query.N, query.field)
 
 
 def filtration_in_degree_coords(query: FiltrationQuery) -> SubgroupDescription:
-    """The same subgroup, embedded in the degree-(q-p) coordinate group.
-
-    Used wherever two filtration levels must be compared inside one ambient
-    (graded pieces, eta-image consistency, transfer closures).
-    """
-    field, m = query.field, query.degree
-    ambient = kmw_ambient(field, m)
-    if query.n <= query.p:
-        return full_subgroup(ambient)
-    N = query.N
-    if N == 0:
-        return full_subgroup(ambient)
-    if m < 0:
-        return fundamental_power_in_witt(field, N)
-    if m == 0:
-        return fundamental_power_description(field, N)
-    # positive degree: I^{N+m} read in the degree-m coordinates
-    return SubgroupDescription(ambient, field.model.level_generators(N))
+    """The same level as tate_filtration, kept as a separately traced name."""
+    return tate_filtration(query)
 
 
 @dataclass(frozen=True)
@@ -119,13 +102,17 @@ class FiltrationReport:
 
 
 def filtration_report(query: FiltrationQuery) -> FiltrationReport:
-    return FiltrationReport(query, query.N, tate_filtration(query))
+    """The level as the CLI shows it: I^{N+m} in GW coordinates when m, N >= 1."""
+    m, N = query.degree, query.N
+    if m >= 1 and N >= 1:
+        return FiltrationReport(query, N, fundamental_power_description(query.field, N + m))
+    return FiltrationReport(query, N, tate_filtration(query))
 
 
 def graded_piece(query: FiltrationQuery) -> QuotientShape:
     """F^n / F^{n+1} computed inside the degree coordinates."""
-    top = filtration_in_degree_coords(query)
-    nxt = filtration_in_degree_coords(
+    top = tate_filtration(query)
+    nxt = tate_filtration(
         FiltrationQuery(query.n + 1, query.p, query.q, query.field)
     )
     return top.quotient_shape(nxt)
@@ -187,7 +174,7 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> ConvergenceReport:
     for p in range(0, 3):
         for q in range(0, 3):
             chain = [
-                filtration_in_degree_coords(FiltrationQuery(n, p, q, field))
+                tate_filtration(FiltrationQuery(n, p, q, field))
                 for n in range(0, cutoff + 1)
             ]
             for a, b in zip(chain, chain[1:]):
@@ -225,6 +212,9 @@ def _embed(field: FieldDescriptor, m: int, c: int) -> tuple[int, ...]:
 
 # -- the Moore-spectrum counterexample ---------------------------------------------
 
+# Largest supported ell: primality is tested by trial division up to sqrt(ell).
+MAX_ELL = 10**12
+
 
 def gw_mod_ell_ambient(field: FieldDescriptor, ell: int) -> Ambient:
     """GW(F)/ell coordinates: the free GW coordinates mod ell.
@@ -243,6 +233,8 @@ def moore_filtration(ell: int, field: FieldDescriptor, n: int) -> SubgroupDescri
     filtration is constant, hence not separated); over a finite field the
     augmentation ideal is 2-primary torsion, so the image vanishes.
     """
+    if ell > MAX_ELL:
+        raise ValueError(f"ell {ell} exceeds the supported bound {MAX_ELL}")
     if ell == 2 or ell < 2 or any(ell % k == 0 for k in range(2, isqrt(ell) + 1)):
         raise ValueError("ell must be an odd prime")
     if n < 0:

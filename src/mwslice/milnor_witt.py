@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 from math import gcd
 from typing import Sequence
 
-from mwslice.abelian import Ambient, SubgroupDescription
+from mwslice.abelian import Ambient
 from mwslice.fields import (
     FieldDescriptor,
     FieldMismatchError,
@@ -428,28 +428,6 @@ def kmw_generating_expressions(field: FieldDescriptor, m: int) -> tuple[MWExpres
     for _ in range(-m):
         eta_pow = eta_pow * eta
     return tuple(eta_pow * g for g in gens0)
-
-
-def eta_power_image(field: FieldDescriptor, n: int) -> SubgroupDescription:
-    """Image of x eta^n : K^MW_n -> K^MW_0, asserted equal to I(F)^n.
-
-    The image is computed independently from degree-n generators and compared
-    against the closed-form fundamental-power description; a mismatch raises.
-    """
-    if n < 1:
-        raise ValueError("eta powers are indexed by n >= 1")
-    ambient = gw_ambient(field)
-    gens = []
-    for nf in kmw_generating_forms(field, n):
-        img = eta_power_times(nf, n)
-        gens.append(img.gw.coords())
-    image = SubgroupDescription(ambient, tuple(gens))
-    expected = fundamental_power_description(field, n)
-    if image != expected:
-        raise AssertionError(
-            f"eta^{n}-image {image} differs from fundamental power {expected} over {field}"
-        )
-    return image
 
 
 # -- Milnor K-theory of the implemented fields ----------------------------------

@@ -43,7 +43,6 @@ from mwslice.forms import (
     WittClass,
     _witt_lift,
     gw_box,
-    gw_from_coords,
     gw_generators,
     gw_of_unit,
     gw_one,
@@ -381,42 +380,14 @@ def filtration_preservation_check(
     target = kmw_times_In(m, N, ext.base)
     checked = 0
     for coords in source.elements():
-        nf = _subgroup_element_to_normal_form(ext.top, m, N, coords)
-        image = transfer_kmw(ext, nf)
+        image = transfer_kmw(ext, normal_form_from_coords(ext.top, m, coords))
         checked += 1
-        if not _normal_form_in_subgroup(ext.base, m, N, image, target):
+        if image.degree is not None and not target.contains(image.coords()):
             return CheckReport(
                 name, str(ext), False, checked,
                 f"element {coords} of degree {m} transfers outside I^{N}",
             )
     return CheckReport(name, str(ext), True, checked)
-
-
-def _subgroup_element_to_normal_form(
-    field: FieldDescriptor, m: int, N: int, coords: tuple[int, ...]
-) -> MWNormalForm:
-    """Interpret a dichotomy-ambient vector as a degree-m normal form."""
-    if m < 0:
-        return MWNormalForm(field, m, witt=WittClass(field, coords))
-    gw = gw_from_coords(field, coords)
-    if m == 0:
-        return MWNormalForm(field, 0, gw=gw)
-    # positive degree, N >= 1 over a finite field: the ideal part I^(N+m) is 0
-    if not gw.is_zero:
-        raise ValueError("nonzero ideal part in a vanishing subgroup")
-    return normal_form_from_coords(field, m, (0,) * kmw_ambient(field, m).dim)
-
-
-def _normal_form_in_subgroup(
-    field: FieldDescriptor, m: int, N: int, nf: MWNormalForm, target: SubgroupDescription
-) -> bool:
-    if nf.degree is None:
-        return True
-    if m < 0:
-        return target.contains(nf.witt.coords)
-    if m == 0:
-        return target.contains(nf.gw.coords())
-    return nf.is_zero
 
 
 def transfer_closure_subgroup(
@@ -445,29 +416,6 @@ def transfer_closure_subgroup(
                 product = normalize(x * y, degree=m)
                 down = transfer_kmw(ext, product) if d > 1 else product
                 gens.append(down)
-    return _subgroup_from_normal_forms(base, m, n, p, q, gens)
-
-
-def _subgroup_from_normal_forms(
-    base: FieldDescriptor, m: int, n: int, p: int, q: int, gens: list[MWNormalForm]
-) -> SubgroupDescription:
-    """Assemble the closure in the same dichotomy ambient tate_filtration uses."""
-    N = max(0, min(n - p, n - q))
-    reference = kmw_times_In(m, N, base)
-    ambient = reference.ambient
-    vectors = []
-    for nf in gens:
-        if nf.degree is None:
-            continue
-        if m < 0:
-            vectors.append(nf.witt.coords)
-        elif m == 0:
-            vectors.append(nf.gw.coords())
-        else:
-            if N == 0:
-                vectors.append(nf.coords())
-            elif not nf.is_zero:
-                raise AssertionError(
-                    "nonzero positive-degree transfer generator in a vanishing level"
-                )
-    return SubgroupDescription(ambient, tuple(vectors))
+    return SubgroupDescription(
+        kmw_ambient(base, m), tuple(nf.coords() for nf in gens if nf.degree is not None)
+    )

@@ -175,6 +175,32 @@ def test_moore_large_prime_ell(capsys):
     assert code == 0 and out.endswith("Z/1000000007")
 
 
+def test_field_order_at_the_bound(capsys):
+    # 999983 is the largest prime below MAX_FIELD_ORDER = 10**6
+    code, out = run(capsys, "gw", "--field", "Fq(999983)", "--form", "<1>")
+    assert code == 0 and out.endswith("(rank 1, disc_dev 0)")
+
+
+@pytest.mark.parametrize("q", ["1000003", "1000000000000000003"])
+def test_field_order_beyond_the_bound_exits_2(capsys, q):
+    assert main(["gw", "--field", f"Fq({q})", "--form", "<1>"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: field order {q} exceeds the supported bound 1000000\n"
+
+
+def test_moore_ell_at_the_bound(capsys):
+    # 999999999989 is the largest prime below MAX_ELL = 10**12
+    code, out = run(capsys, "moore", "--field", "R", "--ell", "999999999989", "--n", "1")
+    assert code == 0 and out.endswith("Z/999999999989")
+
+
+@pytest.mark.parametrize("ell", ["1000000000039", "1000000000000000003"])
+def test_moore_ell_beyond_the_bound_exits_2(capsys, ell):
+    assert main(["moore", "--field", "R", "--ell", ell, "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: ell {ell} exceeds the supported bound 1000000000000\n"
+
+
 @pytest.mark.parametrize("expr", ["(" * 3000 + "[2]" + ")" * 3000, "-" * 3000 + "[2]"],
                          ids=["parentheses", "unary-minus"])
 def test_deep_nesting_exits_2(capsys, expr):

@@ -58,6 +58,11 @@ def test_kmw_times_In_dichotomy():
     assert d.canonical_generators() == ((8,),)
     # m = 1, n = 1 over a finite field: I^2 = 0
     assert kmw_times_In(1, 1, F5).is_zero
+    assert kmw_times_In(1, 1, F5).ambient.label == "K^MW_1(Fq(5))"
+    # m = 1, n = 1 over R, in degree-1 coordinates: the ideal part 2 * Z
+    d = kmw_times_In(1, 1, REALS)
+    assert d.ambient.label == "K^MW_1(R) mod divisible"
+    assert d.canonical_generators() == ((2,),)
     # n = 0: the full degree group
     assert kmw_times_In(5, 0, F5).is_full
     with pytest.raises(ValueError):
@@ -161,8 +166,9 @@ def test_moore_rejects_bad_ell():
 )
 def test_filtration_law_property(n, p, q, which):
     field = ALL_FIELDS[which]
-    got = tate_filtration(FiltrationQuery(n, p, q, field))
+    query = FiltrationQuery(n, p, q, field)
+    got = tate_filtration(query)
     if n <= p:
         assert got.is_full
     else:
-        assert got == kmw_times_In(q - p, shift_index(n - p, n - q), field)
+        assert got == eta_image_subgroup(query)

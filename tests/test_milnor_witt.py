@@ -12,12 +12,12 @@ from mwslice.fields import (
     unit,
     unit_mul,
 )
+from mwslice.filtration import FiltrationQuery, eta_image_subgroup
 from mwslice.forms import GWClass, fundamental_power_description, gw_of_form, form
 from mwslice.milnor_witt import (
     DegreeError,
     InhomogeneousError,
     cartesian_check,
-    eta_power_image,
     eta_times,
     expression_literal,
     k2_brute_force_order,
@@ -178,7 +178,8 @@ def test_eta_on_the_zero_form_with_an_explicit_degree():
 def test_eta_power_images_equal_ideal_powers():
     for field in ALL_FIELDS:
         for n in range(1, 9):
-            assert eta_power_image(field, n) == fundamental_power_description(field, n)
+            image = eta_image_subgroup(FiltrationQuery(n, 0, 0, field))
+            assert image == fundamental_power_description(field, n)
 
 
 def test_degree_one_finite_coordinates():

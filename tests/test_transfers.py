@@ -187,7 +187,9 @@ def test_transfer_closure_examples():
     assert transfer_closure_subgroup(F5, 2, 2, 1, 2).is_full
 
 
-@pytest.mark.parametrize("base", [F3, F5])
+@pytest.mark.parametrize(
+    "base", [F3, F5, finite_field(7), F9, finite_field(11)]
+)
 def test_transfer_closure_matches_filtration(base):
     for n, p, q in itertools.product(range(-3, 4), repeat=3):
         closure = transfer_closure_subgroup(base, q, p, n, 3)
