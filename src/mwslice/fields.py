@@ -84,16 +84,6 @@ def _ptrim(c: Sequence[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _pmulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _prem(out, modulus, p)
-
-
 def _prem(a: Sequence[int], modulus: Sequence[int], p: int) -> tuple[int, ...]:
     a = list(a)
     d = len(modulus) - 1
@@ -162,6 +152,11 @@ class FieldDescriptor:
         if family is None:
             raise ValueError(f"unknown field kind {self.kind!r}")
         object.__setattr__(self, "model", family(self))
+        # the value the generated dataclass hash would compute, taken once
+        object.__setattr__(self, "_hash", hash((self.kind, self.p, self.degree, self.modulus)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -176,13 +171,20 @@ class FieldDescriptor:
 
 
 def finite_field(q: int, modulus: Sequence[int] | None = None) -> FieldDescriptor:
+    """The descriptor of F_q, one object per (p, d, modulus)."""
     if q > MAX_FIELD_ORDER:
         raise ValueError(f"field order {q} exceeds the supported bound {MAX_FIELD_ORDER}")
     p, d = _factor_prime_power(q)
     if p == 2:
         raise ValueError("characteristic 2 is out of scope")
     mod = tuple(m % p for m in modulus) if modulus is not None else default_modulus(p, d)
-    return FieldDescriptor(FINITE, p, d, mod)
+    return _interned_finite_field(p, d, mod)
+
+
+@lru_cache(maxsize=None)
+def _interned_finite_field(p: int, d: int, modulus: tuple[int, ...]) -> FieldDescriptor:
+    """Built once per key, so the irreducibility test and the model's tables are too."""
+    return FieldDescriptor(FINITE, p, d, modulus)
 
 
 @dataclass(frozen=True)
@@ -309,10 +311,23 @@ class FieldModel:
 
 @dataclass(frozen=True, eq=False)
 class FiniteModel(FieldModel):
-    """F_q, q odd: GW = Z x Z/2 by (rank, disc_dev), W = Z/4 or Z/2 x Z/2."""
+    """F_q, q odd: GW = Z x Z/2 by (rank, disc_dev), W = Z/4 or Z/2 x Z/2.
+
+    Over F_{p^d} a product is one integer multiplication (Kronecker
+    substitution; von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4).
+    A carrier (c_0, ..., c_{d-1}) is packed as sum c_i 2^(k i), where the lane
+    width k holds d (p-1)^2 (1 + (d-1)(p-1)): a product coefficient is at most
+    d (p-1)^2, and folding the d-1 high lanes back through x^j mod f (whose
+    coefficients are below p) adds at most (d-1)(p-1) times that to a low
+    lane, so no lane carries into the next.  Packed integers never leave the
+    model's methods.
+    """
 
     order: int = dc_field(init=False)
     name: str = dc_field(init=False)
+    lane: int = dc_field(init=False)
+    # packed x^j mod f for j = d, ..., 2d - 2
+    _folds: tuple[int, ...] = dc_field(init=False, repr=False)
 
     extra_invariant = "disc_dev"
     one_invariants = (0, 0)
@@ -332,6 +347,10 @@ class FiniteModel(FieldModel):
         object.__setattr__(self, "order", q)
         name = f"Fq({q})" if f.degree == 1 else f"Fq({q};poly={poly_str(f.modulus)})"
         object.__setattr__(self, "name", name)
+        p, d = f.p, f.degree
+        object.__setattr__(self, "lane", (d * (p - 1) ** 2 * (1 + (d - 1) * (p - 1))).bit_length())
+        folds = (self._pack(_prem((0,) * j + (1,), f.modulus, p)) for j in range(d, 2 * d - 1))
+        object.__setattr__(self, "_folds", tuple(folds))
 
     # -- units: coefficient tuples modulo the field's modulus ------------------
 
@@ -363,10 +382,37 @@ class FiniteModel(FieldModel):
     def one(self) -> Unit:
         return self._from_int(1)
 
+    def _pack(self, c: Sequence[int]) -> int:
+        x, k = 0, self.lane
+        for ci in reversed(c):
+            x = x << k | ci
+        return x
+
+    def _unpack(self, x: int) -> tuple[int, ...]:
+        k = self.lane
+        mask = (1 << k) - 1
+        return tuple([x >> s & mask for s in range(0, k * self.field.degree, k)])
+
+    def _mul_packed(self, x: int, y: int) -> int:
+        """The packed product of two packed carriers, reduced mod f and p."""
+        k, p, d = self.lane, self.field.p, self.field.degree
+        mask = (1 << k) - 1
+        prod = x * y
+        r = prod & ((1 << k * d) - 1)
+        high = prod >> k * d
+        for fold in self._folds:
+            r += (high & mask) * fold
+            high >>= k
+        out = 0
+        for s in range(k * (d - 1), -1, -k):
+            out = out << k | (r >> s & mask) % p
+        return out
+
     def mul(self, a: Unit, b: Unit) -> Unit:
         f = self.field
-        prod = _pmulmod(a.value, b.value, f.modulus, f.p)
-        return Unit(f, prod + (0,) * (f.degree - len(prod)))
+        if f.degree == 1:
+            return Unit(f, (a.value[0] * b.value[0] % f.p,))
+        return Unit(f, self._unpack(self._mul_packed(self._pack(a.value), self._pack(b.value))))
 
     def pow(self, a: Unit, n: int) -> Unit:
         """a^n for any integer n, reduced mod q - 1 (so n < 0 needs no inverse)."""
@@ -377,14 +423,46 @@ class FiniteModel(FieldModel):
         f = self.field
         if f.degree == 1:
             return (pow(c[0], n, f.p),)
-        result: tuple[int, ...] = (1,)
+        x, result = self._pack(c), 1
         while n:
             if n & 1:
-                result = _pmulmod(result, c, f.modulus, f.p)
+                result = self._mul_packed(result, x)
             n >>= 1
             if n:
-                c = _pmulmod(c, c, f.modulus, f.p)
-        return result + (0,) * (f.degree - len(result))
+                x = self._mul_packed(x, x)
+        return self._unpack(result)
+
+    def powers(self, g: Unit) -> tuple[Unit, ...]:
+        """g^0, g^1, ..., g^(q-2), each from the one before."""
+        x, step = 1, self._pack(g.value)
+        out = []
+        for _ in range(self.order - 1):
+            out.append(Unit(self.field, self._unpack(x)))
+            x = self._mul_packed(x, step)
+        return tuple(out)
+
+    @cached_property
+    def _ladder(self) -> tuple[int, ...]:
+        """Packed g^(2^i) for the canonical generator g and 2^i <= q - 2."""
+        x = self._pack(multiplicative_generator(self.field).value)
+        steps = []
+        for _ in range((self.order - 2).bit_length()):
+            steps.append(x)
+            x = self._mul_packed(x, x)
+        return tuple(steps)
+
+    def generator_power(self, k: int) -> Unit:
+        """g^k for the canonical generator g: one product per set bit of k mod q - 1."""
+        f = self.field
+        k %= self.order - 1
+        if f.degree == 1:
+            return self.pow(multiplicative_generator(f), k)
+        x = 1
+        for step in self._ladder:
+            if k & 1:
+                x = self._mul_packed(x, step)
+            k >>= 1
+        return Unit(f, self._unpack(x))
 
     def inv(self, a: Unit) -> Unit:
         return self.pow(a, self.order - 2)
@@ -733,11 +811,7 @@ def enumerate_units(field: FieldDescriptor) -> tuple[Unit, ...]:
     """All q - 1 units as powers of the canonical multiplicative generator."""
     if not field.is_finite:
         raise UnsupportedEnumerationError(f"cannot enumerate units of {field}")
-    g = multiplicative_generator(field)
-    units = [one(field)]
-    for _ in range(field.order - 2):
-        units.append(unit_mul(units[-1], g))
-    return tuple(units)
+    return field.model.powers(multiplicative_generator(field))
 
 
 @lru_cache(maxsize=None)
@@ -875,10 +949,12 @@ def parse_unit(field: FieldDescriptor, text: str) -> Unit:
         if not field.is_finite:
             raise ValueError("generator literals g^k only apply to finite fields")
         k = int(m.group(1)) if m.group(1) else 1
-        return unit_pow(multiplicative_generator(field), k)
+        return field.model.generator_power(k)
     m = re.match(r"^(-?\d+)(?:/(\d+))?$", text)
     if not m:
         raise ValueError(f"unrecognised unit literal {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in unit literal {text!r}")
     return unit(field, Fraction(num, den))

@@ -31,6 +31,17 @@ from mwslice.milnor_witt import (
 )
 
 
+# Largest supported |n|, |p|, |q| and convergence cutoff.  Over R the level
+# I^N holds 2^(N-1) exactly and the convergence check builds cutoff + 1
+# levels per chain, so larger indices would run and print without useful bound.
+MAX_INDEX = 1000
+
+
+def check_index(name: str, value: int) -> None:
+    if abs(value) > MAX_INDEX:
+        raise ValueError(f"{name} = {value} exceeds the supported bound {MAX_INDEX}")
+
+
 def shift_index(a: int, b: int) -> int:
     """N(a, b) = max(0, min(a, b))."""
     return max(0, min(a, b))
@@ -42,6 +53,10 @@ class FiltrationQuery:
     p: int
     q: int
     field: FieldDescriptor
+
+    def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("p", self.p), ("q", self.q)):
+            check_index(name, value)
 
     @property
     def degree(self) -> int:
@@ -112,9 +127,8 @@ def filtration_report(query: FiltrationQuery) -> FiltrationReport:
 def graded_piece(query: FiltrationQuery) -> QuotientShape:
     """F^n / F^{n+1} computed inside the degree coordinates."""
     top = tate_filtration(query)
-    nxt = tate_filtration(
-        FiltrationQuery(query.n + 1, query.p, query.q, query.field)
-    )
+    n = query.n + 1  # may pass MAX_INDEX by one, so no FiltrationQuery is built
+    nxt = kmw_times_In(query.degree, shift_index(n - query.p, n - query.q), query.field)
     return top.quotient_shape(nxt)
 
 
@@ -168,6 +182,7 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> ConvergenceReport:
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    check_index("cutoff", cutoff)
     vanishing = field.model.vanishing_power
     details = []
     ok = True
@@ -239,6 +254,7 @@ def moore_filtration(ell: int, field: FieldDescriptor, n: int) -> SubgroupDescri
         raise ValueError("ell must be an odd prime")
     if n < 0:
         raise ValueError("filtration levels are indexed by naturals")
+    check_index("n", n)
     ambient = gw_mod_ell_ambient(field, ell)
     if n == 0:
         return full_subgroup(ambient)

@@ -338,12 +338,19 @@ class CheckReport:
         return out
 
 
+# Largest rank bound of the projection-formula check; the GW box it walks has
+# about 4 * rank_bound classes.
+MAX_RANK_BOUND = 100
+
+
 def projection_formula_check(ext: FiniteExtension, rank_bound: int = 4) -> CheckReport:
     """Exhaustive Tr(y * p^*x) = Tr(y) * x over the coordinate boxes.
 
     y ranges over GW(top) classes with |rank| <= rank_bound, x over the
     rank-one generators of GW(base).
     """
+    if rank_bound > MAX_RANK_BOUND:
+        raise ValueError(f"rank bound {rank_bound} exceeds the supported bound {MAX_RANK_BOUND}")
     ys = gw_box(ext.top, rank_bound)
     xs = gw_generators(ext.base)
     checked = 0

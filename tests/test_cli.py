@@ -215,3 +215,44 @@ def test_nesting_at_the_bound_parses(capsys):
     expr = "-(" * (MAX_NESTING // 2) + "[-1]" + ")" * (MAX_NESTING // 2)
     code, out = run(capsys, "mw-normalize", "--field", "R", f"--expr={expr}")
     assert code == 0 and out.endswith("1 * [-1]^1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["filtration", "--field", "R", "--n", "1000", "--p", "0", "--q", "0"],
+    ["filtration", "--field", "R", "--n", "1000", "--p", "-1000", "--q", "1000"],
+    ["graded", "--field", "R", "--n", "1000", "--p", "0", "--q", "0"],
+    ["graded", "--field", "Fq(9)", "--n", "-1000", "--p", "1000", "--q", "-1000"],
+    ["convergence", "--field", "R", "--cutoff", "1000"],
+    ["moore", "--field", "R", "--ell", "3", "--n", "1000"],
+    ["transfer", "--ext", "Fq(9)/Fq(3)", "--check", "projection", "--rank-bound", "100"],
+], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
+def test_indices_at_the_bound(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0, out
+
+
+def test_filtration_at_the_bound_is_exact(capsys):
+    code, out = run(capsys, "filtration", "--field", "R", "--n", "1000", "--p", "0", "--q", "0")
+    assert code == 0 and f"signature in {2**1000}Z" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["filtration", "--field", "R", "--n", "1001", "--p", "0", "--q", "0"], "n = 1001"),
+    (["filtration", "--field", "R", "--n", "100000", "--p", "0", "--q", "0"], "n = 100000"),
+    (["filtration", "--field", "C", "--n", "0", "--p", "-1001", "--q", "0"], "p = -1001"),
+    (["graded", "--field", "Fq(5)", "--n", "0", "--p", "0", "--q", "1001"], "q = 1001"),
+    (["graded", "--field", "R", "--n", "-1001", "--p", "0", "--q", "0"], "n = -1001"),
+    (["convergence", "--field", "R", "--cutoff", "1001"], "cutoff = 1001"),
+    (["convergence", "--field", "R", "--cutoff", "20000"], "cutoff = 20000"),
+    (["moore", "--field", "R", "--ell", "3", "--n", "1001"], "n = 1001"),
+], ids=lambda v: " ".join(v[:1] + v[3:]) if isinstance(v, list) else v)
+def test_indices_beyond_the_bound_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message} exceeds the supported bound 1000\n"
+
+
+def test_rank_bound_beyond_the_bound_exits_2(capsys):
+    argv = ["transfer", "--ext", "Fq(9)/Fq(3)", "--check", "projection", "--rank-bound", "101"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: rank bound 101 exceeds the supported bound 100\n"

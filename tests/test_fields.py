@@ -1,6 +1,7 @@
 """Field kernel: exact arithmetic, square classes, enumeration, literals."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -307,3 +308,98 @@ def test_generator_matches_order_counting_every_modulus(p, d):
 def test_generator_known_large_fields():
     assert str(multiplicative_generator(finite_field(999983))) == "5"
     assert str(multiplicative_generator(finite_field(3**11))) == "x+2"
+
+
+# -- packed multiplication against schoolbook multiply-and-divide --------------
+
+
+def _schoolbook_mul(field, a, b):
+    """a * b mod (f, p) by long multiplication and division by the monic modulus."""
+    p, f, d = field.p, field.modulus, field.degree
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * d - 2, d - 1, -1):
+        c = prod[top]
+        for i in range(d + 1):
+            prod[top - d + i] = (prod[top - d + i] - c * f[i]) % p
+    return tuple(prod[:d])
+
+
+def _schoolbook_pow(field, a, n):
+    result, base = (1,) + (0,) * (field.degree - 1), a
+    while n:
+        if n & 1:
+            result = _schoolbook_mul(field, result, base)
+        base = _schoolbook_mul(field, base, base)
+        n >>= 1
+    return result
+
+
+def _seeded_units(field, count, seed):
+    rng = random.Random(seed)
+    top = (field.p - 1,) * field.degree  # every lane at its largest value
+    out = [unit(field, top)]
+    while len(out) < count:
+        c = tuple(rng.randrange(field.p) for _ in range(field.degree))
+        if any(c):
+            out.append(unit(field, c))
+    return out
+
+
+LARGE_FIELDS = [2187, 3**12, 5**8, 7**7, 997**2]
+
+
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_packed_mul_matches_schoolbook_on_every_pair(q):
+    field = finite_field(q)
+    units = _all_units(field)
+    for a in units:
+        for b in units:
+            assert unit_mul(a, b).value == _schoolbook_mul(field, a.value, b.value), (a, b)
+
+
+@pytest.mark.parametrize("q", LARGE_FIELDS)
+def test_packed_mul_matches_schoolbook_on_seeded_pairs(q):
+    field = finite_field(q)
+    left, right = _seeded_units(field, 2000, q), _seeded_units(field, 2000, q + 1)
+    for a, b in zip(left, right):
+        assert unit_mul(a, b).value == _schoolbook_mul(field, a.value, b.value), (a, b)
+    for a in left[:20]:
+        for n in (2, q - 2, 10**30 + 7):
+            assert unit_pow(a, n).value == _schoolbook_pow(field, a.value, n % (q - 1)), (a, n)
+
+
+def test_lane_width_of_the_widest_field():
+    assert finite_field(997**2).model.lane == 31
+    assert finite_field(2187).model.lane == 9
+
+
+def test_generator_power_matches_unit_pow_for_every_exponent_small():
+    field = finite_field(27)
+    g = multiplicative_generator(field)
+    for k in range(-60, 60):
+        assert field.model.generator_power(k) == unit_pow(g, k), k
+
+
+@pytest.mark.parametrize("q", LARGE_FIELDS + [10007, 999983])
+def test_generator_power_matches_unit_pow_large(q):
+    field = finite_field(q)
+    g = multiplicative_generator(field)
+    rng = random.Random(q)
+    exponents = [0, -1, q - 1, 10**30 + 7] + [rng.randrange(-10**12, 10**12) for _ in range(40)]
+    for k in exponents:
+        got = field.model.generator_power(k)
+        assert got == unit_pow(g, k), k
+        assert got.value == _schoolbook_pow(field, g.value, k % (q - 1)), k
+
+
+def test_finite_fields_are_interned():
+    for text in ("Fq(7)", "Fq(9)", "Fq(2187;poly=x^7+x^2+2)", "Fq(10007)"):
+        assert parse_field(text) is parse_field(text)
+    f9 = finite_field(9, (1, 0, 1))
+    assert f9 is parse_field("Fq(9;poly=x^2+1)")
+    assert f9 is finite_field(9) and f9 is finite_field(9, (4, 3, 7))
+    assert finite_field(9, (2, 1, 1)) is not f9
+    assert hash(f9) == hash(("finite", 3, 2, (1, 0, 1)))
