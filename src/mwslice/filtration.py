@@ -31,9 +31,10 @@ from mwslice.milnor_witt import (
 )
 
 
-# Largest supported |n|, |p|, |q| and convergence cutoff.  Over R the level
-# I^N holds 2^(N-1) exactly and the convergence check builds cutoff + 1
-# levels per chain, so larger indices would run and print without useful bound.
+# Largest supported |n|, |p|, |q| of a query, Moore level n and convergence
+# cutoff.  Over R the level I^N holds 2^(N-1) exactly and the convergence
+# check builds cutoff + 1 levels per chain, so larger indices would run and
+# print without useful bound.
 MAX_INDEX = 1000
 
 
