@@ -15,114 +15,83 @@ fields and quadratically closed fields:
 
 Everything is exact integer/rational arithmetic; there is no floating point
 anywhere.
+
+The names in ``__all__`` are resolved on first use (PEP 562): ``import
+mwslice`` loads no submodule, and ``from mwslice import X`` loads only the
+submodule that defines X and what that submodule imports.
 """
 
-from mwslice.abelian import Ambient, QuotientShape, SubgroupDescription
-from mwslice.fields import (
-    COMPLEXES,
-    REALS,
-    FieldDescriptor,
-    Unit,
-    enumerate_units,
-    finite_field,
-    parse_field,
-    parse_unit,
-    sum_to_one_tuples,
-    unit,
-)
-from mwslice.filtration import (
-    FiltrationQuery,
-    convergence_check,
-    graded_piece,
-    kmw_times_In,
-    moore_filtration,
-    shift_index,
-    tate_filtration,
-)
-from mwslice.forms import (
-    GWClass,
-    QuadraticForm,
-    WittClass,
-    brute_force_gw,
-    form,
-    fundamental_power_description,
-    gw_of_form,
-    hyperbolic,
-    in_fundamental_power,
-    parse_form,
-    pfister,
-    witt_class,
-)
-from mwslice.milnor_witt import (
-    MWExpression,
-    MWNormalForm,
-    cartesian_check,
-    normalize,
-    parse_expression,
-    theta0,
-    to_witt,
-)
-from mwslice.rewriting import (
-    Derivation,
-    derive_extended_steinberg,
-    verify_derivation,
-)
-from mwslice.transfers import (
-    FiniteExtension,
-    parse_extension,
-    projection_formula_check,
-    trace_transfer_gw,
-    transfer_closure_subgroup,
-)
+import importlib
 
-__all__ = [
-    "Ambient",
-    "COMPLEXES",
-    "Derivation",
-    "FieldDescriptor",
-    "FiltrationQuery",
-    "FiniteExtension",
-    "GWClass",
-    "MWExpression",
-    "MWNormalForm",
-    "QuadraticForm",
-    "QuotientShape",
-    "REALS",
-    "SubgroupDescription",
-    "Unit",
-    "WittClass",
-    "brute_force_gw",
-    "cartesian_check",
-    "convergence_check",
-    "derive_extended_steinberg",
-    "enumerate_units",
-    "finite_field",
-    "form",
-    "fundamental_power_description",
-    "graded_piece",
-    "gw_of_form",
-    "hyperbolic",
-    "in_fundamental_power",
-    "kmw_times_In",
-    "moore_filtration",
-    "normalize",
-    "parse_expression",
-    "parse_extension",
-    "parse_field",
-    "parse_form",
-    "parse_unit",
-    "pfister",
-    "projection_formula_check",
-    "shift_index",
-    "sum_to_one_tuples",
-    "tate_filtration",
-    "theta0",
-    "to_witt",
-    "trace_transfer_gw",
-    "transfer_closure_subgroup",
-    "unit",
-    "verify_derivation",
-    "witt_class",
-]
+_EXPORTS = {
+    "abelian": ("Ambient", "QuotientShape", "SubgroupDescription"),
+    "fields": (
+        "COMPLEXES",
+        "REALS",
+        "FieldDescriptor",
+        "Unit",
+        "enumerate_units",
+        "finite_field",
+        "parse_field",
+        "parse_unit",
+        "sum_to_one_tuples",
+        "unit",
+    ),
+    "filtration": (
+        "FiltrationQuery",
+        "convergence_check",
+        "graded_piece",
+        "kmw_times_In",
+        "moore_filtration",
+        "shift_index",
+        "tate_filtration",
+    ),
+    "forms": (
+        "GWClass",
+        "QuadraticForm",
+        "WittClass",
+        "brute_force_gw",
+        "form",
+        "fundamental_power_description",
+        "gw_of_form",
+        "hyperbolic",
+        "in_fundamental_power",
+        "parse_form",
+        "pfister",
+        "witt_class",
+    ),
+    "milnor_witt": (
+        "MWExpression",
+        "MWNormalForm",
+        "cartesian_check",
+        "normalize",
+        "parse_expression",
+        "theta0",
+        "to_witt",
+    ),
+    "rewriting": ("Derivation", "derive_extended_steinberg", "verify_derivation"),
+    "transfers": (
+        "FiniteExtension",
+        "parse_extension",
+        "projection_formula_check",
+        "trace_transfer_gw",
+        "transfer_closure_subgroup",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -10,30 +10,69 @@ computations.  Every group appearing in the library fits in f <= 2, t <= 2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Ambient:
-    free_rank: int
-    torsion: tuple[int, ...] = ()
-    coord_names: tuple[str, ...] = ()
-    label: str = ""
 
-    def __post_init__(self) -> None:
-        if any(d < 2 for d in self.torsion):
+class Record:
+    """Base of the library's immutable value classes.
+
+    A subclass names its compared fields in ``_fields`` and writes its own
+    ``__init__``, which stores every attribute with ``object.__setattr__``.
+    Afterwards assignment raises AttributeError.  ``repr`` shows the fields;
+    equality holds between instances of one class with equal field tuples,
+    and the hash is the hash of that tuple.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            get = attrgetter(*cls._fields)
+            cls._key = get if len(cls._fields) > 1 else staticmethod(lambda obj: (get(obj),))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+
+class Ambient(Record):
+    __slots__ = _fields = ("free_rank", "torsion", "coord_names", "label")
+
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = (),
+                 coord_names: tuple[str, ...] = (), label: str = "") -> None:
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion moduli must be >= 2")
-        names = self.coord_names or tuple(
-            f"c{i}" for i in range(self.free_rank + len(self.torsion))
-        )
-        object.__setattr__(self, "coord_names", names)
-        if len(self.coord_names) != self.dim:
+        dim = free_rank + len(torsion)
+        names = coord_names or tuple(f"c{i}" for i in range(dim))
+        if len(names) != dim:
             raise ValueError("coordinate names do not match dimension")
+        _set(self, "free_rank", free_rank)
+        _set(self, "torsion", torsion)
+        _set(self, "coord_names", names)
+        _set(self, "label", label)
 
     @property
     def dim(self) -> int:
@@ -191,20 +230,24 @@ def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[int]:
     return divisors
 
 
-@dataclass(frozen=True)
-class SubgroupDescription:
+class SubgroupDescription(Record):
     """A subgroup of an ambient coordinate group, canonicalized by HNF."""
 
-    ambient: Ambient
-    generators: tuple[Vec, ...]
-    _basis: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("ambient", "generators", "_basis")
+    _fields = ("ambient", "generators")
+
+    def __init__(self, ambient: Ambient, generators: tuple[Vec, ...]) -> None:
+        _set(self, "ambient", ambient)
+        _set(self, "generators", generators)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Reduce the generators and take the HNF basis (a separately traced step)."""
         gens = [self.ambient.reduce(g) for g in self.generators]
         rows = [list(g) for g in gens] + self.ambient.relation_rows()
         basis = hnf(rows, self.ambient.dim)
-        object.__setattr__(self, "_basis", tuple(tuple(r) for r in basis))
-        object.__setattr__(self, "generators", tuple(gens))
+        _set(self, "_basis", tuple(tuple(r) for r in basis))
+        _set(self, "generators", tuple(gens))
 
     # -- structure ------------------------------------------------------------
 
@@ -346,10 +389,12 @@ class SubgroupDescription:
         return f"<{gens}> < {self.ambient} ({kind} {n})"
 
 
-@dataclass(frozen=True)
-class QuotientShape:
-    free_rank: int
-    torsion: tuple[int, ...]
+class QuotientShape(Record):
+    __slots__ = _fields = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]) -> None:
+        _set(self, "free_rank", free_rank)
+        _set(self, "torsion", torsion)
 
     def order(self) -> int | None:
         if self.free_rank:

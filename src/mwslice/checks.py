@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Callable
 
-from mwslice.abelian import SubgroupDescription, full_subgroup
+from mwslice.abelian import Record, SubgroupDescription, full_subgroup
 from mwslice.fields import (
     COMPLEXES,
     REALS,
@@ -76,13 +75,18 @@ STANDARD_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    cases: int
-    detail: str
-    seconds: float
+_set = object.__setattr__
+
+
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "ok", "cases", "detail", "seconds")
+
+    def __init__(self, name: str, ok: bool, cases: int, detail: str, seconds: float) -> None:
+        _set(self, "name", name)
+        _set(self, "ok", ok)
+        _set(self, "cases", cases)
+        _set(self, "detail", detail)
+        _set(self, "seconds", seconds)
 
     def line(self, with_timing: bool = False) -> str:
         status = "PASS" if self.ok else "FAIL"

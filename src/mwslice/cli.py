@@ -4,6 +4,9 @@ Exit codes: 0 success or verified; 1 verification failure (first
 counterexample in the output); 2 parse or domain error.  JSON output is a
 single object {command, input, result, certificate?} with sorted keys and no
 floating point anywhere; rationals serialize as "a/b" strings.
+
+Each subcommand imports the library modules it runs when it runs, so a
+process loads only those.
 """
 
 from __future__ import annotations
@@ -13,24 +16,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-
-from mwslice import checks
-from mwslice.fields import parse_field, parse_unit
-from mwslice.filtration import (
-    FiltrationQuery,
-    convergence_check,
-    filtration_report,
-    graded_piece,
-    moore_filtration,
-)
-from mwslice.forms import gw_of_form, parse_form, witt_class
-from mwslice.milnor_witt import normalize, parse_expression
-from mwslice.rewriting import (
-    derivation_from_json,
-    derive_extended_steinberg,
-    verify_derivation,
-)
-from mwslice.transfers import parse_extension, projection_formula_check, trace_transfer_gw
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -70,6 +55,9 @@ def _normal_form_json(nf) -> dict:
 
 
 def cmd_gw(args) -> int:
+    from mwslice.fields import parse_field
+    from mwslice.forms import gw_of_form, parse_form
+
     field = parse_field(args.field)
     cls = gw_of_form(parse_form(field, args.form))
     payload = {"command": "gw", "input": {"field": args.field, "form": args.form},
@@ -79,6 +67,9 @@ def cmd_gw(args) -> int:
 
 
 def cmd_witt(args) -> int:
+    from mwslice.fields import parse_field
+    from mwslice.forms import gw_of_form, parse_form, witt_class
+
     field = parse_field(args.field)
     w = witt_class(gw_of_form(parse_form(field, args.form)))
     payload = {"command": "witt", "input": {"field": args.field, "form": args.form},
@@ -88,6 +79,9 @@ def cmd_witt(args) -> int:
 
 
 def cmd_mw_normalize(args) -> int:
+    from mwslice.fields import parse_field
+    from mwslice.milnor_witt import normalize, parse_expression
+
     field = parse_field(args.field)
     expr = parse_expression(field, args.expr)
     nf = normalize(expr)
@@ -99,6 +93,9 @@ def cmd_mw_normalize(args) -> int:
 
 
 def cmd_mw_derive(args) -> int:
+    from mwslice.fields import parse_field, parse_unit
+    from mwslice.rewriting import derive_extended_steinberg, verify_derivation
+
     field = parse_field(args.field)
     units = [parse_unit(field, tok) for tok in args.units.split(",")]
     derivation = derive_extended_steinberg(units)
@@ -116,6 +113,8 @@ def cmd_mw_derive(args) -> int:
 
 
 def cmd_mw_verify(args) -> int:
+    from mwslice.rewriting import derivation_from_json, verify_derivation
+
     if args.derivation == "-":
         data = json.load(sys.stdin)
     else:
@@ -131,6 +130,9 @@ def cmd_mw_verify(args) -> int:
 
 
 def cmd_filtration(args) -> int:
+    from mwslice.fields import parse_field
+    from mwslice.filtration import FiltrationQuery, filtration_report
+
     field = parse_field(args.field)
     query = FiltrationQuery(args.n, args.p, args.q, field)
     report = filtration_report(query)
@@ -148,6 +150,9 @@ def cmd_filtration(args) -> int:
 
 
 def cmd_graded(args) -> int:
+    from mwslice.fields import parse_field
+    from mwslice.filtration import FiltrationQuery, graded_piece
+
     field = parse_field(args.field)
     query = FiltrationQuery(args.n, args.p, args.q, field)
     shape = graded_piece(query)
@@ -158,6 +163,9 @@ def cmd_graded(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    from mwslice.fields import parse_field
+    from mwslice.filtration import convergence_check
+
     field = parse_field(args.field)
     rep = convergence_check(field, args.cutoff)
     payload = {"command": "convergence",
@@ -172,6 +180,9 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_moore(args) -> int:
+    from mwslice.fields import parse_field
+    from mwslice.filtration import moore_filtration
+
     field = parse_field(args.field)
     desc = moore_filtration(args.ell, field, args.n)
     tag = desc.order_or_index()
@@ -191,6 +202,9 @@ def cmd_moore(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from mwslice.forms import gw_of_form, parse_form
+    from mwslice.transfers import parse_extension, projection_formula_check, trace_transfer_gw
+
     ext = parse_extension(args.ext)
     if args.check == "projection":
         rep = projection_formula_check(ext, args.rank_bound)
@@ -211,6 +225,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_check_all(args) -> int:
+    from mwslice import checks
+
     profile = args.profile or os.environ.get("MW_SLICE_PROFILE", "quick")
     results = checks.run_all(profile)
     lines = [r.line(with_timing=(profile == "full")) for r in results]

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import ClassVar, Iterator, Sequence
 
-from mwslice.abelian import Ambient
+from mwslice.abelian import Ambient, Record
 
 FINITE = "finite"
 REAL = "real"
@@ -137,23 +136,27 @@ def default_modulus(p: int, d: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial of degree {d} over F_{p}")
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+_set = object.__setattr__
+
+
+class FieldDescriptor(Record):
     """A concrete field of characteristic != 2, with its family model."""
 
-    kind: str
-    p: int = 0
-    degree: int = 1
-    modulus: tuple[int, ...] = ()
-    model: FieldModel = dc_field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "p", "degree", "modulus", "model", "_hash")
+    _fields = ("kind", "p", "degree", "modulus")
 
-    def __post_init__(self) -> None:
-        family = _FAMILIES.get(self.kind)
+    def __init__(self, kind: str, p: int = 0, degree: int = 1,
+                 modulus: tuple[int, ...] = ()) -> None:
+        family = _FAMILIES.get(kind)
         if family is None:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        object.__setattr__(self, "model", family(self))
-        # the value the generated dataclass hash would compute, taken once
-        object.__setattr__(self, "_hash", hash((self.kind, self.p, self.degree, self.modulus)))
+            raise ValueError(f"unknown field kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "p", p)
+        _set(self, "degree", degree)
+        _set(self, "modulus", modulus)
+        # the hash of the compared fields, taken once
+        _set(self, "_hash", hash((kind, p, degree, modulus)))
+        _set(self, "model", family(self))
 
     def __hash__(self) -> int:
         return self._hash
@@ -187,15 +190,20 @@ def _interned_finite_field(p: int, d: int, modulus: tuple[int, ...]) -> FieldDes
     return FieldDescriptor(FINITE, p, d, modulus)
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(Record):
     """A nonzero field element in canonical form."""
 
-    field: FieldDescriptor
-    value: tuple[int, ...] | Fraction
+    __slots__ = ("field", "value", "_hash")
+    _fields = ("field", "value")
 
-    def __post_init__(self) -> None:
-        self.field.model.check_carrier(self.value)
+    def __init__(self, field: FieldDescriptor, value: tuple[int, ...] | Fraction) -> None:
+        field.model.check_carrier(value)
+        _set(self, "field", field)
+        _set(self, "value", value)
+        _set(self, "_hash", hash((field, value)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.field.model.carrier_str(self.value)
@@ -207,10 +215,12 @@ class Unit:
         return sum(c * self.field.p**i for i, c in enumerate(self.value))
 
 
-@dataclass(frozen=True)
-class SquareClass:
-    field: FieldDescriptor
-    label: str  # square/nonsquare, positive/negative, trivial
+class SquareClass(Record):
+    __slots__ = _fields = ("field", "label")  # label: square/nonsquare, positive/negative, trivial
+
+    def __init__(self, field: FieldDescriptor, label: str) -> None:
+        _set(self, "field", field)
+        _set(self, "label", label)
 
     @property
     def bit(self) -> int:
@@ -275,19 +285,24 @@ def square_class_bit(a: Unit) -> int:
 # -- per-family models ------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FieldModel:
+class FieldModel(Record):
     """The facts of one field family; this base holds what the families share.
 
     GW classes are read through (rank, disc_dev, signature): the rank plus
     the family's extra invariant, disc_dev over F_q and the signature over R.
     Positive-degree K^MW normal forms are read through milnor_unit, ideal_bit
     and real_coord; models return keyword arguments for new normal forms.
+    A model equals only itself.
     """
 
-    field: FieldDescriptor
+    _fields = ("field",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     extra_invariant: ClassVar[str | None] = None
+
+    def __init__(self, field: FieldDescriptor) -> None:
+        _set(self, "field", field)
 
     def check_kmw(self, nf) -> None:
         """Validate a positive-degree normal form (only F_q has a constraint)."""
@@ -309,7 +324,6 @@ class FieldModel:
         return Ambient(*self.witt_shape, f"W({self.field})")
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteModel(FieldModel):
     """F_q, q odd: GW = Z x Z/2 by (rank, disc_dev), W = Z/4 or Z/2 x Z/2.
 
@@ -323,34 +337,29 @@ class FiniteModel(FieldModel):
     model's methods.
     """
 
-    order: int = dc_field(init=False)
-    name: str = dc_field(init=False)
-    lane: int = dc_field(init=False)
-    # packed x^j mod f for j = d, ..., 2d - 2
-    _folds: tuple[int, ...] = dc_field(init=False, repr=False)
-
     extra_invariant = "disc_dev"
     one_invariants = (0, 0)
     gw_shape = (1, (2,), ("rank", "disc_dev"))
     certificate = "I^2 = 0"
     vanishing_power = 2
 
-    def __post_init__(self) -> None:
-        f = self.field
+    def __init__(self, field: FieldDescriptor) -> None:
+        f = field
         if f.p < 3 or f.p % 2 == 0:
             raise ValueError("finite fields must have odd characteristic")
         if len(f.modulus) != f.degree + 1 or f.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree matching the field")
         if not _is_irreducible(f.modulus, f.p):
             raise ValueError(f"modulus {f.modulus} is reducible over F_{f.p}")
-        q = f.p ** f.degree
-        object.__setattr__(self, "order", q)
-        name = f"Fq({q})" if f.degree == 1 else f"Fq({q};poly={poly_str(f.modulus)})"
-        object.__setattr__(self, "name", name)
+        super().__init__(f)
         p, d = f.p, f.degree
-        object.__setattr__(self, "lane", (d * (p - 1) ** 2 * (1 + (d - 1) * (p - 1))).bit_length())
+        q = p**d
+        _set(self, "order", q)
+        _set(self, "name", f"Fq({q})" if d == 1 else f"Fq({q};poly={poly_str(f.modulus)})")
+        _set(self, "lane", (d * (p - 1) ** 2 * (1 + (d - 1) * (p - 1))).bit_length())
+        # packed x^j mod f for j = d, ..., 2d - 2
         folds = (self._pack(_prem((0,) * j + (1,), f.modulus, p)) for j in range(d, 2 * d - 1))
-        object.__setattr__(self, "_folds", tuple(folds))
+        _set(self, "_folds", tuple(folds))
 
     # -- units: coefficient tuples modulo the field's modulus ------------------
 
@@ -593,7 +602,6 @@ class FiniteModel(FieldModel):
         return ()
 
 
-@dataclass(frozen=True, eq=False)
 class _RationalModel(FieldModel):
     """Infinite fields whose unit carriers are nonzero rationals.
 
@@ -646,7 +654,6 @@ class _RationalModel(FieldModel):
         return {"coord": nf.real_coord}
 
 
-@dataclass(frozen=True, eq=False)
 class RealModel(_RationalModel):
     """A real closed field: GW = (rank, signature), W = Z by the signature.
 
@@ -731,7 +738,6 @@ class RealModel(_RationalModel):
         return f"  ladder row: I(R)^{n} = ({k}) in the index coordinate  (signature in {2 * k}Z)"
 
 
-@dataclass(frozen=True, eq=False)
 class ClosedModel(_RationalModel):
     """A quadratically closed field: GW = Z by the rank, W = Z/2, I = 0.
 

@@ -9,12 +9,12 @@ the ideal I^{N+m} in GW coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from mwslice.abelian import (
     Ambient,
     QuotientShape,
+    Record,
     SubgroupDescription,
     full_subgroup,
 )
@@ -37,6 +37,8 @@ from mwslice.milnor_witt import (
 # print without useful bound.
 MAX_INDEX = 1000
 
+_set = object.__setattr__
+
 
 def check_index(name: str, value: int) -> None:
     if abs(value) > MAX_INDEX:
@@ -48,16 +50,16 @@ def shift_index(a: int, b: int) -> int:
     return max(0, min(a, b))
 
 
-@dataclass(frozen=True)
-class FiltrationQuery:
-    n: int
-    p: int
-    q: int
-    field: FieldDescriptor
+class FiltrationQuery(Record):
+    __slots__ = _fields = ("n", "p", "q", "field")
 
-    def __post_init__(self) -> None:
-        for name, value in (("n", self.n), ("p", self.p), ("q", self.q)):
+    def __init__(self, n: int, p: int, q: int, field: FieldDescriptor) -> None:
+        for name, value in (("n", n), ("p", p), ("q", q)):
             check_index(name, value)
+        _set(self, "n", n)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "field", field)
 
     @property
     def degree(self) -> int:
@@ -103,11 +105,13 @@ def filtration_in_degree_coords(query: FiltrationQuery) -> SubgroupDescription:
     return tate_filtration(query)
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
-    query: FiltrationQuery
-    N: int
-    subgroup: SubgroupDescription
+class FiltrationReport(Record):
+    __slots__ = _fields = ("query", "N", "subgroup")
+
+    def __init__(self, query: FiltrationQuery, N: int, subgroup: SubgroupDescription) -> None:
+        _set(self, "query", query)
+        _set(self, "N", N)
+        _set(self, "subgroup", subgroup)
 
     def to_json(self) -> dict:
         return {
@@ -153,13 +157,16 @@ def eta_image_subgroup(query: FiltrationQuery) -> SubgroupDescription:
 # -- convergence -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    field: FieldDescriptor
-    cutoff: int
-    separated: bool
-    certificate: str
-    details: tuple[str, ...]
+class ConvergenceReport(Record):
+    __slots__ = _fields = ("field", "cutoff", "separated", "certificate", "details")
+
+    def __init__(self, field: FieldDescriptor, cutoff: int, separated: bool, certificate: str,
+                 details: tuple[str, ...]) -> None:
+        _set(self, "field", field)
+        _set(self, "cutoff", cutoff)
+        _set(self, "separated", separated)
+        _set(self, "certificate", certificate)
+        _set(self, "details", details)
 
     def to_json(self) -> dict:
         return {

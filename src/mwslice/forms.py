@@ -17,10 +17,9 @@ every one of them against the brute-force isometry oracle in this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
-from mwslice.abelian import Ambient, SubgroupDescription, full_subgroup
+from mwslice.abelian import Ambient, Record, SubgroupDescription, full_subgroup
 from mwslice.fields import (
     FieldDescriptor,
     FieldMismatchError,
@@ -35,17 +34,19 @@ from mwslice.fields import (
     unit_neg,
 )
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class QuadraticForm:
+
+class QuadraticForm(Record):
     """A nondegenerate diagonal form <a_1, ..., a_n>."""
 
-    field: FieldDescriptor
-    diagonal: tuple[Unit, ...]
+    __slots__ = _fields = ("field", "diagonal")
 
-    def __post_init__(self) -> None:
-        if any(u.field != self.field for u in self.diagonal):
+    def __init__(self, field: FieldDescriptor, diagonal: tuple[Unit, ...]) -> None:
+        if any(u.field != field for u in diagonal):
             raise FieldMismatchError("diagonal entries must share the form's field")
+        _set(self, "field", field)
+        _set(self, "diagonal", diagonal)
 
     @property
     def rank(self) -> int:
@@ -70,21 +71,26 @@ def parse_form(field: FieldDescriptor, text: str) -> QuadraticForm:
     return form(field, *[part.strip() for part in body.split(",")])
 
 
-@dataclass(frozen=True)
-class GWClass:
-    """An element of GW(F) in complete-invariant coordinates."""
+class GWClass(Record):
+    """An element of GW(F) in complete-invariant coordinates.
 
-    field: FieldDescriptor
-    rank: int
-    disc_dev: int = 0   # finite fields only
-    signature: int = 0  # real closed only
+    ``disc_dev`` is used over finite fields only, ``signature`` over real
+    closed fields only.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.field.model.is_gw(self.rank, self.disc_dev, self.signature):
+    __slots__ = _fields = ("field", "rank", "disc_dev", "signature")
+
+    def __init__(self, field: FieldDescriptor, rank: int, disc_dev: int = 0,
+                 signature: int = 0) -> None:
+        if not field.model.is_gw(rank, disc_dev, signature):
             raise ValueError(
-                f"(rank, disc_dev, signature) = ({self.rank}, {self.disc_dev}, "
-                f"{self.signature}) is not a class over {self.field}"
+                f"(rank, disc_dev, signature) = ({rank}, {disc_dev}, "
+                f"{signature}) is not a class over {field}"
             )
+        _set(self, "field", field)
+        _set(self, "rank", rank)
+        _set(self, "disc_dev", disc_dev)
+        _set(self, "signature", signature)
 
     def _check(self, other: "GWClass") -> None:
         if self.field != other.field:
@@ -194,15 +200,14 @@ def pfister(units: list[Unit] | tuple[Unit, ...]) -> GWClass:
 # -- Witt ring ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WittClass:
+class WittClass(Record):
     """An element of W(F) = GW(F)/(hyperbolic)."""
 
-    field: FieldDescriptor
-    coords: tuple[int, ...]
+    __slots__ = _fields = ("field", "coords")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", self.field.model.witt_ambient.reduce(self.coords))
+    def __init__(self, field: FieldDescriptor, coords: tuple[int, ...]) -> None:
+        _set(self, "field", field)
+        _set(self, "coords", field.model.witt_ambient.reduce(coords))
 
     def _check(self, other: "WittClass") -> None:
         if self.field != other.field:
@@ -247,10 +252,6 @@ def _witt_lift(w: WittClass) -> GWClass:
 
 def witt_zero(field: FieldDescriptor) -> WittClass:
     return witt_class(gw_zero(field))
-
-
-def witt_one(field: FieldDescriptor) -> WittClass:
-    return witt_class(gw_one(field))
 
 
 # -- fundamental ideal ------------------------------------------------------------
@@ -325,13 +326,19 @@ def binary_isometric(a: Unit, b: Unit, c: Unit, d: Unit) -> bool:
     return represents(field, (a, b), c)
 
 
-@dataclass(frozen=True)
-class BruteForceTable:
-    """Chain-equivalence classes of diagonal forms with representative entries."""
+class BruteForceTable(Record):
+    """Chain-equivalence classes of diagonal forms with representative entries.
 
-    field: FieldDescriptor
-    max_rank: int
-    classes: tuple[tuple[tuple[int, ...], ...], ...]  # forms as sorted bit tuples
+    Each class is a tuple of forms, each form a sorted tuple of square-class bits.
+    """
+
+    __slots__ = _fields = ("field", "max_rank", "classes")
+
+    def __init__(self, field: FieldDescriptor, max_rank: int,
+                 classes: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
+        _set(self, "field", field)
+        _set(self, "max_rank", max_rank)
+        _set(self, "classes", classes)
 
     def class_count(self, rank: int) -> int:
         return sum(1 for cls in self.classes if len(cls[0]) == rank)

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd
 from typing import Sequence
 
-from mwslice.abelian import Ambient
+from mwslice.abelian import Ambient, Record
 from mwslice.fields import (
     FieldDescriptor,
     FieldMismatchError,
@@ -64,17 +63,19 @@ class DegreeError(ValueError):
 ETA = "eta"
 SYM = "sym"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class MWAtom:
-    kind: str
-    unit: Unit | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in (ETA, SYM):
-            raise ValueError(f"unknown atom kind {self.kind!r}")
-        if (self.kind == SYM) != (self.unit is not None):
+class MWAtom(Record):
+    __slots__ = _fields = ("kind", "unit")
+
+    def __init__(self, kind: str, unit: Unit | None = None) -> None:
+        if kind not in (ETA, SYM):
+            raise ValueError(f"unknown atom kind {kind!r}")
+        if (kind == SYM) != (unit is not None):
             raise ValueError("symbol atoms carry a unit; eta carries none")
+        _set(self, "kind", kind)
+        _set(self, "unit", unit)
 
     def __str__(self) -> str:
         return "eta" if self.kind == ETA else f"[{self.unit}]"
@@ -88,12 +89,14 @@ def sym_atom(u: Unit) -> MWAtom:
     return MWAtom(SYM, u)
 
 
-@dataclass(frozen=True)
-class MWMonomial:
+class MWMonomial(Record):
     """coeff times an ordered word in eta and [u] atoms."""
 
-    coeff: int
-    factors: tuple[MWAtom, ...]
+    __slots__ = _fields = ("coeff", "factors")
+
+    def __init__(self, coeff: int, factors: tuple[MWAtom, ...]) -> None:
+        _set(self, "coeff", coeff)
+        _set(self, "factors", factors)
 
     @property
     def eta_power(self) -> int:
@@ -111,16 +114,16 @@ class MWMonomial:
         return _render((self,), str)
 
 
-@dataclass(frozen=True)
-class MWExpression:
-    field: FieldDescriptor
-    terms: tuple[MWMonomial, ...]
+class MWExpression(Record):
+    __slots__ = _fields = ("field", "terms")
 
-    def __post_init__(self) -> None:
-        for t in self.terms:
+    def __init__(self, field: FieldDescriptor, terms: tuple[MWMonomial, ...]) -> None:
+        for t in terms:
             for a in t.factors:
-                if a.kind == SYM and a.unit.field != self.field:
+                if a.kind == SYM and a.unit.field != field:
                     raise FieldMismatchError("symbol unit over the wrong field")
+        _set(self, "field", field)
+        _set(self, "terms", terms)
 
     def degree(self) -> int | None:
         """Common degree of all terms; None for the empty expression."""
@@ -209,32 +212,33 @@ def mw_unit_form(u: Unit) -> MWExpression:
     )
 
 
-def mw_product(e1: MWExpression, e2: MWExpression) -> MWExpression:
-    return e1 * e2
-
-
 # -- normal forms ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MWNormalForm:
+class MWNormalForm(Record):
     """Canonical per-field coordinates of a homogeneous expression.
 
     ``degree`` is None only for the identically-zero expression, which is a
-    legal element of every degree.
+    legal element of every degree.  ``milnor_unit`` and ``ideal_bit`` are
+    used over finite fields in degree 1, ``real_coord`` over R and C in
+    degree >= 1, ``gw`` in degree 0 and ``witt`` in degree < 0.
     """
 
-    field: FieldDescriptor
-    degree: int | None
-    milnor_unit: Unit | None = None  # finite fields, degree 1
-    ideal_bit: int = 0               # finite fields, degree 1
-    real_coord: int = 0              # real/complex, degree >= 1
-    gw: GWClass | None = None        # degree 0
-    witt: WittClass | None = None    # degree < 0
+    __slots__ = _fields = ("field", "degree", "milnor_unit", "ideal_bit", "real_coord", "gw",
+                           "witt")
 
-    def __post_init__(self) -> None:
-        if self.degree is not None and self.degree > 0:
-            self.field.model.check_kmw(self)
+    def __init__(self, field: FieldDescriptor, degree: int | None,
+                 milnor_unit: Unit | None = None, ideal_bit: int = 0, real_coord: int = 0,
+                 gw: GWClass | None = None, witt: WittClass | None = None) -> None:
+        _set(self, "field", field)
+        _set(self, "degree", degree)
+        _set(self, "milnor_unit", milnor_unit)
+        _set(self, "ideal_bit", ideal_bit)
+        _set(self, "real_coord", real_coord)
+        _set(self, "gw", gw)
+        _set(self, "witt", witt)
+        if degree is not None and degree > 0:
+            field.model.check_kmw(self)
 
     @property
     def is_zero(self) -> bool:
@@ -465,17 +469,22 @@ def k2_brute_force_order(field: FieldDescriptor) -> int:
     return ann
 
 
-@dataclass(frozen=True)
-class CartesianReport:
-    field: FieldDescriptor
-    m: int
-    milnor_order: int
-    ideal_order: int
-    quotient_order: int
-    fiber_order: int
-    coordinate_order: int
-    symbols_checked: int
-    commutes: bool
+class CartesianReport(Record):
+    __slots__ = _fields = ("field", "m", "milnor_order", "ideal_order", "quotient_order",
+                           "fiber_order", "coordinate_order", "symbols_checked", "commutes")
+
+    def __init__(self, field: FieldDescriptor, m: int, milnor_order: int, ideal_order: int,
+                 quotient_order: int, fiber_order: int, coordinate_order: int,
+                 symbols_checked: int, commutes: bool) -> None:
+        _set(self, "field", field)
+        _set(self, "m", m)
+        _set(self, "milnor_order", milnor_order)
+        _set(self, "ideal_order", ideal_order)
+        _set(self, "quotient_order", quotient_order)
+        _set(self, "fiber_order", fiber_order)
+        _set(self, "coordinate_order", coordinate_order)
+        _set(self, "symbols_checked", symbols_checked)
+        _set(self, "commutes", commutes)
 
     @property
     def cartesian(self) -> bool:

@@ -12,13 +12,14 @@ Steinberg relation or [1] = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
+from mwslice.abelian import Record
 from mwslice.fields import (
     FieldDescriptor,
     Unit,
     one,
+    parse_field,
     parse_unit,
     unit_add,
     unit_div,
@@ -27,7 +28,6 @@ from mwslice.fields import (
     unit_neg,
 )
 from mwslice.milnor_witt import (
-    SYM,
     MWAtom,
     MWExpression,
     MWMonomial,
@@ -56,7 +56,7 @@ class PreconditionError(ValueError):
 
 
 class SearchExhaustedError(RuntimeError):
-    """No derivation found within the depth bound."""
+    """The derivation did not reach 0 within its structural bound."""
 
 
 def _mono(coeff: int, *atoms: MWAtom) -> MWMonomial:
@@ -174,23 +174,28 @@ RULE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Step:
-    rule: str
-    term_index: int
-    factor_index: int
-    bindings: dict
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bindings", dict(self.bindings))
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Derivation:
-    field: FieldDescriptor
-    start: MWExpression
-    steps: tuple[Step, ...]
-    end: MWExpression
+class Step(Record):
+    __slots__ = _fields = ("rule", "term_index", "factor_index", "bindings")
+
+    def __init__(self, rule: str, term_index: int, factor_index: int, bindings: dict) -> None:
+        _set(self, "rule", rule)
+        _set(self, "term_index", term_index)
+        _set(self, "factor_index", factor_index)
+        _set(self, "bindings", dict(bindings))
+
+
+class Derivation(Record):
+    __slots__ = _fields = ("field", "start", "steps", "end")
+
+    def __init__(self, field: FieldDescriptor, start: MWExpression, steps: tuple[Step, ...],
+                 end: MWExpression) -> None:
+        _set(self, "field", field)
+        _set(self, "start", start)
+        _set(self, "steps", steps)
+        _set(self, "end", end)
 
     def to_json(self) -> dict:
         return {
@@ -229,8 +234,6 @@ def _require(ok: bool, what: str) -> None:
 
 def derivation_from_json(data: dict) -> Derivation:
     """Rebuild a derivation; input of the wrong shape raises ValueError."""
-    from mwslice.fields import parse_field
-
     _require(isinstance(data, dict), "expected a JSON object")
     _require(all(isinstance(data.get(k), str) for k in ("field", "start", "end")),
              "field, start and end must be strings")
@@ -313,12 +316,15 @@ def apply_step(expr: MWExpression, step: Step) -> MWExpression:
     return collect(MWExpression(expr.field, tuple(new_terms)))
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    ok: bool
-    failed_step: int | None = None
-    reason: str | None = None
-    final: MWExpression | None = None
+class VerificationResult(Record):
+    __slots__ = _fields = ("ok", "failed_step", "reason", "final")
+
+    def __init__(self, ok: bool, failed_step: int | None = None, reason: str | None = None,
+                 final: MWExpression | None = None) -> None:
+        _set(self, "ok", ok)
+        _set(self, "failed_step", failed_step)
+        _set(self, "reason", reason)
+        _set(self, "final", final)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -383,50 +389,3 @@ def derive_extended_steinberg(units: Sequence[Unit]) -> Derivation:
         raise SearchExhaustedError(f"derivation failed to reach 0, stuck at {expr}")
     return Derivation(fld, start, tuple(steps), mw_zero(fld))
 
-
-def derive_by_search(expr: MWExpression, depth: int = 64) -> Derivation | None:
-    """Bounded breadth-first search for a rewrite of expr to 0 (diagnostic only)."""
-    from collections import deque
-
-    fld = expr.field
-    seen = {str(expr)}
-    queue: deque[tuple[MWExpression, tuple[Step, ...]]] = deque([(collect(expr), ())])
-    while queue:
-        cur, steps = queue.popleft()
-        if len(steps) >= depth:
-            continue
-        for step in _candidate_steps(cur):
-            try:
-                nxt = apply_step(cur, step)
-            except (RuleConditionError, StepMismatchError):
-                continue
-            if not nxt.terms:
-                return Derivation(fld, collect(expr), steps + (step,), mw_zero(fld))
-            key = str(nxt)
-            if key not in seen:
-                seen.add(key)
-                queue.append((nxt, steps + (step,)))
-    return None
-
-
-def _candidate_steps(expr: MWExpression):
-    fld = expr.field
-    e1 = one(fld)
-    for ti, t in enumerate(expr.terms):
-        for fi, atom in enumerate(t.factors):
-            if atom.kind != SYM:
-                continue
-            u = atom.unit
-            if u == e1:
-                yield Step("R-one", ti, fi, {})
-            nxt = t.factors[fi + 1] if fi + 1 < len(t.factors) else None
-            if nxt is not None and nxt.kind == SYM:
-                v = nxt.unit
-                if unit_add(u, v) is None:
-                    yield Step("R-negself", ti, fi, {"a": u})
-                else:
-                    if unit_add(u, v) == e1 and u != e1:
-                        yield Step("R-steinberg", ti, fi, {"u": u})
-                    if v == unit_neg(unit_inv(u)):
-                        yield Step("R-neginv", ti, fi, {"a": u})
-                    yield Step("R-sum", ti, fi, {"u": u, "v": v})

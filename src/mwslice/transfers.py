@@ -14,11 +14,10 @@ unit class together with the trace transfer on the ideal bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from mwslice.abelian import SubgroupDescription
+from mwslice.abelian import Record, SubgroupDescription
 from mwslice.fields import (
     COMPLEXES,
     REALS,
@@ -27,6 +26,7 @@ from mwslice.fields import (
     canonical_nonsquare,
     enumerate_units,
     finite_field,
+    multiplicative_generator,
     one,
     parse_field,
     square_class_bit,
@@ -63,25 +63,24 @@ class ExtensionError(ValueError):
     """The requested extension is not supported or ill-formed."""
 
 
-@dataclass(frozen=True)
-class FiniteExtension:
+_set = object.__setattr__
+
+
+class FiniteExtension(Record):
     """A separable extension: F_{q^d}/F_q or C/R."""
 
-    base: FieldDescriptor
-    top: FieldDescriptor
+    __slots__ = _fields = ("base", "top")
 
-    def __post_init__(self) -> None:
-        if (self.base, self.top) == (REALS, COMPLEXES):
-            return
-        if self.base.is_finite and self.top.is_finite:
-            if self.base.p != self.top.p:
+    def __init__(self, base: FieldDescriptor, top: FieldDescriptor) -> None:
+        if (base, top) != (REALS, COMPLEXES):
+            if not (base.is_finite and top.is_finite):
+                raise ExtensionError(f"unsupported extension {top}/{base}")
+            if base.p != top.p:
                 raise ExtensionError("extension fields must share characteristic")
-            if self.top.degree % self.base.degree != 0:
-                raise ExtensionError(
-                    f"{self.top} does not contain {self.base}: degree mismatch"
-                )
-            return
-        raise ExtensionError(f"unsupported extension {self.top}/{self.base}")
+            if top.degree % base.degree != 0:
+                raise ExtensionError(f"{top} does not contain {base}: degree mismatch")
+        _set(self, "base", base)
+        _set(self, "top", top)
 
     @property
     def degree(self) -> int:
@@ -104,22 +103,36 @@ def parse_extension(text: str) -> FiniteExtension:
 
 @lru_cache(maxsize=None)
 def embedding_image_of_generator(ext: FiniteExtension) -> Unit:
-    """Canonical root of the base modulus in the top field (defines base -> top)."""
+    """Canonical root of the base modulus in the top field (defines base -> top).
+
+    The canonical root is the one of smallest encoding.  Every root lies in
+    the subfield of order q_b, whose units are the q_b - 1 powers of
+    h = g^((Q - 1)/(q_b - 1)) for the generator g of the top field of order
+    Q, so only those are tested.
+    """
     assert ext.base.is_finite
+    top, qb = ext.top, ext.base.order
     if ext.base.degree == 1:
-        return one(ext.top)
-    for cand in sorted(enumerate_units(ext.top), key=lambda u: u.encoding):
-        if _evaluate(ext.top, ext.base.modulus, cand) is None:
-            return cand
-    raise ExtensionError(f"no root of the base modulus found in {ext.top}")
+        return one(top)
+    h = unit_pow(multiplicative_generator(top), (top.order - 1) // (qb - 1))
+    roots, x = [], one(top)
+    for _ in range(qb - 1):
+        if _evaluate(top, ext.base.modulus, x) is None:
+            roots.append(x)
+        x = unit_mul(x, h)
+    if not roots:
+        raise ExtensionError(f"no root of the base modulus found in {top}")
+    return min(roots, key=lambda u: u.encoding)
 
 
 def _evaluate(field: FieldDescriptor, coeffs: Sequence[int], x: Unit) -> Unit | None:
-    """sum(c_i * x^i) for integer coefficients c_i; None when the sum is 0."""
+    """sum(c_i * x^i) for integer coefficients c_i, by Horner; None when the sum is 0."""
     acc: Unit | None = None
-    for i, c in enumerate(coeffs):
+    for c in reversed(coeffs):
+        if acc is not None:
+            acc = unit_mul(acc, x)
         if c % field.p:
-            term = unit_mul(unit(field, c), unit_pow(x, i))
+            term = unit(field, c)
             acc = term if acc is None else unit_add(acc, term)
     return acc
 
@@ -137,7 +150,18 @@ def embed_unit(ext: FiniteExtension, u: Unit) -> Unit:
 
 @lru_cache(maxsize=None)
 def _embedding_inverse_table(ext: FiniteExtension) -> dict[Unit, Unit]:
-    return {embed_unit(ext, u): u for u in enumerate_units(ext.base)}
+    """Embedded base unit -> base unit.
+
+    The embedding is a ring map, so it sends g^k to the k-th power of the
+    image of the base generator g.
+    """
+    units = enumerate_units(ext.base)  # g^0, g^1, ..., g^(q_b - 2)
+    step = embed_unit(ext, units[1])
+    table, x = {}, one(ext.top)
+    for u in units:
+        table[x] = u
+        x = unit_mul(x, step)
+    return table
 
 
 def trace_to_base(ext: FiniteExtension, z: Unit | None) -> Unit | None:
@@ -318,13 +342,16 @@ def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
 # -- property reports ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    extension: str
-    ok: bool
-    checked: int
-    counterexample: str | None = None
+class CheckReport(Record):
+    __slots__ = _fields = ("name", "extension", "ok", "checked", "counterexample")
+
+    def __init__(self, name: str, extension: str, ok: bool, checked: int,
+                 counterexample: str | None = None) -> None:
+        _set(self, "name", name)
+        _set(self, "extension", extension)
+        _set(self, "ok", ok)
+        _set(self, "checked", checked)
+        _set(self, "counterexample", counterexample)
 
     def to_json(self) -> dict:
         out = {

@@ -34,7 +34,6 @@ from mwslice.forms import (
     represents,
     witt_class,
     witt_oracle_classes,
-    witt_one,
     witt_zero,
 )
 
@@ -265,9 +264,9 @@ def test_parse_form():
 
 
 def test_witt_scale_and_units():
-    assert witt_one(F3).coords == (1,)
+    assert witt_class(gw_one(F3)).coords == (1,)
     assert witt_zero(REALS).is_zero
-    assert witt_one(F5).scale(2).is_zero
+    assert witt_class(gw_one(F5)).scale(2).is_zero
 
 
 from hypothesis import given, settings

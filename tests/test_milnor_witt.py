@@ -13,7 +13,7 @@ from mwslice.fields import (
     unit_mul,
 )
 from mwslice.filtration import FiltrationQuery, eta_image_subgroup
-from mwslice.forms import GWClass, fundamental_power_description, gw_of_form, form
+from mwslice.forms import GWClass, WittClass, fundamental_power_description, gw_of_form, form
 from mwslice.milnor_witt import (
     DegreeError,
     InhomogeneousError,
@@ -26,7 +26,6 @@ from mwslice.milnor_witt import (
     milnor_ambient,
     mw_eta,
     mw_int,
-    mw_product,
     mw_symbol,
     mw_unit_form,
     normal_form_from_coords,
@@ -64,7 +63,7 @@ def test_degree_grading():
     e1 = parse_expression(F7, "[2]*[3]")
     e2 = parse_expression(F7, "eta*[5]")
     assert e1.degree() == 2 and e2.degree() == 0
-    assert mw_product(e1, e2).degree() == 2
+    assert (e1 * e2).degree() == 2
 
 
 def test_inhomogeneous_rejected():
@@ -135,10 +134,9 @@ def test_theta0_inverse_round_trip():
 
 def test_to_witt_examples():
     for field in ALL_FIELDS:
-        w = to_witt(mw_eta(field))
-        from mwslice.forms import witt_one
-
-        assert w == witt_one(field)
+        # eta maps to the unit class <1> of W(F), written out in Witt coordinates
+        one = {F3: (1,), F5: (1, 0), F7: (1,), F9: (1, 0), REALS: (1,), COMPLEXES: (1,)}[field]
+        assert to_witt(mw_eta(field)) == WittClass(field, one)
     assert to_witt(parse_expression(REALS, "eta*eta*[-1]")).coords == (-2,)
     assert to_witt(parse_expression(F5, "2*eta + eta*eta*[-1]")).is_zero
     with pytest.raises(DegreeError):

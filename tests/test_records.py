@@ -1,0 +1,188 @@
+"""The library's value classes and the package's lazily resolved exports."""
+
+from __future__ import annotations
+
+import pytest
+
+import mwslice
+from mwslice import fields
+from mwslice.abelian import Ambient, QuotientShape, SubgroupDescription
+from mwslice.checks import CheckResult
+from mwslice.fields import COMPLEXES, REALS, FieldDescriptor, SquareClass, Unit, finite_field
+from mwslice.filtration import FiltrationQuery, convergence_check, filtration_report
+from mwslice.forms import GWClass, QuadraticForm, WittClass, brute_force_gw, form
+from mwslice.milnor_witt import (
+    ETA,
+    SYM,
+    MWAtom,
+    MWExpression,
+    MWMonomial,
+    MWNormalForm,
+    cartesian_check,
+)
+from mwslice.rewriting import Step, VerificationResult, derive_extended_steinberg
+from mwslice.transfers import CheckReport, FiniteExtension
+
+F3 = finite_field(3)
+F7 = finite_field(7)
+F9 = finite_field(9)
+U3 = Unit(F7, (3,))
+
+
+def every_record():
+    """One instance of each value class, by name."""
+    query = FiltrationQuery(2, 0, 0, F7)
+    return {
+        "Ambient": Ambient(1, (2,)),
+        "SubgroupDescription": SubgroupDescription(Ambient(1, (2,)), ((2, 1),)),
+        "QuotientShape": QuotientShape(0, (2,)),
+        "FieldDescriptor": F7,
+        "Unit": U3,
+        "SquareClass": SquareClass(F7, "nonsquare"),
+        "FieldModel": fields.FieldModel(F7),
+        "FiniteModel": F7.model,
+        "_RationalModel": fields._RationalModel(REALS),
+        "RealModel": REALS.model,
+        "ClosedModel": COMPLEXES.model,
+        "FiltrationQuery": query,
+        "FiltrationReport": filtration_report(query),
+        "ConvergenceReport": convergence_check(F7, 2),
+        "QuadraticForm": form(F7, 1, 3),
+        "GWClass": GWClass(F7, 2),
+        "WittClass": WittClass(F7, (1,)),
+        "BruteForceTable": brute_force_gw(F3, 2),
+        "MWAtom": MWAtom(SYM, U3),
+        "MWMonomial": MWMonomial(2, (MWAtom(ETA),)),
+        "MWExpression": MWExpression(F7, ()),
+        "MWNormalForm": MWNormalForm(F7, 1, milnor_unit=U3, ideal_bit=1),
+        "CartesianReport": cartesian_check(F3, 1),
+        "Step": Step("R-one", 0, 0, {}),
+        "Derivation": derive_extended_steinberg([Unit(F7, (3,)), Unit(F7, (5,))]),
+        "VerificationResult": VerificationResult(True),
+        "FiniteExtension": FiniteExtension(F3, F9),
+        "CheckReport": CheckReport("projection_formula", "Fq(9)/Fq(3)", True, 4),
+        "CheckResult": CheckResult("grid_law", True, 3, "ok", 0.5),
+    }
+
+
+def test_every_record_is_its_named_class():
+    records = every_record()
+    assert len(records) == 29
+    for name, obj in records.items():
+        assert type(obj).__name__ == name
+
+
+@pytest.mark.parametrize("name", sorted(every_record()))
+def test_assignment_raises(name):
+    obj = every_record()[name]
+    with pytest.raises(AttributeError):
+        obj.field = None
+    with pytest.raises(AttributeError):
+        obj.new_attribute = 1
+    with pytest.raises(AttributeError):
+        del obj.field
+
+
+# (make, the compared fields in order) for each class with field-wise equality
+HASHED = {
+    "Ambient": (lambda: Ambient(1, (2,), ("a", "b"), "A"), (1, (2,), ("a", "b"), "A")),
+    "QuotientShape": (lambda: QuotientShape(1, (2, 4)), (1, (2, 4))),
+    "FieldDescriptor": (lambda: FieldDescriptor("finite", 3, 2, (2, 2, 1)),
+                        ("finite", 3, 2, (2, 2, 1))),
+    "Unit": (lambda: Unit(F7, (3,)), (F7, (3,))),
+    "SquareClass": (lambda: SquareClass(F7, "square"), (F7, "square")),
+    "FiltrationQuery": (lambda: FiltrationQuery(3, 1, 2, F7), (3, 1, 2, F7)),
+    "QuadraticForm": (lambda: form(F7, 1, 3), (F7, (Unit(F7, (1,)), U3))),
+    "GWClass": (lambda: GWClass(F7, 2, 1), (F7, 2, 1, 0)),
+    "WittClass": (lambda: WittClass(F7, (5,)), (F7, (1,))),
+    "MWAtom": (lambda: MWAtom(SYM, Unit(F7, (3,))), (SYM, U3)),
+    "MWMonomial": (lambda: MWMonomial(2, (MWAtom(ETA),)), (2, (MWAtom(ETA),))),
+    "MWExpression": (lambda: MWExpression(F7, (MWMonomial(1, ()),)), (F7, (MWMonomial(1, ()),))),
+    "VerificationResult": (lambda: VerificationResult(False, 2, "why"), (False, 2, "why", None)),
+    "FiniteExtension": (lambda: FiniteExtension(F3, F9), (F3, F9)),
+    "CheckReport": (lambda: CheckReport("p", "e", False, 3, "y"), ("p", "e", False, 3, "y")),
+    "CheckResult": (lambda: CheckResult("n", True, 3, "d", 0.5), ("n", True, 3, "d", 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HASHED))
+def test_equal_fields_give_equal_objects_and_the_tuple_hash(name):
+    make, values = HASHED[name]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) == hash(values)
+
+
+def test_unequal_fields_give_unequal_objects():
+    assert GWClass(F7, 2) != GWClass(F7, 2, 1)
+    assert Unit(F7, (3,)) != Unit(F7, (5,))
+    assert Ambient(1) != Ambient(1, label="x")
+
+
+def test_records_of_different_classes_with_the_same_fields_differ():
+    expr, qf = MWExpression(F7, ()), QuadraticForm(F7, ())
+    assert expr != qf and qf != expr
+    assert QuotientShape(0, (2,)) != (0, (2,))
+
+
+def test_custom_equality_is_kept():
+    amb = Ambient(0, (4,))
+    assert SubgroupDescription(amb, ((2,),)) == SubgroupDescription(amb, ((6,), (2,)))
+    assert hash(SubgroupDescription(amb, ((2,),))) == hash(SubgroupDescription(amb, ((6,),)))
+    assert MWNormalForm(F7, None) == MWNormalForm(F7, 2)
+
+
+def test_models_equal_only_themselves():
+    assert F7.model == F7.model
+    assert fields.FieldModel(F7) != fields.FieldModel(F7)
+
+
+def test_keyword_construction_and_defaults():
+    assert GWClass(F7, 2) == GWClass(field=F7, rank=2, disc_dev=0, signature=0)
+    nf = MWNormalForm(F7, 1, milnor_unit=Unit(F7, (3,)), ideal_bit=1)
+    assert (nf.real_coord, nf.gw, nf.witt) == (0, None, None)
+    amb = Ambient(1, label="L")
+    assert (amb.torsion, amb.coord_names, str(amb)) == ((), ("c0",), "L")
+    assert CheckReport("n", "e", True, 0).counterexample is None
+    assert VerificationResult(ok=True).failed_step is None
+    assert FieldDescriptor("real") == REALS
+    with pytest.raises(TypeError):
+        GWClass(F7)
+
+
+def test_construction_checks_still_run():
+    with pytest.raises(ValueError):
+        GWClass(F7, 1, 0, 1)
+    with pytest.raises(ValueError):
+        Unit(F7, (7,))
+    with pytest.raises(ValueError):
+        Ambient(1, (1,))
+    with pytest.raises(ValueError):
+        FiltrationQuery(1001, 0, 0, F7)
+    with pytest.raises(ValueError):
+        FiniteExtension(F7, F9)
+
+
+def test_repr_names_the_class_and_fields():
+    assert repr(QuotientShape(1, (2,))) == "QuotientShape(free_rank=1, torsion=(2,))"
+    assert repr(Step("R-one", 0, 1, {})) == (
+        "Step(rule='R-one', term_index=0, factor_index=1, bindings={})")
+
+
+def test_exports_resolve_lazily():
+    listed = dir(mwslice)
+    for name in mwslice.__all__:
+        assert getattr(mwslice, name) is not None
+        assert name in listed
+    assert mwslice.GWClass is GWClass
+    with pytest.raises(AttributeError):
+        mwslice.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from mwslice import no_such_name  # noqa: F401
+
+
+def test_readme_import_style():
+    from mwslice import finite_field as ff, gw_of_form, parse_form, tate_filtration
+
+    assert gw_of_form(parse_form(ff(7), "<1,3>")).rank == 2
+    assert tate_filtration(FiltrationQuery(1, 0, 0, F7)).order() == 2

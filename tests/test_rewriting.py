@@ -23,7 +23,6 @@ from mwslice.rewriting import (
     _instantiate,
     apply_step,
     derivation_from_json,
-    derive_by_search,
     derive_extended_steinberg,
     verify_derivation,
 )
@@ -179,15 +178,6 @@ def test_serialization_round_trip_all_fields():
         d2 = derivation_from_json(json.loads(blob))
         assert verify_derivation(d2).ok
         assert [s.rule for s in d2.steps] == [s.rule for s in d.steps]
-
-
-def test_search_fallback_finds_short_proofs():
-    found = derive_by_search(parse_expression(F7, "[3]*[5]"), depth=8)
-    assert found is not None and verify_derivation(found).ok
-    found2 = derive_by_search(parse_expression(F7, "[2]*[5]"), depth=8)
-    assert found2 is not None and verify_derivation(found2).ok
-    # [2] alone is not derivably zero; the bounded search must give up
-    assert derive_by_search(parse_expression(F7, "[2]"), depth=4) is None
 
 
 @settings(max_examples=40, deadline=None)

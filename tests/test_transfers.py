@@ -1,18 +1,26 @@
 """Trace transfers: Gram computations, projection formula, the closure identity."""
 
 import itertools
+import json
+from math import isqrt
 
 import pytest
 
+from mwslice import transfers
+from mwslice.cli import main
 from mwslice.fields import (
     COMPLEXES,
     REALS,
+    Unit,
     canonical_nonsquare,
     enumerate_units,
     finite_field,
     one,
     square_class_bit,
     unit,
+    unit_add,
+    unit_mul,
+    unit_pow,
 )
 from mwslice.filtration import FiltrationQuery, tate_filtration
 from mwslice.forms import GWClass, gw_of_unit, gw_one, hyperbolic, witt_class
@@ -21,6 +29,7 @@ from mwslice.transfers import (
     ExtensionError,
     FiniteExtension,
     embed_unit,
+    embedding_image_of_generator,
     filtration_preservation_check,
     norm_to_base,
     p_star,
@@ -207,10 +216,67 @@ def test_non_prime_base_extension():
     F81 = finite_field(81)
     ext = FiniteExtension(F9, F81)
     assert ext.degree == 2
-    from mwslice.fields import multiplicative_generator, unit_add
+    from mwslice.fields import multiplicative_generator
 
     b = multiplicative_generator(F9)
     t = trace_to_base(ext, embed_unit(ext, b))
     assert t == unit_add(b, b)
     assert transfer_of_unit_form(ext, one(F81)).rank == 2
     assert projection_formula_check(ext, 2).ok
+
+
+def _exhaustive_root(ext: FiniteExtension):
+    """The root search the subfield search replaced: every unit of the top
+    field, by increasing encoding, until one is a root of the base modulus."""
+    top = ext.top
+    for code in range(1, top.order):
+        x = Unit(top, tuple(code // top.p**i % top.p for i in range(top.degree)))
+        value = None
+        for i, c in enumerate(ext.base.modulus):
+            if c % top.p:
+                term = unit_mul(unit(top, c), unit_pow(x, i))
+                value = term if value is None else unit_add(value, term)
+        if value is None:
+            return x
+    raise AssertionError(f"no root in {top}")
+
+
+def _proper_extensions(max_order: int):
+    """Every F_{p^d}/F_{p^e} with 2 <= e < d and p^d <= max_order, default moduli."""
+    for p in range(3, isqrt(max_order) + 1, 2):
+        if any(p % r == 0 for r in range(3, isqrt(p) + 1, 2)):
+            continue
+        d = 3
+        while p**d <= max_order:
+            for e in range(2, d):
+                if d % e == 0:
+                    yield FiniteExtension(finite_field(p**e), finite_field(p**d))
+            d += 1
+
+
+def test_subfield_root_search_matches_the_exhaustive_one():
+    exts = list(_proper_extensions(15625))
+    assert {(e.top.order, e.base.order) for e in exts} == {
+        (81, 9), (729, 9), (729, 27), (6561, 9), (6561, 81), (625, 25), (15625, 25),
+        (15625, 125), (2401, 49), (14641, 121)}
+    exts += [FiniteExtension(finite_field(9, (2, 1, 1)), finite_field(81))]
+    exts += [FiniteExtension(finite_field(q), finite_field(q)) for q in (9, 25, 27, 243, 729)]
+    for ext in exts:
+        assert embedding_image_of_generator(ext) == _exhaustive_root(ext), ext
+
+
+def test_largest_extension_never_enumerates_its_top_field(monkeypatch, capsys):
+    real = transfers.enumerate_units
+
+    def refuse_top(field):
+        assert field.order != 531441, "enumerated the units of the top field"
+        return real(field)
+
+    monkeypatch.setattr(transfers, "enumerate_units", refuse_top)
+    code = main(["--output", "json", "transfer", "--ext", "Fq(531441)/Fq(729)",
+                 "--form", "<1,g>"])
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    # a quadratic extension takes <g^k> to a rank-2 form of discriminant dev 1 + k
+    ks = (0, 1)
+    assert (result["rank"], result["disc_dev"]) == (2 * len(ks), sum(1 + k for k in ks) % 2)
