@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -139,30 +139,19 @@ def hnf(rows: Iterable[Sequence[int]], dim: int) -> list[list[int]]:
             pivot = [-x for x in pivot]
         basis.append(pivot)
         col += 1
-    # reduce entries above each pivot
-    for i in range(len(basis) - 1, -1, -1):
-        pcol = next(j for j in range(dim) if basis[i][j] != 0)
-        for k in range(i):
-            f = basis[k][pcol] // basis[i][pcol]
+    # reduce the entries above each pivot into [0, pivot); top-down, since
+    # reducing by a row changes only the columns from its pivot on
+    for i, row in enumerate(basis):
+        pcol = next(j for j in range(dim) if row[j] != 0)
+        for above in basis[:i]:
+            f = above[pcol] // row[pcol]
             if f:
                 for j in range(dim):
-                    basis[k][j] -= f * basis[i][j]
+                    above[j] -= f * row[j]
     return basis
 
 
-def lattice_contains(basis: list[list[int]], v: Sequence[int]) -> bool:
-    """Membership of v in the lattice spanned by HNF basis rows."""
-    rem = list(v)
-    for row in basis:
-        pcol = next(j for j, x in enumerate(row) if x != 0)
-        if rem[pcol] % row[pcol] == 0:
-            f = rem[pcol] // row[pcol]
-            for j in range(len(rem)):
-                rem[j] -= f * row[j]
-    return not any(rem)
-
-
-def solve_in_basis(basis: list[list[int]], v: Sequence[int]) -> list[int] | None:
+def solve_in_basis(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None:
     """Integer coordinates of v in the (HNF) basis, or None."""
     rem = list(v)
     coords = []
@@ -256,7 +245,7 @@ class SubgroupDescription(Record):
         return self._basis
 
     def contains(self, v: Sequence[int]) -> bool:
-        return lattice_contains([list(r) for r in self._basis], self.ambient.reduce(v))
+        return solve_in_basis(self._basis, self.ambient.reduce(v)) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubgroupDescription):
@@ -277,57 +266,45 @@ class SubgroupDescription(Record):
 
     @property
     def is_zero(self) -> bool:
-        return self == zero_subgroup(self.ambient)
+        return self.order() == 1
 
     def order(self) -> int | None:
         """Order of the subgroup, or None if infinite.
 
-        A finite subgroup lies in the torsion part, where its lattice contains
-        the relation lattice; the order is the index of the one in the other,
-        prod(torsion moduli) / prod(HNF pivots).
+        Every torsion column has a pivot (the lattice contains the relation
+        vectors), so a further basis row has its pivot in a free column.  The
+        order of a finite subgroup is the index of the relation lattice in its
+        own, prod(torsion moduli) / prod(HNF pivots).
         """
-        f = self.ambient.free_rank
-        if any(any(g[:f]) for g in self.generators):
+        torsion, f = self.ambient.torsion, self.ambient.free_rank
+        if len(self._basis) > len(torsion):
             return None
-        out = 1
-        for d in self.ambient.torsion:
-            out *= d
-        for row in self._basis:
-            out //= next(x for x in row if x)
-        return out
+        return prod(torsion) // prod(row[f + i] for i, row in enumerate(self._basis))
 
     def elements(self) -> list[Vec]:
-        """All elements of a finite subgroup, sorted, by closure under the generators."""
-        f = self.ambient.free_rank
-        gens = [g for g in self.generators if any(g)]
-        if any(any(g[:f]) for g in gens):
+        """All elements of a finite subgroup, sorted.
+
+        They are the sums of a_i * row_i with 0 <= a_i < d_i / pivot_i, where
+        row_i is the basis row with its pivot in the column of modulus d_i.
+        """
+        if self.order() is None:
             raise ValueError("cannot enumerate a subgroup with free directions")
-        seen = {(0,) * self.ambient.dim}
-        frontier = list(seen)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.ambient.reduce(tuple(a + b for a, b in zip(x, g)))
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return sorted(seen)
+        amb, rows, f = self.ambient, self._basis, self.ambient.free_rank
+        ranges = [range(d // row[f + i]) for i, (d, row) in enumerate(zip(amb.torsion, rows))]
+        return sorted(
+            amb.reduce([sum(a * row[j] for a, row in zip(coeffs, rows)) for j in range(amb.dim)])
+            for coeffs in itertools.product(*ranges)
+        )
 
     def index_in_saturation(self) -> int:
-        """Product of the elementary divisors of the generator matrix.
+        """Product of the elementary divisors of the basis.
 
-        For a rank-one sublattice k*Z of a coordinate line this is |k|, the
+        That is the index of the lattice in its saturation.  For a rank-one
+        sublattice k*Z of a coordinate line of a free ambient it is |k|, the
         ideal generator (e.g. 2^(n-1) for the n-th fundamental power over the
         reals in the index coordinate).
         """
-        rows = [list(g) for g in self.generators if any(g)]
-        if not rows:
-            return 1
-        divisors = smith_normal_form(rows, self.ambient.dim)
-        out = 1
-        for d in divisors:
-            out *= d
-        return out
+        return prod(smith_normal_form(self._basis, self.ambient.dim))
 
     def order_or_index(self) -> str | tuple[str, int]:
         if self.is_zero:
@@ -343,14 +320,9 @@ class SubgroupDescription(Record):
         """Shape of self/other for other <= self."""
         if not other <= self:
             raise ValueError("quotient requires a contained subgroup")
-        big = [list(r) for r in self._basis]
-        small = self.ambient.relation_rows() + [list(g) for g in other.generators]
-        coords = []
-        for row in small:
-            c = solve_in_basis(big, row)
-            assert c is not None
-            coords.append(c + [0] * (len(big) - len(c)))
-        divisors = smith_normal_form(coords, len(big)) if big else []
+        big = self._basis
+        coords = [solve_in_basis(big, row) for row in other._basis]
+        divisors = smith_normal_form(coords, len(big))
         free = len(big) - len(divisors)
         torsion = tuple(d for d in divisors if d > 1)
         return QuotientShape(free, torsion)

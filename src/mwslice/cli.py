@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -227,7 +226,7 @@ def cmd_transfer(args) -> int:
 def cmd_check_all(args) -> int:
     from mwslice import checks
 
-    profile = args.profile or os.environ.get("MW_SLICE_PROFILE", "quick")
+    profile = args.profile
     results = checks.run_all(profile)
     lines = [r.line(with_timing=(profile == "full")) for r in results]
     ok = all(r.ok for r in results)
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=("projection",))
     p.add_argument("--rank-bound", type=int, default=4)
     p = _command(sub, "check-all", cmd_check_all, "run the acceptance suite", field=False)
-    p.add_argument("--profile", choices=("quick", "full"))
+    p.add_argument("--profile", choices=("quick", "full"), default="quick")
     return parser
 
 

@@ -14,8 +14,8 @@ Every :class:`FieldDescriptor` carries one frozen model object for its family
 the descriptor.  The model is the one place where per-family facts live: unit
 arithmetic and square classes, the GW and W coordinates from the
 classification of forms (Lam, *Introduction to Quadratic Forms over Fields*,
-ch. II-III), the generators of I^n, the K^MW and K^M coordinates in positive
-degree with the eta action, and the convergence certificate.  Model methods
+ch. II-III), the generators of I^n, the K^MW coordinates in positive degree
+with the eta action, and the convergence certificate.  Model methods
 speak in units, integers, coordinate tuples and :class:`Ambient` groups; the
 forms, milnor_witt and filtration modules wrap them in their own classes.
 """
@@ -103,21 +103,9 @@ def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
         return True
     for e in range(1, d // 2 + 1):
         for coeffs in itertools.product(range(p), repeat=e):
-            if _pdivides(list(coeffs) + [1], modulus, p):
+            if not _prem(modulus, list(coeffs) + [1], p):
                 return False
     return True
-
-
-def _pdivides(divisor: Sequence[int], poly: Sequence[int], p: int) -> bool:
-    rem = list(_ptrim(poly))
-    dd = len(divisor) - 1
-    while len(rem) - 1 >= dd and rem:
-        lead = rem[-1] % p
-        shift = len(rem) - 1 - dd
-        for i in range(dd + 1):
-            rem[shift + i] = (rem[shift + i] - lead * divisor[i]) % p
-        rem = list(_ptrim(rem))
-    return not rem
 
 
 @lru_cache(maxsize=None)
@@ -533,17 +521,12 @@ class FiniteModel(FieldModel):
     def witt_str(self, coords) -> str:
         return f"{coords[0]} in Z/4" if self._z4 else f"{coords} in Z/2+Z/2"
 
-    # -- K^MW_m and K^M_m, m >= 1: K^MW_1 = F_q^x by log_g, zero from m = 2 --------
+    # -- K^MW_m, m >= 1: K^MW_1 = F_q^x by log_g, zero from m = 2 --------------------
 
     def kmw_ambient(self, m: int) -> Ambient:
         if m >= 2:
             return Ambient(0, (), (), f"K^MW_{m}({self.field}) = 0")
         return Ambient(0, (self.order - 1,), ("log_g",), f"K^MW_1({self.field})")
-
-    def milnor_ambient(self, m: int) -> Ambient:
-        if m == 1:
-            return Ambient(0, (self.order - 1,), ("log_g",), f"K^M_1({self.field})")
-        return Ambient(0, (), (), f"K^M_{m}({self.field}) = 0")
 
     def check_kmw(self, nf) -> None:
         if nf.degree != 1:
@@ -706,9 +689,6 @@ class RealModel(_RationalModel):
     def kmw_ambient(self, m: int) -> Ambient:
         return Ambient(1, (), ("c",), f"K^MW_{m}(R) mod divisible")
 
-    def milnor_ambient(self, m: int) -> Ambient:
-        return Ambient(0, (2,), ("sign",), f"K^M_{m}(R) mod divisible")
-
     def kmw_coords(self, nf) -> tuple[int, ...]:
         return (nf.real_coord,)
 
@@ -783,9 +763,6 @@ class ClosedModel(_RationalModel):
 
     def kmw_ambient(self, m: int) -> Ambient:
         return Ambient(0, (), (), f"K^MW_{m}(C) ideal part = 0")
-
-    def milnor_ambient(self, m: int) -> Ambient:
-        return Ambient(0, (), (), f"K^M_{m}(C) mod divisible = 0")
 
     def kmw_coords(self, nf) -> tuple[int, ...]:
         return ()

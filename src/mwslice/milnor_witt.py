@@ -437,15 +437,6 @@ def kmw_generating_expressions(field: FieldDescriptor, m: int) -> tuple[MWExpres
 # -- Milnor K-theory of the implemented fields ----------------------------------
 
 
-def milnor_ambient(field: FieldDescriptor, m: int) -> Ambient:
-    """K^M_m coordinates (finite fields exactly; R and C modulo divisible)."""
-    if m < 0:
-        raise ValueError("Milnor K-theory lives in degrees >= 0")
-    if m == 0:
-        return Ambient(1, (), ("n",), f"K^M_0({field})")
-    return field.model.milnor_ambient(m)
-
-
 @lru_cache(maxsize=None)
 def k2_brute_force_order(field: FieldDescriptor) -> int:
     """Order of K^M_2(F_q) computed from the Steinberg presentation.

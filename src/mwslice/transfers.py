@@ -2,8 +2,8 @@
 
 The transfer functional is the field trace (the Scharlau transfer): a rank-one
 generator <a> over the top field maps to the class of the symmetric matrix
-Tr(a x_i x_j) over a basis of the extension, diagonalized by exact symmetric
-Gauss reduction.  Only properties the underlying theorems assert of the
+Tr(a x_i x_j) over a basis of the extension, read off its rank and the square
+class of its determinant.  Only properties the underlying theorems assert of the
 geometric transfer are tested (projection formula, filtration preservation,
 the closure identity); no equality with any other construction is claimed.
 
@@ -46,7 +46,6 @@ from mwslice.forms import (
     gw_generators,
     gw_of_unit,
     gw_one,
-    gw_zero,
     hyperbolic,
     witt_class,
 )
@@ -183,84 +182,53 @@ def trace_to_base(ext: FiniteExtension, z: Unit | None) -> Unit | None:
     return table[acc]
 
 
-def _symmetric_diagonalize(field: FieldDescriptor, gram: list[list[Unit | None]]) -> list[Unit]:
-    """Exact congruence diagonalization of a symmetric matrix over F_q."""
-    n = len(gram)
-    m = [row[:] for row in gram]
-    diag: list[Unit] = []
-    rows = list(range(n))
+def _determinant(field: FieldDescriptor, mat: list[list[Unit | None]]) -> Unit:
+    """Determinant over a finite field (None is 0) by Gaussian elimination.
 
-    def addmul(i: int, j: int, c: Unit) -> None:
-        # row_i += c * row_j and col_i += c * col_j
-        for k in range(n):
-            term = None if m[j][k] is None else unit_mul(c, m[j][k])
-            m[i][k] = term if m[i][k] is None else (
-                m[i][k] if term is None else unit_add(m[i][k], term)
-            )
-        for k in range(n):
-            term = None if m[k][j] is None else unit_mul(c, m[k][j])
-            m[k][i] = term if m[k][i] is None else (
-                m[k][i] if term is None else unit_add(m[k][i], term)
-            )
-
-    idx = 0
-    while idx < n:
-        if m[idx][idx] is None:
-            pivot = next(
-                (j for j in range(idx + 1, n) if m[idx][j] is not None), None
-            )
-            if pivot is None:
-                raise ExtensionError("degenerate trace form: zero row encountered")
-            # adding +/- row pivot puts +/-2*m[idx][pivot] + m[pivot][pivot] on
-            # the diagonal; in odd characteristic at least one sign is nonzero
-            two_off = unit_add(m[idx][pivot], m[idx][pivot])
-            plus = (
-                two_off
-                if m[pivot][pivot] is None
-                else unit_add(two_off, m[pivot][pivot])
-            )
-            c = one(field) if plus is not None else unit_neg(one(field))
-            addmul(idx, pivot, c)
-        a = m[idx][idx]
-        diag.append(a)
-        inv = unit_inv(a)
-        for j in range(idx + 1, n):
-            if m[idx][j] is None:
+    A singular matrix raises ExtensionError: a trace form is nondegenerate.
+    """
+    m = [row[:] for row in mat]
+    n, det = len(m), one(field)
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if m[r][i] is not None), None)
+        if pivot is None:
+            raise ExtensionError("degenerate trace form: singular Gram matrix")
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            det = unit_neg(det)
+        det = unit_mul(det, m[i][i])
+        inv = unit_inv(m[i][i])
+        for r in range(i + 1, n):
+            if m[r][i] is None:
                 continue
-            c = unit_neg(unit_mul(m[idx][j], inv))
-            addmul(j, idx, c)
-        idx += 1
-    return diag
+            c = unit_neg(unit_mul(m[r][i], inv))
+            for k in range(i + 1, n):
+                if m[i][k] is not None:
+                    term = unit_mul(c, m[i][k])
+                    m[r][k] = term if m[r][k] is None else unit_add(m[r][k], term)
+    return det
 
 
 @lru_cache(maxsize=None)
 def transfer_of_unit_form(ext: FiniteExtension, a: Unit) -> GWClass:
-    """Scharlau transfer of the rank-one form <a> along the field trace."""
+    """Scharlau transfer of the rank-one form <a> along the field trace.
+
+    Over F_q a form is classified by its rank and the square class of its
+    determinant.  In the basis 1, X, ..., X^(d-1) of the top field over the
+    base (X the polynomial class) the Gram matrix Tr(a X^(i+j)) is Hankel:
+    2d - 1 traces fill it, and one elimination over the base gives its
+    determinant.
+    """
     if not ext.base.is_finite:
         return hyperbolic(ext.base)  # Gram of Tr(a x y) in basis {1, i} is hyperbolic
-    d = ext.degree
-    x = _top_power_basis(ext)
-    gram: list[list[Unit | None]] = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            row.append(trace_to_base(ext, unit_mul(a, unit_mul(x[i], x[j]))))
-        gram.append(row)
-    diag = _symmetric_diagonalize(ext.base, gram)
-    out = gw_zero(ext.base)
-    for entry in diag:
-        out = out + gw_of_unit(entry)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _top_power_basis(ext: FiniteExtension) -> tuple[Unit, ...]:
-    """Power basis 1, X, ..., X^{d-1} of top over base (X the polynomial class)."""
-    d = ext.degree
-    if ext.top.degree == 1:
-        return (one(ext.top),)
-    xgen = Unit(ext.top, (0, 1) + (0,) * (ext.top.degree - 2))
-    return tuple(unit_pow(xgen, i) if i else one(ext.top) for i in range(d))
+    d, top = ext.degree, ext.top
+    x = Unit(top, (0, 1) + (0,) * (top.degree - 2)) if top.degree > 1 else one(top)
+    traces, z = [], a
+    for _ in range(2 * d - 1):
+        traces.append(trace_to_base(ext, z))
+        z = unit_mul(z, x)
+    det = _determinant(ext.base, [traces[i:i + d] for i in range(d)])
+    return GWClass(ext.base, d, square_class_bit(det))
 
 
 def trace_transfer_gw(ext: FiniteExtension, x: GWClass) -> GWClass:

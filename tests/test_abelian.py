@@ -31,6 +31,27 @@ def test_hnf_reduces_above_pivot():
     assert hnf([[1, 5], [0, 3]], 2) == [[1, 2], [0, 3]]
 
 
+def test_equal_lattices_get_one_basis_in_dimension_three():
+    # the canonical basis has every entry above a pivot in [0, pivot)
+    amb = Ambient(3)
+    a = SubgroupDescription(amb, ((1, 3, 0), (0, 2, 2), (0, 0, 3)))
+    b = SubgroupDescription(amb, ((1, 1, 1), (0, 2, 2), (0, 0, 3)))
+    assert a.basis == b.basis == ((1, 1, 1), (0, 2, 2), (0, 0, 3))
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+def test_index_does_not_depend_on_the_generators():
+    # the index is an invariant of the lattice, not of its generating set
+    amb = Ambient(1, (2,))
+    a = SubgroupDescription(amb, ((2, 1),))
+    b = SubgroupDescription(amb, ((4, 0), (2, 1)))
+    assert a == b
+    assert a.index_in_saturation() == b.index_in_saturation() == 4
+    assert str(a) == str(b)
+    assert str(a).endswith("(index 4)")
+
+
 def test_smith_normal_form_known():
     assert smith_normal_form([[2, 0], [0, 3]], 2) == [1, 6]
     assert smith_normal_form([[2, 4], [4, 8]], 2) == [2]
@@ -129,3 +150,64 @@ def test_lattice_membership_properties(gens, probe, extra):
         assert sub.contains((-probe[0], -probe[1]))
     bigger = SubgroupDescription(GW_R, tuple(gens) + (probe,))
     assert sub <= bigger
+
+
+def _closure(ambient, gens):
+    """Every element reachable from 0 by adding generators (a finite ambient part)."""
+    seen = {ambient.reduce((0,) * ambient.dim)}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = ambient.reduce(tuple(a + b for a, b in zip(x, g)))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+@st.composite
+def ambients_and_generators(draw):
+    dim = draw(st.integers(1, 3))
+    free = draw(st.integers(0, dim))
+    torsion = tuple(draw(st.lists(st.integers(2, 6), min_size=dim - free, max_size=dim - free)))
+    ambient = Ambient(free, torsion)
+    # free coordinates are often zero, so finite subgroups of mixed ambients occur
+    free_part = st.one_of(st.just((0,) * free), st.tuples(*[st.integers(-4, 4)] * free))
+    vec = st.builds(lambda f, t: f + t, free_part, st.tuples(*[st.integers(-6, 6)] * (dim - free)))
+    gens = tuple(draw(st.lists(vec, max_size=4)))
+    return ambient, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=ambients_and_generators(), mix=st.lists(st.integers(-3, 3), min_size=24, max_size=24))
+def test_subgroup_answers_depend_only_on_the_lattice(data, mix):
+    ambient, gens = data
+    sub = SubgroupDescription(ambient, gens)
+    # another generating set of the same lattice: add to each generator in turn
+    # multiples of the (already changed) others and of the torsion relations
+    k = iter(mix)
+    other = [list(g) for g in gens]
+    for i in range(len(other)):
+        for h in [other[j] for j in range(len(other)) if j != i] + ambient.relation_rows():
+            c = next(k)
+            other[i] = [a + c * b for a, b in zip(other[i], h)]
+    same = SubgroupDescription(ambient, tuple(tuple(v) for v in reversed(other)))
+    assert same == sub
+    assert hash(same) == hash(sub)
+    assert str(same) == str(sub)
+    assert same.describe() == sub.describe()
+
+    finite = not any(any(ambient.reduce(g)[:ambient.free_rank]) for g in gens)
+    assert (sub.order() is not None) == finite
+    if not finite:
+        return
+    closure = _closure(ambient, gens)
+    assert sub.elements() == sorted(closure)
+    assert sub.order() == len(closure)
+    assert sub.is_zero == (len(closure) == 1)
+    probes = itertools.product(
+        *[range(-2, 3)] * ambient.free_rank, *[range(d) for d in ambient.torsion]
+    )
+    for v in probes:
+        assert sub.contains(v) == (v in closure)

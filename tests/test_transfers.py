@@ -105,6 +105,18 @@ def test_rank_multiplies_by_degree():
             assert transfer_of_unit_form(ext, a).rank == ext.degree
 
 
+@pytest.mark.parametrize("top_q,base_q", [(9, 3), (27, 3), (25, 5), (49, 7), (81, 3), (81, 9)])
+def test_trace_form_class_matches_discriminant_formula(top_q, base_q):
+    # Over F_q a form is classified by rank and discriminant.  disc Tr<a> is
+    # N(a) * disc Tr<1>, the norm preserves square classes, and disc Tr<1> is
+    # a square exactly when the degree d is odd.
+    ext = FiniteExtension(finite_field(base_q), finite_field(top_q))
+    d = ext.degree
+    for a in enumerate_units(ext.top):
+        expected = GWClass(ext.base, d, (square_class_bit(a) + (d % 2 == 0)) % 2)
+        assert transfer_of_unit_form(ext, a) == expected, a
+
+
 def test_transfer_additivity():
     for ext in (EXT_93, EXT_255):
         box = [GWClass(ext.top, r, d) for r in range(-2, 3) for d in (0, 1)]
