@@ -126,11 +126,12 @@ def check_real_ideal_ladder(profile: str = "full") -> CheckResult:
             return run.fail(f"descriptor mismatch at n={n}")
         if desc.index_in_saturation() != 1 << (n - 1):
             return run.fail(f"ideal generator != 2^{n-1}")
-        sig_in = GWClass(REALS, 0, 0, 1 << n)
-        sig_out = GWClass(REALS, 0, 0, (1 << n) - 2) if n >= 2 else None
-        if not desc.contains(sig_in.coords()):
+        # rank 0 and signature s: index -s/2
+        sig_in = GWClass(REALS, (0, -(1 << n) // 2))
+        sig_out = GWClass(REALS, (0, 1 - (1 << n) // 2)) if n >= 2 else None
+        if not desc.contains(sig_in.coords):
             return run.fail(f"2^{n} signature missing at n={n}")
-        if sig_out is not None and desc.contains(sig_out.coords()):
+        if sig_out is not None and desc.contains(sig_out.coords):
             return run.fail(f"spurious element at n={n}")
     return run.passed("I(R)^n ladder exact for n = 0..12")
 
@@ -326,7 +327,7 @@ def check_oracle_equivalence(profile: str = "full") -> CheckResult:
             if table.class_count(rank) != expected:
                 return run.fail(f"q={q} rank {rank}: {table.class_count(rank)} classes")
         for cls in table.classes:
-            invariants = {gw_of_form(rep_form(field, bits)).coords() for bits in cls}
+            invariants = {gw_of_form(rep_form(field, bits)).coords for bits in cls}
             run.cases += 1
             if len(invariants) != 1:
                 return run.fail(f"q={q}: invariants not constant on a class")

@@ -26,7 +26,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import ClassVar, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from mwslice.abelian import Ambient, Record
 
@@ -276,18 +276,17 @@ def square_class_bit(a: Unit) -> int:
 class FieldModel(Record):
     """The facts of one field family; this base holds what the families share.
 
-    GW classes are read through (rank, disc_dev, signature): the rank plus
-    the family's extra invariant, disc_dev over F_q and the signature over R.
-    Positive-degree K^MW normal forms are read through milnor_unit, ideal_bit
-    and real_coord; models return keyword arguments for new normal forms.
-    A model equals only itself.
+    GW classes are coordinate vectors in ``gw_ambient``: the rank, then (over
+    F_q and R) the count c of e = <u> - <1> for the generator unit u, which is
+    g over F_q and -1 over R; ``gw_invariants`` reads the family's named
+    invariant off them.  Positive-degree K^MW normal forms are read through
+    milnor_unit, ideal_bit and real_coord; models return keyword arguments
+    for new normal forms.  A model equals only itself.
     """
 
     _fields = ("field",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    extra_invariant: ClassVar[str | None] = None
 
     def __init__(self, field: FieldDescriptor) -> None:
         _set(self, "field", field)
@@ -299,9 +298,9 @@ class FieldModel(Record):
         """Extra CLI line for I^n = F^n pi_(0,0); only R has an infinite ladder."""
         return None
 
-    def gw_display(self, x) -> dict:
-        name = self.extra_invariant
-        return {name: getattr(x, name)} if name else {}
+    def gw_invariants(self, coords) -> dict:
+        """The invariants past the rank of the GW class with these coordinates."""
+        return {}
 
     @cached_property
     def gw_ambient(self) -> Ambient:
@@ -325,8 +324,6 @@ class FiniteModel(FieldModel):
     model's methods.
     """
 
-    extra_invariant = "disc_dev"
-    one_invariants = (0, 0)
     gw_shape = (1, (2,), ("rank", "disc_dev"))
     certificate = "I^2 = 0"
     vanishing_power = 2
@@ -481,17 +478,8 @@ class FiniteModel(FieldModel):
 
     # -- GW and W ----------------------------------------------------------------
 
-    def unit_invariants(self, u: Unit) -> tuple[int, int]:
-        return (square_class_bit(u), 0)
-
-    def is_gw(self, rank: int, disc_dev: int, signature: int) -> bool:
-        return disc_dev in (0, 1) and not signature
-
-    def gw_coords(self, x) -> tuple[int, ...]:
-        return (x.rank, x.disc_dev)
-
-    def gw_from_coords(self, coords) -> tuple[int, int, int]:
-        return (coords[0], coords[1] % 2, 0)
+    def gw_invariants(self, coords) -> dict:
+        return {"disc_dev": coords[1]}
 
     def gw_generator_units(self) -> tuple[Unit, ...]:
         """Units u such that <1> and the <u> generate GW; g is a nonsquare."""
@@ -509,14 +497,11 @@ class FiniteModel(FieldModel):
     def witt_shape(self) -> tuple:
         return (0, (4,), ("w",)) if self._z4 else (0, (2, 2), ("rank2", "disc_dev"))
 
-    def witt_coords(self, x) -> tuple[int, ...]:
-        return (x.rank + 2 * x.disc_dev,) if self._z4 else (x.rank, x.disc_dev)
+    def witt_coords(self, gw) -> tuple[int, ...]:
+        return (gw[0] + 2 * gw[1],) if self._z4 else gw
 
-    def witt_lift(self, coords) -> tuple[int, int, int]:
-        if self._z4:
-            v = coords[0]
-            return (v % 2, (v - v % 2) // 2 % 2, 0)
-        return (coords[0], coords[1], 0)
+    def witt_lift(self, coords) -> tuple[int, int]:
+        return (coords[0] % 2, coords[0] // 2) if self._z4 else coords
 
     def witt_str(self, coords) -> str:
         return f"{coords[0]} in Z/4" if self._z4 else f"{coords} in Z/2+Z/2"
@@ -558,7 +543,7 @@ class FiniteModel(FieldModel):
     def kmw_from_coords(self, m: int, coords) -> dict:
         if m >= 2:
             return {}
-        u = enumerate_units(self.field)[coords[0] % (self.order - 1)]
+        u = self.generator_power(coords[0])
         return {"milnor_unit": u, "ideal_bit": square_class_bit(u)}
 
     def kmw_normalize(self, d: int, terms, gw_part) -> dict:
@@ -578,7 +563,7 @@ class FiniteModel(FieldModel):
         return {} if m > 2 else {"milnor_unit": self.one(), "ideal_bit": 0}
 
     def eta_to_gw(self, nf) -> tuple[int, int]:
-        return (nf.ideal_bit, 0)
+        return (0, nf.ideal_bit)
 
     def level_generators(self, N: int) -> tuple[tuple[int, ...], ...]:
         """K^MW_m I^N for m, N >= 1 in degree-m coordinates: I^(N+m) = 0."""
@@ -638,16 +623,14 @@ class _RationalModel(FieldModel):
 
 
 class RealModel(_RationalModel):
-    """A real closed field: GW = (rank, signature), W = Z by the signature.
+    """A real closed field: GW = Z^2 by (rank, index), W = Z by the signature.
 
-    The free basis used for lattice work is (rank, index) with
-    index = (rank - signature)/2.  I^n is detected by the signature, and
-    K^MW_m, m >= 1, is kept modulo its uniquely divisible part: c * [-1]^m.
+    The index counts <-1> - <1>, so signature = rank - 2 index.  I^n is
+    detected by the signature, and K^MW_m, m >= 1, is kept modulo its
+    uniquely divisible part: c * [-1]^m.
     """
 
     name = "R"
-    extra_invariant = "signature"
-    one_invariants = (0, 1)
     gw_shape = (2, (), ("rank", "index"))
     witt_shape = (1, (), ("signature",))
     certificate = "nonzero signatures have bounded dyadic valuation"
@@ -656,18 +639,8 @@ class RealModel(_RationalModel):
     def square_class_label(self, a: Unit) -> str:
         return "positive" if a.value > 0 else "negative"
 
-    def unit_invariants(self, u: Unit) -> tuple[int, int]:
-        return (0, 1 if u.value > 0 else -1)
-
-    def is_gw(self, rank: int, disc_dev: int, signature: int) -> bool:
-        return not disc_dev and (rank - signature) % 2 == 0
-
-    def gw_coords(self, x) -> tuple[int, ...]:
-        return (x.rank, (x.rank - x.signature) // 2)
-
-    def gw_from_coords(self, coords) -> tuple[int, int, int]:
-        rank, idx = coords
-        return (rank, 0, rank - 2 * idx)
+    def gw_invariants(self, coords) -> dict:
+        return {"signature": coords[0] - 2 * coords[1]}
 
     def gw_generator_units(self) -> tuple[Unit, ...]:
         return (self.coerce(-1),)
@@ -676,12 +649,12 @@ class RealModel(_RationalModel):
         # generator <<-1,...,-1>> has signature (-2)^n, i.e. index 2^(n-1)
         return ((0, 1 << (n - 1)),)
 
-    def witt_coords(self, x) -> tuple[int, ...]:
-        return (x.signature,)
+    def witt_coords(self, gw) -> tuple[int, ...]:
+        return (gw[0] - 2 * gw[1],)
 
-    def witt_lift(self, coords) -> tuple[int, int, int]:
+    def witt_lift(self, coords) -> tuple[int, int]:
         s = coords[0]
-        return (abs(s), 0, s)
+        return (abs(s), (abs(s) - s) // 2)
 
     def witt_str(self, coords) -> str:
         return f"signature {coords[0]}"
@@ -708,7 +681,7 @@ class RealModel(_RationalModel):
         return {"real_coord": -2 * nf.real_coord}
 
     def eta_to_gw(self, nf) -> tuple[int, int]:
-        return (0, -2 * nf.real_coord)
+        return (0, nf.real_coord)
 
     def level_generators(self, N: int) -> tuple[tuple[int, ...], ...]:
         return ((1 << N,),)
@@ -725,7 +698,6 @@ class ClosedModel(_RationalModel):
     """
 
     name = "C"
-    one_invariants = (0, 0)
     gw_shape = (1, (), ("rank",))
     witt_shape = (0, (2,), ("rank2",))
     certificate = "I = 0"
@@ -734,29 +706,17 @@ class ClosedModel(_RationalModel):
     def square_class_label(self, a: Unit) -> str:
         return "trivial"
 
-    def unit_invariants(self, u: Unit) -> tuple[int, int]:
-        return (0, 0)
-
-    def is_gw(self, rank: int, disc_dev: int, signature: int) -> bool:
-        return not (disc_dev or signature)
-
-    def gw_coords(self, x) -> tuple[int, ...]:
-        return (x.rank,)
-
-    def gw_from_coords(self, coords) -> tuple[int, int, int]:
-        return (coords[0], 0, 0)
-
     def gw_generator_units(self) -> tuple[Unit, ...]:
         return ()
 
     def ideal_generators(self, n: int) -> tuple[tuple[int, ...], ...]:
         return ()
 
-    def witt_coords(self, x) -> tuple[int, ...]:
-        return (x.rank,)
+    def witt_coords(self, gw) -> tuple[int, ...]:
+        return gw
 
-    def witt_lift(self, coords) -> tuple[int, int, int]:
-        return (coords[0], 0, 0)
+    def witt_lift(self, coords) -> tuple[int]:
+        return coords
 
     def witt_str(self, coords) -> str:
         return f"{coords[0]} in Z/2"
@@ -776,8 +736,8 @@ class ClosedModel(_RationalModel):
     def eta_kmw(self, nf, m: int) -> dict:
         return {}
 
-    def eta_to_gw(self, nf) -> tuple[int, int]:
-        return (0, 0)
+    def eta_to_gw(self, nf) -> tuple[int]:
+        return (0,)
 
     def level_generators(self, N: int) -> tuple[tuple[int, ...], ...]:
         return ()
@@ -812,11 +772,6 @@ def multiplicative_generator(field: FieldDescriptor) -> Unit:
         if all(model.carrier_pow(c, k) != e for k in exponents):
             return Unit(field, c)
     raise RuntimeError("no multiplicative generator found")
-
-
-@lru_cache(maxsize=None)
-def canonical_nonsquare(field: FieldDescriptor) -> Unit:
-    return multiplicative_generator(field)
 
 
 @lru_cache(maxsize=None)

@@ -1,17 +1,22 @@
-"""Grothendieck-Witt and Witt ring arithmetic via complete invariants.
+"""Grothendieck-Witt and Witt ring arithmetic on coordinate vectors.
 
-Coordinates per field family (the facts live on ``field.model``):
+Over every supported field GW(F) is generated by <1> and, except over C,
+e = <u> - <1> for one generator unit u (g over F_q, -1 over R), with
+<u>^2 = <1> and so e^2 = -2e (Lam, *Introduction to Quadratic Forms over
+Fields*, ch. II).  A GW class is its coordinate vector (rank, c) for
+(rank - c)<1> + c<u>, reduced in ``field.model.gw_ambient``:
 
-* finite F_q:  GW = (rank, disc_dev) in Z x Z/2, where disc_dev is the square
-  class of the product of diagonal entries (deviation from the all-<1> form of
-  the same rank).  W is Z/4 for q = 3 mod 4, Z/2 x Z/2 for q = 1 mod 4.
-* real closed: GW = (rank, signature) with rank = signature mod 2; W = Z via
-  the signature.  The free basis used for lattice work is (rank, index) with
-  index = (rank - signature)/2.
-* quadratically closed: GW = rank in Z; W = rank mod 2.
+* finite F_q:  (rank, disc_dev) in Z x Z/2, where disc_dev is the square
+  class of the product of diagonal entries.  W is Z/4 for q = 3 mod 4,
+  Z/2 x Z/2 for q = 1 mod 4.
+* real closed: (rank, index) in Z^2 with signature = rank - 2 index; W = Z
+  via the signature.
+* quadratically closed: (rank) in Z; W = rank mod 2.
 
-The coordinate ring laws are not taken on faith: the test suite validates
-every one of them against the brute-force isometry oracle in this module.
+One ring law serves all three: (r, c)(s, d) = (rs, rd + sc - 2cd), with the
+c part absent over C.  It is not taken on faith: the test suite validates it
+against the brute-force isometry oracle in this module and, over R and C,
+against classes of tensor products of diagonal forms.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from mwslice.fields import (
     FieldDescriptor,
     FieldMismatchError,
     Unit,
-    canonical_nonsquare,
     enumerate_units,
+    multiplicative_generator,
     one,
     square_class_bit,
     unit,
@@ -71,88 +76,85 @@ def parse_form(field: FieldDescriptor, text: str) -> QuadraticForm:
     return form(field, *[part.strip() for part in body.split(",")])
 
 
-class GWClass(Record):
-    """An element of GW(F) in complete-invariant coordinates.
+class _CoordinateClass(Record):
+    """A ring element kept as its coordinate vector, reduced when built.
 
-    ``disc_dev`` is used over finite fields only, ``signature`` over real
-    closed fields only.
+    The group operations work coordinate by coordinate; each ring writes
+    its own ``__init__``, ``__add__`` and ``__mul__``.
     """
 
-    __slots__ = _fields = ("field", "rank", "disc_dev", "signature")
+    __slots__ = _fields = ("field", "coords")
 
-    def __init__(self, field: FieldDescriptor, rank: int, disc_dev: int = 0,
-                 signature: int = 0) -> None:
-        if not field.model.is_gw(rank, disc_dev, signature):
-            raise ValueError(
-                f"(rank, disc_dev, signature) = ({rank}, {disc_dev}, "
-                f"{signature}) is not a class over {field}"
-            )
-        _set(self, "field", field)
-        _set(self, "rank", rank)
-        _set(self, "disc_dev", disc_dev)
-        _set(self, "signature", signature)
-
-    def _check(self, other: "GWClass") -> None:
+    def _check(self, other: "_CoordinateClass") -> None:
         if self.field != other.field:
             raise FieldMismatchError(f"classes over {self.field} and {other.field}")
 
-    def __add__(self, other: "GWClass") -> "GWClass":
-        self._check(other)
-        return GWClass(
-            self.field,
-            self.rank + other.rank,
-            (self.disc_dev + other.disc_dev) % 2,
-            self.signature + other.signature,
-        )
+    def __neg__(self):
+        return type(self)(self.field, tuple(-a for a in self.coords))
 
-    def __neg__(self) -> "GWClass":
-        return GWClass(self.field, -self.rank, self.disc_dev, -self.signature)
-
-    def __sub__(self, other: "GWClass") -> "GWClass":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "GWClass") -> "GWClass":
-        self._check(other)
-        dev = (self.rank * other.disc_dev + other.rank * self.disc_dev) % 2
-        return GWClass(
-            self.field, self.rank * other.rank, dev, self.signature * other.signature
-        )
-
-    def scale(self, n: int) -> "GWClass":
-        return GWClass(self.field, n * self.rank, (n * self.disc_dev) % 2, n * self.signature)
+    def scale(self, n: int):
+        return type(self)(self.field, tuple(n * a for a in self.coords))
 
     @property
     def is_zero(self) -> bool:
-        return self.rank == 0 and self.disc_dev == 0 and self.signature == 0
+        return not any(self.coords)
 
-    def coords(self) -> tuple[int, ...]:
-        """Coordinates in ``gw_ambient(field)``; over R, (rank, index)."""
-        return self.field.model.gw_coords(self)
+
+class GWClass(_CoordinateClass):
+    """An element of GW(F): its coordinates in ``gw_ambient(field)``."""
+
+    __slots__ = ()
+
+    def __init__(self, field: FieldDescriptor, coords: tuple[int, ...]) -> None:
+        _set(self, "field", field)
+        _set(self, "coords", field.model.gw_ambient.reduce(coords))
+
+    def __add__(self, other: "GWClass") -> "GWClass":
+        self._check(other)
+        return GWClass(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __mul__(self, other: "GWClass") -> "GWClass":
+        self._check(other)
+        (r, *c), (s, *d) = self.coords, other.coords
+        return GWClass(self.field, (r * s, *(r * b + s * a - 2 * a * b for a, b in zip(c, d))))
+
+    @property
+    def rank(self) -> int:
+        return self.coords[0]
+
+    @property
+    def disc_dev(self) -> int:
+        """Square class of the discriminant's deviation from <1,...,1>; 0 off F_q."""
+        return self.field.model.gw_invariants(self.coords).get("disc_dev", 0)
+
+    @property
+    def signature(self) -> int:
+        """The signature over R; 0 elsewhere."""
+        return self.field.model.gw_invariants(self.coords).get("signature", 0)
 
     def to_json(self) -> dict:
         return {"field": str(self.field), "rank": self.rank,
-                **self.field.model.gw_display(self)}
+                **self.field.model.gw_invariants(self.coords)}
 
     def __str__(self) -> str:
-        extra = self.field.model.gw_display(self).items()
+        extra = self.field.model.gw_invariants(self.coords).items()
         return f"(rank {self.rank}" + "".join(f", {k} {v}" for k, v in extra) + ")"
 
 
 def gw_zero(field: FieldDescriptor) -> GWClass:
-    return GWClass(field, 0)
+    return GWClass(field, (0, 0)[:gw_ambient(field).dim])
 
 
 def gw_one(field: FieldDescriptor) -> GWClass:
-    return GWClass(field, 1, *field.model.one_invariants)
-
-
-def gw_from_coords(field: FieldDescriptor, coords: tuple[int, ...]) -> GWClass:
-    return GWClass(field, *field.model.gw_from_coords(coords))
+    return GWClass(field, (1, 0)[:gw_ambient(field).dim])
 
 
 def gw_of_unit(u: Unit) -> GWClass:
-    """Class of the rank-one form <u>."""
-    return GWClass(u.field, 1, *u.field.model.unit_invariants(u))
+    """Class of the rank-one form <u>: <1> plus e when u is not a square."""
+    return GWClass(u.field, (1, square_class_bit(u))[:gw_ambient(u.field).dim])
 
 
 def gw_of_form(qf: QuadraticForm) -> GWClass:
@@ -163,12 +165,17 @@ def gw_of_form(qf: QuadraticForm) -> GWClass:
 
 
 def gw_box(field: FieldDescriptor, rank_bound: int) -> list[GWClass]:
-    """Every class with |rank| and |signature| at most rank_bound."""
+    """Every class with |rank| and |signature| at most rank_bound.
+
+    By rank, then by the coordinate past it: disc_dev rising over F_q, the
+    index falling (so the signature rising) over R.
+    """
     span = range(-rank_bound, rank_bound + 1)
-    return [
-        GWClass(field, r, d, s)
-        for r in span for d in (0, 1) for s in span if field.model.is_gw(r, d, s)
-    ]
+    ambient = gw_ambient(field)
+    tails = [*itertools.product(*[span[::-1]] * (ambient.free_rank - 1),
+                                *(range(d) for d in ambient.torsion))]
+    box = (GWClass(field, (r, *t)) for r in span for t in tails)
+    return [x for x in box if abs(x.signature) <= rank_bound]
 
 
 def gw_generators(field: FieldDescriptor) -> list[GWClass]:
@@ -200,54 +207,35 @@ def pfister(units: list[Unit] | tuple[Unit, ...]) -> GWClass:
 # -- Witt ring ------------------------------------------------------------------
 
 
-class WittClass(Record):
-    """An element of W(F) = GW(F)/(hyperbolic)."""
+class WittClass(_CoordinateClass):
+    """An element of W(F) = GW(F)/(hyperbolic): its coordinates in ``witt_ambient(field)``."""
 
-    __slots__ = _fields = ("field", "coords")
+    __slots__ = ()
 
     def __init__(self, field: FieldDescriptor, coords: tuple[int, ...]) -> None:
         _set(self, "field", field)
         _set(self, "coords", field.model.witt_ambient.reduce(coords))
 
-    def _check(self, other: "WittClass") -> None:
-        if self.field != other.field:
-            raise FieldMismatchError(f"classes over {self.field} and {other.field}")
-
     def __add__(self, other: "WittClass") -> "WittClass":
         self._check(other)
-        return WittClass(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self) -> "WittClass":
-        return WittClass(self.field, tuple(-a for a in self.coords))
-
-    def __sub__(self, other: "WittClass") -> "WittClass":
-        return self + (-other)
-
-    def scale(self, n: int) -> "WittClass":
-        return WittClass(self.field, tuple(n * a for a in self.coords))
+        return WittClass(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __mul__(self, other: "WittClass") -> "WittClass":
         self._check(other)
         # multiply on GW lifts, then project; well-definedness is oracle-tested
         return witt_class(_witt_lift(self) * _witt_lift(other))
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def __str__(self) -> str:
         return self.field.model.witt_str(self.coords)
 
 
 def witt_class(x: GWClass) -> WittClass:
-    return WittClass(x.field, x.field.model.witt_coords(x))
+    return WittClass(x.field, x.field.model.witt_coords(x.coords))
 
 
 def _witt_lift(w: WittClass) -> GWClass:
     """A GW representative of a Witt class."""
-    return GWClass(w.field, *w.field.model.witt_lift(w.coords))
+    return GWClass(w.field, w.field.model.witt_lift(w.coords))
 
 
 def witt_zero(field: FieldDescriptor) -> WittClass:
@@ -259,7 +247,7 @@ def witt_zero(field: FieldDescriptor) -> WittClass:
 
 def in_fundamental_power(x: GWClass, n: int) -> bool:
     """Decide x in I(F)^n.  I^0 = GW."""
-    return fundamental_power_description(x.field, n).contains(x.coords())
+    return fundamental_power_description(x.field, n).contains(x.coords)
 
 
 def gw_ambient(field: FieldDescriptor) -> Ambient:
@@ -289,7 +277,7 @@ def fundamental_power_in_witt(field: FieldDescriptor, n: int) -> SubgroupDescrip
         return full_subgroup(ambient)
     desc = fundamental_power_description(field, n)
     gens = tuple(
-        witt_class(gw_from_coords(field, g)).coords for g in desc.generators
+        witt_class(GWClass(field, g)).coords for g in desc.generators
     )
     return SubgroupDescription(ambient, gens)
 
@@ -360,8 +348,7 @@ def brute_force_gw(field: FieldDescriptor, max_rank: int) -> BruteForceTable:
         raise ValueError("brute_force_gw runs over finite fields")
     if max_rank > MAX_BRUTE_RANK:
         raise ValueError(f"rank bound {max_rank} exceeds {MAX_BRUTE_RANK}")
-    s = canonical_nonsquare(field)
-    reps = (one(field), s)
+    reps = (one(field), multiplicative_generator(field))
 
     def entry(bit: int) -> Unit:
         return reps[bit]
@@ -399,8 +386,7 @@ def brute_force_gw(field: FieldDescriptor, max_rank: int) -> BruteForceTable:
 
 
 def rep_form(field: FieldDescriptor, bits: tuple[int, ...]) -> QuadraticForm:
-    s = canonical_nonsquare(field)
-    reps = (one(field), s)
+    reps = (one(field), multiplicative_generator(field))
     return QuadraticForm(field, tuple(reps[b] for b in bits))
 
 

@@ -40,7 +40,6 @@ from mwslice.forms import (
     WittClass,
     fundamental_power_description,
     gw_ambient,
-    gw_from_coords,
     gw_of_unit,
     gw_one,
     gw_zero,
@@ -280,7 +279,7 @@ class MWNormalForm(Record):
         if m is None:
             raise ValueError("the zero normal form has no fixed degree")
         if m == 0:
-            return self.gw.coords()
+            return self.gw.coords
         if m < 0:
             return self.witt.coords
         return self.field.model.kmw_coords(self)
@@ -309,7 +308,7 @@ def normal_form_from_coords(
     field: FieldDescriptor, m: int, coords: tuple[int, ...]
 ) -> MWNormalForm:
     if m == 0:
-        return MWNormalForm(field, 0, gw=gw_from_coords(field, coords))
+        return MWNormalForm(field, 0, gw=GWClass(field, coords))
     if m < 0:
         return MWNormalForm(field, m, witt=WittClass(field, coords))
     return MWNormalForm(field, m, **field.model.kmw_from_coords(m, coords))
@@ -367,7 +366,7 @@ def theta0_inverse(x: GWClass) -> MWExpression:
     """
     f = x.field
     e = mw_int(f, x.rank)
-    for c, u in zip(x.coords()[1:], f.model.gw_generator_units()):
+    for c, u in zip(x.coords[1:], f.model.gw_generator_units()):
         if c:
             e = e + MWExpression(f, (MWMonomial(c, (eta_atom(), sym_atom(u))),))
     return e
@@ -393,7 +392,7 @@ def eta_times(nf: MWNormalForm, field_degree: int | None = None) -> MWNormalForm
         w = witt_zero(field) if nf.degree is None else witt_class(nf.gw) if m == 0 else nf.witt
         return MWNormalForm(field, m - 1, witt=w)
     if m == 1:
-        return MWNormalForm(field, 0, gw=GWClass(field, 0, *field.model.eta_to_gw(nf)))
+        return MWNormalForm(field, 0, gw=GWClass(field, field.model.eta_to_gw(nf)))
     return MWNormalForm(field, m - 1, **field.model.eta_kmw(nf, m))
 
 
@@ -531,7 +530,7 @@ def cartesian_check(field: FieldDescriptor, m: int) -> CartesianReport:
         pf = pfister(list(symbol))
         nf = normalize(mw_symbols(list(symbol)))
         if m == 1:
-            ideal_part = GWClass(field, 0, nf.ideal_bit)
+            ideal_part = GWClass(field, (0, nf.ideal_bit))
         else:
             ideal_part = gw_zero(field)
         diff = pf - ideal_part

@@ -23,7 +23,6 @@ from mwslice.fields import (
     REALS,
     FieldDescriptor,
     Unit,
-    canonical_nonsquare,
     enumerate_units,
     finite_field,
     multiplicative_generator,
@@ -228,7 +227,7 @@ def transfer_of_unit_form(ext: FiniteExtension, a: Unit) -> GWClass:
         traces.append(trace_to_base(ext, z))
         z = unit_mul(z, x)
     det = _determinant(ext.base, [traces[i:i + d] for i in range(d)])
-    return GWClass(ext.base, d, square_class_bit(det))
+    return GWClass(ext.base, (d, square_class_bit(det)))
 
 
 def trace_transfer_gw(ext: FiniteExtension, x: GWClass) -> GWClass:
@@ -237,7 +236,9 @@ def trace_transfer_gw(ext: FiniteExtension, x: GWClass) -> GWClass:
         raise ExtensionError(f"class over {x.field} is not over {ext.top}")
     if not ext.base.is_finite:
         return hyperbolic(ext.base).scale(x.rank)  # every <a> over C transfers to h
-    s = canonical_nonsquare(ext.top)
+    if ext.degree == 1:  # an isomorphism keeps rank and square classes
+        return GWClass(ext.base, x.coords)
+    s = multiplicative_generator(ext.top)
     dev = x.disc_dev
     t1 = transfer_of_unit_form(ext, one(ext.top))
     ts = transfer_of_unit_form(ext, s)
@@ -249,8 +250,10 @@ def p_star(ext: FiniteExtension, x: GWClass) -> GWClass:
     if x.field != ext.base:
         raise ExtensionError(f"class over {x.field} is not over {ext.base}")
     if not ext.base.is_finite:
-        return GWClass(ext.top, x.rank)
-    s = canonical_nonsquare(ext.base)
+        return GWClass(ext.top, (x.rank,))
+    if ext.degree == 1:
+        return GWClass(ext.top, x.coords)
+    s = multiplicative_generator(ext.base)
     dev = x.disc_dev
     s_up = embed_unit(ext, s)
     return gw_one(ext.top).scale(x.rank - dev) + gw_of_unit(s_up).scale(dev)
@@ -297,7 +300,7 @@ def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
     if m >= 2:
         return MWNormalForm(base, m)
     u_down = norm_to_base(ext, nf.milnor_unit)
-    transferred = trace_transfer_gw(ext, GWClass(top, 0, nf.ideal_bit))
+    transferred = trace_transfer_gw(ext, GWClass(top, (0, nf.ideal_bit)))
     if transferred.rank != 0 or transferred.disc_dev != square_class_bit(u_down):
         raise ExtensionError(
             "trace transfer on the ideal bit disagrees with the norm's square class"

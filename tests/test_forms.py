@@ -7,10 +7,12 @@ import pytest
 from mwslice.fields import (
     COMPLEXES,
     REALS,
-    canonical_nonsquare,
     enumerate_units,
     finite_field,
+    multiplicative_generator,
     one,
+    parse_field,
+    rational_grid,
     unit,
     unit_mul,
 )
@@ -45,9 +47,9 @@ SMALL_Q = (3, 5, 7, 9, 11, 13)
 
 
 def test_gw_of_form_examples():
-    assert gw_of_form(form(REALS, 1, -1)) == GWClass(REALS, 2, 0, 0)
-    assert gw_of_form(form(F7, 2)) == GWClass(F7, 1, 0)          # 2 is a square mod 7
-    assert gw_of_form(form(COMPLEXES, 5, 7)) == GWClass(COMPLEXES, 2)
+    assert gw_of_form(form(REALS, 1, -1)) == GWClass(REALS, (2, 1))   # signature 0
+    assert gw_of_form(form(F7, 2)) == GWClass(F7, (1, 0))          # 2 is a square mod 7
+    assert gw_of_form(form(COMPLEXES, 5, 7)) == GWClass(COMPLEXES, (2,))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -64,10 +66,10 @@ def test_doubled_entries_collapse(q):
 
 
 def test_hyperbolic_classes():
-    assert hyperbolic(REALS) == GWClass(REALS, 2, 0, 0)
-    assert hyperbolic(F7) == GWClass(F7, 2, 1)   # -1 is a nonsquare mod 7
-    assert hyperbolic(F5) == GWClass(F5, 2, 0)   # -1 is a square mod 5
-    assert hyperbolic(COMPLEXES) == GWClass(COMPLEXES, 2)
+    assert hyperbolic(REALS) == GWClass(REALS, (2, 1))
+    assert hyperbolic(F7) == GWClass(F7, (2, 1))   # -1 is a nonsquare mod 7
+    assert hyperbolic(F5) == GWClass(F5, (2, 0))   # -1 is a square mod 5
+    assert hyperbolic(COMPLEXES) == GWClass(COMPLEXES, (2,))
 
 
 def test_rank_zero_form_is_zero_class():
@@ -85,17 +87,32 @@ def test_gw_addition_law_against_oracle(q):
             assert gw_of_form(concat) == gw_of_form(f1) + gw_of_form(f2)
 
 
-@pytest.mark.parametrize("q", SMALL_Q)
+@pytest.mark.parametrize("q", SMALL_Q + ("R", "C"))
 def test_gw_multiplication_law_against_oracle(q):
-    """Tensor product of diagonal forms must match coordinate multiplication."""
-    field = finite_field(q)
-    for bits1 in itertools.product((0, 1), repeat=2):
-        for bits2 in itertools.product((0, 1), repeat=2):
-            f1, f2 = rep_form(field, bits1), rep_form(field, bits2)
-            tensor = QuadraticForm(
-                field, tuple(unit_mul(a, b) for a in f1.diagonal for b in f2.diagonal)
-            )
-            assert gw_of_form(tensor) == gw_of_form(f1) * gw_of_form(f2)
+    """Tensor product of diagonal forms must match coordinate multiplication.
+
+    Over F_q the diagonals are representative forms; over R and C their
+    entries come from ``rational_grid(3)``, and the product's JSON is also
+    checked against (n, #positive - #negative) counted from the entries.
+    """
+    if isinstance(q, int):
+        field = finite_field(q)
+        diagonals = [rep_form(field, bits).diagonal
+                     for bits in itertools.product((0, 1), repeat=2)]
+    else:
+        field = parse_field(q)
+        grid = [unit(field, u.value) for u in rational_grid(3)][::5]
+        diagonals = [d for n in (1, 2, 3) for d in itertools.product(grid, repeat=n)]
+    for d1, d2 in itertools.product(diagonals, repeat=2):
+        tensor = QuadraticForm(field, tuple(unit_mul(a, b) for a in d1 for b in d2))
+        product = gw_of_form(QuadraticForm(field, d1)) * gw_of_form(QuadraticForm(field, d2))
+        assert gw_of_form(tensor) == product
+        if not field.is_finite:
+            signs = [1 if u.value > 0 else -1 for u in tensor.diagonal]
+            expected = {"field": q, "rank": len(signs)}
+            if field == REALS:
+                expected["signature"] = sum(signs)
+            assert product.to_json() == expected
 
 
 def test_gw_mul_of_rank_one_forms():
@@ -107,15 +124,15 @@ def test_gw_mul_of_rank_one_forms():
 def test_nonsquare_pfister_square_vanishes():
     for q in (3, 5, 7, 9):
         field = finite_field(q)
-        s = canonical_nonsquare(field)
+        s = multiplicative_generator(field)
         x = gw_of_unit(s) - gw_one(field)
         assert (x * x).is_zero
 
 
 def test_pfister_examples():
     m1 = unit(REALS, -1)
-    assert pfister([m1]) == GWClass(REALS, 0, 0, -2)
-    assert pfister([m1, m1]) == GWClass(REALS, 0, 0, 4)
+    assert pfister([m1]) == GWClass(REALS, (0, 1))        # signature -2
+    assert pfister([m1, m1]) == GWClass(REALS, (0, -2))   # signature 4
     # squares give the zero element
     assert pfister([unit(REALS, 4)]).is_zero
     assert pfister([unit(F7, 2)]).is_zero
@@ -141,13 +158,13 @@ def test_witt_class_examples():
     assert (g + g + g + g).is_zero           # Z/4 for q = 3 mod 4
     h5 = witt_class(gw_one(F5))
     assert (h5 + h5).is_zero                 # Z/2 x Z/2 for q = 1 mod 4
-    assert witt_class(GWClass(REALS, 3, 0, 1)).coords == (1,)
+    assert witt_class(GWClass(REALS, (3, 1))).coords == (1,)
 
 
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_witt_ring_homomorphism(q):
     field = finite_field(q)
-    box = [GWClass(field, r, d) for r in range(-3, 4) for d in (0, 1)]
+    box = [GWClass(field, (r, d)) for r in range(-3, 4) for d in (0, 1)]
     for x in box:
         for y in box:
             assert witt_class(x + y) == witt_class(x) + witt_class(y)
@@ -174,15 +191,16 @@ def test_witt_structure_oracle(q):
 def test_in_fundamental_power_real():
     for n in range(1, 9):
         for k in (-3, -1, 1, 2):
-            assert in_fundamental_power(GWClass(REALS, 0, 0, (1 << n) * k), n)
+            # rank 0, signature 2^n k: index -2^(n-1) k
+            assert in_fundamental_power(GWClass(REALS, (0, -(1 << (n - 1)) * k)), n)
         if n >= 2:
-            assert not in_fundamental_power(GWClass(REALS, 0, 0, (1 << n) - 2), n)
-    assert in_fundamental_power(GWClass(REALS, 3, 0, 1), 0)
-    assert not in_fundamental_power(GWClass(REALS, 3, 0, 1), 1)
+            assert not in_fundamental_power(GWClass(REALS, (0, 1 - (1 << (n - 1)))), n)
+    assert in_fundamental_power(GWClass(REALS, (3, 1)), 0)
+    assert not in_fundamental_power(GWClass(REALS, (3, 1)), 1)
 
 
 def test_in_fundamental_power_finite():
-    s = canonical_nonsquare(F5)
+    s = multiplicative_generator(F5)
     x = gw_of_unit(s) - gw_one(F5)
     assert in_fundamental_power(x, 1)
     assert not in_fundamental_power(x, 2)
@@ -207,10 +225,8 @@ def test_ideal_powers_multiply_into_higher_powers():
             dab = fundamental_power_description(field, a + b)
             for ga in da.generators:
                 for gb in db.generators:
-                    from mwslice.forms import gw_from_coords
-
-                    x = gw_from_coords(field, ga) * gw_from_coords(field, gb)
-                    assert dab.contains(x.coords())
+                    x = GWClass(field, ga) * GWClass(field, gb)
+                    assert dab.contains(x.coords)
 
 
 def test_ideal_power_injects_into_witt():
@@ -233,7 +249,7 @@ def test_brute_force_classification(q):
         assert table.class_count(rank) == 2
     # invariants constant on classes and distinct across classes of equal rank
     for cls in table.classes:
-        coords = {gw_of_form(rep_form(field, bits)).coords() for bits in cls}
+        coords = {gw_of_form(rep_form(field, bits)).coords for bits in cls}
         assert len(coords) == 1
     assert sum(table.class_count(r) for r in range(0, 5)) == 2 * 4 + 1
 
@@ -280,7 +296,7 @@ from hypothesis import strategies as st
 )
 def test_gw_ring_laws_property(q, coords):
     field = finite_field(q)
-    x, y, z = (GWClass(field, r, d) for r, d in coords)
+    x, y, z = (GWClass(field, c) for c in coords)
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
     assert (x * y) * z == x * (y * z)
@@ -297,8 +313,7 @@ def test_gw_ring_laws_property(q, coords):
 )
 def test_gw_ring_laws_real_property(ranks, sigs):
     classes = [
-        GWClass(REALS, r, 0, s if (r - s) % 2 == 0 else s + 1)
-        for r, s in zip(ranks, sigs)
+        GWClass(REALS, (r, (r - s) // 2)) for r, s in zip(ranks, sigs)
     ]
     x, y, z = classes
     assert (x + y) * z == x * z + y * z

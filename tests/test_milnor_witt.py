@@ -11,6 +11,7 @@ from mwslice.fields import (
     one,
     unit,
     unit_mul,
+    unit_pow,
 )
 from mwslice.filtration import FiltrationQuery, eta_image_subgroup
 from mwslice.forms import GWClass, WittClass, fundamental_power_description, gw_of_form, form
@@ -121,10 +122,9 @@ def test_theta0_ring_iso_small():
 
 def test_theta0_inverse_round_trip():
     boxes = {
-        F5: [GWClass(F5, r, d) for r in range(-3, 4) for d in (0, 1)],
-        REALS: [GWClass(REALS, r, 0, s) for r in range(-3, 4) for s in range(-3, 4)
-                if (r - s) % 2 == 0],
-        COMPLEXES: [GWClass(COMPLEXES, r) for r in range(-3, 4)],
+        F5: [GWClass(F5, (r, d)) for r in range(-3, 4) for d in (0, 1)],
+        REALS: [GWClass(REALS, (r, i)) for r in range(-3, 4) for i in range(-3, 4)],
+        COMPLEXES: [GWClass(COMPLEXES, (r,)) for r in range(-3, 4)],
     }
     for field, box in boxes.items():
         for x in box:
@@ -160,7 +160,7 @@ def test_eta_action_on_coordinates():
     g = multiplicative_generator(F7)
     nf1 = normalize(mw_symbol(g))
     img = eta_times(nf1)
-    assert img.gw == GWClass(F7, 0, 1)
+    assert img.gw == GWClass(F7, (0, 1))
 
 
 def test_eta_on_the_zero_form_with_an_explicit_degree():
@@ -203,6 +203,22 @@ def test_normalize_multiplicative_at_degree_zero():
     for e1 in exprs:
         for e2 in exprs:
             assert theta0(e1 * e2) == theta0(e1) * theta0(e2)
+
+
+def test_degree_one_coordinates_need_no_unit_walk(monkeypatch):
+    # coordinate k is g^k for the canonical generator g, by exponentiation
+    from mwslice import fields
+
+    def refuse(field):
+        raise AssertionError(f"enumerated the units of {field}")
+
+    monkeypatch.setattr(fields, "enumerate_units", refuse)
+    field = finite_field(999983)
+    g = multiplicative_generator(field)
+    for k in (0, 1, field.order - 2, -1, 123457):
+        nf = normal_form_from_coords(field, 1, (k,))
+        assert nf.milnor_unit == unit_pow(g, k)
+        assert nf.ideal_bit == k % 2
 
 
 def test_kmw_ambients():

@@ -48,7 +48,7 @@ def every_record():
         "FiltrationReport": filtration_report(query),
         "ConvergenceReport": convergence_check(F7, 2),
         "QuadraticForm": form(F7, 1, 3),
-        "GWClass": GWClass(F7, 2),
+        "GWClass": GWClass(F7, (2, 0)),
         "WittClass": WittClass(F7, (1,)),
         "BruteForceTable": brute_force_gw(F3, 2),
         "MWAtom": MWAtom(SYM, U3),
@@ -93,7 +93,7 @@ HASHED = {
     "SquareClass": (lambda: SquareClass(F7, "square"), (F7, "square")),
     "FiltrationQuery": (lambda: FiltrationQuery(3, 1, 2, F7), (3, 1, 2, F7)),
     "QuadraticForm": (lambda: form(F7, 1, 3), (F7, (Unit(F7, (1,)), U3))),
-    "GWClass": (lambda: GWClass(F7, 2, 1), (F7, 2, 1, 0)),
+    "GWClass": (lambda: GWClass(F7, (2, 3)), (F7, (2, 1))),
     "WittClass": (lambda: WittClass(F7, (5,)), (F7, (1,))),
     "MWAtom": (lambda: MWAtom(SYM, Unit(F7, (3,))), (SYM, U3)),
     "MWMonomial": (lambda: MWMonomial(2, (MWAtom(ETA),)), (2, (MWAtom(ETA),))),
@@ -114,7 +114,7 @@ def test_equal_fields_give_equal_objects_and_the_tuple_hash(name):
 
 
 def test_unequal_fields_give_unequal_objects():
-    assert GWClass(F7, 2) != GWClass(F7, 2, 1)
+    assert GWClass(F7, (2, 0)) != GWClass(F7, (2, 1))
     assert Unit(F7, (3,)) != Unit(F7, (5,))
     assert Ambient(1) != Ambient(1, label="x")
 
@@ -138,7 +138,7 @@ def test_models_equal_only_themselves():
 
 
 def test_keyword_construction_and_defaults():
-    assert GWClass(F7, 2) == GWClass(field=F7, rank=2, disc_dev=0, signature=0)
+    assert GWClass(F7, (2, 0)) == GWClass(field=F7, coords=(2, 0))
     nf = MWNormalForm(F7, 1, milnor_unit=Unit(F7, (3,)), ideal_bit=1)
     assert (nf.real_coord, nf.gw, nf.witt) == (0, None, None)
     amb = Ambient(1, label="L")
@@ -152,7 +152,7 @@ def test_keyword_construction_and_defaults():
 
 def test_construction_checks_still_run():
     with pytest.raises(ValueError):
-        GWClass(F7, 1, 0, 1)
+        GWClass(F7, (1, 0, 1))
     with pytest.raises(ValueError):
         Unit(F7, (7,))
     with pytest.raises(ValueError):

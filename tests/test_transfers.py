@@ -12,9 +12,9 @@ from mwslice.fields import (
     COMPLEXES,
     REALS,
     Unit,
-    canonical_nonsquare,
     enumerate_units,
     finite_field,
+    multiplicative_generator,
     one,
     square_class_bit,
     unit,
@@ -66,22 +66,28 @@ def test_parse_extension():
 def test_complex_over_real_trace_of_one():
     # Gram of Tr(xy) in basis {1, i} is diag(2, -2): the hyperbolic class
     assert trace_transfer_gw(EXT_CR, gw_one(COMPLEXES)) == hyperbolic(REALS)
-    assert trace_transfer_gw(EXT_CR, GWClass(COMPLEXES, 3)) == hyperbolic(REALS).scale(3)
+    assert trace_transfer_gw(EXT_CR, GWClass(COMPLEXES, (3,))) == hyperbolic(REALS).scale(3)
 
 
 def test_identity_extension_is_identity():
-    ext = FiniteExtension(F5, F5)
-    for r in range(-3, 4):
-        for d in (0, 1):
-            x = GWClass(F5, r, d)
-            assert trace_transfer_gw(ext, x) == x
+    # degree 1 keeps the coordinates; the Gram route agrees, also between two
+    # moduli of F_9
+    for ext in (FiniteExtension(F5, F5), FiniteExtension(F9, F9),
+                FiniteExtension(F9, finite_field(9, (2, 1, 1)))):
+        for a in enumerate_units(ext.top):
+            assert trace_transfer_gw(ext, gw_of_unit(a)) == transfer_of_unit_form(ext, a)
+        for r in range(-3, 4):
+            for d in (0, 1):
+                x = GWClass(ext.top, (r, d))
+                assert trace_transfer_gw(ext, x).coords == x.coords
+                assert p_star(ext, trace_transfer_gw(ext, x)) == x
 
 
 def test_f9_over_f3_gram_values():
     # hand Gram computation in basis {1, x}, x^2 = -1:
     # Tr(1) = 2, Tr(x) = 0, Tr(x^2) = -2 = 1, so Tr<1> = <2, 1>: rank 2, disc 2
     t1 = transfer_of_unit_form(EXT_93, one(F9))
-    assert t1 == GWClass(F3, 2, 1)
+    assert t1 == GWClass(F3, (2, 1))
     # trace of the embedded base field multiplies by the degree
     two_up = embed_unit(EXT_93, unit(F3, 2))
     assert trace_to_base(EXT_93, two_up) == unit(F3, 2 * 2)
@@ -113,13 +119,13 @@ def test_trace_form_class_matches_discriminant_formula(top_q, base_q):
     ext = FiniteExtension(finite_field(base_q), finite_field(top_q))
     d = ext.degree
     for a in enumerate_units(ext.top):
-        expected = GWClass(ext.base, d, (square_class_bit(a) + (d % 2 == 0)) % 2)
+        expected = GWClass(ext.base, (d, square_class_bit(a) + (d % 2 == 0)))
         assert transfer_of_unit_form(ext, a) == expected, a
 
 
 def test_transfer_additivity():
     for ext in (EXT_93, EXT_255):
-        box = [GWClass(ext.top, r, d) for r in range(-2, 3) for d in (0, 1)]
+        box = [GWClass(ext.top, (r, d)) for r in range(-2, 3) for d in (0, 1)]
         for x in box:
             for y in box:
                 assert trace_transfer_gw(ext, x + y) == \
@@ -130,7 +136,7 @@ def test_transfer_preserves_rank_zero_and_ideal_bit():
     # the determinant argument: disc(Tr<a>) = N(a) * disc(Tr<1>), so the
     # transfer restricted to I(top) preserves the square-class bit
     for ext in (EXT_93, EXT_255, EXT_273):
-        s = canonical_nonsquare(ext.top)
+        s = multiplicative_generator(ext.top)
         x = gw_of_unit(s) - gw_one(ext.top)
         image = trace_transfer_gw(ext, x)
         assert image.rank == 0
@@ -142,7 +148,7 @@ def test_witt_transfer_well_defined():
     for ext in (EXT_93, EXT_255, EXT_273):
         h = hyperbolic(ext.top)
         assert witt_class(trace_transfer_gw(ext, h)).is_zero
-        box = [GWClass(ext.top, r, d) for r in range(0, 3) for d in (0, 1)]
+        box = [GWClass(ext.top, (r, d)) for r in range(0, 3) for d in (0, 1)]
         for x in box:
             assert trace_transfer_witt(ext, witt_class(x)) == \
                 witt_class(trace_transfer_gw(ext, x))
@@ -150,7 +156,7 @@ def test_witt_transfer_well_defined():
 
 def test_p_star_extension_of_scalars():
     # the base nonsquare becomes a square in even-degree extensions
-    s3 = canonical_nonsquare(F3)
+    s3 = multiplicative_generator(F3)
     assert square_class_bit(embed_unit(EXT_93, s3)) == 0
     assert square_class_bit(embed_unit(EXT_273, s3)) == 1
     x = gw_of_unit(s3)
@@ -166,14 +172,14 @@ def test_projection_formula(ext):
 
 def test_projection_formula_worked_examples():
     # y = <1>, x = <s>: both sides computed independently
-    s3 = canonical_nonsquare(F3)
+    s3 = multiplicative_generator(F3)
     y = gw_one(F9)
     x = gw_of_unit(s3)
     lhs = trace_transfer_gw(EXT_93, y * p_star(EXT_93, x))
     rhs = trace_transfer_gw(EXT_93, y) * x
     assert lhs == rhs
     # C/R: y = <1>, x = <-1>: both sides are the hyperbolic class
-    xm = GWClass(REALS, 1, 0, -1)
+    xm = GWClass(REALS, (1, 1))  # <-1>: rank 1, signature -1
     assert trace_transfer_gw(EXT_CR, gw_one(COMPLEXES) * p_star(EXT_CR, xm)) == \
         trace_transfer_gw(EXT_CR, gw_one(COMPLEXES)) * xm == hyperbolic(REALS)
 
@@ -187,7 +193,7 @@ def test_filtration_preservation_grid(ext):
 
 
 def test_transfer_kmw_degree_one():
-    g9 = canonical_nonsquare(F9)
+    g9 = multiplicative_generator(F9)
     nf = normalize(mw_symbol(g9))
     down = transfer_kmw(EXT_93, nf)
     assert down.degree == 1
@@ -228,8 +234,6 @@ def test_non_prime_base_extension():
     F81 = finite_field(81)
     ext = FiniteExtension(F9, F81)
     assert ext.degree == 2
-    from mwslice.fields import multiplicative_generator
-
     b = multiplicative_generator(F9)
     t = trace_to_base(ext, embed_unit(ext, b))
     assert t == unit_add(b, b)
