@@ -146,6 +146,10 @@ class FieldDescriptor(Record):
         _set(self, "_hash", hash((kind, p, degree, modulus)))
         _set(self, "model", family(self))
 
+    def __eq__(self, other: object) -> bool:
+        # finite fields are interned, so equal descriptors are nearly always one object
+        return self is other or Record.__eq__(self, other)
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -320,8 +324,12 @@ class FiniteModel(FieldModel):
     width k holds d (p-1)^2 (1 + (d-1)(p-1)): a product coefficient is at most
     d (p-1)^2, and folding the d-1 high lanes back through x^j mod f (whose
     coefficients are below p) adds at most (d-1)(p-1) times that to a low
-    lane, so no lane carries into the next.  Packed integers never leave the
-    model's methods.
+    lane, so no lane carries into the next.  A Frobenius power u -> u^(p^j)
+    is F_p-linear: the sum of c_i times the packed x^(i p^j) mod f, each lane
+    at most d (p-1)^2.  Inverses and square classes go through the norm
+    N(u) = u^((q-1)/(p-1)) in F_p, built from Frobenius maps in O(log d)
+    products (Itoh and Tsujii, *Inform. and Comput.* 78, 1988).  Packed
+    integers never leave the model's methods.
     """
 
     gw_shape = (1, (2,), ("rank", "disc_dev"))
@@ -341,7 +349,9 @@ class FiniteModel(FieldModel):
         q = p**d
         _set(self, "order", q)
         _set(self, "name", f"Fq({q})" if d == 1 else f"Fq({q};poly={poly_str(f.modulus)})")
-        _set(self, "lane", (d * (p - 1) ** 2 * (1 + (d - 1) * (p - 1))).bit_length())
+        k = (d * (p - 1) ** 2 * (1 + (d - 1) * (p - 1))).bit_length()
+        _set(self, "lane", k)
+        _set(self, "_lane_shifts", tuple(range(k * (d - 1), -1, -k)))  # top lane first
         # packed x^j mod f for j = d, ..., 2d - 2
         folds = (self._pack(_prem((0,) * j + (1,), f.modulus, p)) for j in range(d, 2 * d - 1))
         _set(self, "_folds", tuple(folds))
@@ -352,9 +362,10 @@ class FiniteModel(FieldModel):
         f = self.field
         if not isinstance(value, tuple) or not value:
             raise ValueError("finite-field units are nonempty coefficient tuples")
-        if len(value) != f.degree or any(not (0 <= c < f.p) for c in value):
+        top = max(value)
+        if len(value) != f.degree or top >= f.p or min(value) < 0:
             raise ValueError(f"unreduced residue {value}")
-        if not any(value):
+        if not top:
             raise ValueError("zero is not a unit")
 
     def carrier_str(self, value) -> str:
@@ -387,9 +398,18 @@ class FiniteModel(FieldModel):
         mask = (1 << k) - 1
         return tuple([x >> s & mask for s in range(0, k * self.field.degree, k)])
 
+    def _reduce_lanes(self, r: int) -> int:
+        """The packed carrier whose lanes are the d low lanes of r, each mod p."""
+        k, p = self.lane, self.field.p
+        mask = (1 << k) - 1
+        out = 0
+        for s in self._lane_shifts:
+            out = out << k | (r >> s & mask) % p
+        return out
+
     def _mul_packed(self, x: int, y: int) -> int:
         """The packed product of two packed carriers, reduced mod f and p."""
-        k, p, d = self.lane, self.field.p, self.field.degree
+        k, d = self.lane, self.field.degree
         mask = (1 << k) - 1
         prod = x * y
         r = prod & ((1 << k * d) - 1)
@@ -397,10 +417,81 @@ class FiniteModel(FieldModel):
         for fold in self._folds:
             r += (high & mask) * fold
             high >>= k
-        out = 0
-        for s in range(k * (d - 1), -1, -k):
-            out = out << k | (r >> s & mask) % p
-        return out
+        return self._reduce_lanes(r)
+
+    def _linear(self, images: tuple[int, ...], x: int) -> int:
+        """sum c_i images[i] for the lanes c_i of x, reduced: an F_p-linear map."""
+        k = self.lane
+        mask = (1 << k) - 1
+        r = 0
+        for image in images:
+            r += (x & mask) * image
+            x >>= k
+        return self._reduce_lanes(r)
+
+    @cached_property
+    def _frobenius(self) -> tuple[tuple[int, ...], ...]:
+        """Row j holds packed x^(i p^j) mod f for i < d: the images of u -> u^(p^j)."""
+        d = self.field.degree
+        xp = self._pack(self.carrier_pow((0, 1) + (0,) * (d - 2), self.field.p))
+        row = [1]
+        for _ in range(d - 1):
+            row.append(self._mul_packed(row[-1], xp))
+        rows = [tuple(1 << self.lane * i for i in range(d)), tuple(row)]
+        while len(rows) < d:
+            rows.append(tuple(self._linear(rows[1], y) for y in rows[-1]))
+        return tuple(rows)
+
+    def _frobenius_packed(self, x: int, j: int) -> int:
+        return self._linear(self._frobenius[j], x)
+
+    def frobenius(self, a: Unit, j: int) -> Unit:
+        """a^(p^j), the j-th power of the Frobenius map."""
+        j %= self.field.degree
+        if not j:
+            return a
+        return Unit(self.field, self._unpack(self._frobenius_packed(self._pack(a.value), j)))
+
+    def _norm_packed(self, x: int) -> tuple[int, int]:
+        """(t, N) for a packed unit x of F_{p^d}, d >= 2: t = x^(p + ... + p^(d-1))
+        packed, and N = x t = x^((q-1)/(p-1)) its norm, an integer below p.
+
+        s_m = x^(1 + p + ... + p^(m-1)) obeys s_(2m) = s_m phi^m(s_m) and
+        s_(m+1) = x phi(s_m), so s_(d-1) costs at most two products per bit
+        of d - 1; then t = phi(s_(d-1)).  N lies in F_p, so its packed form
+        is its constant coefficient.
+        """
+        s, m = x, 1
+        for bit in bin(self.field.degree - 1)[3:]:
+            s = self._mul_packed(s, self._frobenius_packed(s, m))
+            m *= 2
+            if bit == "1":
+                s = self._mul_packed(x, self._frobenius_packed(s, 1))
+                m += 1
+        t = self._frobenius_packed(s, 1)
+        return t, self._mul_packed(x, t)
+
+    def norm(self, a: Unit) -> int:
+        """N(a) = a^((q-1)/(p-1)), the norm to the prime field, as an integer below p."""
+        if self.field.degree == 1:
+            return a.value[0]
+        return self._norm_packed(self._pack(a.value))[1]
+
+    def _inv_packed(self, x: int) -> int:
+        """x^-1 = N(x)^-1 x^(p + ... + p^(d-1)), a scalar multiple of t."""
+        t, n = self._norm_packed(x)
+        return self._reduce_lanes(t * pow(n, -1, self.field.p))
+
+    def _pow_packed(self, x: int, n: int) -> int:
+        """x^n for a packed x and n >= 0, by square-and-multiply."""
+        result = 0  # no factor taken yet
+        while n:
+            if n & 1:
+                result = self._mul_packed(result, x) if result else x
+            n >>= 1
+            if n:
+                x = self._mul_packed(x, x)
+        return result or 1
 
     def mul(self, a: Unit, b: Unit) -> Unit:
         f = self.field
@@ -409,22 +500,27 @@ class FiniteModel(FieldModel):
         return Unit(f, self._unpack(self._mul_packed(self._pack(a.value), self._pack(b.value))))
 
     def pow(self, a: Unit, n: int) -> Unit:
-        """a^n for any integer n, reduced mod q - 1 (so n < 0 needs no inverse)."""
-        return Unit(self.field, self.carrier_pow(a.value, n % (self.order - 1)))
+        """a^n for any integer n, reduced mod q - 1.
+
+        Over F_{p^d} a reduced exponent n above (q - 1)/2 becomes q - 1 - n
+        on the inverse: a coefficient like -2 in K^MW costs an inverse and a
+        square, not a power of length log q.
+        """
+        f = self.field
+        n %= self.order - 1
+        if f.degree == 1:
+            return Unit(f, (pow(a.value[0], n, f.p),))
+        x = self._pack(a.value)
+        if 2 * n > self.order - 1:
+            x, n = self._inv_packed(x), self.order - 1 - n
+        return Unit(f, self._unpack(self._pow_packed(x, n)))
 
     def carrier_pow(self, c: tuple[int, ...], n: int) -> tuple[int, ...]:
         """c^n on raw coefficient tuples for n >= 0, by square-and-multiply."""
         f = self.field
         if f.degree == 1:
             return (pow(c[0], n, f.p),)
-        x, result = self._pack(c), 1
-        while n:
-            if n & 1:
-                result = self._mul_packed(result, x)
-            n >>= 1
-            if n:
-                x = self._mul_packed(x, x)
-        return self._unpack(result)
+        return self._unpack(self._pow_packed(self._pack(c), n))
 
     def powers(self, g: Unit) -> tuple[Unit, ...]:
         """g^0, g^1, ..., g^(q-2), each from the one before."""
@@ -436,30 +532,37 @@ class FiniteModel(FieldModel):
         return tuple(out)
 
     @cached_property
-    def _ladder(self) -> tuple[int, ...]:
-        """Packed g^(2^i) for the canonical generator g and 2^i <= q - 2."""
-        x = self._pack(multiplicative_generator(self.field).value)
-        steps = []
-        for _ in range((self.order - 2).bit_length()):
-            steps.append(x)
-            x = self._mul_packed(x, x)
-        return tuple(steps)
+    def _comb(self) -> tuple[tuple[int, ...], ...]:
+        """Row i holds packed g^(w 16^i), w < 16, for each 4-bit window of q - 2."""
+        step = self._pack(multiplicative_generator(self.field).value)  # g^(16^i)
+        rows = []
+        for _ in range(0, (self.order - 2).bit_length(), 4):
+            row = [1]
+            for _ in range(15):
+                row.append(self._mul_packed(row[-1], step))
+            rows.append(tuple(row))
+            step = self._mul_packed(row[-1], step)
+        return tuple(rows)
 
     def generator_power(self, k: int) -> Unit:
-        """g^k for the canonical generator g: one product per set bit of k mod q - 1."""
+        """g^k for the canonical generator g: one comb entry per nonzero 4-bit
+        window of k mod q - 1, so at most one product fewer than windows."""
         f = self.field
         k %= self.order - 1
         if f.degree == 1:
             return self.pow(multiplicative_generator(f), k)
-        x = 1
-        for step in self._ladder:
-            if k & 1:
-                x = self._mul_packed(x, step)
-            k >>= 1
-        return Unit(f, self._unpack(x))
+        x = 0  # no window taken yet
+        for row in self._comb:
+            if k & 15:
+                x = self._mul_packed(x, row[k & 15]) if x else row[k & 15]
+            k >>= 4
+        return Unit(f, self._unpack(x or 1))
 
     def inv(self, a: Unit) -> Unit:
-        return self.pow(a, self.order - 2)
+        f = self.field
+        if f.degree == 1:
+            return Unit(f, (pow(a.value[0], -1, f.p),))
+        return Unit(f, self._unpack(self._inv_packed(self._pack(a.value))))
 
     def neg(self, a: Unit) -> Unit:
         return Unit(self.field, tuple((-c) % self.field.p for c in a.value))
@@ -469,9 +572,9 @@ class FiniteModel(FieldModel):
         return Unit(self.field, coeffs) if any(coeffs) else None
 
     def square_class_label(self, a: Unit) -> str:
-        """Euler's criterion: a is a square iff a^((q-1)/2) = 1."""
-        is_one = self.carrier_pow(a.value, (self.order - 1) // 2) == self.one().value
-        return "square" if is_one else "nonsquare"
+        """a is a square iff its norm is a square in F_p (Euler's criterion there)."""
+        p = self.field.p
+        return "square" if pow(self.norm(a), (p - 1) // 2, p) == 1 else "nonsquare"
 
     def literal(self, u: Unit) -> str:
         return f"g^{discrete_log_table(self.field)[u]}"

@@ -66,7 +66,8 @@ _set = object.__setattr__
 
 
 class MWAtom(Record):
-    __slots__ = _fields = ("kind", "unit")
+    __slots__ = ("kind", "unit", "_hash")
+    _fields = ("kind", "unit")
 
     def __init__(self, kind: str, unit: Unit | None = None) -> None:
         if kind not in (ETA, SYM):
@@ -75,6 +76,11 @@ class MWAtom(Record):
             raise ValueError("symbol atoms carry a unit; eta carries none")
         _set(self, "kind", kind)
         _set(self, "unit", unit)
+        # the hash of the compared fields, taken once: atoms key every collect
+        _set(self, "_hash", hash((kind, unit)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return "eta" if self.kind == ETA else f"[{self.unit}]"

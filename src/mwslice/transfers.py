@@ -162,23 +162,31 @@ def _embedding_inverse_table(ext: FiniteExtension) -> dict[Unit, Unit]:
     return table
 
 
+def _conjugates(ext: FiniteExtension, z: Unit) -> list[Unit]:
+    """z, z^(q_b), z^(q_b^2), ...: the ext.degree Frobenius conjugates over the base."""
+    frobenius, j = ext.top.model.frobenius, ext.base.degree  # q_b = p^j
+    return [frobenius(z, i * j) for i in range(ext.degree)]
+
+
+def _down(ext: FiniteExtension, v: Unit) -> Unit:
+    """The base unit that embeds as v; over F/F that is v itself."""
+    if ext.base == ext.top:
+        return v
+    table = _embedding_inverse_table(ext)
+    if v not in table:
+        raise ExtensionError(f"{v} is not in the embedded base field")
+    return table[v]
+
+
 def trace_to_base(ext: FiniteExtension, z: Unit | None) -> Unit | None:
     """Tr_{top/base}(z) = sum of Frobenius conjugates, expressed over the base."""
     assert ext.base.is_finite
     if z is None:
         return None
-    qb = ext.base.order
     acc: Unit | None = None
-    conj = z
-    for i in range(ext.degree):
+    for conj in _conjugates(ext, z):
         acc = conj if acc is None else unit_add(acc, conj)
-        conj = unit_pow(conj, qb)
-    if acc is None:
-        return None
-    table = _embedding_inverse_table(ext)
-    if acc not in table:
-        raise ExtensionError(f"trace value {acc} is not in the embedded base field")
-    return table[acc]
+    return None if acc is None else _down(ext, acc)
 
 
 def _determinant(field: FieldDescriptor, mat: list[list[Unit | None]]) -> Unit:
@@ -268,13 +276,9 @@ def norm_to_base(ext: FiniteExtension, u: Unit) -> Unit:
     """Field norm top -> base: the product of Frobenius conjugates."""
     assert ext.base.is_finite
     acc = one(ext.top)
-    conj = u
-    qb = ext.base.order
-    for _ in range(ext.degree):
+    for conj in _conjugates(ext, u):
         acc = unit_mul(acc, conj)
-        conj = unit_pow(conj, qb)
-    table = _embedding_inverse_table(ext)
-    return table[acc]
+    return _down(ext, acc)
 
 
 def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mwslice import fields
 from mwslice.fields import (
     COMPLEXES,
     REALS,
@@ -348,6 +349,7 @@ def _seeded_units(field, count, seed):
     return out
 
 
+SMALL_EXTENSIONS = [9, 25, 27, 81, 243, 3**8]
 LARGE_FIELDS = [2187, 3**12, 5**8, 7**7, 997**2]
 
 
@@ -383,12 +385,13 @@ def test_generator_power_matches_unit_pow_for_every_exponent_small():
         assert field.model.generator_power(k) == unit_pow(g, k), k
 
 
-@pytest.mark.parametrize("q", LARGE_FIELDS + [10007, 999983])
+@pytest.mark.parametrize("q", SMALL_EXTENSIONS + LARGE_FIELDS + [10007, 999983])
 def test_generator_power_matches_unit_pow_large(q):
     field = finite_field(q)
     g = multiplicative_generator(field)
     rng = random.Random(q)
-    exponents = [0, -1, q - 1, 10**30 + 7] + [rng.randrange(-10**12, 10**12) for _ in range(40)]
+    exponents = [0, 1, q - 2, q - 1, -1, 10**30 + 7]
+    exponents += [rng.randrange(-10**12, 10**12) for _ in range(40)]
     for k in exponents:
         got = field.model.generator_power(k)
         assert got == unit_pow(g, k), k
@@ -403,3 +406,78 @@ def test_finite_fields_are_interned():
     assert f9 is finite_field(9) and f9 is finite_field(9, (4, 3, 7))
     assert finite_field(9, (2, 1, 1)) is not f9
     assert hash(f9) == hash(("finite", 3, 2, (1, 0, 1)))
+
+
+# -- the norm kernel against Fermat, Euler and the norm as one long power --------
+
+
+def _kernel_cases(q):
+    field = finite_field(q)
+    units = _all_units(field) if q in SMALL_EXTENSIONS else _seeded_units(field, 2000, q + 2)
+    return field, units
+
+
+@pytest.mark.parametrize("q", SMALL_EXTENSIONS + LARGE_FIELDS)
+def test_inverse_square_class_and_norm_match_long_powers(q):
+    field, units = _kernel_cases(q)
+    model, p, e = field.model, field.p, one(field)
+    zeros = (0,) * (field.degree - 1)
+    for a in units:
+        inv = unit_inv(a)
+        assert unit_mul(a, inv) == e, a
+        assert inv.value == model.carrier_pow(a.value, q - 2), a  # Fermat
+        euler = model.carrier_pow(a.value, (q - 1) // 2)
+        assert square_class_bit(a) == (0 if euler == e.value else 1), a
+        assert (model.norm(a),) + zeros == model.carrier_pow(a.value, (q - 1) // (p - 1)), a
+
+
+@pytest.mark.parametrize("q", SMALL_EXTENSIONS + LARGE_FIELDS)
+def test_frobenius_is_the_p_power_map(q):
+    field, units = _kernel_cases(q)
+    model = field.model
+    for a in units[:50]:
+        for j in range(-1, field.degree + 1):
+            expect = model.carrier_pow(a.value, field.p ** (j % field.degree))
+            assert model.frobenius(a, j).value == expect, (a, j)
+
+
+def _count_products(monkeypatch):
+    calls = []
+    real = fields.FiniteModel._mul_packed
+
+    def counted(model, x, y):
+        calls.append(1)
+        return real(model, x, y)
+
+    monkeypatch.setattr(fields.FiniteModel, "_mul_packed", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", LARGE_FIELDS)
+def test_inverse_and_square_class_cost_log_d_products(q, monkeypatch):
+    field = finite_field(q)
+    units = _seeded_units(field, 40, q + 3)
+    unit_inv(units[0])  # builds the Frobenius table
+    budget = 2 * (field.degree - 1).bit_length()  # 2 ceil(log2 d)
+    calls = _count_products(monkeypatch)
+    for a in units:
+        for op in (unit_inv, square_class_bit):
+            calls.clear()
+            op(a)
+            assert len(calls) <= budget, (op.__name__, a, len(calls))
+        calls.clear()
+        unit_pow(a, -2)  # inverts, then squares
+        assert len(calls) <= budget + 1, (a, len(calls))
+
+
+@pytest.mark.parametrize("q", LARGE_FIELDS)
+def test_generator_power_costs_one_product_per_window(q, monkeypatch):
+    field = finite_field(q)
+    field.model.generator_power(1)  # builds the comb
+    budget = -(-(q - 2).bit_length() // 4) - 1  # 2 over Fq(2187)
+    calls = _count_products(monkeypatch)
+    rng = random.Random(q)
+    for k in [0, 1, q - 2, q - 1, -1, 10**30 + 7] + [rng.randrange(q - 1) for _ in range(40)]:
+        calls.clear()
+        field.model.generator_power(k)
+        assert len(calls) <= budget, (k, len(calls))

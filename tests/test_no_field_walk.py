@@ -3,9 +3,11 @@
 ``FiniteModel.powers`` builds all q - 1 powers of the generator; it is what
 ``enumerate_units`` and ``discrete_log_table`` run.  Here it refuses every
 field of order above 10^5, and each command below must still exit 0 over
-fields of order near the 10^6 bound.  ``mw-derive`` is left out: it prints
-its units as ``g^k`` literals through ``discrete_log_table``, an O(q) walk
-that is still open (the FOUND entry on ``cli.cmd_mw_derive`` in CHANGES.md).
+fields of order near the 10^6 bound; so must the degree-1 transfer over a
+trivial extension, which no command reaches.  ``mw-derive`` is left out: it
+prints its units as ``g^k`` literals through ``discrete_log_table``, an O(q)
+walk that is still open (the FOUND entry on ``cli.cmd_mw_derive`` in
+CHANGES.md).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import pytest
 
 from mwslice import fields
 from mwslice.cli import main
+from mwslice.milnor_witt import mw_symbol, normalize
+from mwslice.transfers import FiniteExtension, transfer_kmw
 
 WALK_LIMIT = 10**5
 BIG = "Fq(999983)"
@@ -60,6 +64,13 @@ COMMANDS = {
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_needs_no_walk(name, output, capsys):
     assert main(["--output", output, *COMMANDS[name]]) == 0, capsys.readouterr().err
+
+
+def test_degree_one_transfer_over_a_trivial_extension():
+    field = fields.parse_field("Fq(994009)")
+    g = fields.multiplicative_generator(field)
+    down = transfer_kmw(FiniteExtension(field, field), normalize(mw_symbol(g)))
+    assert (down.field, down.milnor_unit, down.ideal_bit) == (field, g, 1)
 
 
 def test_verify_a_certificate_over_a_large_field(tmp_path, capsys):

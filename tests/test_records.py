@@ -146,6 +146,9 @@ def test_keyword_construction_and_defaults():
     assert CheckReport("n", "e", True, 0).counterexample is None
     assert VerificationResult(ok=True).failed_step is None
     assert FieldDescriptor("real") == REALS
+    built = FieldDescriptor("finite", 3, 2, (1, 0, 1))
+    assert built is not F9 and built == F9 and not built != F9
+    assert FieldDescriptor("finite", 3, 2, (2, 1, 1)) != F9
     with pytest.raises(TypeError):
         GWClass(F7)
 
