@@ -45,11 +45,11 @@ def emit(args, payload: dict, table_lines: list[str]) -> None:
 def _normal_form_json(nf) -> dict:
     out: dict = {"degree": nf.degree, "zero": nf.is_zero}
     if nf.degree == 0:
-        out["gw"] = nf.gw.to_json()
+        out["gw"] = nf.value.to_json()
     elif nf.degree is not None and nf.degree < 0:
-        out["witt"] = list(nf.witt.coords)
+        out["witt"] = list(nf.value.coords)
     elif nf.degree is not None:
-        out.update(nf.field.model.kmw_json(nf))
+        out.update(nf.field.model.kmw_json(nf.value))
     return out
 
 

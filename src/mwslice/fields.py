@@ -38,6 +38,8 @@ COMPLEX = "complex"
 # a generator are trial divisions up to sqrt(q), and the discrete-log table
 # has q - 1 entries, so larger orders would run without useful bound.
 MAX_FIELD_ORDER = 10**6
+# The degree d of a supported F_(p^d) is at most this: 3^d <= MAX_FIELD_ORDER.
+MAX_FIELD_DEGREE = next(d for d in itertools.count() if 3 ** (d + 1) > MAX_FIELD_ORDER)
 
 
 class FieldMismatchError(ValueError):
@@ -61,7 +63,10 @@ def _prime_factors(n: int) -> Iterator[int]:
         yield n
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
+def _factor_order(q: int) -> tuple[int, int]:
+    """(p, d) with q = p^d, for a supported field order q."""
+    if q > MAX_FIELD_ORDER:
+        raise ValueError(f"field order {q} exceeds the supported bound {MAX_FIELD_ORDER}")
     if q < 3:
         raise ValueError(f"field order must be >= 3, got {q}")
     p = next(_prime_factors(q))
@@ -71,6 +76,8 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
         d += 1
     if m != 1:
         raise ValueError(f"{q} is not a prime power")
+    if p == 2:
+        raise ValueError("characteristic 2 is out of scope")
     return p, d
 
 
@@ -166,13 +173,14 @@ class FieldDescriptor(Record):
 
 
 def finite_field(q: int, modulus: Sequence[int] | None = None) -> FieldDescriptor:
-    """The descriptor of F_q, one object per (p, d, modulus)."""
-    if q > MAX_FIELD_ORDER:
-        raise ValueError(f"field order {q} exceeds the supported bound {MAX_FIELD_ORDER}")
-    p, d = _factor_prime_power(q)
-    if p == 2:
-        raise ValueError("characteristic 2 is out of scope")
+    """The descriptor of F_q, one object per (p, d, modulus).
+
+    Every monic linear modulus gives F_p the same arithmetic, so each names Fq(p).
+    """
+    p, d = _factor_order(q)
     mod = tuple(m % p for m in modulus) if modulus is not None else default_modulus(p, d)
+    if d == 1 and len(mod) == 2 and mod[1] == 1:
+        mod = default_modulus(p, 1)
     return _interned_finite_field(p, d, mod)
 
 
@@ -283,9 +291,11 @@ class FieldModel(Record):
     GW classes are coordinate vectors in ``gw_ambient``: the rank, then (over
     F_q and R) the count c of e = <u> - <1> for the generator unit u, which is
     g over F_q and -1 over R; ``gw_invariants`` reads the family's named
-    invariant off them.  Positive-degree K^MW normal forms are read through
-    milnor_unit, ideal_bit and real_coord; models return keyword arguments
-    for new normal forms.  A model equals only itself.
+    invariant off them.  A K^MW normal form in degree m >= 1 is (m, value)
+    with the model's value: the Milnor unit class over F_q in degree 1 (None
+    from degree 2, where the group is zero), and over R and C the integer c
+    of c * [-1]^m (always 0 over C).  The ``kmw_*`` and ``eta_*`` methods take
+    and return that value.  A model equals only itself.
     """
 
     _fields = ("field",)
@@ -294,9 +304,6 @@ class FieldModel(Record):
 
     def __init__(self, field: FieldDescriptor) -> None:
         _set(self, "field", field)
-
-    def check_kmw(self, nf) -> None:
-        """Validate a positive-degree normal form (only F_q has a constraint)."""
 
     def ladder_row(self, n: int, level) -> str | None:
         """Extra CLI line for I^n = F^n pi_(0,0); only R has an infinite ladder."""
@@ -616,57 +623,50 @@ class FiniteModel(FieldModel):
             return Ambient(0, (), (), f"K^MW_{m}({self.field}) = 0")
         return Ambient(0, (self.order - 1,), ("log_g",), f"K^MW_1({self.field})")
 
-    def check_kmw(self, nf) -> None:
-        if nf.degree != 1:
-            return
-        if nf.milnor_unit is None:
-            raise ValueError("degree-1 normal forms carry a unit class")
-        if square_class_bit(nf.milnor_unit) != nf.ideal_bit:
-            raise ValueError(
-                "cartesian-square compatibility violated: "
-                f"unit {nf.milnor_unit} vs ideal bit {nf.ideal_bit}"
-            )
+    def kmw_is_zero(self, v) -> bool:
+        return v is None or v == self.one()
 
-    def kmw_is_zero(self, nf) -> bool:
-        return nf.degree >= 2 or (nf.milnor_unit == self.one() and nf.ideal_bit == 0)
+    def kmw_coords(self, v) -> tuple[int, ...]:
+        return () if v is None else (discrete_log_table(self.field)[v],)
 
-    def kmw_coords(self, nf) -> tuple[int, ...]:
-        if nf.degree >= 2:
-            return ()
-        return (discrete_log_table(self.field)[nf.milnor_unit],)
+    def kmw_str(self, m: int, v) -> str:
+        return f"(unit class {v}, ideal bit {square_class_bit(v)})"
 
-    def kmw_str(self, nf) -> str:
-        return f"(unit class {nf.milnor_unit}, ideal bit {nf.ideal_bit})"
-
-    def kmw_json(self, nf) -> dict:
-        if nf.degree >= 2:
+    def kmw_json(self, v) -> dict:
+        if v is None:
             return {}
-        return {"unit_class": str(nf.milnor_unit), "ideal_bit": nf.ideal_bit}
+        return {"unit_class": str(v), "ideal_bit": square_class_bit(v)}
 
-    def kmw_from_coords(self, m: int, coords) -> dict:
-        if m >= 2:
-            return {}
-        u = self.generator_power(coords[0])
-        return {"milnor_unit": u, "ideal_bit": square_class_bit(u)}
+    def kmw_from_coords(self, m: int, coords) -> Unit | None:
+        return None if m >= 2 else self.generator_power(coords[0])
 
-    def kmw_normalize(self, d: int, terms, gw_part) -> dict:
-        """Degree-d coordinates: the Milnor unit class and the ideal bit."""
+    def kmw_normalize(self, d: int, terms, gw_part) -> Unit | None:
+        """The degree-d Milnor unit class, checked against the ideal bit.
+
+        The unit is the product of the degree-1 symbols; the bit is summed
+        from the GW parts of all terms.  The cartesian square asks that the
+        bit be the unit's square class.
+        """
         if d >= 2:
-            return {}
+            return None
         u_acc = self.one()
         bit = 0
         for t in terms:
             if t.eta_power == 0:
                 u_acc = unit_mul(u_acc, unit_pow(t.symbol[0], t.coeff))
             bit = (bit + gw_part(t).disc_dev) % 2
-        return {"milnor_unit": u_acc, "ideal_bit": bit}
+        if square_class_bit(u_acc) != bit:
+            raise ValueError(
+                f"cartesian-square compatibility violated: unit {u_acc} vs ideal bit {bit}"
+            )
+        return u_acc
 
-    def eta_kmw(self, nf, m: int) -> dict:
+    def eta_kmw(self, m: int, v) -> Unit | None:
         """eta from degree m >= 2 lands in degree m - 1 >= 1: the zero class."""
-        return {} if m > 2 else {"milnor_unit": self.one(), "ideal_bit": 0}
+        return self.one() if m == 2 else None
 
-    def eta_to_gw(self, nf) -> tuple[int, int]:
-        return (0, nf.ideal_bit)
+    def eta_to_gw(self, v) -> tuple[int, int]:
+        return (0, square_class_bit(v))
 
     def level_generators(self, N: int) -> tuple[tuple[int, ...], ...]:
         """K^MW_m I^N for m, N >= 1 in degree-m coordinates: I^(N+m) = 0."""
@@ -676,7 +676,7 @@ class FiniteModel(FieldModel):
 class _RationalModel(FieldModel):
     """Infinite fields whose unit carriers are nonzero rationals.
 
-    Positive-degree normal forms keep one integer, ``real_coord``.
+    Positive-degree normal forms keep one integer as their value.
     """
 
     @property
@@ -715,14 +715,14 @@ class _RationalModel(FieldModel):
     def literal(self, u: Unit) -> str:
         return str(u.value)
 
-    def kmw_is_zero(self, nf) -> bool:
-        return nf.real_coord == 0
+    def kmw_is_zero(self, v) -> bool:
+        return v == 0
 
-    def kmw_str(self, nf) -> str:
-        return f"{nf.real_coord} * [-1]^{nf.degree}"
+    def kmw_str(self, m: int, v) -> str:
+        return f"{v} * [-1]^{m}"
 
-    def kmw_json(self, nf) -> dict:
-        return {"coord": nf.real_coord}
+    def kmw_json(self, v) -> dict:
+        return {"coord": v}
 
 
 class RealModel(_RationalModel):
@@ -765,26 +765,26 @@ class RealModel(_RationalModel):
     def kmw_ambient(self, m: int) -> Ambient:
         return Ambient(1, (), ("c",), f"K^MW_{m}(R) mod divisible")
 
-    def kmw_coords(self, nf) -> tuple[int, ...]:
-        return (nf.real_coord,)
+    def kmw_coords(self, v) -> tuple[int, ...]:
+        return (v,)
 
-    def kmw_from_coords(self, m: int, coords) -> dict:
-        return {"real_coord": coords[0]}
+    def kmw_from_coords(self, m: int, coords) -> int:
+        return coords[0]
 
-    def kmw_normalize(self, d: int, terms, gw_part) -> dict:
+    def kmw_normalize(self, d: int, terms, gw_part) -> int:
         """c normalized so that [-1]^d has c = 1: signature / (-2)^d."""
         c = 0
         for t in terms:
             q, r = divmod(gw_part(t).signature, (-2) ** d)
             assert r == 0, "ideal part of a degree-d monomial must lie in I^d"
             c += q
-        return {"real_coord": c}
+        return c
 
-    def eta_kmw(self, nf, m: int) -> dict:
-        return {"real_coord": -2 * nf.real_coord}
+    def eta_kmw(self, m: int, v) -> int:
+        return -2 * v
 
-    def eta_to_gw(self, nf) -> tuple[int, int]:
-        return (0, nf.real_coord)
+    def eta_to_gw(self, v) -> tuple[int, int]:
+        return (0, v)
 
     def level_generators(self, N: int) -> tuple[tuple[int, ...], ...]:
         return ((1 << N,),)
@@ -827,19 +827,19 @@ class ClosedModel(_RationalModel):
     def kmw_ambient(self, m: int) -> Ambient:
         return Ambient(0, (), (), f"K^MW_{m}(C) ideal part = 0")
 
-    def kmw_coords(self, nf) -> tuple[int, ...]:
+    def kmw_coords(self, v) -> tuple[int, ...]:
         return ()
 
-    def kmw_from_coords(self, m: int, coords) -> dict:
-        return {}
+    def kmw_from_coords(self, m: int, coords) -> int:
+        return 0
 
-    def kmw_normalize(self, d: int, terms, gw_part) -> dict:
-        return {}
+    def kmw_normalize(self, d: int, terms, gw_part) -> int:
+        return 0
 
-    def eta_kmw(self, nf, m: int) -> dict:
-        return {}
+    def eta_kmw(self, m: int, v) -> int:
+        return 0
 
-    def eta_to_gw(self, nf) -> tuple[int]:
+    def eta_to_gw(self, v) -> tuple[int]:
         return (0,)
 
     def level_generators(self, N: int) -> tuple[tuple[int, ...], ...]:
@@ -940,15 +940,18 @@ def parse_field(text: str) -> FieldDescriptor:
     if not m:
         raise ValueError(f"unrecognised field literal {text!r}")
     q = int(m.group(1))
-    modulus = parse_poly(m.group(2)) if m.group(2) else None
-    return finite_field(q, modulus)
+    if not m.group(2):
+        return finite_field(q)
+    return finite_field(q, parse_poly(m.group(2), _factor_order(q)[1]))
 
 
-def parse_poly(text: str) -> tuple[int, ...]:
-    """Parse ``x^2+1`` style polynomials into low-first coefficient tuples."""
-    text = text.replace(" ", "").replace("-", "+-")
+def parse_poly(text: str, degree: int = MAX_FIELD_DEGREE) -> tuple[int, ...]:
+    """Parse ``x^2+1`` style polynomials into low-first coefficient tuples.
+
+    A term above ``degree`` is refused before any tuple is built.
+    """
     coeffs: dict[int, int] = {}
-    for part in text.split("+"):
+    for part in text.replace(" ", "").replace("-", "+-").split("+"):
         if not part:
             continue
         m = re.match(r"^(-?\d*)\*?(x(?:\^(\d+))?)?$", part)
@@ -963,9 +966,12 @@ def parse_poly(text: str) -> tuple[int, ...]:
             deg = 1
         else:
             deg = int(m.group(3))
+        if deg > degree:
+            raise ValueError(f"term {part!r} exceeds the field's degree {degree}")
         coeffs[deg] = coeffs.get(deg, 0) + coeff
-    top = max(coeffs)
-    return tuple(coeffs.get(i, 0) for i in range(top + 1))
+    if not coeffs:
+        raise ValueError(f"empty polynomial {text!r}")
+    return tuple(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
 
 
 def poly_str(coeffs: Sequence[int]) -> str:

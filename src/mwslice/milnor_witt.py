@@ -5,15 +5,15 @@ coefficient times an ordered word in the atoms ``eta`` and ``[u]``.  No
 commutativity beyond the presented relations is ever assumed: normal forms are
 computed through per-field invariants, which are insensitive to symbol order.
 
-Normal-form coordinates in degree m (the cartesian-square model):
+A normal form is a degree m and one value (the cartesian-square model):
+a GW class for m = 0 and a Witt class for m < 0 over every field, and for
+m >= 1
 
-* finite F_q:  m >= 2 trivial; m = 1 a pair (unit class in F_q^x, ideal bit)
-  with the compatibility equation bit = square class of the unit;
-  m = 0 a GW class; m < 0 a Witt class.
-* real closed: m >= 1 a single integer c, normalized so that [-1]^m has c = 1,
-  taken modulo the uniquely divisible part; m = 0 GW; m < 0 Witt.
-* quadratically closed: m >= 1 only the (always zero) ideal coordinate is
-  retained; m = 0 rank; m < 0 rank mod 2.
+* finite F_q:  m = 1 the Milnor unit class in F_q^x, whose square class is
+  the ideal bit; m >= 2 None, the group being trivial;
+* real closed: the integer c of c * [-1]^m, taken modulo the uniquely
+  divisible part;
+* quadratically closed: the integer 0, the (always zero) ideal coordinate.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from mwslice.fields import (
     enumerate_units,
     one,
     parse_unit,
+    square_class_bit,
     unit_sub,
 )
 from mwslice.forms import (
@@ -221,39 +222,34 @@ def mw_unit_form(u: Unit) -> MWExpression:
 
 
 class MWNormalForm(Record):
-    """Canonical per-field coordinates of a homogeneous expression.
+    """Canonical coordinates of a homogeneous expression: a degree and a value.
 
     ``degree`` is None only for the identically-zero expression, which is a
-    legal element of every degree.  ``milnor_unit`` and ``ideal_bit`` are
-    used over finite fields in degree 1, ``real_coord`` over R and C in
-    degree >= 1, ``gw`` in degree 0 and ``witt`` in degree < 0.
+    legal element of every degree.  The degree sets the type of ``value``: a
+    GWClass in degree 0, a WittClass in degree < 0 and, in degree >= 1, the
+    field model's value (see :class:`~mwslice.fields.FieldModel`).
     """
 
-    __slots__ = _fields = ("field", "degree", "milnor_unit", "ideal_bit", "real_coord", "gw",
-                           "witt")
+    __slots__ = _fields = ("field", "degree", "value")
 
-    def __init__(self, field: FieldDescriptor, degree: int | None,
-                 milnor_unit: Unit | None = None, ideal_bit: int = 0, real_coord: int = 0,
-                 gw: GWClass | None = None, witt: WittClass | None = None) -> None:
+    def __init__(self, field: FieldDescriptor, degree: int | None, value=None) -> None:
         _set(self, "field", field)
         _set(self, "degree", degree)
-        _set(self, "milnor_unit", milnor_unit)
-        _set(self, "ideal_bit", ideal_bit)
-        _set(self, "real_coord", real_coord)
-        _set(self, "gw", gw)
-        _set(self, "witt", witt)
-        if degree is not None and degree > 0:
-            field.model.check_kmw(self)
+        _set(self, "value", value)
+
+    @property
+    def ideal_bit(self) -> int:
+        """The square class of the unit over F_q in degree 1; 0 elsewhere."""
+        return square_class_bit(self.value) if isinstance(self.value, Unit) else 0
 
     @property
     def is_zero(self) -> bool:
-        if self.degree is None:
+        m = self.degree
+        if m is None:
             return True
-        if self.degree == 0:
-            return self.gw.is_zero
-        if self.degree < 0:
-            return self.witt.is_zero
-        return self.field.model.kmw_is_zero(self)
+        if m <= 0:
+            return self.value.is_zero
+        return self.field.model.kmw_is_zero(self.value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MWNormalForm):
@@ -262,43 +258,29 @@ class MWNormalForm(Record):
             return False
         if self.is_zero and other.is_zero:
             return self.degree == other.degree or None in (self.degree, other.degree)
-        return (
-            self.degree == other.degree
-            and self.milnor_unit == other.milnor_unit
-            and self.ideal_bit == other.ideal_bit
-            and self.real_coord == other.real_coord
-            and self.gw == other.gw
-            and self.witt == other.witt
-        )
+        return self.degree == other.degree and self.value == other.value
 
     def __hash__(self) -> int:
         if self.is_zero:
             return hash((self.field, "zero"))
-        return hash(
-            (self.field, self.degree, self.milnor_unit, self.ideal_bit,
-             self.real_coord, self.gw, self.witt)
-        )
+        return hash((self.field, self.degree, self.value))
 
     def coords(self) -> tuple[int, ...]:
         """Coordinate vector in ``kmw_ambient(field, degree)``."""
         m = self.degree
         if m is None:
             raise ValueError("the zero normal form has no fixed degree")
-        if m == 0:
-            return self.gw.coords
-        if m < 0:
-            return self.witt.coords
-        return self.field.model.kmw_coords(self)
+        if m <= 0:
+            return self.value.coords
+        return self.field.model.kmw_coords(self.value)
 
     def __str__(self) -> str:
         m = self.degree
         if m is None or self.is_zero:
             return f"0 (degree {m if m is not None else 'any'})"
-        if m == 0:
-            return str(self.gw)
-        if m < 0:
-            return str(self.witt)
-        return self.field.model.kmw_str(self)
+        if m <= 0:
+            return str(self.value)
+        return self.field.model.kmw_str(m, self.value)
 
 
 def kmw_ambient(field: FieldDescriptor, m: int) -> Ambient:
@@ -314,10 +296,10 @@ def normal_form_from_coords(
     field: FieldDescriptor, m: int, coords: tuple[int, ...]
 ) -> MWNormalForm:
     if m == 0:
-        return MWNormalForm(field, 0, gw=GWClass(field, coords))
+        return MWNormalForm(field, 0, GWClass(field, coords))
     if m < 0:
-        return MWNormalForm(field, m, witt=WittClass(field, coords))
-    return MWNormalForm(field, m, **field.model.kmw_from_coords(m, coords))
+        return MWNormalForm(field, m, WittClass(field, coords))
+    return MWNormalForm(field, m, field.model.kmw_from_coords(m, coords))
 
 
 def _term_gw_part(field: FieldDescriptor, t: MWMonomial) -> GWClass:
@@ -342,26 +324,18 @@ def normalize(e: MWExpression, degree: int | None = None) -> MWNormalForm:
     field = e.field
     if d is None:
         return MWNormalForm(field, None)
-    if d == 0:
+    if d <= 0:  # GW in degree 0; below it the Witt class of the same sum
         acc = gw_zero(field)
         for t in e.terms:
             acc = acc + _term_gw_part(field, t)
-        return MWNormalForm(field, 0, gw=acc)
-    if d < 0:
-        acc_w = witt_zero(field)
-        for t in e.terms:
-            acc_w = acc_w + witt_class(_term_gw_part(field, t))
-        return MWNormalForm(field, d, witt=acc_w)
-    coords = field.model.kmw_normalize(d, e.terms, partial(_term_gw_part, field))
-    return MWNormalForm(field, d, **coords)
+        return MWNormalForm(field, d, acc if d == 0 else witt_class(acc))
+    value = field.model.kmw_normalize(d, e.terms, partial(_term_gw_part, field))
+    return MWNormalForm(field, d, value)
 
 
 def theta0(e: MWExpression) -> GWClass:
     """The degree-zero evaluation: ring isomorphism onto GW coordinates."""
-    nf = normalize(e, degree=0)
-    if nf.degree not in (0, None):
-        raise DegreeError(f"theta0 needs a degree-0 expression, got degree {nf.degree}")
-    return nf.gw if nf.gw is not None else gw_zero(e.field)
+    return normalize(e, degree=0).value
 
 
 def theta0_inverse(x: GWClass) -> MWExpression:
@@ -385,7 +359,7 @@ def to_witt(e: MWExpression) -> WittClass:
         return witt_zero(e.field)
     if nf.degree >= 0:
         raise DegreeError(f"to_witt needs degree < 0, got {nf.degree}")
-    return nf.witt
+    return nf.value
 
 
 def eta_times(nf: MWNormalForm, field_degree: int | None = None) -> MWNormalForm:
@@ -394,12 +368,13 @@ def eta_times(nf: MWNormalForm, field_degree: int | None = None) -> MWNormalForm
     m = nf.degree if nf.degree is not None else field_degree
     if m is None:
         raise ValueError("eta action on the zero form needs an explicit degree")
+    if nf.degree is None:
+        return normal_form_from_coords(field, m - 1, (0,) * kmw_ambient(field, m - 1).dim)
     if m <= 0:  # into W: from GW by witt_class, within W the identity
-        w = witt_zero(field) if nf.degree is None else witt_class(nf.gw) if m == 0 else nf.witt
-        return MWNormalForm(field, m - 1, witt=w)
+        return MWNormalForm(field, m - 1, witt_class(nf.value) if m == 0 else nf.value)
     if m == 1:
-        return MWNormalForm(field, 0, gw=GWClass(field, field.model.eta_to_gw(nf)))
-    return MWNormalForm(field, m - 1, **field.model.eta_kmw(nf, m))
+        return MWNormalForm(field, 0, GWClass(field, field.model.eta_to_gw(nf.value)))
+    return MWNormalForm(field, m - 1, field.model.eta_kmw(m, nf.value))
 
 
 def eta_power_times(nf: MWNormalForm, n: int) -> MWNormalForm:

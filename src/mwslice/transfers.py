@@ -296,22 +296,20 @@ def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
     if nf.field != top:
         raise ExtensionError(f"normal form over {nf.field} is not over {top}")
     if m == 0:
-        return MWNormalForm(base, 0, gw=trace_transfer_gw(ext, nf.gw))
+        return MWNormalForm(base, 0, trace_transfer_gw(ext, nf.value))
     if m < 0:
-        return MWNormalForm(base, m, witt=trace_transfer_witt(ext, nf.witt))
+        return MWNormalForm(base, m, trace_transfer_witt(ext, nf.value))
     if not base.is_finite:
         raise ExtensionError("positive-degree transfers are implemented over finite fields")
     if m >= 2:
         return MWNormalForm(base, m)
-    u_down = norm_to_base(ext, nf.milnor_unit)
+    u_down = norm_to_base(ext, nf.value)
     transferred = trace_transfer_gw(ext, GWClass(top, (0, nf.ideal_bit)))
     if transferred.rank != 0 or transferred.disc_dev != square_class_bit(u_down):
         raise ExtensionError(
             "trace transfer on the ideal bit disagrees with the norm's square class"
         )
-    return MWNormalForm(
-        base, 1, milnor_unit=u_down, ideal_bit=square_class_bit(u_down)
-    )
+    return MWNormalForm(base, 1, u_down)
 
 
 # -- property reports ---------------------------------------------------------------

@@ -256,3 +256,33 @@ def test_rank_bound_beyond_the_bound_exits_2(capsys):
     argv = ["transfer", "--ext", "Fq(9)/Fq(3)", "--check", "projection", "--rank-bound", "101"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: rank bound 101 exceeds the supported bound 100\n"
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("Fq(9;poly=x^5000000+1)", "error: term 'x^5000000' exceeds the field's degree 2\n"),
+    ("Fq(9;poly=+)", "error: empty polynomial '+'\n"),
+])
+def test_bad_modulus_literal_exits_2(capsys, literal, message):
+    assert main(["gw", "--field", literal, "--form", "<1>"]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_modulus_literal_is_bounded_before_it_is_built():
+    import tracemalloc
+
+    from mwslice.fields import parse_field
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the field's degree"):
+            parse_field("Fq(9;poly=x^1000000+1)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("literal", ["Fq(7;poly=2*x+1)", "Fq(7;poly=x^2+1)"])
+def test_bad_prime_field_modulus_exits_2(capsys, literal):
+    assert main(["gw", "--field", literal, "--form", "<1>"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -408,6 +408,15 @@ def test_finite_fields_are_interned():
     assert hash(f9) == hash(("finite", 3, 2, (1, 0, 1)))
 
 
+def test_a_linear_modulus_names_the_prime_field():
+    from mwslice.rewriting import derivation_from_json, derive_extended_steinberg
+
+    f7 = parse_field("Fq(7;poly=x+3)")
+    assert f7 is parse_field("Fq(7)") and f7 is finite_field(7, (10, 8))
+    d = derive_extended_steinberg([unit(f7, 3), unit(f7, 5)])
+    assert derivation_from_json(d.to_json()) == d
+
+
 # -- the norm kernel against Fermat, Euler and the norm as one long power --------
 
 

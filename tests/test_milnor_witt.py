@@ -1,5 +1,7 @@
 """Expressions, normal forms, theta0, eta images, the cartesian square."""
 
+import itertools
+
 import pytest
 
 from mwslice.fields import (
@@ -14,10 +16,18 @@ from mwslice.fields import (
     unit_pow,
 )
 from mwslice.filtration import FiltrationQuery, eta_image_subgroup
-from mwslice.forms import GWClass, WittClass, fundamental_power_description, gw_of_form, form
+from mwslice.forms import (
+    GWClass,
+    WittClass,
+    form,
+    fundamental_power_description,
+    gw_of_form,
+    gw_zero,
+)
 from mwslice.milnor_witt import (
     DegreeError,
     InhomogeneousError,
+    MWNormalForm,
     cartesian_check,
     eta_times,
     expression_literal,
@@ -148,19 +158,19 @@ def test_negative_degree_collapse_matches_normalize():
         for text in exprs:
             e = parse_expression(field, text)
             if e.degree() is not None and e.degree() < 0:
-                assert normalize(e).witt == to_witt(e)
+                assert normalize(e).value == to_witt(e)
 
 
 def test_eta_action_on_coordinates():
     # real: degree m+1 -> m multiplies the coordinate by -2
     nf = normal_form_from_coords(REALS, 3, (1,))
     down = eta_times(nf)
-    assert down.degree == 2 and down.real_coord == -2
+    assert down.degree == 2 and down.value == -2
     # finite degree 1 -> 0 lands on the ideal bit
     g = multiplicative_generator(F7)
     nf1 = normalize(mw_symbol(g))
     img = eta_times(nf1)
-    assert img.gw == GWClass(F7, (0, 1))
+    assert img.value == GWClass(F7, (0, 1))
 
 
 def test_eta_on_the_zero_form_with_an_explicit_degree():
@@ -182,18 +192,18 @@ def test_eta_power_images_equal_ideal_powers():
 def test_degree_one_finite_coordinates():
     g = multiplicative_generator(F9)
     nf = normalize(mw_symbol(g))
-    assert nf.milnor_unit == g and nf.ideal_bit == 1
+    assert nf.value == g and nf.ideal_bit == 1
     # addition is multiplicative on unit classes
     two = normalize(mw_symbol(g) + mw_symbol(g))
-    assert two.milnor_unit == unit_mul(g, g) and two.ideal_bit == 0
+    assert two.value == unit_mul(g, g) and two.ideal_bit == 0
     assert normalize(mw_symbol(g).scale(8), degree=1).is_zero  # g^8 = 1 in F_9
 
 
 def test_real_degree_one_sign_coordinate():
-    assert normalize(parse_expression(REALS, "[-1]")).real_coord == 1
-    assert normalize(parse_expression(REALS, "[2]")).real_coord == 0
-    assert normalize(parse_expression(REALS, "[-3]")).real_coord == 1
-    assert normalize(parse_expression(REALS, "[-1]*[-1]")).real_coord == 1
+    assert normalize(parse_expression(REALS, "[-1]")).value == 1
+    assert normalize(parse_expression(REALS, "[2]")).value == 0
+    assert normalize(parse_expression(REALS, "[-3]")).value == 1
+    assert normalize(parse_expression(REALS, "[-1]*[-1]")).value == 1
     assert normalize(parse_expression(REALS, "[-1]*[2]"), degree=2).is_zero
 
 
@@ -217,8 +227,33 @@ def test_degree_one_coordinates_need_no_unit_walk(monkeypatch):
     g = multiplicative_generator(field)
     for k in (0, 1, field.order - 2, -1, 123457):
         nf = normal_form_from_coords(field, 1, (k,))
-        assert nf.milnor_unit == unit_pow(g, k)
+        assert nf.value == unit_pow(g, k)
         assert nf.ideal_bit == k % 2
+
+
+def test_kmw_normalize_refuses_a_bit_that_is_not_the_square_class():
+    g = multiplicative_generator(F7)  # a nonsquare: the true ideal bit is 1
+    with pytest.raises(ValueError, match="cartesian-square"):
+        F7.model.kmw_normalize(1, mw_symbol(g).terms, lambda t: gw_zero(F7))
+
+
+@pytest.mark.parametrize("field", [F7, F9, finite_field(25), REALS, COMPLEXES], ids=str)
+def test_normal_forms_round_trip_their_coordinates(field):
+    # every residue of a torsion coordinate, some unreduced; -3..3 of a free one
+    for m in range(-3, 4):
+        amb = kmw_ambient(field, m)
+        ranges = [range(-3, 4)] * amb.free_rank + [range(-3, t) for t in amb.torsion]
+        by_coords = {}
+        for x in itertools.product(*ranges):
+            nf = normal_form_from_coords(field, m, x)
+            reduced = amb.reduce(x)
+            assert nf.coords() == reduced and nf.degree == m
+            assert nf.is_zero == (not any(reduced))
+            first = by_coords.setdefault(reduced, nf)
+            assert nf == first and hash(nf) == hash(first)
+        assert len(set(by_coords.values())) == len(by_coords)
+        zero = MWNormalForm(field, None)
+        assert by_coords[(0,) * amb.dim] == zero and hash(zero) == hash(by_coords[(0,) * amb.dim])
 
 
 def test_kmw_ambients():

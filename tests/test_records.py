@@ -54,7 +54,7 @@ def every_record():
         "MWAtom": MWAtom(SYM, U3),
         "MWMonomial": MWMonomial(2, (MWAtom(ETA),)),
         "MWExpression": MWExpression(F7, ()),
-        "MWNormalForm": MWNormalForm(F7, 1, milnor_unit=U3, ideal_bit=1),
+        "MWNormalForm": MWNormalForm(F7, 1, U3),
         "CartesianReport": cartesian_check(F3, 1),
         "Step": Step("R-one", 0, 0, {}),
         "Derivation": derive_extended_steinberg([Unit(F7, (3,)), Unit(F7, (5,))]),
@@ -139,8 +139,9 @@ def test_models_equal_only_themselves():
 
 def test_keyword_construction_and_defaults():
     assert GWClass(F7, (2, 0)) == GWClass(field=F7, coords=(2, 0))
-    nf = MWNormalForm(F7, 1, milnor_unit=Unit(F7, (3,)), ideal_bit=1)
-    assert (nf.real_coord, nf.gw, nf.witt) == (0, None, None)
+    nf = MWNormalForm(F7, 1, value=Unit(F7, (3,)))
+    assert (nf.value, nf.ideal_bit) == (Unit(F7, (3,)), 1)
+    assert MWNormalForm(F7, None).value is None
     amb = Ambient(1, label="L")
     assert (amb.torsion, amb.coord_names, str(amb)) == ((), ("c0",), "L")
     assert CheckReport("n", "e", True, 0).counterexample is None

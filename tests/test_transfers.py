@@ -197,7 +197,7 @@ def test_transfer_kmw_degree_one():
     nf = normalize(mw_symbol(g9))
     down = transfer_kmw(EXT_93, nf)
     assert down.degree == 1
-    assert down.milnor_unit == norm_to_base(EXT_93, g9)
+    assert down.value == norm_to_base(EXT_93, g9)
     assert down.ideal_bit == 1
 
 
