@@ -33,7 +33,6 @@ from mwslice.forms import (
     GWClass,
     brute_force_gw,
     fundamental_power_description,
-    gw_ambient,
     gw_box,
     gw_of_form,
     rep_form,
@@ -113,7 +112,7 @@ class _Run:
 def check_real_ideal_ladder(profile: str = "full") -> CheckResult:
     """I(R)^n = (2^(n-1)) in the index coordinate, signature in 2^n Z, n = 0..12."""
     run = _Run("real_ideal_ladder")
-    ambient = gw_ambient(REALS)
+    ambient = REALS.gw_ambient
     for n in range(0, 13):
         desc = fundamental_power_description(REALS, n)
         run.cases += 1
@@ -149,7 +148,7 @@ def check_filtration_at_origin(profile: str = "full") -> CheckResult:
     """tate_filtration(n, 0, 0, F) = I(F)^max(n,0) for -3 <= n <= 8."""
     run = _Run("filtration_at_origin")
     for field in STANDARD_FIELDS:
-        ambient = gw_ambient(field)
+        ambient = field.gw_ambient
         for n in range(-3, 9):
             run.cases += 1
             got = tate_filtration(FiltrationQuery(n, 0, 0, field))

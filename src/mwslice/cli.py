@@ -49,7 +49,7 @@ def _normal_form_json(nf) -> dict:
     elif nf.degree is not None and nf.degree < 0:
         out["witt"] = list(nf.value.coords)
     elif nf.degree is not None:
-        out.update(nf.field.model.kmw_json(nf.value))
+        out.update(nf.field.kmw_json(nf.value))
     return out
 
 
@@ -142,7 +142,7 @@ def cmd_filtration(args) -> int:
         f"  N = {report.N}",
         f"  subgroup: {report.subgroup}",
     ]
-    if args.p == args.q == 0 < args.n and (row := field.model.ladder_row(args.n, report.subgroup)):
+    if args.p == args.q == 0 < args.n and (row := field.ladder_row(args.n, report.subgroup)):
         lines.append(row)
     emit(args, payload, lines)
     return EXIT_OK

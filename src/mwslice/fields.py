@@ -1,23 +1,25 @@
 """Exact arithmetic and the per-family facts of the three supported field families.
 
-Three kinds of field are modelled, all of characteristic != 2:
+Three families of field are modelled, all of characteristic != 2, each by a
+subclass of :class:`FieldDescriptor`:
 
-* ``finite``  -- F_q with q an odd prime power.  Elements are polynomials over
-  the prime field modulo a monic irreducible, stored as coefficient tuples.
-* ``real``    -- a real closed field.  Unit carriers are nonzero rationals;
-  only the sign of a unit is ever invariant-relevant.
-* ``complex`` -- a quadratically closed field.  Unit carriers are nonzero
-  rationals standing in for arbitrary units; all square classes are trivial.
+* :class:`FiniteField` -- F_q with q an odd prime power.  Elements are
+  polynomials over the prime field modulo a monic irreducible, stored as
+  coefficient tuples.
+* :class:`RealField` -- a real closed field.  Unit carriers are nonzero
+  rationals; only the sign of a unit is ever invariant-relevant.
+* :class:`ClosedField` -- a quadratically closed field.  Unit carriers are
+  nonzero rationals standing in for arbitrary units; all square classes are
+  trivial.
 
-Every :class:`FieldDescriptor` carries one frozen model object for its family
-(:class:`FiniteModel`, :class:`RealModel`, :class:`ClosedModel`), built with
-the descriptor.  The model is the one place where per-family facts live: unit
-arithmetic and square classes, the GW and W coordinates from the
-classification of forms (Lam, *Introduction to Quadratic Forms over Fields*,
-ch. II-III), the generators of I^n, the K^MW coordinates in positive degree
-with the eta action, and the convergence certificate.  Model methods
-speak in units, integers, coordinate tuples and :class:`Ambient` groups; the
-forms, milnor_witt and filtration modules wrap them in their own classes.
+A field is one interned object, and its class is the one place where the
+facts of its family live: unit arithmetic and square classes, the GW and W
+coordinates from the classification of forms (Lam, *Introduction to
+Quadratic Forms over Fields*, ch. II-III), the generators of I^n, the K^MW
+coordinates in positive degree with the eta action, and the convergence
+certificate.  Field methods speak in units, integers, coordinate tuples and
+:class:`Ambient` groups; the forms, milnor_witt and filtration modules wrap
+them in their own classes.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from mwslice.abelian import Ambient, Record
-
-FINITE = "finite"
-REAL = "real"
-COMPLEX = "complex"
 
 # Largest supported order q of a finite field.  Factoring q and searching for
 # a generator are trial divisions up to sqrt(q), and the discrete-log table
@@ -135,59 +133,58 @@ _set = object.__setattr__
 
 
 class FieldDescriptor(Record):
-    """A concrete field of characteristic != 2, with its family model."""
+    """A concrete field of characteristic != 2; this base holds what the families share.
 
-    __slots__ = ("kind", "p", "degree", "modulus", "model", "_hash")
-    _fields = ("kind", "p", "degree", "modulus")
+    Each family is a subclass, and its constructor returns the one interned
+    object for its field, so two fields are equal only when they are the
+    same object.  The base class builds no field.
 
-    def __init__(self, kind: str, p: int = 0, degree: int = 1,
-                 modulus: tuple[int, ...] = ()) -> None:
-        family = _FAMILIES.get(kind)
-        if family is None:
-            raise ValueError(f"unknown field kind {kind!r}")
-        _set(self, "kind", kind)
-        _set(self, "p", p)
-        _set(self, "degree", degree)
-        _set(self, "modulus", modulus)
-        # the hash of the compared fields, taken once
-        _set(self, "_hash", hash((kind, p, degree, modulus)))
-        _set(self, "model", family(self))
+    GW classes are coordinate vectors in ``gw_ambient``: the rank, then (over
+    F_q and R) the count c of e = <u> - <1> for the generator unit u, which is
+    g over F_q and -1 over R; ``gw_invariants`` reads the family's named
+    invariant off them.  A K^MW normal form in degree m >= 1 is (m, value)
+    with the field's value: the Milnor unit class over F_q in degree 1 (None
+    from degree 2, where the group is zero), and over R and C the integer c
+    of c * [-1]^m (always 0 over C).  The ``kmw_*`` and ``eta_*`` methods take
+    and return that value.
+    """
 
-    def __eq__(self, other: object) -> bool:
-        # finite fields are interned, so equal descriptors are nearly always one object
-        return self is other or Record.__eq__(self, other)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+    is_finite = False
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("fields are built by FiniteField, RealField or ClosedField")
 
-    @property
-    def order(self) -> int:
-        return self.model.order
+    @classmethod
+    @lru_cache(maxsize=None)
+    def _intern(cls, *key) -> FieldDescriptor:
+        """The one field of this class with this key; ``_setup`` runs once per key."""
+        field = object.__new__(cls)
+        field._setup(*key)
+        return field
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == FINITE
+    def _setup(self) -> None:
+        pass
 
     def __str__(self) -> str:
-        return self.model.name
+        return self.name
 
+    def ladder_row(self, n: int, level) -> str | None:
+        """Extra CLI line for I^n = F^n pi_(0,0); only R has an infinite ladder."""
+        return None
 
-def finite_field(q: int, modulus: Sequence[int] | None = None) -> FieldDescriptor:
-    """The descriptor of F_q, one object per (p, d, modulus).
+    def gw_invariants(self, coords) -> dict:
+        """The invariants past the rank of the GW class with these coordinates."""
+        return {}
 
-    Every monic linear modulus gives F_p the same arithmetic, so each names Fq(p).
-    """
-    p, d = _factor_order(q)
-    mod = tuple(m % p for m in modulus) if modulus is not None else default_modulus(p, d)
-    if d == 1 and len(mod) == 2 and mod[1] == 1:
-        mod = default_modulus(p, 1)
-    return _interned_finite_field(p, d, mod)
+    @cached_property
+    def gw_ambient(self) -> Ambient:
+        return Ambient(*self.gw_shape, f"GW({self})")
 
-
-@lru_cache(maxsize=None)
-def _interned_finite_field(p: int, d: int, modulus: tuple[int, ...]) -> FieldDescriptor:
-    """Built once per key, so the irreducibility test and the model's tables are too."""
-    return FieldDescriptor(FINITE, p, d, modulus)
+    @cached_property
+    def witt_ambient(self) -> Ambient:
+        return Ambient(*self.witt_shape, f"W({self})")
 
 
 class Unit(Record):
@@ -197,7 +194,7 @@ class Unit(Record):
     _fields = ("field", "value")
 
     def __init__(self, field: FieldDescriptor, value: tuple[int, ...] | Fraction) -> None:
-        field.model.check_carrier(value)
+        field.check_carrier(value)
         _set(self, "field", field)
         _set(self, "value", value)
         _set(self, "_hash", hash((field, value)))
@@ -206,7 +203,7 @@ class Unit(Record):
         return self._hash
 
     def __str__(self) -> str:
-        return self.field.model.carrier_str(self.value)
+        return self.field.carrier_str(self.value)
 
     @property
     def encoding(self) -> int:
@@ -228,7 +225,7 @@ class SquareClass(Record):
 
 
 def _check_same_field(a: Unit, b: Unit) -> None:
-    if a.field is not b.field and a.field != b.field:
+    if a.field is not b.field:
         raise FieldMismatchError(f"operands over {a.field} and {b.field}")
 
 
@@ -236,34 +233,34 @@ def unit(field: FieldDescriptor, value: int | Fraction | Sequence[int] | str) ->
     """Coerce an integer, rational, coefficient sequence or literal to a Unit."""
     if isinstance(value, str):
         return parse_unit(field, value)
-    return field.model.coerce(value)
+    return field.coerce(value)
 
 
 def one(field: FieldDescriptor) -> Unit:
-    return field.model.one()
+    return field.one()
 
 
 def unit_mul(a: Unit, b: Unit) -> Unit:
     _check_same_field(a, b)
-    return a.field.model.mul(a, b)
+    return a.field.mul(a, b)
 
 
 def unit_inv(a: Unit) -> Unit:
-    return a.field.model.inv(a)
+    return a.field.inv(a)
 
 
 def unit_pow(a: Unit, n: int) -> Unit:
-    return a.field.model.pow(a, n)
+    return a.field.pow(a, n)
 
 
 def unit_neg(a: Unit) -> Unit:
-    return a.field.model.neg(a)
+    return a.field.neg(a)
 
 
 def unit_add(a: Unit, b: Unit) -> Unit | None:
     """Exact sum; returns None when a + b = 0."""
     _check_same_field(a, b)
-    return a.field.model.add(a, b)
+    return a.field.add(a, b)
 
 
 def unit_sub(a: Unit, b: Unit) -> Unit | None:
@@ -275,55 +272,21 @@ def unit_div(a: Unit, b: Unit) -> Unit:
 
 
 def square_class(a: Unit) -> SquareClass:
-    return SquareClass(a.field, a.field.model.square_class_label(a))
+    return SquareClass(a.field, a.field.square_class_label(a))
 
 
 def square_class_bit(a: Unit) -> int:
     return square_class(a).bit
 
 
-# -- per-family models ------------------------------------------------------------
+# -- the field families ------------------------------------------------------------
 
 
-class FieldModel(Record):
-    """The facts of one field family; this base holds what the families share.
-
-    GW classes are coordinate vectors in ``gw_ambient``: the rank, then (over
-    F_q and R) the count c of e = <u> - <1> for the generator unit u, which is
-    g over F_q and -1 over R; ``gw_invariants`` reads the family's named
-    invariant off them.  A K^MW normal form in degree m >= 1 is (m, value)
-    with the model's value: the Milnor unit class over F_q in degree 1 (None
-    from degree 2, where the group is zero), and over R and C the integer c
-    of c * [-1]^m (always 0 over C).  The ``kmw_*`` and ``eta_*`` methods take
-    and return that value.  A model equals only itself.
-    """
-
-    _fields = ("field",)
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, field: FieldDescriptor) -> None:
-        _set(self, "field", field)
-
-    def ladder_row(self, n: int, level) -> str | None:
-        """Extra CLI line for I^n = F^n pi_(0,0); only R has an infinite ladder."""
-        return None
-
-    def gw_invariants(self, coords) -> dict:
-        """The invariants past the rank of the GW class with these coordinates."""
-        return {}
-
-    @cached_property
-    def gw_ambient(self) -> Ambient:
-        return Ambient(*self.gw_shape, f"GW({self.field})")
-
-    @cached_property
-    def witt_ambient(self) -> Ambient:
-        return Ambient(*self.witt_shape, f"W({self.field})")
-
-
-class FiniteModel(FieldModel):
+class FiniteField(FieldDescriptor):
     """F_q, q odd: GW = Z x Z/2 by (rank, disc_dev), W = Z/4 or Z/2 x Z/2.
+
+    One object per (p, d, modulus): every monic linear modulus gives F_p the
+    same arithmetic, so each names Fq(p).
 
     Over F_{p^d} a product is one integer multiplication (Kronecker
     substitution; von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4).
@@ -336,41 +299,47 @@ class FiniteModel(FieldModel):
     at most d (p-1)^2.  Inverses and square classes go through the norm
     N(u) = u^((q-1)/(p-1)) in F_p, built from Frobenius maps in O(log d)
     products (Itoh and Tsujii, *Inform. and Comput.* 78, 1988).  Packed
-    integers never leave the model's methods.
+    integers never leave the field's methods.
     """
 
+    _fields = ("order", "modulus")
+    is_finite = True
     gw_shape = (1, (2,), ("rank", "disc_dev"))
     certificate = "I^2 = 0"
     vanishing_power = 2
 
-    def __init__(self, field: FieldDescriptor) -> None:
-        f = field
-        if f.p < 3 or f.p % 2 == 0:
-            raise ValueError("finite fields must have odd characteristic")
-        if len(f.modulus) != f.degree + 1 or f.modulus[-1] != 1:
+    def __new__(cls, q: int, modulus: Sequence[int] | None = None) -> FiniteField:
+        p, d = _factor_order(q)
+        mod = tuple(m % p for m in modulus) if modulus is not None else default_modulus(p, d)
+        if d == 1 and len(mod) == 2 and mod[1] == 1:
+            mod = default_modulus(p, 1)
+        return cls._intern(p, d, mod)
+
+    def _setup(self, p: int, d: int, modulus: tuple[int, ...]) -> None:
+        if len(modulus) != d + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree matching the field")
-        if not _is_irreducible(f.modulus, f.p):
-            raise ValueError(f"modulus {f.modulus} is reducible over F_{f.p}")
-        super().__init__(f)
-        p, d = f.p, f.degree
+        if not _is_irreducible(modulus, p):
+            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         q = p**d
+        _set(self, "p", p)
+        _set(self, "degree", d)
+        _set(self, "modulus", modulus)
         _set(self, "order", q)
-        _set(self, "name", f"Fq({q})" if d == 1 else f"Fq({q};poly={poly_str(f.modulus)})")
+        _set(self, "name", f"Fq({q})" if d == 1 else f"Fq({q};poly={poly_str(modulus)})")
         k = (d * (p - 1) ** 2 * (1 + (d - 1) * (p - 1))).bit_length()
         _set(self, "lane", k)
         _set(self, "_lane_shifts", tuple(range(k * (d - 1), -1, -k)))  # top lane first
         # packed x^j mod f for j = d, ..., 2d - 2
-        folds = (self._pack(_prem((0,) * j + (1,), f.modulus, p)) for j in range(d, 2 * d - 1))
+        folds = (self._pack(_prem((0,) * j + (1,), modulus, p)) for j in range(d, 2 * d - 1))
         _set(self, "_folds", tuple(folds))
 
     # -- units: coefficient tuples modulo the field's modulus ------------------
 
     def check_carrier(self, value) -> None:
-        f = self.field
         if not isinstance(value, tuple) or not value:
             raise ValueError("finite-field units are nonempty coefficient tuples")
         top = max(value)
-        if len(value) != f.degree or top >= f.p or min(value) < 0:
+        if len(value) != self.degree or top >= self.p or min(value) < 0:
             raise ValueError(f"unreduced residue {value}")
         if not top:
             raise ValueError("zero is not a unit")
@@ -379,17 +348,16 @@ class FiniteModel(FieldModel):
         return poly_str(value)
 
     def coerce(self, value) -> Unit:
-        f = self.field
         if isinstance(value, Fraction):
             num = self._from_int(value.numerator)
             return unit_mul(num, unit_inv(self._from_int(value.denominator)))
         if isinstance(value, int):
             return self._from_int(value)
-        coeffs = _prem([c % f.p for c in value], f.modulus, f.p)
-        return Unit(f, coeffs + (0,) * (f.degree - len(coeffs)))
+        coeffs = _prem([c % self.p for c in value], self.modulus, self.p)
+        return Unit(self, coeffs + (0,) * (self.degree - len(coeffs)))
 
     def _from_int(self, n: int) -> Unit:
-        return Unit(self.field, (n % self.field.p,) + (0,) * (self.field.degree - 1))
+        return Unit(self, (n % self.p,) + (0,) * (self.degree - 1))
 
     def one(self) -> Unit:
         return self._from_int(1)
@@ -403,11 +371,11 @@ class FiniteModel(FieldModel):
     def _unpack(self, x: int) -> tuple[int, ...]:
         k = self.lane
         mask = (1 << k) - 1
-        return tuple([x >> s & mask for s in range(0, k * self.field.degree, k)])
+        return tuple([x >> s & mask for s in range(0, k * self.degree, k)])
 
     def _reduce_lanes(self, r: int) -> int:
         """The packed carrier whose lanes are the d low lanes of r, each mod p."""
-        k, p = self.lane, self.field.p
+        k, p = self.lane, self.p
         mask = (1 << k) - 1
         out = 0
         for s in self._lane_shifts:
@@ -416,7 +384,7 @@ class FiniteModel(FieldModel):
 
     def _mul_packed(self, x: int, y: int) -> int:
         """The packed product of two packed carriers, reduced mod f and p."""
-        k, d = self.lane, self.field.degree
+        k, d = self.lane, self.degree
         mask = (1 << k) - 1
         prod = x * y
         r = prod & ((1 << k * d) - 1)
@@ -439,8 +407,8 @@ class FiniteModel(FieldModel):
     @cached_property
     def _frobenius(self) -> tuple[tuple[int, ...], ...]:
         """Row j holds packed x^(i p^j) mod f for i < d: the images of u -> u^(p^j)."""
-        d = self.field.degree
-        xp = self._pack(self.carrier_pow((0, 1) + (0,) * (d - 2), self.field.p))
+        d = self.degree
+        xp = self._pack(self.carrier_pow((0, 1) + (0,) * (d - 2), self.p))
         row = [1]
         for _ in range(d - 1):
             row.append(self._mul_packed(row[-1], xp))
@@ -454,10 +422,10 @@ class FiniteModel(FieldModel):
 
     def frobenius(self, a: Unit, j: int) -> Unit:
         """a^(p^j), the j-th power of the Frobenius map."""
-        j %= self.field.degree
+        j %= self.degree
         if not j:
             return a
-        return Unit(self.field, self._unpack(self._frobenius_packed(self._pack(a.value), j)))
+        return Unit(self, self._unpack(self._frobenius_packed(self._pack(a.value), j)))
 
     def _norm_packed(self, x: int) -> tuple[int, int]:
         """(t, N) for a packed unit x of F_{p^d}, d >= 2: t = x^(p + ... + p^(d-1))
@@ -469,7 +437,7 @@ class FiniteModel(FieldModel):
         is its constant coefficient.
         """
         s, m = x, 1
-        for bit in bin(self.field.degree - 1)[3:]:
+        for bit in bin(self.degree - 1)[3:]:
             s = self._mul_packed(s, self._frobenius_packed(s, m))
             m *= 2
             if bit == "1":
@@ -480,14 +448,14 @@ class FiniteModel(FieldModel):
 
     def norm(self, a: Unit) -> int:
         """N(a) = a^((q-1)/(p-1)), the norm to the prime field, as an integer below p."""
-        if self.field.degree == 1:
+        if self.degree == 1:
             return a.value[0]
         return self._norm_packed(self._pack(a.value))[1]
 
     def _inv_packed(self, x: int) -> int:
         """x^-1 = N(x)^-1 x^(p + ... + p^(d-1)), a scalar multiple of t."""
         t, n = self._norm_packed(x)
-        return self._reduce_lanes(t * pow(n, -1, self.field.p))
+        return self._reduce_lanes(t * pow(n, -1, self.p))
 
     def _pow_packed(self, x: int, n: int) -> int:
         """x^n for a packed x and n >= 0, by square-and-multiply."""
@@ -501,10 +469,9 @@ class FiniteModel(FieldModel):
         return result or 1
 
     def mul(self, a: Unit, b: Unit) -> Unit:
-        f = self.field
-        if f.degree == 1:
-            return Unit(f, (a.value[0] * b.value[0] % f.p,))
-        return Unit(f, self._unpack(self._mul_packed(self._pack(a.value), self._pack(b.value))))
+        if self.degree == 1:
+            return Unit(self, (a.value[0] * b.value[0] % self.p,))
+        return Unit(self, self._unpack(self._mul_packed(self._pack(a.value), self._pack(b.value))))
 
     def pow(self, a: Unit, n: int) -> Unit:
         """a^n for any integer n, reduced mod q - 1.
@@ -513,20 +480,18 @@ class FiniteModel(FieldModel):
         on the inverse: a coefficient like -2 in K^MW costs an inverse and a
         square, not a power of length log q.
         """
-        f = self.field
         n %= self.order - 1
-        if f.degree == 1:
-            return Unit(f, (pow(a.value[0], n, f.p),))
+        if self.degree == 1:
+            return Unit(self, (pow(a.value[0], n, self.p),))
         x = self._pack(a.value)
         if 2 * n > self.order - 1:
             x, n = self._inv_packed(x), self.order - 1 - n
-        return Unit(f, self._unpack(self._pow_packed(x, n)))
+        return Unit(self, self._unpack(self._pow_packed(x, n)))
 
     def carrier_pow(self, c: tuple[int, ...], n: int) -> tuple[int, ...]:
         """c^n on raw coefficient tuples for n >= 0, by square-and-multiply."""
-        f = self.field
-        if f.degree == 1:
-            return (pow(c[0], n, f.p),)
+        if self.degree == 1:
+            return (pow(c[0], n, self.p),)
         return self._unpack(self._pow_packed(self._pack(c), n))
 
     def powers(self, g: Unit) -> tuple[Unit, ...]:
@@ -534,14 +499,14 @@ class FiniteModel(FieldModel):
         x, step = 1, self._pack(g.value)
         out = []
         for _ in range(self.order - 1):
-            out.append(Unit(self.field, self._unpack(x)))
+            out.append(Unit(self, self._unpack(x)))
             x = self._mul_packed(x, step)
         return tuple(out)
 
     @cached_property
     def _comb(self) -> tuple[tuple[int, ...], ...]:
         """Row i holds packed g^(w 16^i), w < 16, for each 4-bit window of q - 2."""
-        step = self._pack(multiplicative_generator(self.field).value)  # g^(16^i)
+        step = self._pack(multiplicative_generator(self).value)  # g^(16^i)
         rows = []
         for _ in range(0, (self.order - 2).bit_length(), 4):
             row = [1]
@@ -554,37 +519,35 @@ class FiniteModel(FieldModel):
     def generator_power(self, k: int) -> Unit:
         """g^k for the canonical generator g: one comb entry per nonzero 4-bit
         window of k mod q - 1, so at most one product fewer than windows."""
-        f = self.field
         k %= self.order - 1
-        if f.degree == 1:
-            return self.pow(multiplicative_generator(f), k)
+        if self.degree == 1:
+            return self.pow(multiplicative_generator(self), k)
         x = 0  # no window taken yet
         for row in self._comb:
             if k & 15:
                 x = self._mul_packed(x, row[k & 15]) if x else row[k & 15]
             k >>= 4
-        return Unit(f, self._unpack(x or 1))
+        return Unit(self, self._unpack(x or 1))
 
     def inv(self, a: Unit) -> Unit:
-        f = self.field
-        if f.degree == 1:
-            return Unit(f, (pow(a.value[0], -1, f.p),))
-        return Unit(f, self._unpack(self._inv_packed(self._pack(a.value))))
+        if self.degree == 1:
+            return Unit(self, (pow(a.value[0], -1, self.p),))
+        return Unit(self, self._unpack(self._inv_packed(self._pack(a.value))))
 
     def neg(self, a: Unit) -> Unit:
-        return Unit(self.field, tuple((-c) % self.field.p for c in a.value))
+        return Unit(self, tuple((-c) % self.p for c in a.value))
 
     def add(self, a: Unit, b: Unit) -> Unit | None:
-        coeffs = tuple((x + y) % self.field.p for x, y in zip(a.value, b.value))
-        return Unit(self.field, coeffs) if any(coeffs) else None
+        coeffs = tuple((x + y) % self.p for x, y in zip(a.value, b.value))
+        return Unit(self, coeffs) if any(coeffs) else None
 
     def square_class_label(self, a: Unit) -> str:
         """a is a square iff its norm is a square in F_p (Euler's criterion there)."""
-        p = self.field.p
+        p = self.p
         return "square" if pow(self.norm(a), (p - 1) // 2, p) == 1 else "nonsquare"
 
     def literal(self, u: Unit) -> str:
-        return f"g^{discrete_log_table(self.field)[u]}"
+        return f"g^{discrete_log_table(self)[u]}"
 
     # -- GW and W ----------------------------------------------------------------
 
@@ -593,7 +556,7 @@ class FiniteModel(FieldModel):
 
     def gw_generator_units(self) -> tuple[Unit, ...]:
         """Units u such that <1> and the <u> generate GW; g is a nonsquare."""
-        return (multiplicative_generator(self.field),)
+        return (multiplicative_generator(self),)
 
     def ideal_generators(self, n: int) -> tuple[tuple[int, ...], ...]:
         """I^n for n >= 1: I is the rank-zero line, I^2 = 0."""
@@ -620,14 +583,17 @@ class FiniteModel(FieldModel):
 
     def kmw_ambient(self, m: int) -> Ambient:
         if m >= 2:
-            return Ambient(0, (), (), f"K^MW_{m}({self.field}) = 0")
-        return Ambient(0, (self.order - 1,), ("log_g",), f"K^MW_1({self.field})")
+            return Ambient(0, (), (), f"K^MW_{m}({self}) = 0")
+        return Ambient(0, (self.order - 1,), ("log_g",), f"K^MW_1({self})")
+
+    def kmw_value_fits(self, m: int, v) -> bool:
+        return v is None if m >= 2 else isinstance(v, Unit) and v.field is self
 
     def kmw_is_zero(self, v) -> bool:
         return v is None or v == self.one()
 
     def kmw_coords(self, v) -> tuple[int, ...]:
-        return () if v is None else (discrete_log_table(self.field)[v],)
+        return () if v is None else (discrete_log_table(self)[v],)
 
     def kmw_str(self, m: int, v) -> str:
         return f"(unit class {v}, ideal bit {square_class_bit(v)})"
@@ -673,15 +639,23 @@ class FiniteModel(FieldModel):
         return ()
 
 
-class _RationalModel(FieldModel):
-    """Infinite fields whose unit carriers are nonzero rationals.
+def finite_field(q: int, modulus: Sequence[int] | None = None) -> FiniteField:
+    """The field F_q, with the default modulus unless one is given."""
+    return FiniteField(q, modulus)
+
+
+class _RationalField(FieldDescriptor):
+    """Infinite fields whose unit carriers are nonzero rationals; one object per class.
 
     Positive-degree normal forms keep one integer as their value.
     """
 
+    def __new__(cls) -> _RationalField:
+        return cls._intern()
+
     @property
     def order(self) -> int:
-        raise UnsupportedEnumerationError(f"{self.field} is infinite")
+        raise UnsupportedEnumerationError(f"{self} is infinite")
 
     def check_carrier(self, value) -> None:
         if not isinstance(value, Fraction) or value == 0:
@@ -691,29 +665,32 @@ class _RationalModel(FieldModel):
         return str(value)
 
     def coerce(self, value) -> Unit:
-        return Unit(self.field, Fraction(value))
+        return Unit(self, Fraction(value))
 
     def one(self) -> Unit:
-        return Unit(self.field, Fraction(1))
+        return Unit(self, Fraction(1))
 
     def mul(self, a: Unit, b: Unit) -> Unit:
-        return Unit(self.field, a.value * b.value)
+        return Unit(self, a.value * b.value)
 
     def inv(self, a: Unit) -> Unit:
-        return Unit(self.field, 1 / a.value)
+        return Unit(self, 1 / a.value)
 
     def pow(self, a: Unit, n: int) -> Unit:
-        return Unit(self.field, a.value**n)
+        return Unit(self, a.value**n)
 
     def neg(self, a: Unit) -> Unit:
-        return Unit(self.field, -a.value)
+        return Unit(self, -a.value)
 
     def add(self, a: Unit, b: Unit) -> Unit | None:
         s = a.value + b.value
-        return None if s == 0 else Unit(self.field, s)
+        return None if s == 0 else Unit(self, s)
 
     def literal(self, u: Unit) -> str:
         return str(u.value)
+
+    def kmw_value_fits(self, m: int, v) -> bool:
+        return type(v) is int
 
     def kmw_is_zero(self, v) -> bool:
         return v == 0
@@ -725,7 +702,7 @@ class _RationalModel(FieldModel):
         return {"coord": v}
 
 
-class RealModel(_RationalModel):
+class RealField(_RationalField):
     """A real closed field: GW = Z^2 by (rank, index), W = Z by the signature.
 
     The index counts <-1> - <1>, so signature = rank - 2 index.  I^n is
@@ -794,7 +771,7 @@ class RealModel(_RationalModel):
         return f"  ladder row: I(R)^{n} = ({k}) in the index coordinate  (signature in {2 * k}Z)"
 
 
-class ClosedModel(_RationalModel):
+class ClosedField(_RationalField):
     """A quadratically closed field: GW = Z by the rank, W = Z/2, I = 0.
 
     In degree m >= 1 only the (always zero) ideal coordinate of K^MW is kept.
@@ -827,6 +804,9 @@ class ClosedModel(_RationalModel):
     def kmw_ambient(self, m: int) -> Ambient:
         return Ambient(0, (), (), f"K^MW_{m}(C) ideal part = 0")
 
+    def kmw_value_fits(self, m: int, v) -> bool:
+        return type(v) is int and v == 0
+
     def kmw_coords(self, v) -> tuple[int, ...]:
         return ()
 
@@ -846,10 +826,8 @@ class ClosedModel(_RationalModel):
         return ()
 
 
-_FAMILIES = {FINITE: FiniteModel, REAL: RealModel, COMPLEX: ClosedModel}
-
-REALS = FieldDescriptor(REAL)
-COMPLEXES = FieldDescriptor(COMPLEX)
+REALS = RealField()
+COMPLEXES = ClosedField()
 
 
 @lru_cache(maxsize=None)
@@ -857,7 +835,7 @@ def enumerate_units(field: FieldDescriptor) -> tuple[Unit, ...]:
     """All q - 1 units as powers of the canonical multiplicative generator."""
     if not field.is_finite:
         raise UnsupportedEnumerationError(f"cannot enumerate units of {field}")
-    return field.model.powers(multiplicative_generator(field))
+    return field.powers(multiplicative_generator(field))
 
 
 @lru_cache(maxsize=None)
@@ -868,11 +846,10 @@ def multiplicative_generator(field: FieldDescriptor) -> Unit:
     digits; u has order q - 1 iff u^((q-1)/r) != 1 for each prime r | q - 1.
     """
     exponents = [(field.order - 1) // r for r in _prime_factors(field.order - 1)]
-    model = field.model
-    e = model.one().value
+    e = field.one().value
     for code in range(1, field.order):
         c = tuple(code // field.p**i % field.p for i in range(field.degree))
-        if all(model.carrier_pow(c, k) != e for k in exponents):
+        if all(field.carrier_pow(c, k) != e for k in exponents):
             return Unit(field, c)
     raise RuntimeError("no multiplicative generator found")
 
@@ -996,7 +973,7 @@ def parse_unit(field: FieldDescriptor, text: str) -> Unit:
         if not field.is_finite:
             raise ValueError("generator literals g^k only apply to finite fields")
         k = int(m.group(1)) if m.group(1) else 1
-        return field.model.generator_power(k)
+        return field.generator_power(k)
     m = re.match(r"^(-?\d+)(?:/(\d+))?$", text)
     if not m:
         raise ValueError(f"unrecognised unit literal {text!r}")

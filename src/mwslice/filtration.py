@@ -19,11 +19,7 @@ from mwslice.abelian import (
     full_subgroup,
 )
 from mwslice.fields import FieldDescriptor
-from mwslice.forms import (
-    fundamental_power_description,
-    fundamental_power_in_witt,
-    gw_ambient,
-)
+from mwslice.forms import fundamental_power_description, fundamental_power_in_witt
 from mwslice.milnor_witt import (
     eta_power_times,
     kmw_ambient,
@@ -88,7 +84,7 @@ def kmw_times_In(m: int, n: int, field: FieldDescriptor) -> SubgroupDescription:
         return fundamental_power_in_witt(field, n)
     if m == 0:
         return fundamental_power_description(field, n)
-    return SubgroupDescription(kmw_ambient(field, m), field.model.level_generators(n))
+    return SubgroupDescription(kmw_ambient(field, m), field.level_generators(n))
 
 
 def tate_filtration(query: FiltrationQuery) -> SubgroupDescription:
@@ -146,12 +142,8 @@ def eta_image_subgroup(query: FiltrationQuery) -> SubgroupDescription:
     """
     field, m, N = query.field, query.degree, query.N
     M = N if m >= 0 else -m + N
-    gens = []
-    for nf in kmw_generating_forms(field, m + M):
-        img = eta_power_times(nf, M)
-        gens.append(img.coords() if img.degree is not None else ())
-    ambient = kmw_ambient(field, m)
-    return SubgroupDescription(ambient, tuple(g for g in gens if len(g) == ambient.dim))
+    gens = tuple(eta_power_times(nf, M).coords() for nf in kmw_generating_forms(field, m + M))
+    return SubgroupDescription(kmw_ambient(field, m), gens)
 
 
 # -- convergence -------------------------------------------------------------------
@@ -191,7 +183,7 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> ConvergenceReport:
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     check_index("cutoff", cutoff)
-    vanishing = field.model.vanishing_power
+    vanishing = field.vanishing_power
     details = []
     ok = True
     for p in range(0, 3):
@@ -220,7 +212,7 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> ConvergenceReport:
         details.append(f"I^{vanishing} is not zero")
     if ok:
         details.append("intersection of the chain is zero at the cutoff")
-    return ConvergenceReport(field, cutoff, ok, field.model.certificate, tuple(details))
+    return ConvergenceReport(field, cutoff, ok, field.certificate, tuple(details))
 
 
 def _embed(field: FieldDescriptor, m: int, c: int) -> tuple[int, ...]:
@@ -244,7 +236,7 @@ def gw_mod_ell_ambient(field: FieldDescriptor, ell: int) -> Ambient:
 
     The torsion of GW(F) is 2-primary (disc_dev over F_q), so it dies for odd ell.
     """
-    amb = gw_ambient(field)
+    amb = field.gw_ambient
     free = amb.free_rank
     return Ambient(0, (ell,) * free, amb.coord_names[:free], f"GW({field})/{ell}")
 

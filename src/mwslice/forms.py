@@ -4,7 +4,7 @@ Over every supported field GW(F) is generated by <1> and, except over C,
 e = <u> - <1> for one generator unit u (g over F_q, -1 over R), with
 <u>^2 = <1> and so e^2 = -2e (Lam, *Introduction to Quadratic Forms over
 Fields*, ch. II).  A GW class is its coordinate vector (rank, c) for
-(rank - c)<1> + c<u>, reduced in ``field.model.gw_ambient``:
+(rank - c)<1> + c<u>, reduced in ``field.gw_ambient``:
 
 * finite F_q:  (rank, disc_dev) in Z x Z/2, where disc_dev is the square
   class of the product of diagonal entries.  W is Z/4 for q = 3 mod 4,
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from mwslice.abelian import Ambient, Record, SubgroupDescription, full_subgroup
+from mwslice.abelian import Record, SubgroupDescription, full_subgroup
 from mwslice.fields import (
     FieldDescriptor,
     FieldMismatchError,
@@ -104,13 +104,13 @@ class _CoordinateClass(Record):
 
 
 class GWClass(_CoordinateClass):
-    """An element of GW(F): its coordinates in ``gw_ambient(field)``."""
+    """An element of GW(F): its coordinates in ``field.gw_ambient``."""
 
     __slots__ = ()
 
     def __init__(self, field: FieldDescriptor, coords: tuple[int, ...]) -> None:
         _set(self, "field", field)
-        _set(self, "coords", field.model.gw_ambient.reduce(coords))
+        _set(self, "coords", field.gw_ambient.reduce(coords))
 
     def __add__(self, other: "GWClass") -> "GWClass":
         self._check(other)
@@ -128,33 +128,33 @@ class GWClass(_CoordinateClass):
     @property
     def disc_dev(self) -> int:
         """Square class of the discriminant's deviation from <1,...,1>; 0 off F_q."""
-        return self.field.model.gw_invariants(self.coords).get("disc_dev", 0)
+        return self.field.gw_invariants(self.coords).get("disc_dev", 0)
 
     @property
     def signature(self) -> int:
         """The signature over R; 0 elsewhere."""
-        return self.field.model.gw_invariants(self.coords).get("signature", 0)
+        return self.field.gw_invariants(self.coords).get("signature", 0)
 
     def to_json(self) -> dict:
         return {"field": str(self.field), "rank": self.rank,
-                **self.field.model.gw_invariants(self.coords)}
+                **self.field.gw_invariants(self.coords)}
 
     def __str__(self) -> str:
-        extra = self.field.model.gw_invariants(self.coords).items()
+        extra = self.field.gw_invariants(self.coords).items()
         return f"(rank {self.rank}" + "".join(f", {k} {v}" for k, v in extra) + ")"
 
 
 def gw_zero(field: FieldDescriptor) -> GWClass:
-    return GWClass(field, (0, 0)[:gw_ambient(field).dim])
+    return GWClass(field, (0, 0)[:field.gw_ambient.dim])
 
 
 def gw_one(field: FieldDescriptor) -> GWClass:
-    return GWClass(field, (1, 0)[:gw_ambient(field).dim])
+    return GWClass(field, (1, 0)[:field.gw_ambient.dim])
 
 
 def gw_of_unit(u: Unit) -> GWClass:
     """Class of the rank-one form <u>: <1> plus e when u is not a square."""
-    return GWClass(u.field, (1, square_class_bit(u))[:gw_ambient(u.field).dim])
+    return GWClass(u.field, (1, square_class_bit(u))[:u.field.gw_ambient.dim])
 
 
 def gw_of_form(qf: QuadraticForm) -> GWClass:
@@ -171,7 +171,7 @@ def gw_box(field: FieldDescriptor, rank_bound: int) -> list[GWClass]:
     index falling (so the signature rising) over R.
     """
     span = range(-rank_bound, rank_bound + 1)
-    ambient = gw_ambient(field)
+    ambient = field.gw_ambient
     tails = [*itertools.product(*[span[::-1]] * (ambient.free_rank - 1),
                                 *(range(d) for d in ambient.torsion))]
     box = (GWClass(field, (r, *t)) for r in span for t in tails)
@@ -180,7 +180,7 @@ def gw_box(field: FieldDescriptor, rank_bound: int) -> list[GWClass]:
 
 def gw_generators(field: FieldDescriptor) -> list[GWClass]:
     """Rank-one classes generating GW(F) as a group."""
-    return [gw_one(field)] + [gw_of_unit(u) for u in field.model.gw_generator_units()]
+    return [gw_one(field)] + [gw_of_unit(u) for u in field.gw_generator_units()]
 
 
 def hyperbolic(field: FieldDescriptor) -> GWClass:
@@ -208,13 +208,13 @@ def pfister(units: list[Unit] | tuple[Unit, ...]) -> GWClass:
 
 
 class WittClass(_CoordinateClass):
-    """An element of W(F) = GW(F)/(hyperbolic): its coordinates in ``witt_ambient(field)``."""
+    """An element of W(F) = GW(F)/(hyperbolic): its coordinates in ``field.witt_ambient``."""
 
     __slots__ = ()
 
     def __init__(self, field: FieldDescriptor, coords: tuple[int, ...]) -> None:
         _set(self, "field", field)
-        _set(self, "coords", field.model.witt_ambient.reduce(coords))
+        _set(self, "coords", field.witt_ambient.reduce(coords))
 
     def __add__(self, other: "WittClass") -> "WittClass":
         self._check(other)
@@ -226,16 +226,16 @@ class WittClass(_CoordinateClass):
         return witt_class(_witt_lift(self) * _witt_lift(other))
 
     def __str__(self) -> str:
-        return self.field.model.witt_str(self.coords)
+        return self.field.witt_str(self.coords)
 
 
 def witt_class(x: GWClass) -> WittClass:
-    return WittClass(x.field, x.field.model.witt_coords(x.coords))
+    return WittClass(x.field, x.field.witt_coords(x.coords))
 
 
 def _witt_lift(w: WittClass) -> GWClass:
     """A GW representative of a Witt class."""
-    return GWClass(w.field, w.field.model.witt_lift(w.coords))
+    return GWClass(w.field, w.field.witt_lift(w.coords))
 
 
 def witt_zero(field: FieldDescriptor) -> WittClass:
@@ -250,29 +250,21 @@ def in_fundamental_power(x: GWClass, n: int) -> bool:
     return fundamental_power_description(x.field, n).contains(x.coords)
 
 
-def gw_ambient(field: FieldDescriptor) -> Ambient:
-    return field.model.gw_ambient
-
-
-def witt_ambient(field: FieldDescriptor) -> Ambient:
-    return field.model.witt_ambient
-
-
 def fundamental_power_description(field: FieldDescriptor, n: int) -> SubgroupDescription:
     """I(F)^n as a subgroup of GW coordinates."""
     if n < 0:
         raise ValueError("fundamental powers are indexed by naturals")
-    ambient = gw_ambient(field)
+    ambient = field.gw_ambient
     if n == 0:
         return full_subgroup(ambient)
-    return SubgroupDescription(ambient, field.model.ideal_generators(n))
+    return SubgroupDescription(ambient, field.ideal_generators(n))
 
 
 def fundamental_power_in_witt(field: FieldDescriptor, n: int) -> SubgroupDescription:
     """Image of I(F)^n in Witt coordinates (an isomorphic image for n >= 1)."""
     if n < 0:
         raise ValueError("fundamental powers are indexed by naturals")
-    ambient = witt_ambient(field)
+    ambient = field.witt_ambient
     if n == 0:
         return full_subgroup(ambient)
     desc = fundamental_power_description(field, n)

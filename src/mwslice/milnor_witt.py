@@ -40,13 +40,11 @@ from mwslice.forms import (
     GWClass,
     WittClass,
     fundamental_power_description,
-    gw_ambient,
     gw_of_unit,
     gw_one,
     gw_zero,
     in_fundamental_power,
     pfister,
-    witt_ambient,
     witt_class,
     witt_zero,
 )
@@ -225,14 +223,23 @@ class MWNormalForm(Record):
     """Canonical coordinates of a homogeneous expression: a degree and a value.
 
     ``degree`` is None only for the identically-zero expression, which is a
-    legal element of every degree.  The degree sets the type of ``value``: a
-    GWClass in degree 0, a WittClass in degree < 0 and, in degree >= 1, the
-    field model's value (see :class:`~mwslice.fields.FieldModel`).
+    legal element of every degree; its value is None.  The degree sets the
+    type of ``value``, checked when the form is built: a GWClass in degree 0,
+    a WittClass in degree < 0, both over the same field, and in degree >= 1
+    the field's value (see :class:`~mwslice.fields.FieldDescriptor`).
     """
 
     __slots__ = _fields = ("field", "degree", "value")
 
     def __init__(self, field: FieldDescriptor, degree: int | None, value=None) -> None:
+        if degree is None:
+            fits = value is None
+        elif degree <= 0:
+            fits = type(value) is (GWClass if degree == 0 else WittClass) and value.field is field
+        else:
+            fits = field.kmw_value_fits(degree, value)
+        if not fits:
+            raise ValueError(f"{value!r} is not a degree-{degree} value over {field}")
         _set(self, "field", field)
         _set(self, "degree", degree)
         _set(self, "value", value)
@@ -249,7 +256,7 @@ class MWNormalForm(Record):
             return True
         if m <= 0:
             return self.value.is_zero
-        return self.field.model.kmw_is_zero(self.value)
+        return self.field.kmw_is_zero(self.value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MWNormalForm):
@@ -272,7 +279,7 @@ class MWNormalForm(Record):
             raise ValueError("the zero normal form has no fixed degree")
         if m <= 0:
             return self.value.coords
-        return self.field.model.kmw_coords(self.value)
+        return self.field.kmw_coords(self.value)
 
     def __str__(self) -> str:
         m = self.degree
@@ -280,16 +287,16 @@ class MWNormalForm(Record):
             return f"0 (degree {m if m is not None else 'any'})"
         if m <= 0:
             return str(self.value)
-        return self.field.model.kmw_str(m, self.value)
+        return self.field.kmw_str(m, self.value)
 
 
 def kmw_ambient(field: FieldDescriptor, m: int) -> Ambient:
     """Coordinate group of K^MW_m normal forms."""
     if m == 0:
-        return gw_ambient(field)
+        return field.gw_ambient
     if m < 0:
-        return witt_ambient(field)
-    return field.model.kmw_ambient(m)
+        return field.witt_ambient
+    return field.kmw_ambient(m)
 
 
 def normal_form_from_coords(
@@ -299,7 +306,7 @@ def normal_form_from_coords(
         return MWNormalForm(field, 0, GWClass(field, coords))
     if m < 0:
         return MWNormalForm(field, m, WittClass(field, coords))
-    return MWNormalForm(field, m, field.model.kmw_from_coords(m, coords))
+    return MWNormalForm(field, m, field.kmw_from_coords(m, coords))
 
 
 def _term_gw_part(field: FieldDescriptor, t: MWMonomial) -> GWClass:
@@ -329,7 +336,7 @@ def normalize(e: MWExpression, degree: int | None = None) -> MWNormalForm:
         for t in e.terms:
             acc = acc + _term_gw_part(field, t)
         return MWNormalForm(field, d, acc if d == 0 else witt_class(acc))
-    value = field.model.kmw_normalize(d, e.terms, partial(_term_gw_part, field))
+    value = field.kmw_normalize(d, e.terms, partial(_term_gw_part, field))
     return MWNormalForm(field, d, value)
 
 
@@ -346,7 +353,7 @@ def theta0_inverse(x: GWClass) -> MWExpression:
     """
     f = x.field
     e = mw_int(f, x.rank)
-    for c, u in zip(x.coords[1:], f.model.gw_generator_units()):
+    for c, u in zip(x.coords[1:], f.gw_generator_units()):
         if c:
             e = e + MWExpression(f, (MWMonomial(c, (eta_atom(), sym_atom(u))),))
     return e
@@ -373,8 +380,8 @@ def eta_times(nf: MWNormalForm, field_degree: int | None = None) -> MWNormalForm
     if m <= 0:  # into W: from GW by witt_class, within W the identity
         return MWNormalForm(field, m - 1, witt_class(nf.value) if m == 0 else nf.value)
     if m == 1:
-        return MWNormalForm(field, 0, GWClass(field, field.model.eta_to_gw(nf.value)))
-    return MWNormalForm(field, m - 1, field.model.eta_kmw(m, nf.value))
+        return MWNormalForm(field, 0, GWClass(field, field.eta_to_gw(nf.value)))
+    return MWNormalForm(field, m - 1, field.eta_kmw(m, nf.value))
 
 
 def eta_power_times(nf: MWNormalForm, n: int) -> MWNormalForm:
@@ -397,7 +404,7 @@ def kmw_generating_forms(field: FieldDescriptor, m: int) -> tuple[MWNormalForm, 
 
 def kmw_generating_expressions(field: FieldDescriptor, m: int) -> tuple[MWExpression, ...]:
     """Expressions whose normal forms generate the degree-m coordinate group."""
-    units = field.model.gw_generator_units()
+    units = field.gw_generator_units()
     if m >= 1:
         # where K^MW_m keeps coordinates, [u]^m generates them (u = g, resp. -1)
         if kmw_ambient(field, m).is_trivial:
@@ -526,7 +533,7 @@ def cartesian_check(field: FieldDescriptor, m: int) -> CartesianReport:
 
 def unit_literal(u: Unit) -> str:
     """Render a unit in the canonical parseable literal syntax (g^k over F_q)."""
-    return u.field.model.literal(u)
+    return u.field.literal(u)
 
 
 def atom_literal(a: MWAtom) -> str:

@@ -164,7 +164,7 @@ def _embedding_inverse_table(ext: FiniteExtension) -> dict[Unit, Unit]:
 
 def _conjugates(ext: FiniteExtension, z: Unit) -> list[Unit]:
     """z, z^(q_b), z^(q_b^2), ...: the ext.degree Frobenius conjugates over the base."""
-    frobenius, j = ext.top.model.frobenius, ext.base.degree  # q_b = p^j
+    frobenius, j = ext.top.frobenius, ext.base.degree  # q_b = p^j
     return [frobenius(z, i * j) for i in range(ext.degree)]
 
 
@@ -389,7 +389,7 @@ def filtration_preservation_check(
     for coords in source.elements():
         image = transfer_kmw(ext, normal_form_from_coords(ext.top, m, coords))
         checked += 1
-        if image.degree is not None and not target.contains(image.coords()):
+        if not target.contains(image.coords()):
             return CheckReport(
                 name, str(ext), False, checked,
                 f"element {coords} of degree {m} transfers outside I^{N}",
@@ -423,6 +423,4 @@ def transfer_closure_subgroup(
                 product = normalize(x * y, degree=m)
                 down = transfer_kmw(ext, product) if d > 1 else product
                 gens.append(down)
-    return SubgroupDescription(
-        kmw_ambient(base, m), tuple(nf.coords() for nf in gens if nf.degree is not None)
-    )
+    return SubgroupDescription(kmw_ambient(base, m), tuple(nf.coords() for nf in gens))

@@ -12,7 +12,11 @@ from mwslice import fields
 from mwslice.fields import (
     COMPLEXES,
     REALS,
+    ClosedField,
+    FieldDescriptor,
     FieldMismatchError,
+    FiniteField,
+    RealField,
     UnsupportedEnumerationError,
     default_modulus,
     enumerate_units,
@@ -183,6 +187,9 @@ def test_unit_literals():
 def test_modulus_validation():
     with pytest.raises(ValueError):
         finite_field(9, modulus=(2, 0, 1))  # x^2 + 2 = (x+1)(x+2) over F_3
+    for q, modulus in ((9, (2, 0, 1)), (9, (1, 0, 2)), (7, (3, 2)), (9, (1, 0, 0, 1))):
+        with pytest.raises(ValueError):
+            FiniteField(q, modulus)  # reducible, non-monic, or of the wrong degree
 
 
 rationals = st.fractions(
@@ -374,15 +381,15 @@ def test_packed_mul_matches_schoolbook_on_seeded_pairs(q):
 
 
 def test_lane_width_of_the_widest_field():
-    assert finite_field(997**2).model.lane == 31
-    assert finite_field(2187).model.lane == 9
+    assert finite_field(997**2).lane == 31
+    assert finite_field(2187).lane == 9
 
 
 def test_generator_power_matches_unit_pow_for_every_exponent_small():
     field = finite_field(27)
     g = multiplicative_generator(field)
     for k in range(-60, 60):
-        assert field.model.generator_power(k) == unit_pow(g, k), k
+        assert field.generator_power(k) == unit_pow(g, k), k
 
 
 @pytest.mark.parametrize("q", SMALL_EXTENSIONS + LARGE_FIELDS + [10007, 999983])
@@ -393,7 +400,7 @@ def test_generator_power_matches_unit_pow_large(q):
     exponents = [0, 1, q - 2, q - 1, -1, 10**30 + 7]
     exponents += [rng.randrange(-10**12, 10**12) for _ in range(40)]
     for k in exponents:
-        got = field.model.generator_power(k)
+        got = field.generator_power(k)
         assert got == unit_pow(g, k), k
         assert got.value == _schoolbook_pow(field, g.value, k % (q - 1)), k
 
@@ -405,7 +412,17 @@ def test_finite_fields_are_interned():
     assert f9 is parse_field("Fq(9;poly=x^2+1)")
     assert f9 is finite_field(9) and f9 is finite_field(9, (4, 3, 7))
     assert finite_field(9, (2, 1, 1)) is not f9
-    assert hash(f9) == hash(("finite", 3, 2, (1, 0, 1)))
+    assert hash(f9) == object.__hash__(f9)
+
+
+def test_each_constructor_returns_the_one_field():
+    f7 = FiniteField(7, (3, 1))
+    assert f7 is finite_field(7) and f7 is FiniteField(7)
+    assert unit_mul(unit(f7, 3), unit(finite_field(7), 5)) == unit(f7, 1)
+    assert FiniteField(9, (4, 3, 7)) is finite_field(9)
+    assert RealField() is REALS and ClosedField() is COMPLEXES
+    with pytest.raises(TypeError):
+        FieldDescriptor()
 
 
 def test_a_linear_modulus_names_the_prime_field():
@@ -429,36 +446,35 @@ def _kernel_cases(q):
 @pytest.mark.parametrize("q", SMALL_EXTENSIONS + LARGE_FIELDS)
 def test_inverse_square_class_and_norm_match_long_powers(q):
     field, units = _kernel_cases(q)
-    model, p, e = field.model, field.p, one(field)
+    p, e = field.p, one(field)
     zeros = (0,) * (field.degree - 1)
     for a in units:
         inv = unit_inv(a)
         assert unit_mul(a, inv) == e, a
-        assert inv.value == model.carrier_pow(a.value, q - 2), a  # Fermat
-        euler = model.carrier_pow(a.value, (q - 1) // 2)
+        assert inv.value == field.carrier_pow(a.value, q - 2), a  # Fermat
+        euler = field.carrier_pow(a.value, (q - 1) // 2)
         assert square_class_bit(a) == (0 if euler == e.value else 1), a
-        assert (model.norm(a),) + zeros == model.carrier_pow(a.value, (q - 1) // (p - 1)), a
+        assert (field.norm(a),) + zeros == field.carrier_pow(a.value, (q - 1) // (p - 1)), a
 
 
 @pytest.mark.parametrize("q", SMALL_EXTENSIONS + LARGE_FIELDS)
 def test_frobenius_is_the_p_power_map(q):
     field, units = _kernel_cases(q)
-    model = field.model
     for a in units[:50]:
         for j in range(-1, field.degree + 1):
-            expect = model.carrier_pow(a.value, field.p ** (j % field.degree))
-            assert model.frobenius(a, j).value == expect, (a, j)
+            expect = field.carrier_pow(a.value, field.p ** (j % field.degree))
+            assert field.frobenius(a, j).value == expect, (a, j)
 
 
 def _count_products(monkeypatch):
     calls = []
-    real = fields.FiniteModel._mul_packed
+    real = fields.FiniteField._mul_packed
 
-    def counted(model, x, y):
+    def counted(field, x, y):
         calls.append(1)
-        return real(model, x, y)
+        return real(field, x, y)
 
-    monkeypatch.setattr(fields.FiniteModel, "_mul_packed", counted)
+    monkeypatch.setattr(fields.FiniteField, "_mul_packed", counted)
     return calls
 
 
@@ -482,11 +498,11 @@ def test_inverse_and_square_class_cost_log_d_products(q, monkeypatch):
 @pytest.mark.parametrize("q", LARGE_FIELDS)
 def test_generator_power_costs_one_product_per_window(q, monkeypatch):
     field = finite_field(q)
-    field.model.generator_power(1)  # builds the comb
+    field.generator_power(1)  # builds the comb
     budget = -(-(q - 2).bit_length() // 4) - 1  # 2 over Fq(2187)
     calls = _count_products(monkeypatch)
     rng = random.Random(q)
     for k in [0, 1, q - 2, q - 1, -1, 10**30 + 7] + [rng.randrange(q - 1) for _ in range(40)]:
         calls.clear()
-        field.model.generator_power(k)
+        field.generator_power(k)
         assert len(calls) <= budget, (k, len(calls))

@@ -93,7 +93,7 @@ def test_product_relation_normal_forms():
     for field in (F5, F7, REALS):
         units = (
             enumerate_units(field)
-            if field.kind == "finite"
+            if field.is_finite
             else [unit(field, v) for v in (2, -3, -1, 5)]
         )
         for u in units:
@@ -234,7 +234,7 @@ def test_degree_one_coordinates_need_no_unit_walk(monkeypatch):
 def test_kmw_normalize_refuses_a_bit_that_is_not_the_square_class():
     g = multiplicative_generator(F7)  # a nonsquare: the true ideal bit is 1
     with pytest.raises(ValueError, match="cartesian-square"):
-        F7.model.kmw_normalize(1, mw_symbol(g).terms, lambda t: gw_zero(F7))
+        F7.kmw_normalize(1, mw_symbol(g).terms, lambda t: gw_zero(F7))
 
 
 @pytest.mark.parametrize("field", [F7, F9, finite_field(25), REALS, COMPLEXES], ids=str)
@@ -255,6 +255,24 @@ def test_normal_forms_round_trip_their_coordinates(field):
         zero = MWNormalForm(field, None)
         assert by_coords[(0,) * amb.dim] == zero and hash(zero) == hash(by_coords[(0,) * amb.dim])
 
+
+
+@pytest.mark.parametrize("field, degree, value", [
+    (F7, 1, 5),
+    (F7, 1, unit(F5, 2)),
+    (F7, 2, unit(F7, 3)),
+    (F7, 0, GWClass(F5, (1, 0))),
+    (F7, -1, GWClass(F7, (1, 0))),
+    (F7, None, unit(F7, 3)),
+    (REALS, 0, 3),
+    (REALS, 2, None),
+    (REALS, 1, unit(REALS, -1)),
+    (COMPLEXES, 1, 1),
+    (COMPLEXES, 3, None),
+], ids=str)
+def test_a_normal_form_refuses_a_value_of_the_wrong_type(field, degree, value):
+    with pytest.raises(ValueError):
+        MWNormalForm(field, degree, value)
 
 def test_kmw_ambients():
     assert kmw_ambient(F7, 2).is_trivial

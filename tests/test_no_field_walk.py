@@ -1,6 +1,6 @@
 """No CLI command walks the units of a large field.
 
-``FiniteModel.powers`` builds all q - 1 powers of the generator; it is what
+``FiniteField.powers`` builds all q - 1 powers of the generator; it is what
 ``enumerate_units`` and ``discrete_log_table`` run.  Here it refuses every
 field of order above 10^5, and each command below must still exit 0 over
 fields of order near the 10^6 bound; so must the degree-1 transfer over a
@@ -27,14 +27,14 @@ BIG = "Fq(999983)"
 
 @pytest.fixture(autouse=True)
 def refuse_big_walks(monkeypatch):
-    real = fields.FiniteModel.powers
+    real = fields.FiniteField.powers
 
-    def powers(model, g):
-        if model.order > WALK_LIMIT:
-            raise AssertionError(f"walked the {model.order - 1} units of {model.field}")
-        return real(model, g)
+    def powers(field, g):
+        if field.order > WALK_LIMIT:
+            raise AssertionError(f"walked the {field.order - 1} units of {field}")
+        return real(field, g)
 
-    monkeypatch.setattr(fields.FiniteModel, "powers", powers)
+    monkeypatch.setattr(fields.FiniteField, "powers", powers)
     fields.enumerate_units.cache_clear()
     fields.discrete_log_table.cache_clear()
     yield

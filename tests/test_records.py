@@ -5,10 +5,17 @@ from __future__ import annotations
 import pytest
 
 import mwslice
-from mwslice import fields
 from mwslice.abelian import Ambient, QuotientShape, SubgroupDescription
 from mwslice.checks import CheckResult
-from mwslice.fields import COMPLEXES, REALS, FieldDescriptor, SquareClass, Unit, finite_field
+from mwslice.fields import (
+    COMPLEXES,
+    REALS,
+    FiniteField,
+    RealField,
+    SquareClass,
+    Unit,
+    finite_field,
+)
 from mwslice.filtration import FiltrationQuery, convergence_check, filtration_report
 from mwslice.forms import GWClass, QuadraticForm, WittClass, brute_force_gw, form
 from mwslice.milnor_witt import (
@@ -36,14 +43,11 @@ def every_record():
         "Ambient": Ambient(1, (2,)),
         "SubgroupDescription": SubgroupDescription(Ambient(1, (2,)), ((2, 1),)),
         "QuotientShape": QuotientShape(0, (2,)),
-        "FieldDescriptor": F7,
+        "FiniteField": F7,
+        "RealField": REALS,
+        "ClosedField": COMPLEXES,
         "Unit": U3,
         "SquareClass": SquareClass(F7, "nonsquare"),
-        "FieldModel": fields.FieldModel(F7),
-        "FiniteModel": F7.model,
-        "_RationalModel": fields._RationalModel(REALS),
-        "RealModel": REALS.model,
-        "ClosedModel": COMPLEXES.model,
         "FiltrationQuery": query,
         "FiltrationReport": filtration_report(query),
         "ConvergenceReport": convergence_check(F7, 2),
@@ -67,7 +71,7 @@ def every_record():
 
 def test_every_record_is_its_named_class():
     records = every_record()
-    assert len(records) == 29
+    assert len(records) == 26
     for name, obj in records.items():
         assert type(obj).__name__ == name
 
@@ -87,8 +91,6 @@ def test_assignment_raises(name):
 HASHED = {
     "Ambient": (lambda: Ambient(1, (2,), ("a", "b"), "A"), (1, (2,), ("a", "b"), "A")),
     "QuotientShape": (lambda: QuotientShape(1, (2, 4)), (1, (2, 4))),
-    "FieldDescriptor": (lambda: FieldDescriptor("finite", 3, 2, (2, 2, 1)),
-                        ("finite", 3, 2, (2, 2, 1))),
     "Unit": (lambda: Unit(F7, (3,)), (F7, (3,))),
     "SquareClass": (lambda: SquareClass(F7, "square"), (F7, "square")),
     "FiltrationQuery": (lambda: FiltrationQuery(3, 1, 2, F7), (3, 1, 2, F7)),
@@ -132,9 +134,10 @@ def test_custom_equality_is_kept():
     assert MWNormalForm(F7, None) == MWNormalForm(F7, 2)
 
 
-def test_models_equal_only_themselves():
-    assert F7.model == F7.model
-    assert fields.FieldModel(F7) != fields.FieldModel(F7)
+def test_fields_are_compared_by_identity():
+    for field in (F3, F7, F9, REALS, COMPLEXES):
+        assert field == field and hash(field) == object.__hash__(field)
+    assert F7 != F3 and F9 != FiniteField(9, (2, 1, 1)) and REALS != COMPLEXES
 
 
 def test_keyword_construction_and_defaults():
@@ -146,10 +149,10 @@ def test_keyword_construction_and_defaults():
     assert (amb.torsion, amb.coord_names, str(amb)) == ((), ("c0",), "L")
     assert CheckReport("n", "e", True, 0).counterexample is None
     assert VerificationResult(ok=True).failed_step is None
-    assert FieldDescriptor("real") == REALS
-    built = FieldDescriptor("finite", 3, 2, (1, 0, 1))
-    assert built is not F9 and built == F9 and not built != F9
-    assert FieldDescriptor("finite", 3, 2, (2, 1, 1)) != F9
+    assert RealField() is REALS
+    built = FiniteField(9, (1, 0, 1))
+    assert built is F9 and built == F9 and not built != F9
+    assert FiniteField(9, (2, 1, 1)) != F9
     with pytest.raises(TypeError):
         GWClass(F7)
 

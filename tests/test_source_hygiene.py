@@ -1,8 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used, and every private helper is read.
 
 No linter is a test dependency, so this reads each ``src/mwslice/*.py`` with
 ``ast``: an imported name must appear as a name somewhere else in the module,
 or in its ``__all__``.  ``from __future__`` imports bind nothing and are skipped.
+A private module-level name (``_x``, not a dunder, bound by ``def``, ``class``
+or an assignment) must be read somewhere in the package: as a name, as an
+attribute, or by an import from another module.
 """
 
 from __future__ import annotations
@@ -41,3 +44,51 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom re import compile, match\nmatch\n")
     assert unused_imports(tree) == ["line 1: os", "line 2: compile"]
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The private names a module binds at its top level, with their lines."""
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound.setdefault(name, node.lineno)
+    return bound
+
+
+def read_names(trees: list[ast.Module]) -> set[str]:
+    read: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return read
+
+
+def unread_private_names(modules: dict[str, ast.Module]) -> list[str]:
+    read = read_names(list(modules.values()))
+    return [f"{module} line {line}: {name}"
+            for module, tree in modules.items()
+            for name, line in private_definitions(tree).items() if name not in read]
+
+
+def test_every_private_helper_is_read():
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(modules) == []
+
+
+def test_the_check_sees_an_unread_private_helper():
+    a = ast.parse("_T = {}\n_set = setattr\nclass _M: pass\ndef _f(): _set\ndef __g__(): pass\n")
+    b = ast.parse("from a import _f\nx = y._M\n_T = 1\n")
+    assert unread_private_names({"a.py": a, "b.py": b}) == ["a.py line 1: _T", "b.py line 3: _T"]
