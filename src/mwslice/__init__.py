@@ -24,7 +24,7 @@ submodule that defines X and what that submodule imports.
 import importlib
 
 _EXPORTS = {
-    "abelian": ("Ambient", "QuotientShape", "SubgroupDescription"),
+    "abelian": ("Ambient", "SubgroupDescription"),
     "fields": (
         "COMPLEXES",
         "REALS",

@@ -3,8 +3,10 @@
 An :class:`Ambient` is Z^f + Z/d_1 + ... + Z/d_t with named coordinates.
 Subgroups are handled as integer lattices in Z^(f+t) containing the torsion
 relation vectors d_i * e_{f+i}; Hermite normal form gives a canonical basis,
-so equality, membership, order and quotient shapes are all exact integer
-computations.  Every group appearing in the library fits in f <= 2, t <= 2.
+so equality, membership, order and quotients are all exact integer
+computations.  A quotient of two subgroups is again an :class:`Ambient`,
+whose torsion is the Smith divisors above 1.  Every group appearing in the
+library fits in f <= 2, t <= 2.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ class Record:
 
 
 class Ambient(Record):
+    """Z^free_rank + Z/d_1 + ... + Z/d_t, with a name for each coordinate."""
+
     __slots__ = _fields = ("free_rank", "torsion", "coord_names", "label")
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = (),
@@ -101,6 +105,10 @@ class Ambient(Record):
     @property
     def is_finite(self) -> bool:
         return self.free_rank == 0
+
+    def order(self) -> int | None:
+        """The number of elements, or None if the group is infinite."""
+        return prod(self.torsion) if self.is_finite else None
 
     def elements(self) -> Iterable[Vec]:
         if not self.is_finite:
@@ -316,8 +324,8 @@ class SubgroupDescription(Record):
             return ("order", n)
         return ("index", self.index_in_saturation())
 
-    def quotient_shape(self, other: "SubgroupDescription") -> "QuotientShape":
-        """Shape of self/other for other <= self."""
+    def quotient_shape(self, other: "SubgroupDescription") -> Ambient:
+        """The group self/other for other <= self, its torsion in ascending order."""
         if not other <= self:
             raise ValueError("quotient requires a contained subgroup")
         big = self._basis
@@ -325,7 +333,7 @@ class SubgroupDescription(Record):
         divisors = smith_normal_form(coords, len(big))
         free = len(big) - len(divisors)
         torsion = tuple(d for d in divisors if d > 1)
-        return QuotientShape(free, torsion)
+        return Ambient(free, torsion)
 
     def canonical_generators(self) -> tuple[Vec, ...]:
         """HNF basis rows reduced into the ambient, zero rows dropped."""
@@ -359,26 +367,6 @@ class SubgroupDescription(Record):
         kind, n = tag
         gens = ", ".join(str(tuple(g)) for g in self.canonical_generators())
         return f"<{gens}> < {self.ambient} ({kind} {n})"
-
-
-class QuotientShape(Record):
-    __slots__ = _fields = ("free_rank", "torsion")
-
-    def __init__(self, free_rank: int, torsion: tuple[int, ...]) -> None:
-        _set(self, "free_rank", free_rank)
-        _set(self, "torsion", torsion)
-
-    def order(self) -> int | None:
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
-
-    def __str__(self) -> str:
-        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in sorted(self.torsion)]
-        return " + ".join(parts) if parts else "0"
 
 
 def zero_subgroup(ambient: Ambient) -> SubgroupDescription:

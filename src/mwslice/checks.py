@@ -39,14 +39,13 @@ from mwslice.forms import (
     witt_oracle_classes,
 )
 from mwslice.milnor_witt import (
+    ETA,
     cartesian_check,
-    eta_atom,
     mw_eta,
     mw_int,
     mw_symbols,
     mw_unit_form,
     normalize,
-    sym_atom,
     theta0,
     theta0_inverse,
 )
@@ -235,8 +234,8 @@ def _rule_instances(field: FieldDescriptor):
                 yield "R-sum", {"u": u, "v": v}
     for u in units:
         for z in (mw_int(field, 1), mw_int(field, -2), mw_unit_form(u)):
-            yield "R-central", {"z": z, "atom": sym_atom(u), "side": "left"}
-            yield "R-central", {"z": z, "atom": eta_atom(), "side": "right"}
+            yield "R-central", {"z": z, "atom": u, "side": "left"}
+            yield "R-central", {"z": z, "atom": ETA, "side": "right"}
 
 
 def check_relation_soundness(profile: str = "full") -> CheckResult:

@@ -130,19 +130,19 @@ def cmd_mw_verify(args) -> int:
 
 def cmd_filtration(args) -> int:
     from mwslice.fields import parse_field
-    from mwslice.filtration import FiltrationQuery, filtration_report
+    from mwslice.filtration import FiltrationQuery, reported_level
 
     field = parse_field(args.field)
     query = FiltrationQuery(args.n, args.p, args.q, field)
-    report = filtration_report(query)
+    level = reported_level(query)
     payload = {"command": "filtration", "input": query.to_json(),
-               "result": report.to_json()}
+               "result": {"query": query.to_json(), "N": query.N, "subgroup": level.describe()}}
     lines = [
         f"F^{args.n} pi_({args.p},{args.p}) Sigma^{args.q} S({field})",
-        f"  N = {report.N}",
-        f"  subgroup: {report.subgroup}",
+        f"  N = {query.N}",
+        f"  subgroup: {level}",
     ]
-    if args.p == args.q == 0 < args.n and (row := field.ladder_row(args.n, report.subgroup)):
+    if args.p == args.q == 0 < args.n and (row := field.ladder_row(args.n, level)):
         lines.append(row)
     emit(args, payload, lines)
     return EXIT_OK

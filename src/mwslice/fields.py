@@ -212,18 +212,6 @@ class Unit(Record):
         return sum(c * self.field.p**i for i, c in enumerate(self.value))
 
 
-class SquareClass(Record):
-    __slots__ = _fields = ("field", "label")  # label: square/nonsquare, positive/negative, trivial
-
-    def __init__(self, field: FieldDescriptor, label: str) -> None:
-        _set(self, "field", field)
-        _set(self, "label", label)
-
-    @property
-    def bit(self) -> int:
-        return 1 if self.label in ("nonsquare", "negative") else 0
-
-
 def _check_same_field(a: Unit, b: Unit) -> None:
     if a.field is not b.field:
         raise FieldMismatchError(f"operands over {a.field} and {b.field}")
@@ -271,12 +259,9 @@ def unit_div(a: Unit, b: Unit) -> Unit:
     return unit_mul(a, unit_inv(b))
 
 
-def square_class(a: Unit) -> SquareClass:
-    return SquareClass(a.field, a.field.square_class_label(a))
-
-
-def square_class_bit(a: Unit) -> int:
-    return square_class(a).bit
+def square_class(a: Unit) -> int:
+    """The square class of a as a bit: 0 for a square (or a positive real), else 1."""
+    return a.field.square_class(a)
 
 
 # -- the field families ------------------------------------------------------------
@@ -541,10 +526,10 @@ class FiniteField(FieldDescriptor):
         coeffs = tuple((x + y) % self.p for x, y in zip(a.value, b.value))
         return Unit(self, coeffs) if any(coeffs) else None
 
-    def square_class_label(self, a: Unit) -> str:
+    def square_class(self, a: Unit) -> int:
         """a is a square iff its norm is a square in F_p (Euler's criterion there)."""
         p = self.p
-        return "square" if pow(self.norm(a), (p - 1) // 2, p) == 1 else "nonsquare"
+        return 0 if pow(self.norm(a), (p - 1) // 2, p) == 1 else 1
 
     def literal(self, u: Unit) -> str:
         return f"g^{discrete_log_table(self)[u]}"
@@ -596,12 +581,12 @@ class FiniteField(FieldDescriptor):
         return () if v is None else (discrete_log_table(self)[v],)
 
     def kmw_str(self, m: int, v) -> str:
-        return f"(unit class {v}, ideal bit {square_class_bit(v)})"
+        return f"(unit class {v}, ideal bit {square_class(v)})"
 
     def kmw_json(self, v) -> dict:
         if v is None:
             return {}
-        return {"unit_class": str(v), "ideal_bit": square_class_bit(v)}
+        return {"unit_class": str(v), "ideal_bit": square_class(v)}
 
     def kmw_from_coords(self, m: int, coords) -> Unit | None:
         return None if m >= 2 else self.generator_power(coords[0])
@@ -621,7 +606,7 @@ class FiniteField(FieldDescriptor):
             if t.eta_power == 0:
                 u_acc = unit_mul(u_acc, unit_pow(t.symbol[0], t.coeff))
             bit = (bit + gw_part(t).disc_dev) % 2
-        if square_class_bit(u_acc) != bit:
+        if square_class(u_acc) != bit:
             raise ValueError(
                 f"cartesian-square compatibility violated: unit {u_acc} vs ideal bit {bit}"
             )
@@ -632,7 +617,7 @@ class FiniteField(FieldDescriptor):
         return self.one() if m == 2 else None
 
     def eta_to_gw(self, v) -> tuple[int, int]:
-        return (0, square_class_bit(v))
+        return (0, square_class(v))
 
     def level_generators(self, N: int) -> tuple[tuple[int, ...], ...]:
         """K^MW_m I^N for m, N >= 1 in degree-m coordinates: I^(N+m) = 0."""
@@ -651,6 +636,8 @@ class _RationalField(FieldDescriptor):
     """
 
     def __new__(cls) -> _RationalField:
+        if cls is _RationalField:  # the base of R and C is no field
+            return FieldDescriptor.__new__(cls)
         return cls._intern()
 
     @property
@@ -716,8 +703,8 @@ class RealField(_RationalField):
     certificate = "nonzero signatures have bounded dyadic valuation"
     vanishing_power = None
 
-    def square_class_label(self, a: Unit) -> str:
-        return "positive" if a.value > 0 else "negative"
+    def square_class(self, a: Unit) -> int:
+        return 0 if a.value > 0 else 1
 
     def gw_invariants(self, coords) -> dict:
         return {"signature": coords[0] - 2 * coords[1]}
@@ -783,8 +770,8 @@ class ClosedField(_RationalField):
     certificate = "I = 0"
     vanishing_power = 1
 
-    def square_class_label(self, a: Unit) -> str:
-        return "trivial"
+    def square_class(self, a: Unit) -> int:
+        return 0
 
     def gw_generator_units(self) -> tuple[Unit, ...]:
         return ()

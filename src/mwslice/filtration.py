@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from mwslice.abelian import (
-    Ambient,
-    QuotientShape,
-    Record,
-    SubgroupDescription,
-    full_subgroup,
-)
+from mwslice.abelian import Ambient, Record, SubgroupDescription, full_subgroup
 from mwslice.fields import FieldDescriptor
 from mwslice.forms import fundamental_power_description, fundamental_power_in_witt
 from mwslice.milnor_witt import (
@@ -101,32 +95,16 @@ def filtration_in_degree_coords(query: FiltrationQuery) -> SubgroupDescription:
     return tate_filtration(query)
 
 
-class FiltrationReport(Record):
-    __slots__ = _fields = ("query", "N", "subgroup")
-
-    def __init__(self, query: FiltrationQuery, N: int, subgroup: SubgroupDescription) -> None:
-        _set(self, "query", query)
-        _set(self, "N", N)
-        _set(self, "subgroup", subgroup)
-
-    def to_json(self) -> dict:
-        return {
-            "query": self.query.to_json(),
-            "N": self.N,
-            "subgroup": self.subgroup.describe(),
-        }
-
-
-def filtration_report(query: FiltrationQuery) -> FiltrationReport:
+def reported_level(query: FiltrationQuery) -> SubgroupDescription:
     """The level as the CLI shows it: I^{N+m} in GW coordinates when m, N >= 1."""
     m, N = query.degree, query.N
     if m >= 1 and N >= 1:
-        return FiltrationReport(query, N, fundamental_power_description(query.field, N + m))
-    return FiltrationReport(query, N, tate_filtration(query))
+        return fundamental_power_description(query.field, N + m)
+    return tate_filtration(query)
 
 
-def graded_piece(query: FiltrationQuery) -> QuotientShape:
-    """F^n / F^{n+1} computed inside the degree coordinates."""
+def graded_piece(query: FiltrationQuery) -> Ambient:
+    """F^n / F^{n+1} computed inside the degree coordinates, as a group of its own."""
     top = tate_filtration(query)
     n = query.n + 1  # may pass MAX_INDEX by one, so no FiltrationQuery is built
     nxt = kmw_times_In(query.degree, shift_index(n - query.p, n - query.q), query.field)
@@ -159,15 +137,6 @@ class ConvergenceReport(Record):
         _set(self, "separated", separated)
         _set(self, "certificate", certificate)
         _set(self, "details", details)
-
-    def to_json(self) -> dict:
-        return {
-            "field": str(self.field),
-            "cutoff": self.cutoff,
-            "separated": self.separated,
-            "certificate": self.certificate,
-            "details": list(self.details),
-        }
 
 
 def convergence_check(field: FieldDescriptor, cutoff: int) -> ConvergenceReport:

@@ -32,7 +32,7 @@ from mwslice.fields import (
     enumerate_units,
     multiplicative_generator,
     one,
-    square_class_bit,
+    square_class,
     unit,
     unit_add,
     unit_mul,
@@ -154,7 +154,7 @@ def gw_one(field: FieldDescriptor) -> GWClass:
 
 def gw_of_unit(u: Unit) -> GWClass:
     """Class of the rank-one form <u>: <1> plus e when u is not a square."""
-    return GWClass(u.field, (1, square_class_bit(u))[:u.field.gw_ambient.dim])
+    return GWClass(u.field, (1, square_class(u))[:u.field.gw_ambient.dim])
 
 
 def gw_of_form(qf: QuadraticForm) -> GWClass:
@@ -299,8 +299,8 @@ def represents(field: FieldDescriptor, entries: tuple[Unit, ...], c: Unit) -> bo
 def binary_isometric(a: Unit, b: Unit, c: Unit, d: Unit) -> bool:
     """<a,b> = <c,d> iff equal discriminants and <a,b> represents c."""
     field = a.field
-    disc_ab = square_class_bit(unit_mul(a, b))
-    disc_cd = square_class_bit(unit_mul(c, d))
+    disc_ab = square_class(unit_mul(a, b))
+    disc_cd = square_class(unit_mul(c, d))
     if disc_ab != disc_cd:
         return False
     return represents(field, (a, b), c)
@@ -386,7 +386,7 @@ def rep_form(field: FieldDescriptor, bits: tuple[int, ...]) -> QuadraticForm:
 def witt_oracle_classes(field: FieldDescriptor, max_rank: int = 6) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Witt classes of representative forms: chain equivalence + hyperbolic moves."""
     table = brute_force_gw(field, max_rank)
-    h_bits = tuple(sorted((0, square_class_bit(unit_neg(one(field))))))
+    h_bits = tuple(sorted((0, square_class(unit_neg(one(field))))))
     parent: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def find(x):

@@ -1,7 +1,8 @@
 """Formal Milnor-Witt K-theory: expressions in [u] and eta, and normal forms.
 
 Expressions are ordered sums of monomials; each monomial is an integer
-coefficient times an ordered word in the atoms ``eta`` and ``[u]``.  No
+coefficient times an ordered word, a tuple whose atoms are the marker ``ETA``
+for eta and units u for [u].  No
 commutativity beyond the presented relations is ever assumed: normal forms are
 computed through per-field invariants, which are insensitive to symbol order.
 
@@ -33,7 +34,7 @@ from mwslice.fields import (
     enumerate_units,
     one,
     parse_unit,
-    square_class_bit,
+    square_class,
     unit_sub,
 )
 from mwslice.forms import (
@@ -58,73 +59,56 @@ class DegreeError(ValueError):
     """Expression has the wrong degree for the requested map."""
 
 
+# The atom eta of a word; every other atom is a unit u, standing for [u].
 ETA = "eta"
-SYM = "sym"
+
+# A word holds at most MAX_WORD_LENGTH atoms and an expression at most
+# MAX_TERMS monomials; a product is checked before it is built.  Building a
+# word atom by atom, or a sum term by term, takes time quadratic in its size,
+# and products of sums grow exponentially, so larger inputs would run and
+# allocate without useful bound.
+MAX_WORD_LENGTH = 1000
+MAX_TERMS = 1000
 
 _set = object.__setattr__
 
 
-class MWAtom(Record):
-    __slots__ = ("kind", "unit", "_hash")
-    _fields = ("kind", "unit")
-
-    def __init__(self, kind: str, unit: Unit | None = None) -> None:
-        if kind not in (ETA, SYM):
-            raise ValueError(f"unknown atom kind {kind!r}")
-        if (kind == SYM) != (unit is not None):
-            raise ValueError("symbol atoms carry a unit; eta carries none")
-        _set(self, "kind", kind)
-        _set(self, "unit", unit)
-        # the hash of the compared fields, taken once: atoms key every collect
-        _set(self, "_hash", hash((kind, unit)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return "eta" if self.kind == ETA else f"[{self.unit}]"
-
-
-def eta_atom() -> MWAtom:
-    return MWAtom(ETA)
-
-
-def sym_atom(u: Unit) -> MWAtom:
-    return MWAtom(SYM, u)
-
-
 class MWMonomial(Record):
-    """coeff times an ordered word in eta and [u] atoms."""
+    """coeff times an ordered word: a tuple whose atoms are ``ETA`` and units u for [u]."""
 
     __slots__ = _fields = ("coeff", "factors")
 
-    def __init__(self, coeff: int, factors: tuple[MWAtom, ...]) -> None:
+    def __init__(self, coeff: int, factors: tuple) -> None:
         _set(self, "coeff", coeff)
         _set(self, "factors", factors)
 
     @property
     def eta_power(self) -> int:
-        return sum(1 for a in self.factors if a.kind == ETA)
+        return sum(1 for a in self.factors if a is ETA)
 
     @property
     def symbol(self) -> tuple[Unit, ...]:
-        return tuple(a.unit for a in self.factors if a.kind == SYM)
+        return tuple(a for a in self.factors if a is not ETA)
 
     @property
     def degree(self) -> int:
         return len(self.factors) - 2 * self.eta_power  # = #sym - #eta
 
     def __str__(self) -> str:
-        return _render((self,), str)
+        return _render((self,), _atom_str)
 
 
 class MWExpression(Record):
     __slots__ = _fields = ("field", "terms")
 
     def __init__(self, field: FieldDescriptor, terms: tuple[MWMonomial, ...]) -> None:
+        if len(terms) > MAX_TERMS:  # compare first: every expression passes here
+            _check_size(len(terms), 0)
         for t in terms:
+            if len(t.factors) > MAX_WORD_LENGTH:
+                _check_size(0, len(t.factors))
             for a in t.factors:
-                if a.kind == SYM and a.unit.field != field:
+                if a is not ETA and a.field is not field:
                     raise FieldMismatchError("symbol unit over the wrong field")
         _set(self, "field", field)
         _set(self, "terms", terms)
@@ -152,6 +136,9 @@ class MWExpression(Record):
 
     def __mul__(self, other: "MWExpression") -> "MWExpression":
         self._check(other)
+        _check_size(len(self.terms) * len(other.terms),
+                    max((len(t.factors) for t in self.terms), default=0)
+                    + max((len(t.factors) for t in other.terms), default=0))
         terms = []
         for s in self.terms:
             for t in other.terms:
@@ -170,13 +157,22 @@ class MWExpression(Record):
             raise FieldMismatchError(f"expressions over {self.field} and {other.field}")
 
     def __str__(self) -> str:
-        return _render(self.terms, str)
+        return _render(self.terms, _atom_str)
+
+
+def _check_size(terms: int, longest_word: int) -> None:
+    if terms > MAX_TERMS:
+        raise ValueError(f"{terms} monomials exceed the supported bound {MAX_TERMS}")
+    if longest_word > MAX_WORD_LENGTH:
+        raise ValueError(
+            f"a word of {longest_word} atoms exceeds the supported bound {MAX_WORD_LENGTH}"
+        )
 
 
 def collect(e: MWExpression) -> MWExpression:
     """Merge monomials with identical factor words; drop zero coefficients."""
-    order: list[tuple[MWAtom, ...]] = []
-    acc: dict[tuple[MWAtom, ...], int] = {}
+    order: list[tuple] = []
+    acc: dict[tuple, int] = {}
     for t in e.terms:
         if t.factors not in acc:
             acc[t.factors] = 0
@@ -197,23 +193,20 @@ def mw_int(field: FieldDescriptor, n: int) -> MWExpression:
 
 
 def mw_eta(field: FieldDescriptor) -> MWExpression:
-    return MWExpression(field, (MWMonomial(1, (eta_atom(),)),))
+    return MWExpression(field, (MWMonomial(1, (ETA,)),))
 
 
 def mw_symbol(u: Unit) -> MWExpression:
-    return MWExpression(u.field, (MWMonomial(1, (sym_atom(u),)),))
+    return MWExpression(u.field, (MWMonomial(1, (u,)),))
 
 
 def mw_symbols(units: Sequence[Unit]) -> MWExpression:
-    field = units[0].field
-    return MWExpression(field, (MWMonomial(1, tuple(sym_atom(u) for u in units)),))
+    return MWExpression(units[0].field, (MWMonomial(1, tuple(units)),))
 
 
 def mw_unit_form(u: Unit) -> MWExpression:
     """<u> = 1 + eta*[u], the degree-zero unit form."""
-    return mw_int(u.field, 1) + MWExpression(
-        u.field, (MWMonomial(1, (eta_atom(), sym_atom(u))),)
-    )
+    return mw_int(u.field, 1) + MWExpression(u.field, (MWMonomial(1, (ETA, u)),))
 
 
 # -- normal forms ------------------------------------------------------------------
@@ -247,7 +240,7 @@ class MWNormalForm(Record):
     @property
     def ideal_bit(self) -> int:
         """The square class of the unit over F_q in degree 1; 0 elsewhere."""
-        return square_class_bit(self.value) if isinstance(self.value, Unit) else 0
+        return square_class(self.value) if isinstance(self.value, Unit) else 0
 
     @property
     def is_zero(self) -> bool:
@@ -355,7 +348,7 @@ def theta0_inverse(x: GWClass) -> MWExpression:
     e = mw_int(f, x.rank)
     for c, u in zip(x.coords[1:], f.gw_generator_units()):
         if c:
-            e = e + MWExpression(f, (MWMonomial(c, (eta_atom(), sym_atom(u))),))
+            e = e + MWExpression(f, (MWMonomial(c, (ETA, u)),))
     return e
 
 
@@ -507,10 +500,7 @@ def cartesian_check(field: FieldDescriptor, m: int) -> CartesianReport:
     # fiber product order: both maps to I^m/I^(m+1) are onto for our fields
     denom = max(quotient_order, 1)
     fiber_order = milnor_order * ideal_order // denom
-    coord = kmw_ambient(field, m)
-    coordinate_order = 1
-    for d in coord.torsion:
-        coordinate_order *= d
+    coordinate_order = kmw_ambient(field, m).order()
     commutes = True
     checked = 0
     for symbol in itertools.product(enumerate_units(field), repeat=m):
@@ -536,8 +526,13 @@ def unit_literal(u: Unit) -> str:
     return u.field.literal(u)
 
 
-def atom_literal(a: MWAtom) -> str:
-    return "eta" if a.kind == ETA else f"[{unit_literal(a.unit)}]"
+def atom_literal(a) -> str:
+    """``eta``, or ``[u]`` with the unit in its parseable literal syntax."""
+    return "eta" if a is ETA else f"[{unit_literal(a)}]"
+
+
+def _atom_str(a) -> str:
+    return "eta" if a is ETA else f"[{a}]"
 
 
 def expression_literal(e: MWExpression) -> str:

@@ -28,17 +28,15 @@ from mwslice.fields import (
     unit_neg,
 )
 from mwslice.milnor_witt import (
-    MWAtom,
+    ETA,
     MWExpression,
     MWMonomial,
     atom_literal,
     collect,
-    eta_atom,
     expression_literal,
     mw_symbols,
     mw_zero,
     parse_expression,
-    sym_atom,
     unit_literal,
 )
 
@@ -59,16 +57,12 @@ class SearchExhaustedError(RuntimeError):
     """The derivation did not reach 0 within its structural bound."""
 
 
-def _mono(coeff: int, *atoms: MWAtom) -> MWMonomial:
+def _mono(coeff: int, *atoms) -> MWMonomial:
     return MWMonomial(coeff, tuple(atoms))
 
 
 def _expr(fld: FieldDescriptor, *monos: MWMonomial) -> MWExpression:
     return MWExpression(fld, tuple(monos))
-
-
-def _sym(u: Unit) -> MWAtom:
-    return sym_atom(u)
 
 
 def _unit_binding(bindings: dict, name: str) -> Unit:
@@ -83,28 +77,25 @@ def _unit_binding(bindings: dict, name: str) -> Unit:
 
 def _instantiate(rule: str, fld: FieldDescriptor, bindings: dict) -> tuple[MWExpression, MWExpression]:
     """The (lhs, rhs) expressions of a rule instance; checks side conditions."""
-    e = eta_atom()
     if rule == "R-eta-comm":
         u = _unit_binding(bindings, "u")
-        return _expr(fld, _mono(1, e, _sym(u))), _expr(fld, _mono(1, _sym(u), e))
+        return _expr(fld, _mono(1, ETA, u)), _expr(fld, _mono(1, u, ETA))
     if rule == "R-steinberg":
         u = _unit_binding(bindings, "u")
         w = unit_add(one(fld), unit_neg(u))
         if w is None:
             raise RuleConditionError("Steinberg relation needs u != 1")
-        return _expr(fld, _mono(1, _sym(u), _sym(w))), mw_zero(fld)
+        return _expr(fld, _mono(1, u, w)), mw_zero(fld)
     if rule in ("R-product", "R-twisted"):
         a = _unit_binding(bindings, "u" if rule == "R-product" else "a")
         b = _unit_binding(bindings, "v" if rule == "R-product" else "b")
         ab = unit_mul(a, b)
-        lhs = _expr(fld, _mono(1, _sym(ab)))
-        rhs = _expr(
-            fld, _mono(1, _sym(a)), _mono(1, _sym(b)), _mono(1, e, _sym(a), _sym(b))
-        )
+        lhs = _expr(fld, _mono(1, ab))
+        rhs = _expr(fld, _mono(1, a), _mono(1, b), _mono(1, ETA, a, b))
         return lhs, rhs
     if rule == "R-eta-hyp":
         minus_one = unit_neg(one(fld))
-        lhs = _expr(fld, _mono(2, e), _mono(1, e, e, _sym(minus_one)))
+        lhs = _expr(fld, _mono(2, ETA), _mono(1, ETA, ETA, minus_one))
         return lhs, mw_zero(fld)
     if rule == "R-central":
         z = bindings.get("z")
@@ -113,7 +104,7 @@ def _instantiate(rule: str, fld: FieldDescriptor, bindings: dict) -> tuple[MWExp
         if z.degree() not in (0, None):
             raise RuleConditionError("R-central: 'z' must be homogeneous of degree 0")
         atom = bindings.get("atom")
-        if not isinstance(atom, MWAtom):
+        if atom is not ETA and not isinstance(atom, Unit):
             raise RuleConditionError("R-central needs an atom binding 'atom'")
         side = bindings.get("side", "left")
         left = collect(
@@ -134,18 +125,18 @@ def _instantiate(rule: str, fld: FieldDescriptor, bindings: dict) -> tuple[MWExp
     if rule == "R-inv":
         a = _unit_binding(bindings, "a")
         ainv = unit_inv(a)
-        lhs = _expr(fld, _mono(1, _sym(ainv)))
-        rhs = _expr(fld, _mono(-1, _sym(a)), _mono(-1, e, _sym(ainv), _sym(a)))
+        lhs = _expr(fld, _mono(1, ainv))
+        rhs = _expr(fld, _mono(-1, a), _mono(-1, ETA, ainv, a))
         return lhs, rhs
     if rule == "R-negself":
         a = _unit_binding(bindings, "a")
-        return _expr(fld, _mono(1, _sym(a), _sym(unit_neg(a)))), mw_zero(fld)
+        return _expr(fld, _mono(1, a, unit_neg(a))), mw_zero(fld)
     if rule == "R-one":
-        return _expr(fld, _mono(1, _sym(one(fld)))), mw_zero(fld)
+        return _expr(fld, _mono(1, one(fld))), mw_zero(fld)
     if rule == "R-neginv":
         a = _unit_binding(bindings, "a")
         target = unit_neg(unit_inv(a))
-        return _expr(fld, _mono(1, _sym(a), _sym(target))), mw_zero(fld)
+        return _expr(fld, _mono(1, a, target)), mw_zero(fld)
     if rule == "R-sum":
         u = _unit_binding(bindings, "u")
         v = _unit_binding(bindings, "v")
@@ -153,8 +144,8 @@ def _instantiate(rule: str, fld: FieldDescriptor, bindings: dict) -> tuple[MWExp
         if s is None:
             raise RuleConditionError("R-sum needs u + v != 0")
         t = unit_neg(unit_div(v, u))
-        lhs = _expr(fld, _mono(1, _sym(u), _sym(v)))
-        rhs = _expr(fld, _mono(1, _sym(s), _sym(t)))
+        lhs = _expr(fld, _mono(1, u, v))
+        rhs = _expr(fld, _mono(1, s, t))
         return lhs, rhs
     raise RuleConditionError(f"unknown rule {rule!r}")
 
@@ -216,12 +207,12 @@ class Derivation(Record):
 def _bindings_to_json(bindings: dict) -> dict:
     out = {}
     for k, v in sorted(bindings.items()):
-        if isinstance(v, Unit):
+        if k == "atom":  # eta or a unit, written "[u]" as in an expression
+            out[k] = atom_literal(v)
+        elif isinstance(v, Unit):
             out[k] = unit_literal(v)
         elif isinstance(v, MWExpression):
             out[k] = expression_literal(v)
-        elif isinstance(v, MWAtom):
-            out[k] = atom_literal(v)
         else:
             out[k] = v
     return out
@@ -255,9 +246,7 @@ def derivation_from_json(data: dict) -> Derivation:
             if k == "z":
                 bindings[k] = parse_expression(fld, v)
             elif k == "atom":
-                bindings[k] = (
-                    eta_atom() if v == "eta" else sym_atom(parse_unit(fld, v[1:-1]))
-                )
+                bindings[k] = ETA if v == "eta" else parse_unit(fld, v[1:-1])
             elif k == "side":
                 bindings[k] = v
             else:
@@ -336,7 +325,7 @@ def verify_derivation(d: Derivation) -> VerificationResult:
     for i, step in enumerate(d.steps):
         try:
             current = apply_step(current, step)
-        except (RuleConditionError, StepMismatchError, ValueError) as exc:
+        except ValueError as exc:
             return VerificationResult(False, i, str(exc))
     if collect(current).terms != collect(d.end).terms:
         return VerificationResult(

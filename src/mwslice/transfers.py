@@ -28,7 +28,7 @@ from mwslice.fields import (
     multiplicative_generator,
     one,
     parse_field,
-    square_class_bit,
+    square_class,
     unit,
     unit_add,
     unit_inv,
@@ -235,7 +235,7 @@ def transfer_of_unit_form(ext: FiniteExtension, a: Unit) -> GWClass:
         traces.append(trace_to_base(ext, z))
         z = unit_mul(z, x)
     det = _determinant(ext.base, [traces[i:i + d] for i in range(d)])
-    return GWClass(ext.base, (d, square_class_bit(det)))
+    return GWClass(ext.base, (d, square_class(det)))
 
 
 def trace_transfer_gw(ext: FiniteExtension, x: GWClass) -> GWClass:
@@ -305,7 +305,7 @@ def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
         return MWNormalForm(base, m)
     u_down = norm_to_base(ext, nf.value)
     transferred = trace_transfer_gw(ext, GWClass(top, (0, nf.ideal_bit)))
-    if transferred.rank != 0 or transferred.disc_dev != square_class_bit(u_down):
+    if transferred.rank != 0 or transferred.disc_dev != square_class(u_down):
         raise ExtensionError(
             "trace transfer on the ideal bit disagrees with the norm's square class"
         )
@@ -338,8 +338,8 @@ class CheckReport(Record):
         return out
 
 
-# Largest rank bound of the projection-formula check; the GW box it walks has
-# about 4 * rank_bound classes.
+# The projection-formula check takes rank bounds 0..MAX_RANK_BOUND; the GW box
+# it walks has about 4 * rank_bound classes.
 MAX_RANK_BOUND = 100
 
 
@@ -351,6 +351,8 @@ def projection_formula_check(ext: FiniteExtension, rank_bound: int = 4) -> Check
     """
     if rank_bound > MAX_RANK_BOUND:
         raise ValueError(f"rank bound {rank_bound} exceeds the supported bound {MAX_RANK_BOUND}")
+    if rank_bound < 0:
+        raise ValueError(f"rank bound {rank_bound} is negative")
     ys = gw_box(ext.top, rank_bound)
     xs = gw_generators(ext.base)
     checked = 0

@@ -258,6 +258,41 @@ def test_rank_bound_beyond_the_bound_exits_2(capsys):
     assert capsys.readouterr().err == "error: rank bound 101 exceeds the supported bound 100\n"
 
 
+def test_negative_rank_bound_exits_2(capsys):
+    argv = ["transfer", "--ext", "Fq(9)/Fq(3)", "--check", "projection", "--rank-bound", "-5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: rank bound -5 is negative\n"
+
+
+def _units_summing_to_one(n: int, p: int) -> str:
+    """n units of F_p, all 2 but the last, whose sum is 1."""
+    return ",".join(["2"] * (n - 1) + [str((1 - 2 * (n - 1)) % p)])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mw-normalize", "--field", "Fq(7)", "--expr", "*".join(["([2]+[3])"] * 16)],
+     "1024 monomials exceed the supported bound 1000"),
+    (["mw-normalize", "--field", "Fq(7)", "--expr", "*".join(["[2]"] * 3000)],
+     "a word of 1001 atoms exceeds the supported bound 1000"),
+    (["mw-derive", "--field", "Fq(10007)", "--units", _units_summing_to_one(2000, 10007)],
+     "a word of 2000 atoms exceeds the supported bound 1000"),
+], ids=["product of sums", "long word", "many units"])
+def test_milnor_witt_input_is_bounded_before_it_is_built(capsys, argv, message):
+    import tracemalloc
+
+    import mwslice.rewriting  # noqa: F401  (so that no import counts toward the peak)
+
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert peak < 2 << 20
+
+
 @pytest.mark.parametrize("literal, message", [
     ("Fq(9;poly=x^5000000+1)", "error: term 'x^5000000' exceeds the field's degree 2\n"),
     ("Fq(9;poly=+)", "error: empty polynomial '+'\n"),

@@ -27,7 +27,6 @@ from mwslice.fields import (
     parse_poly,
     parse_unit,
     square_class,
-    square_class_bit,
     sum_to_one_tuples,
     unit,
     unit_add,
@@ -60,23 +59,26 @@ def test_mixed_field_error():
 
 def test_square_class_examples():
     # squares mod 7 are {1, 2, 4}
-    assert square_class(unit(F7, 2)).label == "square"
-    assert square_class(unit(F7, 3)).label == "nonsquare"
-    assert square_class(unit(F7, -1)).label == "nonsquare"  # 7 = 3 mod 4
-    assert square_class(unit(REALS, Fraction(-4))).label == "negative"
-    assert square_class(unit(COMPLEXES, 5)).label == "trivial"
+    assert square_class(unit(F7, 2)) == 0
+    assert square_class(unit(F7, 3)) == 1
+    assert square_class(unit(F7, -1)) == 1  # 7 = 3 mod 4
+    assert square_class(unit(REALS, Fraction(4))) == 0
+    assert square_class(unit(REALS, Fraction(-4))) == 1
+    assert square_class(unit(COMPLEXES, -5)) == 0
+    for u in (unit(F9, 2), unit(REALS, -1), unit(COMPLEXES, 5)):
+        assert type(square_class(u)) is int
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_square_class_is_index_two_character(q):
     field = finite_field(q)
     units = enumerate_units(field)
-    kernel = [u for u in units if square_class_bit(u) == 0]
+    kernel = [u for u in units if square_class(u) == 0]
     assert len(kernel) == (q - 1) // 2
     for a in units[:6]:
         for b in units[:6]:
-            assert square_class_bit(unit_mul(a, b)) == (
-                square_class_bit(a) + square_class_bit(b)
+            assert square_class(unit_mul(a, b)) == (
+                square_class(a) + square_class(b)
             ) % 2
 
 
@@ -281,7 +283,7 @@ def test_square_class_is_membership_in_squares(q):
     units = _all_units(field)
     squares = {unit_mul(u, u) for u in units}
     for u in units:
-        assert square_class_bit(u) == (0 if u in squares else 1), u
+        assert square_class(u) == (0 if u in squares else 1), u
 
 
 def _oracle_generator(field):
@@ -423,6 +425,8 @@ def test_each_constructor_returns_the_one_field():
     assert RealField() is REALS and ClosedField() is COMPLEXES
     with pytest.raises(TypeError):
         FieldDescriptor()
+    with pytest.raises(TypeError):
+        fields._RationalField()  # the shared base of R and C is no field either
 
 
 def test_a_linear_modulus_names_the_prime_field():
@@ -453,7 +457,7 @@ def test_inverse_square_class_and_norm_match_long_powers(q):
         assert unit_mul(a, inv) == e, a
         assert inv.value == field.carrier_pow(a.value, q - 2), a  # Fermat
         euler = field.carrier_pow(a.value, (q - 1) // 2)
-        assert square_class_bit(a) == (0 if euler == e.value else 1), a
+        assert square_class(a) == (0 if euler == e.value else 1), a
         assert (field.norm(a),) + zeros == field.carrier_pow(a.value, (q - 1) // (p - 1)), a
 
 
@@ -486,7 +490,7 @@ def test_inverse_and_square_class_cost_log_d_products(q, monkeypatch):
     budget = 2 * (field.degree - 1).bit_length()  # 2 ceil(log2 d)
     calls = _count_products(monkeypatch)
     for a in units:
-        for op in (unit_inv, square_class_bit):
+        for op in (unit_inv, square_class):
             calls.clear()
             op(a)
             assert len(calls) <= budget, (op.__name__, a, len(calls))

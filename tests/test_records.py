@@ -5,23 +5,20 @@ from __future__ import annotations
 import pytest
 
 import mwslice
-from mwslice.abelian import Ambient, QuotientShape, SubgroupDescription
+from mwslice.abelian import Ambient, SubgroupDescription
 from mwslice.checks import CheckResult
 from mwslice.fields import (
     COMPLEXES,
     REALS,
     FiniteField,
     RealField,
-    SquareClass,
     Unit,
     finite_field,
 )
-from mwslice.filtration import FiltrationQuery, convergence_check, filtration_report
+from mwslice.filtration import FiltrationQuery, convergence_check
 from mwslice.forms import GWClass, QuadraticForm, WittClass, brute_force_gw, form
 from mwslice.milnor_witt import (
     ETA,
-    SYM,
-    MWAtom,
     MWExpression,
     MWMonomial,
     MWNormalForm,
@@ -38,25 +35,20 @@ U3 = Unit(F7, (3,))
 
 def every_record():
     """One instance of each value class, by name."""
-    query = FiltrationQuery(2, 0, 0, F7)
     return {
         "Ambient": Ambient(1, (2,)),
         "SubgroupDescription": SubgroupDescription(Ambient(1, (2,)), ((2, 1),)),
-        "QuotientShape": QuotientShape(0, (2,)),
         "FiniteField": F7,
         "RealField": REALS,
         "ClosedField": COMPLEXES,
         "Unit": U3,
-        "SquareClass": SquareClass(F7, "nonsquare"),
-        "FiltrationQuery": query,
-        "FiltrationReport": filtration_report(query),
+        "FiltrationQuery": FiltrationQuery(2, 0, 0, F7),
         "ConvergenceReport": convergence_check(F7, 2),
         "QuadraticForm": form(F7, 1, 3),
         "GWClass": GWClass(F7, (2, 0)),
         "WittClass": WittClass(F7, (1,)),
         "BruteForceTable": brute_force_gw(F3, 2),
-        "MWAtom": MWAtom(SYM, U3),
-        "MWMonomial": MWMonomial(2, (MWAtom(ETA),)),
+        "MWMonomial": MWMonomial(2, (ETA, U3)),
         "MWExpression": MWExpression(F7, ()),
         "MWNormalForm": MWNormalForm(F7, 1, U3),
         "CartesianReport": cartesian_check(F3, 1),
@@ -71,7 +63,7 @@ def every_record():
 
 def test_every_record_is_its_named_class():
     records = every_record()
-    assert len(records) == 26
+    assert len(records) == 22
     for name, obj in records.items():
         assert type(obj).__name__ == name
 
@@ -90,15 +82,12 @@ def test_assignment_raises(name):
 # (make, the compared fields in order) for each class with field-wise equality
 HASHED = {
     "Ambient": (lambda: Ambient(1, (2,), ("a", "b"), "A"), (1, (2,), ("a", "b"), "A")),
-    "QuotientShape": (lambda: QuotientShape(1, (2, 4)), (1, (2, 4))),
     "Unit": (lambda: Unit(F7, (3,)), (F7, (3,))),
-    "SquareClass": (lambda: SquareClass(F7, "square"), (F7, "square")),
     "FiltrationQuery": (lambda: FiltrationQuery(3, 1, 2, F7), (3, 1, 2, F7)),
     "QuadraticForm": (lambda: form(F7, 1, 3), (F7, (Unit(F7, (1,)), U3))),
     "GWClass": (lambda: GWClass(F7, (2, 3)), (F7, (2, 1))),
     "WittClass": (lambda: WittClass(F7, (5,)), (F7, (1,))),
-    "MWAtom": (lambda: MWAtom(SYM, Unit(F7, (3,))), (SYM, U3)),
-    "MWMonomial": (lambda: MWMonomial(2, (MWAtom(ETA),)), (2, (MWAtom(ETA),))),
+    "MWMonomial": (lambda: MWMonomial(2, (ETA, Unit(F7, (3,)))), (2, (ETA, U3))),
     "MWExpression": (lambda: MWExpression(F7, (MWMonomial(1, ()),)), (F7, (MWMonomial(1, ()),))),
     "VerificationResult": (lambda: VerificationResult(False, 2, "why"), (False, 2, "why", None)),
     "FiniteExtension": (lambda: FiniteExtension(F3, F9), (F3, F9)),
@@ -124,7 +113,7 @@ def test_unequal_fields_give_unequal_objects():
 def test_records_of_different_classes_with_the_same_fields_differ():
     expr, qf = MWExpression(F7, ()), QuadraticForm(F7, ())
     assert expr != qf and qf != expr
-    assert QuotientShape(0, (2,)) != (0, (2,))
+    assert Ambient(0, (2,)) != (0, (2,))
 
 
 def test_custom_equality_is_kept():
@@ -171,7 +160,8 @@ def test_construction_checks_still_run():
 
 
 def test_repr_names_the_class_and_fields():
-    assert repr(QuotientShape(1, (2,))) == "QuotientShape(free_rank=1, torsion=(2,))"
+    assert repr(Ambient(1, (2,))) == (
+        "Ambient(free_rank=1, torsion=(2,), coord_names=('c0', 'c1'), label='')")
     assert repr(Step("R-one", 0, 1, {})) == (
         "Step(rule='R-one', term_index=0, factor_index=1, bindings={})")
 

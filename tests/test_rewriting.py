@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from mwslice.fields import enumerate_units, finite_field, one, unit, unit_add, unit_neg
 from mwslice.milnor_witt import (
+    ETA,
     mw_symbols,
     mw_unit_form,
     mw_zero,
     normalize,
     parse_expression,
-    sym_atom,
 )
 from mwslice.rewriting import (
     Derivation,
@@ -142,16 +142,38 @@ def test_central_rule_moves_unit_form():
     end = parse_expression(F7, "[2] + [2]*eta*[3]")
     d = Derivation(
         F7, start,
-        (Step("R-central", 0, 0, {"z": z, "atom": sym_atom(unit(F7, 2)), "side": "left"}),),
+        (Step("R-central", 0, 0, {"z": z, "atom": unit(F7, 2), "side": "left"}),),
         end,
     )
     assert verify_derivation(d).ok
 
 
+def test_central_steps_serialize_their_atoms():
+    z = mw_unit_form(unit(F7, 3))
+    start = parse_expression(F7, "[2] + eta*[3]*[2] + eta + eta*eta*[3]")
+    end = parse_expression(F7, "[2] + [2]*eta*[3] + eta + eta*[3]*eta")
+    steps = (Step("R-central", 0, 0, {"z": z, "atom": unit(F7, 2), "side": "left"}),
+             Step("R-central", 2, 0, {"z": z, "atom": ETA, "side": "right"}))
+    d = Derivation(F7, start, steps, end)
+    assert verify_derivation(d).ok
+    data = d.to_json()
+    assert [json.dumps(s["bindings"], sort_keys=True) for s in data["steps"]] == [
+        '{"atom": "[g^2]", "side": "left", "z": "1 + eta*[g^1]"}',
+        '{"atom": "eta", "side": "right", "z": "1 + eta*[g^1]"}',
+    ]
+    again = derivation_from_json(json.loads(json.dumps(data)))
+    assert again == d and verify_derivation(again).ok
+
+
+def test_a_word_holds_its_units():
+    u, v = unit(F7, 3), unit(F7, 5)
+    assert mw_symbols([u, v]).terms[0].factors == (u, v)
+
+
 def test_central_rule_rejects_nonzero_degree():
     z = parse_expression(F7, "[3]")
     with pytest.raises(RuleConditionError):
-        _instantiate("R-central", F7, {"z": z, "atom": sym_atom(unit(F7, 2)), "side": "left"})
+        _instantiate("R-central", F7, {"z": z, "atom": unit(F7, 2), "side": "left"})
 
 
 def test_sum_rule_side_condition():

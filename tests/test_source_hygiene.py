@@ -1,11 +1,13 @@
-"""Every name a library module imports is used, and every private helper is read.
+"""Every name a library module imports is used, and every top-level name is read.
 
 No linter is a test dependency, so this reads each ``src/mwslice/*.py`` with
 ``ast``: an imported name must appear as a name somewhere else in the module,
 or in its ``__all__``.  ``from __future__`` imports bind nothing and are skipped.
 A private module-level name (``_x``, not a dunder, bound by ``def``, ``class``
 or an assignment) must be read somewhere in the package: as a name, as an
-attribute, or by an import from another module.
+attribute, or by an import from another module.  A public one must be read,
+the same way, somewhere in ``src``, ``tests``, ``demos`` or ``perfbench``; a
+string in the package's ``_EXPORTS`` table counts as a read.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mwslice"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mwslice"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -46,8 +49,8 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(tree) == ["line 1: os", "line 2: compile"]
 
 
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """The private names a module binds at its top level, with their lines."""
+def top_level_definitions(tree: ast.Module, private: bool) -> dict[str, int]:
+    """The private (or public) names a module binds at its top level, with their lines."""
     bound: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -58,7 +61,7 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__") and name.startswith("_") == private:
                 bound.setdefault(name, node.lineno)
     return bound
 
@@ -73,22 +76,48 @@ def read_names(trees: list[ast.Module]) -> set[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets
+            ):
+                read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
     return read
 
 
-def unread_private_names(modules: dict[str, ast.Module]) -> list[str]:
-    read = read_names(list(modules.values()))
+def unread_names(modules: dict[str, ast.Module], readers: list[ast.Module],
+                 private: bool) -> list[str]:
+    read = read_names(readers)
     return [f"{module} line {line}: {name}"
             for module, tree in modules.items()
-            for name, line in private_definitions(tree).items() if name not in read]
+            for name, line in top_level_definitions(tree, private).items() if name not in read]
+
+
+def parse_all(paths) -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(paths)}
 
 
 def test_every_private_helper_is_read():
-    modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
-    assert unread_private_names(modules) == []
+    modules = parse_all(SRC.glob("*.py"))
+    assert unread_names(modules, list(modules.values()), private=True) == []
 
 
 def test_the_check_sees_an_unread_private_helper():
     a = ast.parse("_T = {}\n_set = setattr\nclass _M: pass\ndef _f(): _set\ndef __g__(): pass\n")
     b = ast.parse("from a import _f\nx = y._M\n_T = 1\n")
-    assert unread_private_names({"a.py": a, "b.py": b}) == ["a.py line 1: _T", "b.py line 3: _T"]
+    assert unread_names({"a.py": a, "b.py": b}, [a, b], private=True) == [
+        "a.py line 1: _T", "b.py line 3: _T"]
+
+
+def test_every_public_name_is_read():
+    modules = parse_all(SRC.glob("*.py"))
+    readers = [ast.parse(p.read_text(encoding="utf-8"))
+               for folder in ("src", "tests", "demos", "perfbench")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    assert unread_names(modules, readers, private=False) == []
+
+
+def test_the_check_sees_an_orphaned_public_helper():
+    a = ast.parse("ETA = 1\nSTALE = 2\nclass Atom: pass\ndef leftover(u): return u\n"
+                  "def eta(): return ETA\ndef __getattr__(name): pass\n")
+    b = ast.parse("import a\na.eta()\n_EXPORTS = {'a': ('Atom',)}\n")
+    assert unread_names({"a.py": a}, [a, b], private=False) == [
+        "a.py line 2: STALE", "a.py line 4: leftover"]

@@ -16,7 +16,7 @@ from mwslice.fields import (
     finite_field,
     multiplicative_generator,
     one,
-    square_class_bit,
+    square_class,
     unit,
     unit_add,
     unit_mul,
@@ -119,7 +119,7 @@ def test_trace_form_class_matches_discriminant_formula(top_q, base_q):
     ext = FiniteExtension(finite_field(base_q), finite_field(top_q))
     d = ext.degree
     for a in enumerate_units(ext.top):
-        expected = GWClass(ext.base, (d, square_class_bit(a) + (d % 2 == 0)))
+        expected = GWClass(ext.base, (d, square_class(a) + (d % 2 == 0)))
         assert transfer_of_unit_form(ext, a) == expected, a
 
 
@@ -141,7 +141,7 @@ def test_transfer_preserves_rank_zero_and_ideal_bit():
         image = trace_transfer_gw(ext, x)
         assert image.rank == 0
         assert image.disc_dev == 1
-        assert square_class_bit(norm_to_base(ext, s)) == 1
+        assert square_class(norm_to_base(ext, s)) == 1
 
 
 def test_witt_transfer_well_defined():
@@ -157,8 +157,8 @@ def test_witt_transfer_well_defined():
 def test_p_star_extension_of_scalars():
     # the base nonsquare becomes a square in even-degree extensions
     s3 = multiplicative_generator(F3)
-    assert square_class_bit(embed_unit(EXT_93, s3)) == 0
-    assert square_class_bit(embed_unit(EXT_273, s3)) == 1
+    assert square_class(embed_unit(EXT_93, s3)) == 0
+    assert square_class(embed_unit(EXT_273, s3)) == 1
     x = gw_of_unit(s3)
     assert p_star(EXT_93, x) == gw_one(F9)
     assert p_star(EXT_273, x).disc_dev == 1
