@@ -228,45 +228,32 @@ def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[int]:
 
 
 class SubgroupDescription(Record):
-    """A subgroup of an ambient coordinate group, canonicalized by HNF."""
+    """A subgroup of an ambient coordinate group, held as its HNF basis.
 
-    __slots__ = ("ambient", "generators", "_basis")
-    _fields = ("ambient", "generators")
+    It is built from any generators; equality and hash compare the ambient
+    and the canonical basis, so equal subgroups are equal objects.
+    """
+
+    __slots__ = _fields = ("ambient", "basis")
 
     def __init__(self, ambient: Ambient, generators: tuple[Vec, ...]) -> None:
         _set(self, "ambient", ambient)
-        _set(self, "generators", generators)
-        self.__post_init__()
+        self.__post_init__(generators)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, generators: tuple[Vec, ...]) -> None:
         """Reduce the generators and take the HNF basis (a separately traced step)."""
-        gens = [self.ambient.reduce(g) for g in self.generators]
-        rows = [list(g) for g in gens] + self.ambient.relation_rows()
-        basis = hnf(rows, self.ambient.dim)
-        _set(self, "_basis", tuple(tuple(r) for r in basis))
-        _set(self, "generators", tuple(gens))
+        rows = [self.ambient.reduce(g) for g in generators] + self.ambient.relation_rows()
+        _set(self, "basis", tuple(tuple(r) for r in hnf(rows, self.ambient.dim)))
 
     # -- structure ------------------------------------------------------------
 
-    @property
-    def basis(self) -> tuple[Vec, ...]:
-        return self._basis
-
     def contains(self, v: Sequence[int]) -> bool:
-        return solve_in_basis(self._basis, self.ambient.reduce(v)) is not None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubgroupDescription):
-            return NotImplemented
-        return self.ambient == other.ambient and self._basis == other._basis
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self._basis))
+        return solve_in_basis(self.basis, self.ambient.reduce(v)) is not None
 
     def __le__(self, other: "SubgroupDescription") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("subgroups live in different ambients")
-        return all(other.contains(row) for row in self._basis)
+        return all(other.contains(row) for row in self.basis)
 
     @property
     def is_full(self) -> bool:
@@ -285,9 +272,9 @@ class SubgroupDescription(Record):
         own, prod(torsion moduli) / prod(HNF pivots).
         """
         torsion, f = self.ambient.torsion, self.ambient.free_rank
-        if len(self._basis) > len(torsion):
+        if len(self.basis) > len(torsion):
             return None
-        return prod(torsion) // prod(row[f + i] for i, row in enumerate(self._basis))
+        return prod(torsion) // prod(row[f + i] for i, row in enumerate(self.basis))
 
     def elements(self) -> list[Vec]:
         """All elements of a finite subgroup, sorted.
@@ -297,7 +284,7 @@ class SubgroupDescription(Record):
         """
         if self.order() is None:
             raise ValueError("cannot enumerate a subgroup with free directions")
-        amb, rows, f = self.ambient, self._basis, self.ambient.free_rank
+        amb, rows, f = self.ambient, self.basis, self.ambient.free_rank
         ranges = [range(d // row[f + i]) for i, (d, row) in enumerate(zip(amb.torsion, rows))]
         return sorted(
             amb.reduce([sum(a * row[j] for a, row in zip(coeffs, rows)) for j in range(amb.dim)])
@@ -312,7 +299,7 @@ class SubgroupDescription(Record):
         ideal generator (e.g. 2^(n-1) for the n-th fundamental power over the
         reals in the index coordinate).
         """
-        return prod(smith_normal_form(self._basis, self.ambient.dim))
+        return prod(smith_normal_form(self.basis, self.ambient.dim))
 
     def order_or_index(self) -> str | tuple[str, int]:
         if self.is_zero:
@@ -328,8 +315,8 @@ class SubgroupDescription(Record):
         """The group self/other for other <= self, its torsion in ascending order."""
         if not other <= self:
             raise ValueError("quotient requires a contained subgroup")
-        big = self._basis
-        coords = [solve_in_basis(big, row) for row in other._basis]
+        big = self.basis
+        coords = [solve_in_basis(big, row) for row in other.basis]
         divisors = smith_normal_form(coords, len(big))
         free = len(big) - len(divisors)
         torsion = tuple(d for d in divisors if d > 1)
@@ -338,7 +325,7 @@ class SubgroupDescription(Record):
     def canonical_generators(self) -> tuple[Vec, ...]:
         """HNF basis rows reduced into the ambient, zero rows dropped."""
         out = []
-        for row in self._basis:
+        for row in self.basis:
             v = self.ambient.reduce(row)
             if any(v) and v not in out:
                 out.append(v)

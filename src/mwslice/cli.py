@@ -166,16 +166,16 @@ def cmd_convergence(args) -> int:
     from mwslice.filtration import convergence_check
 
     field = parse_field(args.field)
-    rep = convergence_check(field, args.cutoff)
+    separated, details = convergence_check(field, args.cutoff)
     payload = {"command": "convergence",
                "input": {"field": args.field, "cutoff": args.cutoff},
-               "result": {"separated": rep.separated},
-               "certificate": {"kind": rep.certificate, "details": list(rep.details)}}
+               "result": {"separated": separated},
+               "certificate": {"kind": field.certificate, "details": list(details)}}
     emit(args, payload, [
-        f"convergence over {field} (cutoff {args.cutoff}): separated = {rep.separated}",
-        f"  certificate: {rep.certificate}",
+        f"convergence over {field} (cutoff {args.cutoff}): separated = {separated}",
+        f"  certificate: {field.certificate}",
     ])
-    return EXIT_OK if rep.separated else EXIT_FAILED
+    return EXIT_OK if separated else EXIT_FAILED
 
 
 def cmd_moore(args) -> int:
@@ -206,12 +206,17 @@ def cmd_transfer(args) -> int:
 
     ext = parse_extension(args.ext)
     if args.check == "projection":
-        rep = projection_formula_check(ext, args.rank_bound)
+        cases, counterexample = projection_formula_check(ext, args.rank_bound)
+        ok = counterexample is None
+        result = {"check": "projection_formula", "extension": str(ext), "ok": ok, "cases": cases}
+        line = f"projection formula over {ext}: ok={ok} ({cases} cases)"
+        if not ok:
+            result["counterexample"] = counterexample
+            line += f"; first counterexample: {counterexample}"
         payload = {"command": "transfer", "input": {"ext": args.ext, "check": "projection"},
-                   "result": rep.to_json()}
-        emit(args, payload, [f"projection formula over {ext}: ok={rep.ok} ({rep.checked} cases)"
-                             + (f"; first counterexample: {rep.counterexample}" if rep.counterexample else "")])
-        return EXIT_OK if rep.ok else EXIT_FAILED
+                   "result": result}
+        emit(args, payload, [line])
+        return EXIT_OK if ok else EXIT_FAILED
     if not args.form:
         raise ValueError("transfer needs --form or --check projection")
     cls = gw_of_form(parse_form(ext.top, args.form))

@@ -127,19 +127,7 @@ def eta_image_subgroup(query: FiltrationQuery) -> SubgroupDescription:
 # -- convergence -------------------------------------------------------------------
 
 
-class ConvergenceReport(Record):
-    __slots__ = _fields = ("field", "cutoff", "separated", "certificate", "details")
-
-    def __init__(self, field: FieldDescriptor, cutoff: int, separated: bool, certificate: str,
-                 details: tuple[str, ...]) -> None:
-        _set(self, "field", field)
-        _set(self, "cutoff", cutoff)
-        _set(self, "separated", separated)
-        _set(self, "certificate", certificate)
-        _set(self, "details", details)
-
-
-def convergence_check(field: FieldDescriptor, cutoff: int) -> ConvergenceReport:
+def convergence_check(field: FieldDescriptor, cutoff: int) -> tuple[bool, tuple[str, ...]]:
     """Verify that the filtration of K^MW_{q-p} is separated up to the cutoff.
 
     Checks monotonicity of the chain on a small (p, q) grid and certifies the
@@ -147,14 +135,15 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> ConvergenceReport:
     I^2 = 0 over a finite field, the dyadic valuation bound on signatures over
     a real closed field, and I = 0 over a quadratically closed field.  Where
     some I^k vanishes the tail of each chain must be zero; otherwise fixed
-    elements are probed to leave the chain.
+    elements are probed to leave the chain.  Returns whether the filtration
+    is separated and the details: each failure found, or a line saying that
+    the intersection is zero.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     check_index("cutoff", cutoff)
     vanishing = field.vanishing_power
     details = []
-    ok = True
     for p in range(0, 3):
         for q in range(0, 3):
             chain = [
@@ -163,25 +152,22 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> ConvergenceReport:
             ]
             for a, b in zip(chain, chain[1:]):
                 if not b <= a:
-                    ok = False
                     details.append(f"monotonicity fails at (p,q)=({p},{q})")
             if vanishing is not None:
                 if not chain[-1].is_zero and cutoff >= max(p, q) + 2:
-                    ok = False
                     details.append(f"tail not zero at (p,q)=({p},{q})")
                 continue
             # any fixed nonzero coordinate leaves the chain at a finite stage
             for c in (1, 2, 3, 4):
                 stays = all(level.contains(_embed(field, q - p, c)) for level in chain[1:])
                 if stays and cutoff > p + c.bit_length() + 2:
-                    ok = False
                     details.append(f"element {c} never leaves the chain at ({p},{q})")
     if vanishing is not None and not fundamental_power_description(field, vanishing).is_zero:
-        ok = False
         details.append(f"I^{vanishing} is not zero")
-    if ok:
+    separated = not details
+    if separated:
         details.append("intersection of the chain is zero at the cutoff")
-    return ConvergenceReport(field, cutoff, ok, field.certificate, tuple(details))
+    return separated, tuple(details)
 
 
 def _embed(field: FieldDescriptor, m: int, c: int) -> tuple[int, ...]:
@@ -229,5 +215,5 @@ def moore_filtration(ell: int, field: FieldDescriptor, n: int) -> SubgroupDescri
         return full_subgroup(ambient)
     desc = fundamental_power_description(field, n)
     # torsion coordinates are killed: (0, 1) = ell * (0, 1) in GW(F_q) since ell is odd
-    gens = tuple(tuple(c % ell for c in g[: ambient.dim]) for g in desc.generators)
+    gens = tuple(tuple(c % ell for c in g[: ambient.dim]) for g in desc.basis)
     return SubgroupDescription(ambient, gens)

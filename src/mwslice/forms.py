@@ -269,7 +269,7 @@ def fundamental_power_in_witt(field: FieldDescriptor, n: int) -> SubgroupDescrip
         return full_subgroup(ambient)
     desc = fundamental_power_description(field, n)
     gens = tuple(
-        witt_class(GWClass(field, g)).coords for g in desc.generators
+        witt_class(GWClass(field, g)).coords for g in desc.basis
     )
     return SubgroupDescription(ambient, gens)
 
@@ -306,30 +306,15 @@ def binary_isometric(a: Unit, b: Unit, c: Unit, d: Unit) -> bool:
     return represents(field, (a, b), c)
 
 
-class BruteForceTable(Record):
-    """Chain-equivalence classes of diagonal forms with representative entries.
-
-    Each class is a tuple of forms, each form a sorted tuple of square-class bits.
-    """
-
-    __slots__ = _fields = ("field", "max_rank", "classes")
-
-    def __init__(self, field: FieldDescriptor, max_rank: int,
-                 classes: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
-        _set(self, "field", field)
-        _set(self, "max_rank", max_rank)
-        _set(self, "classes", classes)
-
-    def class_count(self, rank: int) -> int:
-        return sum(1 for cls in self.classes if len(cls[0]) == rank)
-
-
 MAX_BRUTE_RANK = 8
 
 
 @lru_cache(maxsize=None)
-def brute_force_gw(field: FieldDescriptor, max_rank: int) -> BruteForceTable:
+def brute_force_gw(field: FieldDescriptor, max_rank: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Classify diagonal forms with entries in {1, s} by chain equivalence.
+
+    Returns the classes of ranks 0..max_rank, in rank order; a class is a
+    sorted tuple of forms, each form a sorted tuple of square-class bits.
 
     Moves replace a pair of entries by another representative pair when the
     corresponding binary forms are isometric (equal discriminant plus an
@@ -372,9 +357,7 @@ def brute_force_gw(field: FieldDescriptor, max_rank: int) -> BruteForceTable:
                             frontier.append(nxt_t)
             assigned |= cls
             classes.append(cls)
-    return BruteForceTable(
-        field, max_rank, tuple(tuple(sorted(cls)) for cls in classes)
-    )
+    return tuple(tuple(sorted(cls)) for cls in classes)
 
 
 def rep_form(field: FieldDescriptor, bits: tuple[int, ...]) -> QuadraticForm:
@@ -385,7 +368,7 @@ def rep_form(field: FieldDescriptor, bits: tuple[int, ...]) -> QuadraticForm:
 @lru_cache(maxsize=None)
 def witt_oracle_classes(field: FieldDescriptor, max_rank: int = 6) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Witt classes of representative forms: chain equivalence + hyperbolic moves."""
-    table = brute_force_gw(field, max_rank)
+    classes = brute_force_gw(field, max_rank)
     h_bits = tuple(sorted((0, square_class(unit_neg(one(field))))))
     parent: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -399,8 +382,8 @@ def witt_oracle_classes(field: FieldDescriptor, max_rank: int = 6) -> tuple[tupl
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    all_forms = [f for cls in table.classes for f in cls]
-    for cls in table.classes:
+    all_forms = [f for cls in classes for f in cls]
+    for cls in classes:
         for f in cls[1:]:
             union(cls[0], f)
     for f in all_forms:

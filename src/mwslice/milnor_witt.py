@@ -64,9 +64,9 @@ ETA = "eta"
 
 # A word holds at most MAX_WORD_LENGTH atoms and an expression at most
 # MAX_TERMS monomials; a product is checked before it is built.  Building a
-# word atom by atom, or a sum term by term, takes time quadratic in its size,
-# and products of sums grow exponentially, so larger inputs would run and
-# allocate without useful bound.
+# word atom by atom takes time quadratic in its length, and products of sums
+# grow exponentially, so larger inputs would run and allocate without useful
+# bound.
 MAX_WORD_LENGTH = 1000
 MAX_TERMS = 1000
 
@@ -440,85 +440,38 @@ def k2_brute_force_order(field: FieldDescriptor) -> int:
     return ann
 
 
-class CartesianReport(Record):
-    __slots__ = _fields = ("field", "m", "milnor_order", "ideal_order", "quotient_order",
-                           "fiber_order", "coordinate_order", "symbols_checked", "commutes")
-
-    def __init__(self, field: FieldDescriptor, m: int, milnor_order: int, ideal_order: int,
-                 quotient_order: int, fiber_order: int, coordinate_order: int,
-                 symbols_checked: int, commutes: bool) -> None:
-        _set(self, "field", field)
-        _set(self, "m", m)
-        _set(self, "milnor_order", milnor_order)
-        _set(self, "ideal_order", ideal_order)
-        _set(self, "quotient_order", quotient_order)
-        _set(self, "fiber_order", fiber_order)
-        _set(self, "coordinate_order", coordinate_order)
-        _set(self, "symbols_checked", symbols_checked)
-        _set(self, "commutes", commutes)
-
-    @property
-    def cartesian(self) -> bool:
-        return self.fiber_order == self.coordinate_order
-
-    @property
-    def ok(self) -> bool:
-        return self.commutes and self.cartesian
-
-    def to_json(self) -> dict:
-        return {
-            "field": str(self.field),
-            "m": self.m,
-            "milnor_order": self.milnor_order,
-            "ideal_order": self.ideal_order,
-            "quotient_order": self.quotient_order,
-            "fiber_order": self.fiber_order,
-            "coordinate_order": self.coordinate_order,
-            "symbols_checked": self.symbols_checked,
-            "commutes": self.commutes,
-            "cartesian": self.cartesian,
-        }
-
-
-def cartesian_check(field: FieldDescriptor, m: int) -> CartesianReport:
+def cartesian_check(field: FieldDescriptor, m: int) -> tuple[int, str | None]:
     """Exhaustively verify the degree-m cartesian square over a finite field.
 
     (a) commutation: for every length-m symbol, the Pfister element of the
     Milnor image agrees with the ideal coordinate modulo I^(m+1);
     (b) cartesianness: the coordinate group has the fiber-product order.
+    Returns the number of symbols checked and None, or a counterexample that
+    names the first failing symbol or the two orders.
     """
     if not field.is_finite:
         raise ValueError("cartesian_check runs over finite fields")
     if m not in (1, 2):
         raise ValueError("the decidable range is m in {1, 2}")
-    q = field.order
-    milnor_order = q - 1 if m == 1 else k2_brute_force_order(field)
-    ideal = fundamental_power_description(field, m)
-    ideal_next = fundamental_power_description(field, m + 1)
-    ideal_order = ideal.order()
-    quotient_order = ideal.quotient_shape(ideal_next).order()
-    # fiber product order: both maps to I^m/I^(m+1) are onto for our fields
-    denom = max(quotient_order, 1)
-    fiber_order = milnor_order * ideal_order // denom
-    coordinate_order = kmw_ambient(field, m).order()
-    commutes = True
     checked = 0
     for symbol in itertools.product(enumerate_units(field), repeat=m):
         checked += 1
-        pf = pfister(list(symbol))
-        nf = normalize(mw_symbols(list(symbol)))
+        word = mw_symbols(list(symbol))
         if m == 1:
-            ideal_part = GWClass(field, (0, nf.ideal_bit))
+            ideal_part = GWClass(field, (0, normalize(word).ideal_bit))
         else:
             ideal_part = gw_zero(field)
-        diff = pf - ideal_part
-        if not in_fundamental_power(diff, m + 1):
-            commutes = False
-            break
-    return CartesianReport(
-        field, m, milnor_order, ideal_order, quotient_order,
-        fiber_order, coordinate_order, checked, commutes,
-    )
+        if not in_fundamental_power(pfister(list(symbol)) - ideal_part, m + 1):
+            return checked, f"the square does not commute at {word}"
+    milnor_order = field.order - 1 if m == 1 else k2_brute_force_order(field)
+    ideal = fundamental_power_description(field, m)
+    # fiber product order: both maps to I^m/I^(m+1) are onto for our fields
+    quotient_order = ideal.quotient_shape(fundamental_power_description(field, m + 1)).order()
+    fiber_order = milnor_order * ideal.order() // max(quotient_order, 1)
+    coordinate_order = kmw_ambient(field, m).order()
+    if fiber_order != coordinate_order:
+        return checked, f"fiber-product order {fiber_order} != coordinate order {coordinate_order}"
+    return checked, None
 
 
 def unit_literal(u: Unit) -> str:
@@ -605,14 +558,21 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
         return items[idx][0] if idx < len(items) else None
 
     def parse_expr() -> MWExpression:
+        """A sum, collected as it is read: the terms of a left fold of ``+``, in linear time."""
         nonlocal idx
-        out = parse_term()
+        acc = {t.factors: t.coeff for t in parse_term().terms}  # word -> nonzero coeff, in order
         while peek() in ("+", "-"):
-            op = peek()
+            sign = 1 if peek() == "+" else -1
             idx += 1
             rhs = parse_term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
+            _check_size(len(acc) + len(rhs.terms), 0)
+            for t in rhs.terms:  # a collected summand: each word once
+                c = acc.get(t.factors, 0) + sign * t.coeff
+                if c:
+                    acc[t.factors] = c  # a word already there keeps its place
+                else:
+                    del acc[t.factors]
+        return MWExpression(field, tuple(MWMonomial(c, w) for w, c in acc.items()))
 
     def parse_term() -> MWExpression:
         nonlocal idx

@@ -306,21 +306,17 @@ def apply_step(expr: MWExpression, step: Step) -> MWExpression:
 
 
 class VerificationResult(Record):
-    __slots__ = _fields = ("ok", "failed_step", "reason", "final")
+    __slots__ = _fields = ("ok", "failed_step", "reason")
 
-    def __init__(self, ok: bool, failed_step: int | None = None, reason: str | None = None,
-                 final: MWExpression | None = None) -> None:
+    def __init__(self, ok: bool, failed_step: int | None = None,
+                 reason: str | None = None) -> None:
         _set(self, "ok", ok)
         _set(self, "failed_step", failed_step)
         _set(self, "reason", reason)
-        _set(self, "final", final)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_derivation(d: Derivation) -> VerificationResult:
-    """Replay every step; true iff the stated end expression is reached."""
+    """Replay every step; the result is ok iff the stated end expression is reached."""
     current = d.start
     for i, step in enumerate(d.steps):
         try:
@@ -328,10 +324,8 @@ def verify_derivation(d: Derivation) -> VerificationResult:
         except ValueError as exc:
             return VerificationResult(False, i, str(exc))
     if collect(current).terms != collect(d.end).terms:
-        return VerificationResult(
-            False, None, f"derivation ends at {current}, not {d.end}", current
-        )
-    return VerificationResult(True, final=current)
+        return VerificationResult(False, None, f"derivation ends at {current}, not {d.end}")
+    return VerificationResult(True)
 
 
 def derive_extended_steinberg(units: Sequence[Unit]) -> Derivation:

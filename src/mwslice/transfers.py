@@ -312,30 +312,7 @@ def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
     return MWNormalForm(base, 1, u_down)
 
 
-# -- property reports ---------------------------------------------------------------
-
-
-class CheckReport(Record):
-    __slots__ = _fields = ("name", "extension", "ok", "checked", "counterexample")
-
-    def __init__(self, name: str, extension: str, ok: bool, checked: int,
-                 counterexample: str | None = None) -> None:
-        _set(self, "name", name)
-        _set(self, "extension", extension)
-        _set(self, "ok", ok)
-        _set(self, "checked", checked)
-        _set(self, "counterexample", counterexample)
-
-    def to_json(self) -> dict:
-        out = {
-            "check": self.name,
-            "extension": self.extension,
-            "ok": self.ok,
-            "cases": self.checked,
-        }
-        if self.counterexample:
-            out["counterexample"] = self.counterexample
-        return out
+# -- exhaustive property checks ---------------------------------------------------
 
 
 # The projection-formula check takes rank bounds 0..MAX_RANK_BOUND; the GW box
@@ -343,11 +320,12 @@ class CheckReport(Record):
 MAX_RANK_BOUND = 100
 
 
-def projection_formula_check(ext: FiniteExtension, rank_bound: int = 4) -> CheckReport:
+def projection_formula_check(ext: FiniteExtension, rank_bound: int = 4) -> tuple[int, str | None]:
     """Exhaustive Tr(y * p^*x) = Tr(y) * x over the coordinate boxes.
 
     y ranges over GW(top) classes with |rank| <= rank_bound, x over the
-    rank-one generators of GW(base).
+    rank-one generators of GW(base).  Returns the cases checked and the
+    first counterexample, or None when the formula holds on all of them.
     """
     if rank_bound > MAX_RANK_BOUND:
         raise ValueError(f"rank bound {rank_bound} exceeds the supported bound {MAX_RANK_BOUND}")
@@ -362,29 +340,26 @@ def projection_formula_check(ext: FiniteExtension, rank_bound: int = 4) -> Check
             lhs = trace_transfer_gw(ext, y * p_star(ext, x))
             rhs = trace_transfer_gw(ext, y) * x
             if lhs != rhs:
-                return CheckReport(
-                    "projection_formula", str(ext), False, checked,
-                    f"y={y}, x={x}: {lhs} != {rhs}",
-                )
-    return CheckReport("projection_formula", str(ext), True, checked)
+                return checked, f"y={y}, x={x}: {lhs} != {rhs}"
+    return checked, None
 
 
 def filtration_preservation_check(
     ext: FiniteExtension, q_minus_p: int, N: int
-) -> CheckReport:
+) -> tuple[int, str | None]:
     """Transfers map K^MW_{q-p}(top) * I^N into the same subgroup over the base.
 
     The source subgroup is finite in every nontrivial case (N >= 1); for N = 0
-    both sides are the full group and the check is trivial.
+    both sides are the full group and the check is trivial.  Returns the
+    elements checked and the first one that leaves the target, or None.
     """
     if not ext.base.is_finite:
         raise ExtensionError("the exhaustive check runs over finite extensions")
     if N < 0:
         raise ValueError("N must be a natural number")
     m = q_minus_p
-    name = "filtration_preservation"
     if N == 0:
-        return CheckReport(name, str(ext), True, 0, None)
+        return 0, None
     source = kmw_times_In(m, N, ext.top)
     target = kmw_times_In(m, N, ext.base)
     checked = 0
@@ -392,11 +367,8 @@ def filtration_preservation_check(
         image = transfer_kmw(ext, normal_form_from_coords(ext.top, m, coords))
         checked += 1
         if not target.contains(image.coords()):
-            return CheckReport(
-                name, str(ext), False, checked,
-                f"element {coords} of degree {m} transfers outside I^{N}",
-            )
-    return CheckReport(name, str(ext), True, checked)
+            return checked, f"element {coords} of degree {m} transfers outside I^{N}"
+    return checked, None
 
 
 def transfer_closure_subgroup(

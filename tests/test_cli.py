@@ -321,3 +321,54 @@ def test_modulus_literal_is_bounded_before_it_is_built():
 def test_bad_prime_field_modulus_exits_2(capsys, literal):
     assert main(["gw", "--field", literal, "--form", "<1>"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+PROJECTION = ["transfer", "--ext", "Fq(9)/Fq(3)", "--check", "projection", "--rank-bound", "2"]
+
+
+@pytest.fixture
+def broken_pullback(monkeypatch):
+    from mwslice import transfers
+
+    orig = transfers.p_star
+    monkeypatch.setattr(transfers, "p_star", lambda e, x: orig(e, x).scale(2))
+
+
+BROKEN_PROJECTION = ("y=(rank -2, disc_dev 0), x=(rank 1, disc_dev 0): "
+                     "(rank -8, disc_dev 0) != (rank -4, disc_dev 0)")
+
+
+def test_failed_projection_check_json(capsys, broken_pullback):
+    code, out = run(capsys, "--output", "json", *PROJECTION)
+    assert code == 1
+    assert json.loads(out)["result"] == {
+        "cases": 1, "check": "projection_formula", "counterexample": BROKEN_PROJECTION,
+        "extension": "Fq(9;poly=x^2+1)/Fq(3)", "ok": False}
+
+
+def test_failed_projection_check_table(capsys, broken_pullback):
+    code, out = run(capsys, *PROJECTION)
+    assert code == 1
+    assert out == ("projection formula over Fq(9;poly=x^2+1)/Fq(3): ok=False (1 cases)"
+                   f"; first counterexample: {BROKEN_PROJECTION}")
+
+
+@pytest.fixture
+def broken_vanishing(monkeypatch):
+    from mwslice.fields import FiniteField
+
+    monkeypatch.setattr(FiniteField, "vanishing_power", 1)
+
+
+def test_failed_convergence_json(capsys, broken_vanishing):
+    code, out = run(capsys, "--output", "json", "convergence", "--field", "Fq(7)", "--cutoff", "12")
+    assert code == 1
+    assert '"separated":false' in out
+    assert json.loads(out)["certificate"]["details"] == ["I^1 is not zero"]
+
+
+def test_failed_convergence_table(capsys, broken_vanishing):
+    code, out = run(capsys, "convergence", "--field", "Fq(7)", "--cutoff", "12")
+    assert code == 1
+    assert out == ("convergence over Fq(7) (cutoff 12): separated = False\n"
+                   "  certificate: I^2 = 0")

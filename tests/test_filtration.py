@@ -129,9 +129,10 @@ def test_convergence_reports():
         (REALS, "nonzero signatures have bounded dyadic valuation"),
         (COMPLEXES, "I = 0"),
     ):
-        rep = convergence_check(field, 12)
-        assert rep.separated
-        assert rep.certificate == cert
+        separated, details = convergence_check(field, 12)
+        assert separated
+        assert details == ("intersection of the chain is zero at the cutoff",)
+        assert field.certificate == cert
     with pytest.raises(ValueError):
         convergence_check(F7, 0)
 

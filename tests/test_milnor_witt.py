@@ -1,8 +1,14 @@
 """Expressions, normal forms, theta0, eta images, the cartesian square."""
 
+import functools
 import itertools
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mwslice import milnor_witt
 
 from mwslice.fields import (
     COMPLEXES,
@@ -22,6 +28,7 @@ from mwslice.forms import (
     form,
     fundamental_power_description,
     gw_of_form,
+    gw_one,
     gw_zero,
 )
 from mwslice.milnor_witt import (
@@ -317,10 +324,16 @@ def test_symbols_with_nonunit_sum_generate_degree_one():
 
 @pytest.mark.parametrize("q,m,expected_fiber", [(3, 1, 2), (7, 1, 6), (13, 1, 12), (5, 2, 1), (9, 2, 1)])
 def test_cartesian_check(q, m, expected_fiber):
-    rep = cartesian_check(finite_field(q), m)
-    assert rep.ok
-    assert rep.fiber_order == expected_fiber
-    assert rep.symbols_checked == (q - 1) ** m
+    field = finite_field(q)
+    cases, failure = cartesian_check(field, m)
+    assert failure is None
+    assert kmw_ambient(field, m).order() == expected_fiber
+    assert cases == (q - 1) ** m
+
+
+def test_cartesian_check_names_the_first_failing_symbol(monkeypatch):
+    monkeypatch.setattr(milnor_witt, "pfister", lambda units: gw_one(units[0].field))
+    assert cartesian_check(F7, 1) == (1, "the square does not commute at [1]")
 
 
 def test_parser_round_trip():
@@ -334,6 +347,40 @@ def test_parser_round_trip():
         e = parse_expression(F7, text)
         again = parse_expression(F7, expression_literal(e))
         assert again.terms == e.terms
+
+
+# Summands without a top-level + or -, chosen from few words so that sums repeat and cancel.
+SUMMANDS = ("1", "2", "eta", "[2]", "[3]", "-[2]", "eta*[2]", "eta*[3]", "[2]*[3]",
+            "3*[3]*[2]", "(1 + eta*[3])", "(eta*[2] - 2)")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("+-"), st.sampled_from(SUMMANDS)),
+                min_size=1, max_size=12))
+def test_a_sum_parses_to_the_fold_of_its_summands(pairs):
+    text = pairs[0][1] + "".join(f" {op} {summand}" for op, summand in pairs[1:])
+    parts = [parse_expression(F7, pairs[0][1])] + [
+        parse_expression(F7, summand) if op == "+" else -parse_expression(F7, summand)
+        for op, summand in pairs[1:]]
+    assert parse_expression(F7, text).terms == functools.reduce(operator.add, parts).terms
+
+
+def test_a_long_sum_is_collected_once_not_per_summand(monkeypatch):
+    real, calls = milnor_witt.collect, []
+    monkeypatch.setattr(milnor_witt, "collect", lambda e: calls.append(e) or real(e))
+    text = " + ".join(f"[g^{k}]" for k in range(1, 1000))
+    assert len(parse_expression(finite_field(10007), text).terms) == 999
+    assert len(calls) <= 1
+
+
+def test_a_sum_is_refused_where_the_collected_terms_pass_the_bound():
+    field = finite_field(10007)
+    units = [f"[g^{k}]" for k in range(1, 1002)]
+    with pytest.raises(ValueError, match="^1001 monomials exceed the supported bound 1000$"):
+        parse_expression(field, " + ".join(units))
+    # a cancelled word leaves room: 1,002 summands collect to 1,000 terms
+    text = " + ".join(units[:999]) + " - [g^1] + [g^1000] + [g^1001]"
+    assert len(parse_expression(field, text).terms) == 1000
 
 
 def test_parser_rejects_garbage():

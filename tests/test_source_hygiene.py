@@ -7,7 +7,8 @@ A private module-level name (``_x``, not a dunder, bound by ``def``, ``class``
 or an assignment) must be read somewhere in the package: as a name, as an
 attribute, or by an import from another module.  A public one must be read,
 the same way, somewhere in ``src``, ``tests``, ``demos`` or ``perfbench``; a
-string in the package's ``_EXPORTS`` table counts as a read.
+string in the package's ``_EXPORTS`` table counts as a read.  So must every
+name in a class's ``_fields`` tuple, there as an attribute load (``x.name``).
 """
 
 from __future__ import annotations
@@ -107,12 +108,15 @@ def test_the_check_sees_an_unread_private_helper():
         "a.py line 1: _T", "b.py line 3: _T"]
 
 
+def reader_trees() -> list[ast.Module]:
+    return [ast.parse(p.read_text(encoding="utf-8"))
+            for folder in ("src", "tests", "demos", "perfbench")
+            for p in sorted((ROOT / folder).rglob("*.py"))]
+
+
 def test_every_public_name_is_read():
     modules = parse_all(SRC.glob("*.py"))
-    readers = [ast.parse(p.read_text(encoding="utf-8"))
-               for folder in ("src", "tests", "demos", "perfbench")
-               for p in sorted((ROOT / folder).rglob("*.py"))]
-    assert unread_names(modules, readers, private=False) == []
+    assert unread_names(modules, reader_trees(), private=False) == []
 
 
 def test_the_check_sees_an_orphaned_public_helper():
@@ -121,3 +125,38 @@ def test_the_check_sees_an_orphaned_public_helper():
     b = ast.parse("import a\na.eta()\n_EXPORTS = {'a': ('Atom',)}\n")
     assert unread_names({"a.py": a}, [a, b], private=False) == [
         "a.py line 2: STALE", "a.py line 4: leftover"]
+
+
+def record_fields(tree: ast.Module) -> dict[str, int]:
+    """``Class.field`` for each name in a class's ``_fields`` tuple, with its line."""
+    fields: dict[str, int] = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_fields" for t in node.targets
+            ):
+                for c in ast.walk(node.value):
+                    if isinstance(c, ast.Constant):
+                        fields[f"{cls.name}.{c.value}"] = node.lineno
+    return fields
+
+
+def unread_fields(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    read = {n.attr for tree in readers for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{module} line {line}: {name}"
+            for module, tree in modules.items()
+            for name, line in record_fields(tree).items() if name.split(".")[1] not in read]
+
+
+def test_every_record_field_is_read():
+    assert unread_fields(parse_all(SRC.glob("*.py")), reader_trees()) == []
+
+
+def test_the_check_sees_a_record_field_nothing_reads():
+    a = ast.parse("class R:\n    __slots__ = _fields = ('kept', 'stale')\n"
+                  "    def k(self): return self.kept\nclass S:\n    _fields = ('gone',)\n")
+    b = ast.parse("s.gone = 1\ndel s.gone\nprint(getattr(r, 'stale'))\n")
+    assert unread_fields({"a.py": a}, [a, b]) == ["a.py line 2: R.stale", "a.py line 5: S.gone"]

@@ -166,8 +166,9 @@ def test_p_star_extension_of_scalars():
 
 @pytest.mark.parametrize("ext", [EXT_93, EXT_273, EXT_255, EXT_CR])
 def test_projection_formula(ext):
-    rep = projection_formula_check(ext, 4)
-    assert rep.ok, rep.counterexample
+    cases, counterexample = projection_formula_check(ext, 4)
+    assert counterexample is None
+    assert cases > 0
 
 
 def test_projection_formula_worked_examples():
@@ -188,8 +189,8 @@ def test_projection_formula_worked_examples():
 def test_filtration_preservation_grid(ext):
     for m in range(-3, 4):
         for N in range(0, 4):
-            rep = filtration_preservation_check(ext, m, N)
-            assert rep.ok, (m, N, rep.counterexample)
+            _, counterexample = filtration_preservation_check(ext, m, N)
+            assert counterexample is None, (m, N)
 
 
 def test_transfer_kmw_degree_one():
@@ -238,7 +239,7 @@ def test_non_prime_base_extension():
     t = trace_to_base(ext, embed_unit(ext, b))
     assert t == unit_add(b, b)
     assert transfer_of_unit_form(ext, one(F81)).rank == 2
-    assert projection_formula_check(ext, 2).ok
+    assert projection_formula_check(ext, 2)[1] is None
 
 
 def _exhaustive_root(ext: FiniteExtension):
