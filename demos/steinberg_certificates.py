@@ -7,7 +7,8 @@ replays the certificate through the verifier, and shows the JSON form.
 
 import json
 
-from mwslice.fields import finite_field, sum_to_one_tuples, unit
+from mwslice.checks import sum_to_one_tuples
+from mwslice.fields import finite_field, unit
 from mwslice.milnor_witt import mw_symbols, normalize
 from mwslice.rewriting import apply_step, derive_extended_steinberg, verify_derivation
 

@@ -25,6 +25,7 @@ import importlib
 
 _EXPORTS = {
     "abelian": ("Ambient", "SubgroupDescription"),
+    "checks": ("brute_force_gw", "cartesian_check", "sum_to_one_tuples"),
     "fields": (
         "COMPLEXES",
         "REALS",
@@ -34,7 +35,6 @@ _EXPORTS = {
         "finite_field",
         "parse_field",
         "parse_unit",
-        "sum_to_one_tuples",
         "unit",
     ),
     "filtration": (
@@ -50,7 +50,6 @@ _EXPORTS = {
         "GWClass",
         "QuadraticForm",
         "WittClass",
-        "brute_force_gw",
         "form",
         "fundamental_power_description",
         "gw_of_form",
@@ -63,7 +62,6 @@ _EXPORTS = {
     "milnor_witt": (
         "MWExpression",
         "MWNormalForm",
-        "cartesian_check",
         "normalize",
         "parse_expression",
         "theta0",

@@ -9,18 +9,26 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable
+from functools import lru_cache
+from math import gcd
+from typing import Callable, Iterator
 
 from mwslice.abelian import Record, SubgroupDescription, full_subgroup
 from mwslice.fields import (
     COMPLEXES,
     REALS,
     FieldDescriptor,
+    Unit,
+    discrete_log_table,
     enumerate_units,
     finite_field,
+    multiplicative_generator,
     one,
-    sum_to_one_tuples,
+    square_class,
+    unit_add,
+    unit_mul,
     unit_neg,
+    unit_sub,
 )
 from mwslice.filtration import (
     FiltrationQuery,
@@ -31,16 +39,16 @@ from mwslice.filtration import (
 )
 from mwslice.forms import (
     GWClass,
-    brute_force_gw,
+    QuadraticForm,
     fundamental_power_description,
     gw_box,
     gw_of_form,
-    rep_form,
-    witt_oracle_classes,
+    gw_zero,
+    in_fundamental_power,
+    pfister,
 )
 from mwslice.milnor_witt import (
     ETA,
-    cartesian_check,
     kmw_ambient,
     mw_eta,
     mw_int,
@@ -72,6 +80,193 @@ STANDARD_FIELDS = (
     finite_field(9),
     COMPLEXES,
 )
+
+
+# -- exhaustive oracles ------------------------------------------------------------
+
+
+def sum_to_one_tuples(field: FieldDescriptor, n: int) -> Iterator[tuple[Unit, ...]]:
+    """Stream of n-tuples of units with sum 1, exhaustive and duplicate-free over F_q."""
+    if n < 1:
+        raise ValueError(f"tuple length must be >= 1, got {n}")
+    e = one(field)
+    if n == 1:
+        yield (e,)
+        return
+    for prefix in itertools.product(enumerate_units(field), repeat=n - 1):
+        rest: Unit | None = e  # running value of 1 - sum(prefix); None is zero
+        for u in prefix:
+            rest = unit_sub(rest, u) if rest is not None else unit_neg(u)
+        if rest is not None:
+            yield prefix + (rest,)
+
+
+def _square_class_reps(field: FieldDescriptor) -> tuple[Unit, Unit]:
+    """1 and the canonical generator g, one unit of each square class of F_q."""
+    return (one(field), multiplicative_generator(field))
+
+
+def represents(field: FieldDescriptor, entries: tuple[Unit, ...], c: Unit) -> bool:
+    """Exhaustive test: does the diagonal form with these entries represent c?"""
+    values = [None] + list(enumerate_units(field))
+    for point in itertools.product(values, repeat=len(entries)):
+        if all(x is None for x in point):
+            continue
+        total: Unit | None = None  # None stands for a zero running sum
+        for a, x in zip(entries, point):
+            if x is None:
+                continue
+            term = unit_mul(a, unit_mul(x, x))
+            total = term if total is None else unit_add(total, term)
+        if total == c:
+            return True
+    return False
+
+
+def binary_isometric(a: Unit, b: Unit, c: Unit, d: Unit) -> bool:
+    """<a,b> = <c,d> iff equal discriminants and <a,b> represents c."""
+    field = a.field
+    disc_ab = square_class(unit_mul(a, b))
+    disc_cd = square_class(unit_mul(c, d))
+    if disc_ab != disc_cd:
+        return False
+    return represents(field, (a, b), c)
+
+
+MAX_BRUTE_RANK = 8
+
+
+@lru_cache(maxsize=None)
+def brute_force_gw(field: FieldDescriptor, max_rank: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Classify diagonal forms with entries in {1, s} by chain equivalence.
+
+    Returns the classes of ranks 0..max_rank, in rank order; a class is a
+    sorted tuple of forms, each form a sorted tuple of square-class bits.
+
+    Moves replace a pair of entries by another representative pair when the
+    corresponding binary forms are isometric (equal discriminant plus an
+    exhaustive representation search).  Completeness of the (rank, disc)
+    invariants is checked against this table by the test suite, not assumed.
+    """
+    if max_rank > MAX_BRUTE_RANK:
+        raise ValueError(f"rank bound {max_rank} exceeds {MAX_BRUTE_RANK}")
+    reps = _square_class_reps(field)
+    isometric_pairs: dict[tuple[int, int, int, int], bool] = {}
+    for quad in itertools.product((0, 1), repeat=4):
+        isometric_pairs[quad] = binary_isometric(*(reps[b] for b in quad))
+
+    classes: list[set[tuple[int, ...]]] = []
+    for rank in range(max_rank + 1):
+        forms = {tuple(sorted(bits)) for bits in itertools.product((0, 1), repeat=rank)}
+        assigned: set[tuple[int, ...]] = set()
+        for start in sorted(forms):
+            if start in assigned:
+                continue
+            cls = {start}
+            frontier = [start]
+            while frontier:
+                cur = frontier.pop()
+                for i, j in itertools.combinations(range(rank), 2):
+                    for new_pair in itertools.product((0, 1), repeat=2):
+                        if not isometric_pairs[(cur[i], cur[j], *new_pair)]:
+                            continue
+                        nxt = list(cur)
+                        nxt[i], nxt[j] = new_pair
+                        nxt_t = tuple(sorted(nxt))
+                        if nxt_t not in cls:
+                            cls.add(nxt_t)
+                            frontier.append(nxt_t)
+            assigned |= cls
+            classes.append(cls)
+    return tuple(tuple(sorted(cls)) for cls in classes)
+
+
+def rep_form(field: FieldDescriptor, bits: tuple[int, ...]) -> QuadraticForm:
+    reps = _square_class_reps(field)
+    return QuadraticForm(field, tuple(reps[b] for b in bits))
+
+
+@lru_cache(maxsize=None)
+def witt_oracle_classes(field: FieldDescriptor, max_rank: int = 6) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Witt classes of representative forms: chain equivalence + hyperbolic moves."""
+    classes = brute_force_gw(field, max_rank)
+    h_bits = tuple(sorted((0, square_class(unit_neg(one(field))))))
+    parent: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    all_forms = [f for cls in classes for f in cls]
+    for cls in classes:
+        for f in cls[1:]:
+            union(cls[0], f)
+    for f in all_forms:
+        if len(f) + 2 <= max_rank:
+            union(f, tuple(sorted(f + h_bits)))
+    groups: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for f in all_forms:
+        groups.setdefault(find(f), set()).add(f)
+    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: sorted(g)[0]))
+
+
+@lru_cache(maxsize=None)
+def k2_brute_force_order(field: FieldDescriptor) -> int:
+    """Order of K^M_2(F_q) computed from the Steinberg presentation.
+
+    The group is cyclic, generated by {g, g}; each relation {u, 1-u} = 0
+    contributes log(u)*log(1-u) to the annihilator of the generator.
+    """
+    q = field.order
+    logs = discrete_log_table(field)
+    ann = q - 1
+    e = one(field)
+    for u in enumerate_units(field):
+        if u == e:
+            continue
+        w = unit_sub(e, u)
+        if w is None:
+            continue
+        ann = gcd(ann, logs[u] * logs[w] % (q - 1))
+    return ann
+
+
+def cartesian_check(field: FieldDescriptor, m: int) -> tuple[int, str | None]:
+    """Exhaustively verify the degree-m cartesian square over a finite field.
+
+    (a) commutation: for every length-m symbol, the Pfister element of the
+    Milnor image agrees with the ideal coordinate modulo I^(m+1);
+    (b) cartesianness: the coordinate group has the fiber-product order.
+    Returns the number of symbols checked and None, or a counterexample that
+    names the first failing symbol or the two orders.
+    """
+    if m not in (1, 2):
+        raise ValueError("the decidable range is m in {1, 2}")
+    checked = 0
+    for symbol in itertools.product(enumerate_units(field), repeat=m):
+        checked += 1
+        word = mw_symbols(list(symbol))
+        if m == 1:
+            ideal_part = GWClass(field, (0, normalize(word).ideal_bit))
+        else:
+            ideal_part = gw_zero(field)
+        if not in_fundamental_power(pfister(list(symbol)) - ideal_part, m + 1):
+            return checked, f"the square does not commute at {word}"
+    milnor_order = field.order - 1 if m == 1 else k2_brute_force_order(field)
+    ideal = fundamental_power_description(field, m)
+    # fiber product order: both maps to I^m/I^(m+1) are onto for our fields
+    quotient_order = ideal.quotient_shape(fundamental_power_description(field, m + 1)).order()
+    fiber_order = milnor_order * ideal.order() // max(quotient_order, 1)
+    coordinate_order = kmw_ambient(field, m).order()
+    if fiber_order != coordinate_order:
+        return checked, f"fiber-product order {fiber_order} != coordinate order {coordinate_order}"
+    return checked, None
 
 
 _set = object.__setattr__

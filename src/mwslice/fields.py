@@ -846,48 +846,6 @@ def discrete_log_table(field: FieldDescriptor) -> dict[Unit, int]:
     return {u: k for k, u in enumerate(enumerate_units(field))}
 
 
-def rational_grid(bound: int) -> tuple[Unit, ...]:
-    """Deterministic family of nonzero rationals a/b, |a| <= bound, 1 <= b <= bound."""
-    seen = []
-    for b in range(1, bound + 1):
-        for a in range(-bound, bound + 1):
-            if a == 0:
-                continue
-            f = Fraction(a, b)
-            u = Unit(REALS, f)
-            if u not in seen:
-                seen.append(u)
-    return tuple(seen)
-
-
-def sum_to_one_tuples(
-    field: FieldDescriptor, n: int, bound: int = 2
-) -> Iterator[tuple[Unit, ...]]:
-    """Stream of n-tuples of units with sum 1.
-
-    Over a finite field the stream is exhaustive and duplicate-free.  Over R
-    (and C, with the same rational carriers) it is the deterministic family
-    obtained by letting the first n - 1 entries range over the rational grid
-    of ``rational_grid(bound)`` and solving for the last entry.
-    """
-    if n < 1:
-        raise ValueError(f"tuple length must be >= 1, got {n}")
-    if n == 1:
-        yield (one(field),)
-        return
-    if field.is_finite:
-        pool: Sequence[Unit] = enumerate_units(field)
-    else:
-        pool = [Unit(field, u.value) for u in rational_grid(bound)]
-    e = one(field)
-    for prefix in itertools.product(pool, repeat=n - 1):
-        rest: Unit | None = e  # running value of 1 - sum(prefix); None is zero
-        for u in prefix:
-            rest = unit_sub(rest, u) if rest is not None else unit_neg(u)
-        if rest is not None:
-            yield prefix + (rest,)
-
-
 # -- literal syntax ------------------------------------------------------------
 
 _FIELD_RE = re.compile(r"^Fq\((\d+)(?:;poly=([^)]+))?\)$")

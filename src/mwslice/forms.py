@@ -22,22 +22,9 @@ against classes of tensor products of diagonal forms.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from mwslice.abelian import Record, SubgroupDescription, full_subgroup
-from mwslice.fields import (
-    FieldDescriptor,
-    FieldMismatchError,
-    Unit,
-    enumerate_units,
-    multiplicative_generator,
-    one,
-    square_class,
-    unit,
-    unit_add,
-    unit_mul,
-    unit_neg,
-)
+from mwslice.fields import FieldDescriptor, FieldMismatchError, Unit, square_class, unit
 
 _set = object.__setattr__
 
@@ -272,124 +259,3 @@ def fundamental_power_in_witt(field: FieldDescriptor, n: int) -> SubgroupDescrip
         witt_class(GWClass(field, g)).coords for g in desc.basis
     )
     return SubgroupDescription(ambient, gens)
-
-
-# -- brute-force oracle ------------------------------------------------------------
-
-
-def represents(field: FieldDescriptor, entries: tuple[Unit, ...], c: Unit) -> bool:
-    """Exhaustive test: does the diagonal form with these entries represent c?"""
-    if not field.is_finite:
-        raise ValueError("the exhaustive oracle only runs over finite fields")
-    values = [None] + list(enumerate_units(field))
-    for point in itertools.product(values, repeat=len(entries)):
-        if all(x is None for x in point):
-            continue
-        total: Unit | None = None  # None stands for a zero running sum
-        for a, x in zip(entries, point):
-            if x is None:
-                continue
-            term = unit_mul(a, unit_mul(x, x))
-            total = term if total is None else unit_add(total, term)
-        if total == c:
-            return True
-    return False
-
-
-def binary_isometric(a: Unit, b: Unit, c: Unit, d: Unit) -> bool:
-    """<a,b> = <c,d> iff equal discriminants and <a,b> represents c."""
-    field = a.field
-    disc_ab = square_class(unit_mul(a, b))
-    disc_cd = square_class(unit_mul(c, d))
-    if disc_ab != disc_cd:
-        return False
-    return represents(field, (a, b), c)
-
-
-MAX_BRUTE_RANK = 8
-
-
-@lru_cache(maxsize=None)
-def brute_force_gw(field: FieldDescriptor, max_rank: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Classify diagonal forms with entries in {1, s} by chain equivalence.
-
-    Returns the classes of ranks 0..max_rank, in rank order; a class is a
-    sorted tuple of forms, each form a sorted tuple of square-class bits.
-
-    Moves replace a pair of entries by another representative pair when the
-    corresponding binary forms are isometric (equal discriminant plus an
-    exhaustive representation search).  Completeness of the (rank, disc)
-    invariants is checked against this table by the test suite, not assumed.
-    """
-    if not field.is_finite:
-        raise ValueError("brute_force_gw runs over finite fields")
-    if max_rank > MAX_BRUTE_RANK:
-        raise ValueError(f"rank bound {max_rank} exceeds {MAX_BRUTE_RANK}")
-    reps = (one(field), multiplicative_generator(field))
-
-    def entry(bit: int) -> Unit:
-        return reps[bit]
-
-    isometric_pairs: dict[tuple[int, int, int, int], bool] = {}
-    for quad in itertools.product((0, 1), repeat=4):
-        isometric_pairs[quad] = binary_isometric(*(entry(b) for b in quad))
-
-    classes: list[set[tuple[int, ...]]] = []
-    for rank in range(max_rank + 1):
-        forms = {tuple(sorted(bits)) for bits in itertools.product((0, 1), repeat=rank)}
-        assigned: set[tuple[int, ...]] = set()
-        for start in sorted(forms):
-            if start in assigned:
-                continue
-            cls = {start}
-            frontier = [start]
-            while frontier:
-                cur = frontier.pop()
-                for i, j in itertools.combinations(range(rank), 2):
-                    for new_pair in itertools.product((0, 1), repeat=2):
-                        if not isometric_pairs[(cur[i], cur[j], *new_pair)]:
-                            continue
-                        nxt = list(cur)
-                        nxt[i], nxt[j] = new_pair
-                        nxt_t = tuple(sorted(nxt))
-                        if nxt_t not in cls:
-                            cls.add(nxt_t)
-                            frontier.append(nxt_t)
-            assigned |= cls
-            classes.append(cls)
-    return tuple(tuple(sorted(cls)) for cls in classes)
-
-
-def rep_form(field: FieldDescriptor, bits: tuple[int, ...]) -> QuadraticForm:
-    reps = (one(field), multiplicative_generator(field))
-    return QuadraticForm(field, tuple(reps[b] for b in bits))
-
-
-@lru_cache(maxsize=None)
-def witt_oracle_classes(field: FieldDescriptor, max_rank: int = 6) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Witt classes of representative forms: chain equivalence + hyperbolic moves."""
-    classes = brute_force_gw(field, max_rank)
-    h_bits = tuple(sorted((0, square_class(unit_neg(one(field))))))
-    parent: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    all_forms = [f for cls in classes for f in cls]
-    for cls in classes:
-        for f in cls[1:]:
-            union(cls[0], f)
-    for f in all_forms:
-        if len(f) + 2 <= max_rank:
-            union(f, tuple(sorted(f + h_bits)))
-    groups: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for f in all_forms:
-        groups.setdefault(find(f), set()).add(f)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: sorted(g)[0]))

@@ -19,36 +19,13 @@ m >= 1
 
 from __future__ import annotations
 
-import itertools
 import re
-from functools import lru_cache, partial
-from math import gcd
+from functools import partial
 from typing import Sequence
 
 from mwslice.abelian import Ambient, Record
-from mwslice.fields import (
-    FieldDescriptor,
-    FieldMismatchError,
-    Unit,
-    discrete_log_table,
-    enumerate_units,
-    one,
-    parse_unit,
-    square_class,
-    unit_sub,
-)
-from mwslice.forms import (
-    GWClass,
-    WittClass,
-    fundamental_power_description,
-    gw_of_unit,
-    gw_one,
-    gw_zero,
-    in_fundamental_power,
-    pfister,
-    witt_class,
-    witt_zero,
-)
+from mwslice.fields import FieldDescriptor, FieldMismatchError, Unit, parse_unit, square_class
+from mwslice.forms import GWClass, WittClass, gw_of_unit, gw_one, gw_zero, witt_class, witt_zero
 
 
 class InhomogeneousError(ValueError):
@@ -412,66 +389,6 @@ def kmw_generating_expressions(field: FieldDescriptor, m: int) -> tuple[MWExpres
     for _ in range(-m):
         eta_pow = eta_pow * eta
     return tuple(eta_pow * g for g in gens0)
-
-
-# -- Milnor K-theory of the implemented fields ----------------------------------
-
-
-@lru_cache(maxsize=None)
-def k2_brute_force_order(field: FieldDescriptor) -> int:
-    """Order of K^M_2(F_q) computed from the Steinberg presentation.
-
-    The group is cyclic, generated by {g, g}; each relation {u, 1-u} = 0
-    contributes log(u)*log(1-u) to the annihilator of the generator.
-    """
-    if not field.is_finite:
-        raise ValueError("the K_2 oracle runs over finite fields")
-    q = field.order
-    logs = discrete_log_table(field)
-    ann = q - 1
-    e = one(field)
-    for u in enumerate_units(field):
-        if u == e:
-            continue
-        w = unit_sub(e, u)
-        if w is None:
-            continue
-        ann = gcd(ann, logs[u] * logs[w] % (q - 1))
-    return ann
-
-
-def cartesian_check(field: FieldDescriptor, m: int) -> tuple[int, str | None]:
-    """Exhaustively verify the degree-m cartesian square over a finite field.
-
-    (a) commutation: for every length-m symbol, the Pfister element of the
-    Milnor image agrees with the ideal coordinate modulo I^(m+1);
-    (b) cartesianness: the coordinate group has the fiber-product order.
-    Returns the number of symbols checked and None, or a counterexample that
-    names the first failing symbol or the two orders.
-    """
-    if not field.is_finite:
-        raise ValueError("cartesian_check runs over finite fields")
-    if m not in (1, 2):
-        raise ValueError("the decidable range is m in {1, 2}")
-    checked = 0
-    for symbol in itertools.product(enumerate_units(field), repeat=m):
-        checked += 1
-        word = mw_symbols(list(symbol))
-        if m == 1:
-            ideal_part = GWClass(field, (0, normalize(word).ideal_bit))
-        else:
-            ideal_part = gw_zero(field)
-        if not in_fundamental_power(pfister(list(symbol)) - ideal_part, m + 1):
-            return checked, f"the square does not commute at {word}"
-    milnor_order = field.order - 1 if m == 1 else k2_brute_force_order(field)
-    ideal = fundamental_power_description(field, m)
-    # fiber product order: both maps to I^m/I^(m+1) are onto for our fields
-    quotient_order = ideal.quotient_shape(fundamental_power_description(field, m + 1)).order()
-    fiber_order = milnor_order * ideal.order() // max(quotient_order, 1)
-    coordinate_order = kmw_ambient(field, m).order()
-    if fiber_order != coordinate_order:
-        return checked, f"fiber-product order {fiber_order} != coordinate order {coordinate_order}"
-    return checked, None
 
 
 def unit_literal(u: Unit) -> str:

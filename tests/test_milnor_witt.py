@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwslice import milnor_witt
+from mwslice import checks, milnor_witt
+from mwslice.checks import cartesian_check, k2_brute_force_order
 
 from mwslice.fields import (
     COMPLEXES,
@@ -35,10 +36,8 @@ from mwslice.milnor_witt import (
     DegreeError,
     InhomogeneousError,
     MWNormalForm,
-    cartesian_check,
     eta_times,
     expression_literal,
-    k2_brute_force_order,
     kmw_ambient,
     kmw_generating_expressions,
     mw_eta,
@@ -332,7 +331,7 @@ def test_cartesian_check(q, m, expected_fiber):
 
 
 def test_cartesian_check_names_the_first_failing_symbol(monkeypatch):
-    monkeypatch.setattr(milnor_witt, "pfister", lambda units: gw_one(units[0].field))
+    monkeypatch.setattr(checks, "pfister", lambda units: gw_one(units[0].field))
     assert cartesian_check(F7, 1) == (1, "the square does not commute at [1]")
 
 

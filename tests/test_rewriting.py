@@ -70,7 +70,7 @@ def test_precondition_errors():
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_exhaustive_certificates(q):
-    from mwslice.fields import sum_to_one_tuples
+    from mwslice.checks import sum_to_one_tuples
 
     field = finite_field(q)
     for n in (2, 3, 4):
@@ -191,7 +191,7 @@ def test_rules_in_context_positions():
 
 
 def test_serialization_round_trip_all_fields():
-    from mwslice.fields import sum_to_one_tuples
+    from mwslice.checks import sum_to_one_tuples
 
     for field in (F7, F9):
         tup = next(iter(sum_to_one_tuples(field, 3)))
