@@ -15,9 +15,9 @@ subclass of :class:`FieldDescriptor`:
 A field is one interned object, and its class is the one place where the
 facts of its family live: unit arithmetic and square classes, the GW and W
 coordinates from the classification of forms (Lam, *Introduction to
-Quadratic Forms over Fields*, ch. II-III), the generators of I^n, the K^MW
-coordinates in positive degree with the eta action, and the convergence
-certificate.  Field methods speak in units, integers, coordinate tuples and
+Quadratic Forms over Fields*, ch. II-III), the generators of each level
+K^MW_m I^n, the K^MW coordinates in positive degree with the eta action, and
+the convergence certificate.  Field methods speak in units, integers, coordinate tuples and
 :class:`Ambient` groups; the forms, milnor_witt and filtration modules wrap
 them in their own classes.
 """
@@ -543,10 +543,6 @@ class FiniteField(FieldDescriptor):
         """Units u such that <1> and the <u> generate GW; g is a nonsquare."""
         return (multiplicative_generator(self),)
 
-    def ideal_generators(self, n: int) -> tuple[tuple[int, ...], ...]:
-        """I^n for n >= 1: I is the rank-zero line, I^2 = 0."""
-        return ((0, 1),) if n == 1 else ()
-
     @property
     def _z4(self) -> bool:
         return self.order % 4 == 3
@@ -619,9 +615,14 @@ class FiniteField(FieldDescriptor):
     def eta_to_gw(self, v) -> tuple[int, int]:
         return (0, square_class(v))
 
-    def level_generators(self, N: int) -> tuple[tuple[int, ...], ...]:
-        """K^MW_m I^N for m, N >= 1 in degree-m coordinates: I^(N+m) = 0."""
-        return ()
+    def level_generators(self, m: int, n: int) -> tuple[tuple[int, ...], ...]:
+        """K^MW_m I^n for n >= 1 in degree-m coordinates.
+
+        I is the rank-zero line and I^2 = 0; from m = 1 on the level is I^(n+m) = 0.
+        """
+        if m > 0 or n > 1:
+            return ()
+        return (self.witt_coords((0, 1)) if m < 0 else (0, 1),)
 
 
 def finite_field(q: int, modulus: Sequence[int] | None = None) -> FiniteField:
@@ -712,10 +713,6 @@ class RealField(_RationalField):
     def gw_generator_units(self) -> tuple[Unit, ...]:
         return (self.coerce(-1),)
 
-    def ideal_generators(self, n: int) -> tuple[tuple[int, ...], ...]:
-        # generator <<-1,...,-1>> has signature (-2)^n, i.e. index 2^(n-1)
-        return ((0, 1 << (n - 1)),)
-
     def witt_coords(self, gw) -> tuple[int, ...]:
         return (gw[0] - 2 * gw[1],)
 
@@ -750,8 +747,15 @@ class RealField(_RationalField):
     def eta_to_gw(self, v) -> tuple[int, int]:
         return (0, v)
 
-    def level_generators(self, N: int) -> tuple[tuple[int, ...], ...]:
-        return ((1 << N,),)
+    def level_generators(self, m: int, n: int) -> tuple[tuple[int, ...], ...]:
+        """K^MW_m I^n for n >= 1: 2^n [-1]^m from m = 1 on, I^n below.
+
+        I^n is generated by <<-1,...,-1>>, of signature (-2)^n and index 2^(n-1).
+        """
+        if m > 0:
+            return ((1 << n,),)
+        gen = (0, 1 << (n - 1))
+        return (self.witt_coords(gen) if m < 0 else gen,)
 
     def ladder_row(self, n: int, level) -> str | None:
         k = level.index_in_saturation()
@@ -774,9 +778,6 @@ class ClosedField(_RationalField):
         return 0
 
     def gw_generator_units(self) -> tuple[Unit, ...]:
-        return ()
-
-    def ideal_generators(self, n: int) -> tuple[tuple[int, ...], ...]:
         return ()
 
     def witt_coords(self, gw) -> tuple[int, ...]:
@@ -809,7 +810,7 @@ class ClosedField(_RationalField):
     def eta_to_gw(self, v) -> tuple[int]:
         return (0,)
 
-    def level_generators(self, N: int) -> tuple[tuple[int, ...], ...]:
+    def level_generators(self, m: int, n: int) -> tuple[tuple[int, ...], ...]:
         return ()
 
 

@@ -13,7 +13,7 @@ from math import isqrt
 
 from mwslice.abelian import Ambient, Record, SubgroupDescription, full_subgroup
 from mwslice.fields import FieldDescriptor
-from mwslice.forms import fundamental_power_description, fundamental_power_in_witt
+from mwslice.forms import fundamental_power_description
 from mwslice.milnor_witt import (
     eta_power_times,
     kmw_ambient,
@@ -66,19 +66,15 @@ class FiltrationQuery(Record):
 def kmw_times_In(m: int, n: int, field: FieldDescriptor) -> SubgroupDescription:
     """The subgroup K^MW_m(F) * I(F)^n in the degree-m coordinate group.
 
-    n = 0 gives the full group; for n >= 1 it is I^n in Witt coordinates when
-    m < 0, I^n in GW coordinates when m = 0, and the model's generators of
-    K^MW_m * I^n when m > 0.
+    n = 0 gives the full group; for n >= 1 the field's ``level_generators``
+    span it: I^n in Witt coordinates when m < 0 and in GW coordinates when
+    m = 0, and K^MW_m * I^n in the degree-m coordinates when m > 0.
     """
     if n < 0:
         raise ValueError("ideal powers are indexed by naturals")
     if n == 0:
         return full_subgroup(kmw_ambient(field, m))
-    if m < 0:
-        return fundamental_power_in_witt(field, n)
-    if m == 0:
-        return fundamental_power_description(field, n)
-    return SubgroupDescription(kmw_ambient(field, m), field.level_generators(n))
+    return SubgroupDescription(kmw_ambient(field, m), field.level_generators(m, n))
 
 
 def tate_filtration(query: FiltrationQuery) -> SubgroupDescription:

@@ -15,8 +15,8 @@ Fields*, ch. II).  A GW class is its coordinate vector (rank, c) for
 
 One ring law serves all three: (r, c)(s, d) = (rs, rd + sc - 2cd), with the
 c part absent over C.  It is not taken on faith: the test suite validates it
-against the brute-force isometry oracle in this module and, over R and C,
-against classes of tensor products of diagonal forms.
+against the brute-force isometry oracle in ``mwslice.checks`` and, over R and
+C, against classes of tensor products of diagonal forms.
 """
 
 from __future__ import annotations
@@ -244,18 +244,4 @@ def fundamental_power_description(field: FieldDescriptor, n: int) -> SubgroupDes
     ambient = field.gw_ambient
     if n == 0:
         return full_subgroup(ambient)
-    return SubgroupDescription(ambient, field.ideal_generators(n))
-
-
-def fundamental_power_in_witt(field: FieldDescriptor, n: int) -> SubgroupDescription:
-    """Image of I(F)^n in Witt coordinates (an isomorphic image for n >= 1)."""
-    if n < 0:
-        raise ValueError("fundamental powers are indexed by naturals")
-    ambient = field.witt_ambient
-    if n == 0:
-        return full_subgroup(ambient)
-    desc = fundamental_power_description(field, n)
-    gens = tuple(
-        witt_class(GWClass(field, g)).coords for g in desc.basis
-    )
-    return SubgroupDescription(ambient, gens)
+    return SubgroupDescription(ambient, field.level_generators(0, n))

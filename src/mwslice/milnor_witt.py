@@ -15,6 +15,9 @@ m >= 1
 * real closed: the integer c of c * [-1]^m, taken modulo the uniquely
   divisible part;
 * quadratically closed: the integer 0, the (always zero) ideal coordinate.
+
+The exhaustive checks of this model, the order of K^M_2(F_q) from the
+Steinberg presentation and the cartesian square, live in ``mwslice.checks``.
 """
 
 from __future__ import annotations
@@ -339,14 +342,11 @@ def to_witt(e: MWExpression) -> WittClass:
     return nf.value
 
 
-def eta_times(nf: MWNormalForm, field_degree: int | None = None) -> MWNormalForm:
+def eta_times(nf: MWNormalForm) -> MWNormalForm:
     """Multiplication by eta on normal-form coordinates (degree m -> m - 1)."""
-    field = nf.field
-    m = nf.degree if nf.degree is not None else field_degree
+    field, m = nf.field, nf.degree
     if m is None:
-        raise ValueError("eta action on the zero form needs an explicit degree")
-    if nf.degree is None:
-        return normal_form_from_coords(field, m - 1, (0,) * kmw_ambient(field, m - 1).dim)
+        raise ValueError("eta action on the zero form needs a degree")
     if m <= 0:  # into W: from GW by witt_class, within W the identity
         return MWNormalForm(field, m - 1, witt_class(nf.value) if m == 0 else nf.value)
     if m == 1:

@@ -23,12 +23,12 @@ from mwslice.fields import (
     unit,
     unit_mul,
 )
+from mwslice.filtration import kmw_times_In
 from mwslice.forms import (
     GWClass,
     QuadraticForm,
     form,
     fundamental_power_description,
-    fundamental_power_in_witt,
     gw_of_form,
     gw_of_unit,
     gw_one,
@@ -236,7 +236,7 @@ def test_ideal_power_injects_into_witt():
     for field in (F3, F5, F9, REALS):
         for r in (1, 2, 3):
             gw_side = fundamental_power_description(field, r)
-            witt_side = fundamental_power_in_witt(field, r)
+            witt_side = kmw_times_In(-1, r, field)
             assert gw_side.order() == witt_side.order() or (
                 gw_side.order() is None and witt_side.order() is None
             )

@@ -180,12 +180,13 @@ def test_eta_action_on_coordinates():
 
 
 def test_eta_on_the_zero_form_with_an_explicit_degree():
-    from mwslice.milnor_witt import MWNormalForm
-
     for field in ALL_FIELDS:
         for m in (3, 2, 1, 0, -1):
-            img = eta_times(MWNormalForm(field, None), field_degree=m)
+            zero = normal_form_from_coords(field, m, (0,) * kmw_ambient(field, m).dim)
+            img = eta_times(zero)
             assert img.degree == m - 1 and img.is_zero
+        with pytest.raises(ValueError, match="needs a degree"):
+            eta_times(MWNormalForm(field, None))
 
 
 def test_eta_power_images_equal_ideal_powers():

@@ -9,6 +9,9 @@ attribute, or by an import from another module.  A public one must be read,
 the same way, somewhere in ``src``, ``tests``, ``demos`` or ``perfbench``; a
 string in the package's ``_EXPORTS`` table counts as a read.  So must every
 name in a class's ``_fields`` tuple, there as an attribute load (``x.name``).
+Walks over every unit of a field, and the exhaustive oracles that run them,
+are called only from ``checks`` and the few places named in ``WALK_SITES``,
+and only ``cli.cmd_check_all`` imports ``checks``.
 """
 
 from __future__ import annotations
@@ -160,3 +163,67 @@ def test_the_check_sees_a_record_field_nothing_reads():
                   "    def k(self): return self.kept\nclass S:\n    _fields = ('gone',)\n")
     b = ast.parse("s.gone = 1\ndel s.gone\nprint(getattr(r, 'stale'))\n")
     assert unread_fields({"a.py": a}, [a, b]) == ["a.py line 2: R.stale", "a.py line 5: S.gone"]
+
+
+# The walks: called by name, or as a method such as ``FiniteField.powers``.
+WALKS = {"enumerate_units", "discrete_log_table", "sum_to_one_tuples", "powers"}
+# Where a walk may run outside ``checks``: the walks themselves; the g^k
+# literals and degree-1 coordinates over F_q, which still read the
+# discrete-log table; and a proper extension's inverse embedding, which walks
+# at most 1,000 base units.
+WALK_SITES = {
+    "fields.enumerate_units",
+    "fields.discrete_log_table",
+    "fields.FiniteField.literal",
+    "fields.FiniteField.kmw_coords",
+    "transfers._embedding_inverse_table",
+}
+
+
+def misplaced_walks(modules: dict[str, ast.Module]) -> list[str]:
+    """Each function outside ``checks`` that walks a field or imports ``checks``
+    where ``WALK_SITES`` or ``cli.cmd_check_all`` does not allow it."""
+    found: dict[str, str] = {}
+
+    def visit(node: ast.AST, site: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{site}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in WALKS and site not in WALK_SITES:
+                    found.setdefault(site, f"calls {name}")
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = {a.name for a in child.names}
+                if isinstance(child, ast.ImportFrom):
+                    names = {f"{child.module}.{n}" for n in names} | {child.module}
+                if "mwslice.checks" in names and site != "cli.cmd_check_all":
+                    found.setdefault(site, "imports mwslice.checks")
+            visit(child, site)
+
+    for module, tree in modules.items():
+        if module != "checks":
+            visit(tree, module)
+    return [f"{site} {what}" for site, what in sorted(found.items())]
+
+
+def test_only_checks_walks_fields():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert misplaced_walks(modules) == []
+
+
+def test_the_check_sees_a_misplaced_walk():
+    a = ast.parse("def enumerate_units(f): return f.powers(1)\n"
+                  "class K:\n    def logs(self): return [discrete_log_table(self)]\n"
+                  "    def literal(self): return enumerate_units(self)\n")
+    b = ast.parse("import mwslice.checks\n"
+                  "def cmd_check_all(): from mwslice import checks\n"
+                  "def cmd_gw(): from mwslice.checks import represents\n")
+    c = ast.parse("def f(units): return [x.powers for x in units]\n")
+    assert misplaced_walks({"fields": a, "cli": b, "forms": c, "checks": a}) == [
+        "cli imports mwslice.checks",
+        "cli.cmd_gw imports mwslice.checks",
+        "fields.K.literal calls enumerate_units",
+        "fields.K.logs calls discrete_log_table",
+    ]
