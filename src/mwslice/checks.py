@@ -1,6 +1,7 @@
 """The acceptance suite: one named check per headline identity.
 
-Each check returns a :class:`CheckResult`; ``run_all`` executes them in a
+Each check takes the run that ``run_all`` builds for it, which holds its name
+and profile, and returns a :class:`CheckResult`; ``run_all`` executes them in a
 deterministic order.  The ``quick`` profile shrinks the largest grids, the
 ``full`` profile runs everything at the documented bounds.
 
@@ -307,10 +308,11 @@ class CheckResult(Record):
 
 
 class _Run:
-    """The case count and timer of one check while it runs."""
+    """The name, profile, case count and timer of one criterion while it runs."""
 
-    def __init__(self, name: str) -> None:
-        self.name, self.cases, self.started = name, 0, time.perf_counter()
+    def __init__(self, label: str, profile: str) -> None:
+        self.name, self.profile = label.split(" ", 1)[1], profile  # "3 grid_law" -> grid_law
+        self.cases, self.started = 0, time.perf_counter()
 
     def _done(self, ok: bool, detail: str) -> CheckResult:
         return CheckResult(self.name, ok, self.cases, detail, time.perf_counter() - self.started)
@@ -322,9 +324,8 @@ class _Run:
         return self._done(False, detail)
 
 
-def check_real_ideal_ladder(profile: str = "full") -> CheckResult:
+def check_real_ideal_ladder(run: _Run) -> CheckResult:
     """I(R)^n = (2^(n-1)) in the index coordinate, signature in 2^n Z, n = 0..12."""
-    run = _Run("real_ideal_ladder")
     for n in range(0, 13):
         desc = fundamental_power_description(REALS, n)
         run.cases += 1
@@ -346,9 +347,8 @@ def check_real_ideal_ladder(profile: str = "full") -> CheckResult:
     return run.passed("I(R)^n ladder exact for n = 0..12")
 
 
-def check_filtration_at_origin(profile: str = "full") -> CheckResult:
+def check_filtration_at_origin(run: _Run) -> CheckResult:
     """tate_filtration(n, 0, 0, F) = I(F)^max(n,0) for -3 <= n <= 8."""
-    run = _Run("filtration_at_origin")
     for field in STANDARD_FIELDS:
         for n in range(-3, 9):
             run.cases += 1
@@ -359,7 +359,7 @@ def check_filtration_at_origin(profile: str = "full") -> CheckResult:
     return run.passed("F^n pi_00 = I^max(n,0) over all six fields")
 
 
-def check_grid_law(profile: str = "full") -> CheckResult:
+def check_grid_law(run: _Run) -> CheckResult:
     """tate = K^MW_{q-p} I^N with N = shift_index, shift-invariant under diagonal shifts.
 
     For n <= p the level must be the whole group (stabilization).  For n > p it
@@ -367,8 +367,7 @@ def check_grid_law(profile: str = "full") -> CheckResult:
     K^MW_{q-p+M}: the proof's identification of each level, computed
     independently of the level.
     """
-    run = _Run("grid_law")
-    bound = 6 if profile == "full" else 3
+    bound = 6 if run.profile == "full" else 3
     shifts = (-2, -1, 1, 2)
     for field in STANDARD_FIELDS:
         for n, p, q in itertools.product(range(-bound, bound + 1), repeat=3):
@@ -391,9 +390,8 @@ def check_grid_law(profile: str = "full") -> CheckResult:
     )
 
 
-def check_extended_steinberg(profile: str = "full") -> CheckResult:
+def check_extended_steinberg(run: _Run) -> CheckResult:
     """Every sum-to-one tuple (q <= 9, n <= 4) yields a verified derivation of 0."""
-    run = _Run("extended_steinberg")
     for q in (3, 5, 7, 9):
         field = finite_field(q)
         for n in (2, 3, 4):
@@ -437,9 +435,8 @@ def _rule_instances(field: FieldDescriptor):
             yield "R-central", {"z": z, "atom": ETA, "side": "right"}
 
 
-def check_relation_soundness(profile: str = "full") -> CheckResult:
+def check_relation_soundness(run: _Run) -> CheckResult:
     """normalize(LHS) = normalize(RHS) for all eleven rules, exhaustively (q <= 9)."""
-    run = _Run("relation_soundness")
     seen_rules: set[str] = set()
     for q in (3, 5, 7, 9):
         field = finite_field(q)
@@ -470,9 +467,8 @@ def check_relation_soundness(profile: str = "full") -> CheckResult:
     return run.passed("all eleven rules preserve normal forms")
 
 
-def check_theta0_and_eta_images(profile: str = "full") -> CheckResult:
+def check_theta0_and_eta_images(run: _Run) -> CheckResult:
     """theta0 is a ring isomorphism onto GW coordinates; eta^n image = I^n, n <= 8."""
-    run = _Run("theta0_eta_images")
     for q in (3, 5, 7):
         field = finite_field(q)
         units = enumerate_units(field)
@@ -498,23 +494,24 @@ def check_theta0_and_eta_images(profile: str = "full") -> CheckResult:
     return run.passed("theta0 bijective ring map; eta-power images equal ideal powers")
 
 
-def check_cartesian_square(profile: str = "full") -> CheckResult:
+def check_cartesian_square(run: _Run) -> CheckResult:
     """Cartesian square commutes and has fiber-product order, q <= 13, m <= 2."""
-    run = _Run("cartesian_square")
     for q in (3, 5, 7, 9, 11, 13):
         field = finite_field(q)
         for m in (1, 2):
             run.cases += 1
             _, failure = cartesian_check(field, m)
+            if failure:
+                return run.fail(f"q={q}, m={m}: {failure}")
             order = kmw_ambient(field, m).order()
-            if failure or order != (q - 1 if m == 1 else 1):
-                return run.fail(f"q={q}, m={m}: {failure}, coordinate order {order}")
+            expected = q - 1 if m == 1 else 1
+            if order != expected:
+                return run.fail(f"q={q}, m={m}: coordinate order {order} != {expected}")
     return run.passed("fiber-product orders q-1 (m=1) and 1 (m=2), commutation exhaustive")
 
 
-def check_oracle_equivalence(profile: str = "full") -> CheckResult:
+def check_oracle_equivalence(run: _Run) -> CheckResult:
     """Brute-force classification = (rank, disc); W(F_q) is Z/4 iff q = 3 mod 4."""
-    run = _Run("oracle_equivalence")
     for q in (3, 5, 7, 9, 11, 13):
         field = finite_field(q)
         classes = brute_force_gw(field, 6)
@@ -541,9 +538,8 @@ def check_oracle_equivalence(profile: str = "full") -> CheckResult:
     return run.passed("(rank, disc) complete, Witt group structure matches q mod 4")
 
 
-def check_moore_spectrum(profile: str = "full") -> CheckResult:
+def check_moore_spectrum(run: _Run) -> CheckResult:
     """Moore filtration: constant Z/ell over R; zero over finite fields (n >= 1)."""
-    run = _Run("moore_spectrum")
     for ell in (3, 5, 7):
         prev = None
         for n in range(0, 11):
@@ -567,9 +563,8 @@ def check_moore_spectrum(profile: str = "full") -> CheckResult:
     return run.passed("constant Z/ell over R, vanishing over finite fields")
 
 
-def check_convergence(profile: str = "full") -> CheckResult:
+def check_convergence(run: _Run) -> CheckResult:
     """convergence_check passes with structural certificates, cutoff 12."""
-    run = _Run("convergence")
     for field in STANDARD_FIELDS:
         run.cases += 1
         separated, details = convergence_check(field, 12)
@@ -578,9 +573,8 @@ def check_convergence(profile: str = "full") -> CheckResult:
     return run.passed("I-adic filtration separated on all families")
 
 
-def check_transfers(profile: str = "full") -> CheckResult:
+def check_transfers(run: _Run) -> CheckResult:
     """Projection formula, filtration preservation, and the closure identity."""
-    run = _Run("transfers")
     f3, f5 = finite_field(3), finite_field(5)
     extensions = [
         FiniteExtension(f3, finite_field(9)),
@@ -610,7 +604,7 @@ def check_transfers(profile: str = "full") -> CheckResult:
     return run.passed("projection formula, preservation grid, closure identity all exact")
 
 
-CRITERIA: tuple[tuple[str, Callable[[str], CheckResult]], ...] = (
+CRITERIA: tuple[tuple[str, Callable[[_Run], CheckResult]], ...] = (
     ("1 real_ideal_ladder", check_real_ideal_ladder),
     ("2 filtration_at_origin", check_filtration_at_origin),
     ("3 grid_law", check_grid_law),
@@ -627,10 +621,10 @@ CRITERIA: tuple[tuple[str, Callable[[str], CheckResult]], ...] = (
 
 def run_all(profile: str = "full") -> list[CheckResult]:
     out = []
-    for name, func in CRITERIA:
-        run = _Run(name.split(" ", 1)[1])
+    for label, func in CRITERIA:
+        run = _Run(label, profile)
         try:
-            out.append(func(profile))
+            out.append(func(run))
         except Exception as exc:  # a crashing criterion is a failing criterion
             out.append(run.fail(f"crashed: {exc}"))
     return out

@@ -3,7 +3,7 @@
 Exit codes: 0 success or verified; 1 verification failure (first
 counterexample in the output); 2 parse or domain error.  JSON output is a
 single object {command, input, result, certificate?} with sorted keys and no
-floating point anywhere; rationals serialize as "a/b" strings.
+floating point anywhere; rationals reach it as unit literals, "a/b" strings.
 
 Each subcommand imports the library modules it runs when it runs, so a
 process loads only those.
@@ -14,26 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
-def to_jsonable(obj):
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
-
-
 def emit(args, payload: dict, table_lines: list[str]) -> None:
     if args.output == "json":
-        text = json.dumps(to_jsonable(payload), sort_keys=True, separators=(",", ":"))
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     else:
         text = "\n".join(table_lines)
     if getattr(args, "out", None):
@@ -303,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,11 +14,7 @@ from math import isqrt
 from mwslice.abelian import Ambient, Record, SubgroupDescription, full_subgroup
 from mwslice.fields import FieldDescriptor
 from mwslice.forms import fundamental_power_description
-from mwslice.milnor_witt import (
-    eta_power_times,
-    kmw_ambient,
-    kmw_generating_forms,
-)
+from mwslice.milnor_witt import eta_times, kmw_ambient, normal_form_from_coords
 
 
 # Largest supported |n|, |p|, |q| of a query, Moore level n and convergence
@@ -116,8 +112,13 @@ def eta_image_subgroup(query: FiltrationQuery) -> SubgroupDescription:
     """
     field, m, N = query.field, query.degree, query.N
     M = N if m >= 0 else -m + N
-    gens = tuple(eta_power_times(nf, M).coords() for nf in kmw_generating_forms(field, m + M))
-    return SubgroupDescription(kmw_ambient(field, m), gens)
+    gens = []
+    for row in full_subgroup(kmw_ambient(field, m + M)).basis:  # the unit vectors
+        nf = normal_form_from_coords(field, m + M, row)
+        for _ in range(M):
+            nf = eta_times(nf)
+        gens.append(nf.coords())
+    return SubgroupDescription(kmw_ambient(field, m), tuple(gens))
 
 
 # -- convergence -------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from mwslice.abelian import Ambient, Record
 from mwslice.fields import FieldDescriptor, FieldMismatchError, Unit, parse_unit, square_class
-from mwslice.forms import GWClass, WittClass, gw_of_unit, gw_one, gw_zero, witt_class, witt_zero
+from mwslice.forms import GWClass, WittClass, gw_one, gw_zero, pfister, witt_class, witt_zero
 
 
 class InhomogeneousError(ValueError):
@@ -124,13 +124,6 @@ class MWExpression(Record):
             for t in other.terms:
                 terms.append(MWMonomial(s.coeff * t.coeff, s.factors + t.factors))
         return collect(MWExpression(self.field, tuple(terms)))
-
-    def scale(self, n: int) -> "MWExpression":
-        return collect(
-            MWExpression(
-                self.field, tuple(MWMonomial(n * t.coeff, t.factors) for t in self.terms)
-            )
-        )
 
     def _check(self, other: "MWExpression") -> None:
         if self.field != other.field:
@@ -284,10 +277,7 @@ def normal_form_from_coords(
 
 def _term_gw_part(field: FieldDescriptor, t: MWMonomial) -> GWClass:
     """c * prod(<u_i> - <1>) over the symbols of the monomial."""
-    out = gw_one(field)
-    for u in t.symbol:
-        out = out * (gw_of_unit(u) - gw_one(field))
-    return out.scale(t.coeff)
+    return (pfister(t.symbol) if t.symbol else gw_one(field)).scale(t.coeff)
 
 
 def normalize(e: MWExpression, degree: int | None = None) -> MWNormalForm:
@@ -354,24 +344,6 @@ def eta_times(nf: MWNormalForm) -> MWNormalForm:
     return MWNormalForm(field, m - 1, field.eta_kmw(m, nf.value))
 
 
-def eta_power_times(nf: MWNormalForm, n: int) -> MWNormalForm:
-    out = nf
-    for _ in range(n):
-        out = eta_times(out)
-    return out
-
-
-def kmw_generating_forms(field: FieldDescriptor, m: int) -> tuple[MWNormalForm, ...]:
-    """Generators of the degree-m coordinate group as normal forms."""
-    amb = kmw_ambient(field, m)
-    gens = []
-    for i in range(amb.dim):
-        v = [0] * amb.dim
-        v[i] = 1
-        gens.append(normal_form_from_coords(field, m, tuple(v)))
-    return tuple(gens)
-
-
 def kmw_generating_expressions(field: FieldDescriptor, m: int) -> tuple[MWExpression, ...]:
     """Expressions whose normal forms generate the degree-m coordinate group."""
     units = field.gw_generator_units()
@@ -384,21 +356,13 @@ def kmw_generating_expressions(field: FieldDescriptor, m: int) -> tuple[MWExpres
     gens0 = [mw_int(field, 1)] + [mw_unit_form(u) for u in units]
     if m == 0:
         return tuple(gens0)
-    eta = mw_eta(field)
-    eta_pow = mw_int(field, 1)
-    for _ in range(-m):
-        eta_pow = eta_pow * eta
+    eta_pow = MWExpression(field, (MWMonomial(1, (ETA,) * -m),))
     return tuple(eta_pow * g for g in gens0)
-
-
-def unit_literal(u: Unit) -> str:
-    """Render a unit in the canonical parseable literal syntax (g^k over F_q)."""
-    return u.field.literal(u)
 
 
 def atom_literal(a) -> str:
     """``eta``, or ``[u]`` with the unit in its parseable literal syntax."""
-    return "eta" if a is ETA else f"[{unit_literal(a)}]"
+    return "eta" if a is ETA else f"[{a.field.literal(a)}]"
 
 
 def _atom_str(a) -> str:

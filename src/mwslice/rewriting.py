@@ -37,7 +37,6 @@ from mwslice.milnor_witt import (
     mw_symbols,
     mw_zero,
     parse_expression,
-    unit_literal,
 )
 
 
@@ -54,7 +53,7 @@ class PreconditionError(ValueError):
 
 
 class SearchExhaustedError(RuntimeError):
-    """The derivation did not reach 0 within its structural bound."""
+    """The derivation did not end at 0."""
 
 
 def _mono(coeff: int, *atoms) -> MWMonomial:
@@ -107,16 +106,8 @@ def _instantiate(rule: str, fld: FieldDescriptor, bindings: dict) -> tuple[MWExp
         if atom is not ETA and not isinstance(atom, Unit):
             raise RuleConditionError("R-central needs an atom binding 'atom'")
         side = bindings.get("side", "left")
-        left = collect(
-            MWExpression(
-                fld, tuple(MWMonomial(t.coeff, t.factors + (atom,)) for t in z.terms)
-            )
-        )
-        right = collect(
-            MWExpression(
-                fld, tuple(MWMonomial(t.coeff, (atom,) + t.factors) for t in z.terms)
-            )
-        )
+        a = _expr(fld, _mono(1, atom))
+        left, right = z * a, a * z
         if side == "left":
             return left, right
         if side == "right":
@@ -210,7 +201,7 @@ def _bindings_to_json(bindings: dict) -> dict:
         if k == "atom":  # eta or a unit, written "[u]" as in an expression
             out[k] = atom_literal(v)
         elif isinstance(v, Unit):
-            out[k] = unit_literal(v)
+            out[k] = v.field.literal(v)
         elif isinstance(v, MWExpression):
             out[k] = expression_literal(v)
         else:
@@ -245,7 +236,9 @@ def derivation_from_json(data: dict) -> Derivation:
         for k, v in raw.items():
             if k == "z":
                 bindings[k] = parse_expression(fld, v)
-            elif k == "atom":
+            elif k == "atom":  # eta, or [u] as atom_literal writes it
+                _require(v == "eta" or (len(v) > 2 and v[0] + v[-1] == "[]"),
+                         "an atom binding must be eta or [u]")
                 bindings[k] = ETA if v == "eta" else parse_unit(fld, v[1:-1])
             elif k == "side":
                 bindings[k] = v
@@ -342,32 +335,21 @@ def derive_extended_steinberg(units: Sequence[Unit]) -> Derivation:
         raise PreconditionError(f"units must sum to 1, got {total}")
 
     start = mw_symbols(list(units))
-    expr = start
     steps: list[Step] = []
     active = list(units)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > len(units) + 2:
-            raise SearchExhaustedError("recursion exceeded its structural bound")
-        n = len(active)
-        if n == 1:
-            steps.append(Step("R-one", 0, 0, {}))
-            expr = apply_step(expr, steps[-1])
-            break
-        if n == 2:
-            steps.append(Step("R-steinberg", 0, 0, {"u": active[0]}))
-            expr = apply_step(expr, steps[-1])
-            break
-        u, v = active[-2], active[-1]
-        s = unit_add(u, v)
-        if s is None:
-            steps.append(Step("R-negself", 0, n - 2, {"a": u}))
-            expr = apply_step(expr, steps[-1])
-            break
-        steps.append(Step("R-sum", 0, n - 2, {"u": u, "v": v}))
-        expr = apply_step(expr, steps[-1])
-        active = active[:-2] + [s]
+    # merge the last two symbols while more than two remain and their sum is a unit
+    while len(active) > 2 and (s := unit_add(active[-2], active[-1])) is not None:
+        steps.append(Step("R-sum", 0, len(active) - 2, {"u": active[-2], "v": active[-1]}))
+        active[-2:] = [s]
+    if len(active) == 1:
+        steps.append(Step("R-one", 0, 0, {}))
+    elif len(active) == 2:
+        steps.append(Step("R-steinberg", 0, 0, {"u": active[0]}))
+    else:
+        steps.append(Step("R-negself", 0, len(active) - 2, {"a": active[-2]}))
+    expr = start
+    for step in steps:
+        expr = apply_step(expr, step)
     if expr.terms:
         raise SearchExhaustedError(f"derivation failed to reach 0, stuck at {expr}")
     return Derivation(fld, start, tuple(steps), mw_zero(fld))

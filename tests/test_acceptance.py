@@ -15,7 +15,7 @@ import pathlib
 
 import pytest
 
-from mwslice.checks import CRITERIA
+from mwslice.checks import CRITERIA, _Run
 
 GOLDEN = {
     entry["name"]: entry
@@ -31,7 +31,7 @@ def test_every_criterion_has_a_golden_result():
 
 @pytest.mark.parametrize("label,check", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_acceptance_criterion(label, check):
-    result = check("full")
+    result = check(_Run(label, "full"))
     print(result.line())
     assert result.ok, result.line()
     got = {"name": result.name, "ok": result.ok, "cases": result.cases, "detail": result.detail}

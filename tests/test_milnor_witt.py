@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwslice import checks, milnor_witt
+from mwslice.abelian import Ambient
 from mwslice.checks import cartesian_check, k2_brute_force_order
 
 from mwslice.fields import (
@@ -203,7 +204,7 @@ def test_degree_one_finite_coordinates():
     # addition is multiplicative on unit classes
     two = normalize(mw_symbol(g) + mw_symbol(g))
     assert two.value == unit_mul(g, g) and two.ideal_bit == 0
-    assert normalize(mw_symbol(g).scale(8), degree=1).is_zero  # g^8 = 1 in F_9
+    assert normalize(mw_int(F9, 8) * mw_symbol(g), degree=1).is_zero  # g^8 = 1 in F_9
 
 
 def test_real_degree_one_sign_coordinate():
@@ -334,6 +335,22 @@ def test_cartesian_check(q, m, expected_fiber):
 def test_cartesian_check_names_the_first_failing_symbol(monkeypatch):
     monkeypatch.setattr(checks, "pfister", lambda units: gw_one(units[0].field))
     assert cartesian_check(F7, 1) == (1, "the square does not commute at [1]")
+
+
+def _cartesian_square_detail() -> str:
+    return checks.check_cartesian_square(checks._Run("7 cartesian_square", "quick")).detail
+
+
+def test_cartesian_square_prints_the_counterexample_alone(monkeypatch):
+    monkeypatch.setattr(checks, "cartesian_check",
+                        lambda field, m: (1, "fiber-product order 4 != coordinate order 2"))
+    assert _cartesian_square_detail() == "q=3, m=1: fiber-product order 4 != coordinate order 2"
+
+
+def test_cartesian_square_prints_a_wrong_coordinate_order_alone(monkeypatch):
+    monkeypatch.setattr(checks, "cartesian_check", lambda field, m: (1, None))
+    monkeypatch.setattr(checks, "kmw_ambient", lambda field, m: Ambient(0, (4,)))
+    assert _cartesian_square_detail() == "q=3, m=1: coordinate order 4 != 2"
 
 
 def test_parser_round_trip():
