@@ -68,8 +68,8 @@ from mwslice.milnor_witt import (
 from mwslice.rewriting import (
     RULE_NAMES,
     RuleConditionError,
-    _instantiate,
     derive_extended_steinberg,
+    instantiate,
     verify_derivation,
 )
 from mwslice.transfers import (
@@ -444,7 +444,7 @@ def check_relation_soundness(run: _Run) -> CheckResult:
         for rule, bindings in _rule_instances(field):
             seen_rules.add(rule)
             try:
-                lhs, rhs = _instantiate(rule, field, bindings)
+                lhs, rhs = instantiate(rule, field, bindings)
             except RuleConditionError:
                 continue
             for ctx in contexts:

@@ -5,7 +5,8 @@ subclass of :class:`FieldDescriptor`:
 
 * :class:`FiniteField` -- F_q with q an odd prime power.  Elements are
   polynomials over the prime field modulo a monic irreducible, stored as
-  coefficient tuples.
+  coefficient tuples.  Up to order ``TABLE_ORDER`` the field is a
+  :class:`TableField`, whose unit arithmetic reads exp/log tables.
 * :class:`RealField` -- a real closed field.  Unit carriers are nonzero
   rationals; only the sign of a unit is ever invariant-relevant.
 * :class:`ClosedField` -- a quadratically closed field.  Unit carriers are
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
@@ -38,6 +40,9 @@ from mwslice.abelian import Ambient, Record
 MAX_FIELD_ORDER = 10**6
 # The degree d of a supported F_(p^d) is at most this: 3^d <= MAX_FIELD_ORDER.
 MAX_FIELD_DEGREE = next(d for d in itertools.count() if 3 ** (d + 1) > MAX_FIELD_ORDER)
+# Largest order q whose units are tabulated: a field up to it is a TableField,
+# and its first unit operation builds the exp/log tables of q - 1 entries.
+TABLE_ORDER = 2**14
 
 
 class FieldMismatchError(ValueError):
@@ -212,6 +217,15 @@ class Unit(Record):
         return sum(c * self.field.p**i for i, c in enumerate(self.value))
 
 
+def _kernel_unit(field: FieldDescriptor, value: tuple[int, ...]) -> Unit:
+    """A Unit whose carrier the field's own kernel computed, so it skips ``check_carrier``."""
+    u = object.__new__(Unit)
+    _set(u, "field", field)
+    _set(u, "value", value)
+    _set(u, "_hash", hash((field, value)))
+    return u
+
+
 def _check_same_field(a: Unit, b: Unit) -> None:
     if a.field is not b.field:
         raise FieldMismatchError(f"operands over {a.field} and {b.field}")
@@ -285,6 +299,10 @@ class FiniteField(FieldDescriptor):
     N(u) = u^((q-1)/(p-1)) in F_p, built from Frobenius maps in O(log d)
     products (Itoh and Tsujii, *Inform. and Comput.* 78, 1988).  Packed
     integers never leave the field's methods.
+
+    A field of order at most ``TABLE_ORDER`` is a :class:`TableField`, which
+    runs its unit arithmetic on exp/log tables; the methods here are its
+    kernel and the arithmetic of every larger field.
     """
 
     _fields = ("order", "modulus")
@@ -298,7 +316,7 @@ class FiniteField(FieldDescriptor):
         mod = tuple(m % p for m in modulus) if modulus is not None else default_modulus(p, d)
         if d == 1 and len(mod) == 2 and mod[1] == 1:
             mod = default_modulus(p, 1)
-        return cls._intern(p, d, mod)
+        return (TableField if q <= TABLE_ORDER else FiniteField)._intern(p, d, mod)
 
     def _setup(self, p: int, d: int, modulus: tuple[int, ...]) -> None:
         if len(modulus) != d + 1 or modulus[-1] != 1:
@@ -335,6 +353,8 @@ class FiniteField(FieldDescriptor):
     def coerce(self, value) -> Unit:
         if isinstance(value, Fraction):
             num = self._from_int(value.numerator)
+            if value.denominator == 1:
+                return num
             return unit_mul(num, unit_inv(self._from_int(value.denominator)))
         if isinstance(value, int):
             return self._from_int(value)
@@ -506,7 +526,7 @@ class FiniteField(FieldDescriptor):
         window of k mod q - 1, so at most one product fewer than windows."""
         k %= self.order - 1
         if self.degree == 1:
-            return self.pow(multiplicative_generator(self), k)
+            return FiniteField.pow(self, multiplicative_generator(self), k)
         x = 0  # no window taken yet
         for row in self._comb:
             if k & 15:
@@ -623,6 +643,78 @@ class FiniteField(FieldDescriptor):
         if m > 0 or n > 1:
             return ()
         return (self.witt_coords((0, 1)) if m < 0 else (0, 1),)
+
+
+class TableField(FiniteField):
+    """F_q with q <= TABLE_ORDER: unit arithmetic is index arithmetic mod q - 1.
+
+    The first unit operation walks the powers of the canonical generator g
+    once on the packed kernel and keeps two tables: ``exp`` (k -> the
+    carrier of g^k) and ``log`` (carrier -> k), as systems for small finite
+    fields keep them (Lidl and Niederreiter, *Finite Fields*).  A product
+    adds logs (over F_p it stays one product mod p, which costs less), an
+    inverse negates one, -1 is g^((q-1)/2), and since g is a nonsquare the
+    square class is the parity of the log.  Over F_p both
+    tables are ``array``s indexed by the residue; over F_(p^d) ``exp`` is a
+    tuple of carriers and ``log`` a dict on the same tuples.  Units read
+    off ``exp`` skip ``check_carrier``: the kernel computed their carriers.
+    Sums stay coefficient-wise, and outside input is still checked.
+    """
+
+    @cached_property
+    def _tables(self) -> tuple:
+        """(exp, log), built on first use by the one walk, ``_tabulate``."""
+        return self._tabulate()
+
+    def _tabulate(self) -> tuple:
+        """(exp, log) from one walk of the q - 1 powers of g; entries fit in 16 bits."""
+        n, g = self.order - 1, multiplicative_generator(self).value
+        if self.degree == 1:
+            p = self.p
+            exp, log = array("H", bytes(2 * n)), array("H", bytes(2 * p))
+            x = 1
+            for k in range(n):
+                exp[k] = x
+                log[x] = k
+                x = x * g[0] % p
+            return exp, log
+        x, step, carriers = 1, self._pack(g), []
+        for _ in range(n):
+            carriers.append(self._unpack(x))
+            x = self._mul_packed(x, step)
+        return tuple(carriers), {c: k for k, c in enumerate(carriers)}
+
+    def _log(self, a: Unit) -> int:
+        """k with a = g^k, 0 <= k < q - 1."""
+        log = self._tables[1]
+        return log[a.value[0]] if self.degree == 1 else log[a.value]
+
+    def generator_power(self, k: int) -> Unit:
+        c = self._tables[0][k % (self.order - 1)]
+        return _kernel_unit(self, (c,) if self.degree == 1 else c)
+
+    def mul(self, a: Unit, b: Unit) -> Unit:
+        if self.degree == 1:
+            return _kernel_unit(self, (a.value[0] * b.value[0] % self.p,))
+        return self.generator_power(self._log(a) + self._log(b))
+
+    def inv(self, a: Unit) -> Unit:
+        return self.generator_power(-self._log(a))
+
+    def pow(self, a: Unit, n: int) -> Unit:
+        return self.generator_power(self._log(a) * n)
+
+    def neg(self, a: Unit) -> Unit:
+        return self.generator_power(self._log(a) + (self.order - 1) // 2)
+
+    def square_class(self, a: Unit) -> int:
+        return self._log(a) & 1
+
+    def literal(self, u: Unit) -> str:
+        return f"g^{self._log(u)}"
+
+    def kmw_coords(self, v) -> tuple[int, ...]:
+        return () if v is None else (self._log(v),)
 
 
 def finite_field(q: int, modulus: Sequence[int] | None = None) -> FiniteField:

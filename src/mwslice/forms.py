@@ -210,7 +210,7 @@ class WittClass(_CoordinateClass):
     def __mul__(self, other: "WittClass") -> "WittClass":
         self._check(other)
         # multiply on GW lifts, then project; well-definedness is oracle-tested
-        return witt_class(_witt_lift(self) * _witt_lift(other))
+        return witt_class(witt_lift(self) * witt_lift(other))
 
     def __str__(self) -> str:
         return self.field.witt_str(self.coords)
@@ -220,7 +220,7 @@ def witt_class(x: GWClass) -> WittClass:
     return WittClass(x.field, x.field.witt_coords(x.coords))
 
 
-def _witt_lift(w: WittClass) -> GWClass:
+def witt_lift(w: WittClass) -> GWClass:
     """A GW representative of a Witt class."""
     return GWClass(w.field, w.field.witt_lift(w.coords))
 

@@ -29,6 +29,7 @@ from mwslice.fields import (
 )
 from mwslice.milnor_witt import (
     ETA,
+    MAX_WORD_LENGTH,
     MWExpression,
     MWMonomial,
     atom_literal,
@@ -74,7 +75,7 @@ def _unit_binding(bindings: dict, name: str) -> Unit:
     return v
 
 
-def _instantiate(rule: str, fld: FieldDescriptor, bindings: dict) -> tuple[MWExpression, MWExpression]:
+def instantiate(rule: str, fld: FieldDescriptor, bindings: dict) -> tuple[MWExpression, MWExpression]:
     """The (lhs, rhs) expressions of a rule instance; checks side conditions."""
     if rule == "R-eta-comm":
         u = _unit_binding(bindings, "u")
@@ -250,7 +251,7 @@ def derivation_from_json(data: dict) -> Derivation:
 
 def apply_step(expr: MWExpression, step: Step) -> MWExpression:
     """Apply one certified step; raises on any mismatch."""
-    lhs, rhs = _instantiate(step.rule, expr.field, step.bindings)
+    lhs, rhs = instantiate(step.rule, expr.field, step.bindings)
     if not lhs.terms:
         raise StepMismatchError(f"{step.rule} instantiates to an empty pattern")
     anchor = lhs.terms[0]
@@ -325,6 +326,9 @@ def derive_extended_steinberg(units: Sequence[Unit]) -> Derivation:
     """A certificate that [u_1]...[u_n] rewrites to 0 when the units sum to 1."""
     if not units:
         raise PreconditionError("at least one unit is required")
+    if len(units) > MAX_WORD_LENGTH:  # refused before any unit is summed
+        raise PreconditionError(
+            f"a word of {len(units)} atoms exceeds the supported bound {MAX_WORD_LENGTH}")
     fld = units[0].field
     total: Unit | None = None
     for u in units:

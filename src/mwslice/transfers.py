@@ -40,13 +40,13 @@ from mwslice.filtration import FiltrationQuery, kmw_times_In, tate_filtration
 from mwslice.forms import (
     GWClass,
     WittClass,
-    _witt_lift,
     gw_box,
     gw_generators,
     gw_of_unit,
     gw_one,
     hyperbolic,
     witt_class,
+    witt_lift,
 )
 from mwslice.milnor_witt import (
     MWNormalForm,
@@ -269,7 +269,7 @@ def p_star(ext: FiniteExtension, x: GWClass) -> GWClass:
 
 def trace_transfer_witt(ext: FiniteExtension, w: WittClass) -> WittClass:
     """Induced transfer W(top) -> W(base); well-definedness is exercised in tests."""
-    return witt_class(trace_transfer_gw(ext, _witt_lift(w)))
+    return witt_class(trace_transfer_gw(ext, witt_lift(w)))
 
 
 def norm_to_base(ext: FiniteExtension, u: Unit) -> Unit:

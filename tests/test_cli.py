@@ -133,7 +133,7 @@ def test_corrupted_rule_fails_naming_tuple(capsys, monkeypatch):
     import mwslice.rewriting as rw
     from mwslice.milnor_witt import MWExpression
 
-    orig = rw._instantiate
+    orig = rw.instantiate
 
     def corrupted(rule, fld, bindings):
         lhs, rhs = orig(rule, fld, bindings)
@@ -141,7 +141,7 @@ def test_corrupted_rule_fails_naming_tuple(capsys, monkeypatch):
             return lhs, MWExpression(fld, (lhs.terms[0],))
         return lhs, rhs
 
-    monkeypatch.setattr(rw, "_instantiate", corrupted)
+    monkeypatch.setattr(rw, "instantiate", corrupted)
     code, out = run(capsys, "check-all", "--profile", "quick")
     assert code == 1
     assert "FAIL" in out and "tuple" in out

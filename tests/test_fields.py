@@ -18,6 +18,7 @@ from mwslice.fields import (
     FieldMismatchError,
     FiniteField,
     RealField,
+    TableField,
     UnsupportedEnumerationError,
     default_modulus,
     enumerate_units,
@@ -501,3 +502,105 @@ def test_generator_power_costs_one_product_per_window(q, monkeypatch):
         calls.clear()
         field.generator_power(k)
         assert len(calls) <= budget, (k, len(calls))
+
+
+
+# -- exp/log tables against the packed kernel -------------------------------------
+
+TABLE_CASES = [(q, None) for q in ODD_PRIME_POWERS] + [
+    (p**d, mod) for p, d in [(3, 2), (5, 2), (3, 3)] for mod in _monic_irreducibles(p, d)]
+
+
+def _table_case_id(case):
+    q, mod = case
+    return str(q) if mod is None else f"{q}-{''.join(map(str, mod))}"
+
+
+class _Kernel:
+    """The ``FiniteField`` methods, the packed kernel, bound to one field."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def __getattr__(self, name):
+        bound = getattr(FiniteField, name).__get__(self.field)
+        setattr(self, name, bound)
+        return bound
+
+
+def _unary_ops(ops, a, k):
+    """The table-overridden operations of one unit and one exponent, as plain values."""
+    q = a.field.order
+    return (ops.inv(a).value, ops.neg(a).value, ops.square_class(a), ops.literal(a),
+            ops.kmw_coords(a), ops.kmw_coords(None),
+            ops.generator_power(k).value, ops.generator_power(k - 3 * (q - 1)).value,
+            *(ops.pow(a, n).value for n in (-1, q - 1, -(q + 3), 10**30 + 7)))
+
+
+@pytest.mark.parametrize("case", TABLE_CASES, ids=_table_case_id)
+def test_table_holds_the_schoolbook_powers_of_g(case):
+    field = finite_field(*case)
+    exp, log = field._tables
+    g = multiplicative_generator(field).value
+    power = (1,) + (0,) * (field.degree - 1)
+    assert len(exp) == field.order - 1
+    for k in range(field.order - 1):
+        assert ((exp[k],) if field.degree == 1 else exp[k]) == power, k
+        assert log[exp[k]] == k, k
+        power = _schoolbook_mul(field, power, g)
+    assert power == (1,) + (0,) * (field.degree - 1)  # g^(q-1) = 1
+
+
+@pytest.mark.parametrize("case", TABLE_CASES, ids=_table_case_id)
+def test_table_operations_match_the_kernel_on_every_pair(case):
+    field = finite_field(*case)
+    assert type(field) is TableField
+    kernel, units = _Kernel(field), _all_units(field)
+    mul, pow_, kmul, kpow = field.mul, field.pow, kernel.mul, kernel.pow
+    for k, a in enumerate(units):
+        assert _unary_ops(field, a, k) == _unary_ops(kernel, a, k), a
+        for n, b in enumerate(units):
+            assert mul(a, b) == kmul(a, b), (a, b)
+            assert pow_(a, n) == kpow(a, n), (a, n)
+
+
+@pytest.mark.parametrize("q", [2187, 10007, 15625, 16381])
+def test_table_operations_match_the_kernel_on_seeded_pairs(q):
+    field = finite_field(q)
+    assert type(field) is TableField
+    kernel, rng = _Kernel(field), random.Random(q)
+    left, right = _seeded_units(field, 2000, q + 4), _seeded_units(field, 2000, q + 5)
+    for a, b in zip(left, right):
+        k = rng.randrange(-q, 2 * q)
+        assert _unary_ops(field, a, k) == _unary_ops(kernel, a, k), (a, k)
+        assert field.mul(a, b) == kernel.mul(a, b), (a, b)
+        assert field.pow(a, k) == kernel.pow(a, k), (a, k)
+
+
+def test_a_tabulated_operation_makes_no_packed_product(monkeypatch):
+    field = finite_field(2187)
+    a, b = _seeded_units(field, 2, 2187)
+    unit_mul(a, b)  # builds the table
+    calls = _count_products(monkeypatch)
+    for op in (lambda: unit_mul(a, b), lambda: unit_inv(a), lambda: unit_pow(a, -2),
+               lambda: unit_neg(a), lambda: square_class(a),
+               lambda: field.generator_power(77), lambda: field.literal(a),
+               lambda: field.kmw_coords(a)):
+        op()
+    assert calls == []
+
+
+def test_the_benchmark_fields_tabulate_in_under_600_kb():
+    import tracemalloc
+
+    both = [finite_field(10007), finite_field(2187)]
+    for field in both:
+        multiplicative_generator(field)
+    tracemalloc.start()
+    try:
+        tables = [field._tabulate() for field in both]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [len(exp) for exp, _ in tables] == [10006, 2186]
+    assert size <= 600_000

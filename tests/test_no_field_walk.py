@@ -4,7 +4,10 @@
 ``enumerate_units`` and ``discrete_log_table`` run.  Here it refuses every
 field of order above 10^5, and each command below must still exit 0 over
 fields of order near the 10^6 bound; so must the degree-1 transfer over a
-trivial extension, which no command reaches.  ``mw-derive`` is left out: it
+trivial extension, which no command reaches.  The exp/log tables of a
+``TableField`` are the other walk: these commands build none but that of
+the quadratic transfer's base Fq(729), and no field above ``TABLE_ORDER``
+is a ``TableField``.  ``mw-derive`` is left out: it
 prints its units as ``g^k`` literals through ``discrete_log_table``, an O(q)
 walk that is still open (the FOUND entry on ``cli.cmd_mw_derive`` in
 CHANGES.md).
@@ -42,6 +45,20 @@ def refuse_big_walks(monkeypatch):
     fields.discrete_log_table.cache_clear()
 
 
+@pytest.fixture
+def tables_built(monkeypatch):
+    """The fields whose exp/log tables get built while the test runs."""
+    built = []
+    real = fields.TableField._tabulate
+
+    def tabulate(field):
+        built.append(str(field))
+        return real(field)
+
+    monkeypatch.setattr(fields.TableField, "_tabulate", tabulate)
+    return built
+
+
 COMMANDS = {
     "gw": ["gw", "--field", BIG, "--form", "<1,g,-3,g^7>"],
     "witt": ["witt", "--field", BIG, "--form", "<1,g,-3,g^7>"],
@@ -58,12 +75,30 @@ COMMANDS = {
                                     "--check", "projection"],
     "transfer-quadratic": ["transfer", "--ext", "Fq(531441)/Fq(729)", "--form", "<1,g>"],
 }
+# The only table these commands may build (once per process, as fields are
+# interned): the base field of the quadratic transfer is a TableField.
+SMALL_TABLES = {"transfer-quadratic": {"Fq(729;poly=x^6+x+2)"}}
 
 
 @pytest.mark.parametrize("output", ["table", "json"])
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_command_needs_no_walk(name, output, capsys):
+def test_command_needs_no_walk(name, output, capsys, tables_built):
     assert main(["--output", output, *COMMANDS[name]]) == 0, capsys.readouterr().err
+    assert set(tables_built) <= SMALL_TABLES.get(name, set())
+
+
+def test_no_field_above_the_table_order_is_tabulated(tables_built):
+    assert fields.TABLE_ORDER == 2**14
+    assert type(fields.parse_field("Fq(16381)")) is fields.TableField  # the last prime below
+    for literal in ("Fq(16411)", BIG, "Fq(531441)"):  # 16411 is the first prime above
+        field = fields.parse_field(literal)
+        assert type(field) is fields.FiniteField
+        g = field.generator_power(1)
+        fields.square_class(fields.unit_inv(fields.unit_mul(g, fields.unit_neg(g))))
+        fields.unit_pow(g, -2)
+        if field.order < WALK_LIMIT:
+            assert field.literal(g) == "g^1"
+    assert tables_built == []
 
 
 def test_degree_one_transfer_over_a_trivial_extension():

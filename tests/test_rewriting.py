@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mwslice.fields import enumerate_units, finite_field, one, unit, unit_add, unit_neg
 from mwslice.milnor_witt import (
     ETA,
+    MAX_WORD_LENGTH,
     mw_symbols,
     mw_unit_form,
     mw_zero,
@@ -20,10 +21,10 @@ from mwslice.rewriting import (
     PreconditionError,
     RuleConditionError,
     Step,
-    _instantiate,
     apply_step,
     derivation_from_json,
     derive_extended_steinberg,
+    instantiate,
     verify_derivation,
 )
 
@@ -66,6 +67,19 @@ def test_precondition_errors():
         derive_extended_steinberg([unit(F7, 3), unit(F5, 3)])
     with pytest.raises(PreconditionError):
         derive_extended_steinberg([])
+
+
+def test_too_many_units_are_refused_before_they_are_summed(monkeypatch):
+    import mwslice.rewriting as rw
+
+    def refuse(a, b):
+        raise AssertionError("summed a unit")
+
+    monkeypatch.setattr(rw, "unit_add", refuse)
+    units = [unit(F7, 2)] * (MAX_WORD_LENGTH + 1)
+    message = f"a word of {MAX_WORD_LENGTH + 1} atoms exceeds the supported bound {MAX_WORD_LENGTH}"
+    with pytest.raises(PreconditionError, match=message):
+        derive_extended_steinberg(units)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -173,12 +187,12 @@ def test_a_word_holds_its_units():
 def test_central_rule_rejects_nonzero_degree():
     z = parse_expression(F7, "[3]")
     with pytest.raises(RuleConditionError):
-        _instantiate("R-central", F7, {"z": z, "atom": unit(F7, 2), "side": "left"})
+        instantiate("R-central", F7, {"z": z, "atom": unit(F7, 2), "side": "left"})
 
 
 def test_sum_rule_side_condition():
     with pytest.raises(RuleConditionError):
-        _instantiate("R-sum", F7, {"u": unit(F7, 3), "v": unit(F7, 4)})
+        instantiate("R-sum", F7, {"u": unit(F7, 3), "v": unit(F7, 4)})
 
 
 def test_rules_in_context_positions():
