@@ -6,7 +6,8 @@ subclass of :class:`FieldDescriptor`:
 * :class:`FiniteField` -- F_q with q an odd prime power.  Elements are
   polynomials over the prime field modulo a monic irreducible, stored as
   coefficient tuples.  Up to order ``TABLE_ORDER`` the field is a
-  :class:`TableField`, whose unit arithmetic reads exp/log tables.
+  :class:`TableField`, whose unit arithmetic reads exp/log tables once a
+  discrete log has been asked for.
 * :class:`RealField` -- a real closed field.  Unit carriers are nonzero
   rationals; only the sign of a unit is ever invariant-relevant.
 * :class:`ClosedField` -- a quadratically closed field.  Unit carriers are
@@ -41,7 +42,9 @@ MAX_FIELD_ORDER = 10**6
 # The degree d of a supported F_(p^d) is at most this: 3^d <= MAX_FIELD_ORDER.
 MAX_FIELD_DEGREE = next(d for d in itertools.count() if 3 ** (d + 1) > MAX_FIELD_ORDER)
 # Largest order q whose units are tabulated: a field up to it is a TableField,
-# and its first unit operation builds the exp/log tables of q - 1 entries.
+# and its first discrete log builds the exp/log tables of q - 1 entries, which
+# are 16-bit arrays over F_p.  The build costs less than the discrete-log table
+# that a larger field's first g^k output walks.
 TABLE_ORDER = 2**14
 
 
@@ -301,8 +304,8 @@ class FiniteField(FieldDescriptor):
     integers never leave the field's methods.
 
     A field of order at most ``TABLE_ORDER`` is a :class:`TableField`, which
-    runs its unit arithmetic on exp/log tables; the methods here are its
-    kernel and the arithmetic of every larger field.
+    runs its unit arithmetic on exp/log tables once it has built them; the
+    methods here are its kernel and the arithmetic of every larger field.
     """
 
     _fields = ("order", "modulus")
@@ -646,25 +649,28 @@ class FiniteField(FieldDescriptor):
 
 
 class TableField(FiniteField):
-    """F_q with q <= TABLE_ORDER: unit arithmetic is index arithmetic mod q - 1.
+    """F_q with q <= TABLE_ORDER: once a discrete log is asked for, unit
+    arithmetic is index arithmetic mod q - 1.
 
-    The first unit operation walks the powers of the canonical generator g
+    The first ``literal`` or ``kmw_coords`` call, where a larger field reads
+    the discrete-log table, walks the powers of the canonical generator g
     once on the packed kernel and keeps two tables: ``exp`` (k -> the
     carrier of g^k) and ``log`` (carrier -> k), as systems for small finite
-    fields keep them (Lidl and Niederreiter, *Finite Fields*).  A product
-    adds logs (over F_p it stays one product mod p, which costs less), an
-    inverse negates one, -1 is g^((q-1)/2), and since g is a nonsquare the
-    square class is the parity of the log.  Over F_p both
-    tables are ``array``s indexed by the residue; over F_(p^d) ``exp`` is a
-    tuple of carriers and ``log`` a dict on the same tuples.  Units read
-    off ``exp`` skip ``check_carrier``: the kernel computed their carriers.
-    Sums stay coefficient-wise, and outside input is still checked.
+    fields keep them (Lidl and Niederreiter, *Finite Fields*).  From then
+    on a product adds logs (over F_p it stays one product mod p, which costs
+    less), an inverse negates one, -1 is g^((q-1)/2), and since g is a
+    nonsquare the square class is the parity of the log.  Until then every
+    operation runs the kernel, so a command that prints no g^k pays nothing
+    for the tables.  Over F_p both tables are ``array``s indexed by the
+    residue; over F_(p^d) ``exp`` is a tuple of carriers and ``log`` a dict
+    on the same tuples.  Units read off ``exp`` skip ``check_carrier``: the
+    kernel computed their carriers.  Sums stay coefficient-wise, and outside
+    input is still checked.
     """
 
-    @cached_property
-    def _tables(self) -> tuple:
-        """(exp, log), built on first use by the one walk, ``_tabulate``."""
-        return self._tabulate()
+    def _setup(self, p: int, d: int, modulus: tuple[int, ...]) -> None:
+        super()._setup(p, d, modulus)
+        _set(self, "_tables", None)  # (exp, log) from the first discrete log on
 
     def _tabulate(self) -> tuple:
         """(exp, log) from one walk of the q - 1 powers of g; entries fit in 16 bits."""
@@ -685,29 +691,43 @@ class TableField(FiniteField):
         return tuple(carriers), {c: k for k, c in enumerate(carriers)}
 
     def _log(self, a: Unit) -> int:
-        """k with a = g^k, 0 <= k < q - 1."""
+        """k with a = g^k, 0 <= k < q - 1; the first call builds the tables."""
+        if self._tables is None:
+            _set(self, "_tables", self._tabulate())
         log = self._tables[1]
         return log[a.value[0]] if self.degree == 1 else log[a.value]
 
     def generator_power(self, k: int) -> Unit:
+        if self._tables is None:
+            return FiniteField.generator_power(self, k)
         c = self._tables[0][k % (self.order - 1)]
         return _kernel_unit(self, (c,) if self.degree == 1 else c)
 
     def mul(self, a: Unit, b: Unit) -> Unit:
         if self.degree == 1:
             return _kernel_unit(self, (a.value[0] * b.value[0] % self.p,))
+        if self._tables is None:
+            return FiniteField.mul(self, a, b)
         return self.generator_power(self._log(a) + self._log(b))
 
     def inv(self, a: Unit) -> Unit:
+        if self._tables is None:
+            return FiniteField.inv(self, a)
         return self.generator_power(-self._log(a))
 
     def pow(self, a: Unit, n: int) -> Unit:
+        if self._tables is None:
+            return FiniteField.pow(self, a, n)
         return self.generator_power(self._log(a) * n)
 
     def neg(self, a: Unit) -> Unit:
+        if self._tables is None:
+            return FiniteField.neg(self, a)
         return self.generator_power(self._log(a) + (self.order - 1) // 2)
 
     def square_class(self, a: Unit) -> int:
+        if self._tables is None:
+            return FiniteField.square_class(self, a)
         return self._log(a) & 1
 
     def literal(self, u: Unit) -> str:

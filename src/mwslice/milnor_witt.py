@@ -136,10 +136,13 @@ class MWExpression(Record):
 def _check_size(terms: int, longest_word: int) -> None:
     if terms > MAX_TERMS:
         raise ValueError(f"{terms} monomials exceed the supported bound {MAX_TERMS}")
-    if longest_word > MAX_WORD_LENGTH:
-        raise ValueError(
-            f"a word of {longest_word} atoms exceeds the supported bound {MAX_WORD_LENGTH}"
-        )
+    check_word_length(longest_word)
+
+
+def check_word_length(length: int) -> None:
+    """Refuse a word of more than MAX_WORD_LENGTH atoms, before it is built."""
+    if length > MAX_WORD_LENGTH:
+        raise ValueError(f"a word of {length} atoms exceeds the supported bound {MAX_WORD_LENGTH}")
 
 
 def collect(e: MWExpression) -> MWExpression:

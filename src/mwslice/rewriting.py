@@ -29,10 +29,10 @@ from mwslice.fields import (
 )
 from mwslice.milnor_witt import (
     ETA,
-    MAX_WORD_LENGTH,
     MWExpression,
     MWMonomial,
     atom_literal,
+    check_word_length,
     collect,
     expression_literal,
     mw_symbols,
@@ -326,9 +326,7 @@ def derive_extended_steinberg(units: Sequence[Unit]) -> Derivation:
     """A certificate that [u_1]...[u_n] rewrites to 0 when the units sum to 1."""
     if not units:
         raise PreconditionError("at least one unit is required")
-    if len(units) > MAX_WORD_LENGTH:  # refused before any unit is summed
-        raise PreconditionError(
-            f"a word of {len(units)} atoms exceeds the supported bound {MAX_WORD_LENGTH}")
+    check_word_length(len(units))  # before any unit is summed
     fld = units[0].field
     total: Unit | None = None
     for u in units:

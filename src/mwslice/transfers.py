@@ -23,7 +23,6 @@ from mwslice.fields import (
     REALS,
     FieldDescriptor,
     Unit,
-    enumerate_units,
     finite_field,
     multiplicative_generator,
     one,
@@ -153,11 +152,11 @@ def _embedding_inverse_table(ext: FiniteExtension) -> dict[Unit, Unit]:
     The embedding is a ring map, so it sends g^k to the k-th power of the
     image of the base generator g.
     """
-    units = enumerate_units(ext.base)  # g^0, g^1, ..., g^(q_b - 2)
-    step = embed_unit(ext, units[1])
+    base = ext.base
+    step = embed_unit(ext, base.generator_power(1))
     table, x = {}, one(ext.top)
-    for u in units:
-        table[x] = u
+    for k in range(base.order - 1):
+        table[x] = base.generator_power(k)
         x = unit_mul(x, step)
     return table
 

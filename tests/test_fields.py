@@ -528,6 +528,13 @@ class _Kernel:
         return bound
 
 
+def _tabulated(field):
+    """The field, its tables built by its first discrete log."""
+    field.literal(field.one())
+    assert field._tables is not None
+    return field
+
+
 def _unary_ops(ops, a, k):
     """The table-overridden operations of one unit and one exponent, as plain values."""
     q = a.field.order
@@ -539,7 +546,7 @@ def _unary_ops(ops, a, k):
 
 @pytest.mark.parametrize("case", TABLE_CASES, ids=_table_case_id)
 def test_table_holds_the_schoolbook_powers_of_g(case):
-    field = finite_field(*case)
+    field = _tabulated(finite_field(*case))
     exp, log = field._tables
     g = multiplicative_generator(field).value
     power = (1,) + (0,) * (field.degree - 1)
@@ -553,7 +560,7 @@ def test_table_holds_the_schoolbook_powers_of_g(case):
 
 @pytest.mark.parametrize("case", TABLE_CASES, ids=_table_case_id)
 def test_table_operations_match_the_kernel_on_every_pair(case):
-    field = finite_field(*case)
+    field = _tabulated(finite_field(*case))
     assert type(field) is TableField
     kernel, units = _Kernel(field), _all_units(field)
     mul, pow_, kmul, kpow = field.mul, field.pow, kernel.mul, kernel.pow
@@ -566,7 +573,7 @@ def test_table_operations_match_the_kernel_on_every_pair(case):
 
 @pytest.mark.parametrize("q", [2187, 10007, 15625, 16381])
 def test_table_operations_match_the_kernel_on_seeded_pairs(q):
-    field = finite_field(q)
+    field = _tabulated(finite_field(q))
     assert type(field) is TableField
     kernel, rng = _Kernel(field), random.Random(q)
     left, right = _seeded_units(field, 2000, q + 4), _seeded_units(field, 2000, q + 5)
@@ -580,7 +587,7 @@ def test_table_operations_match_the_kernel_on_seeded_pairs(q):
 def test_a_tabulated_operation_makes_no_packed_product(monkeypatch):
     field = finite_field(2187)
     a, b = _seeded_units(field, 2, 2187)
-    unit_mul(a, b)  # builds the table
+    field.literal(a)  # builds the tables
     calls = _count_products(monkeypatch)
     for op in (lambda: unit_mul(a, b), lambda: unit_inv(a), lambda: unit_pow(a, -2),
                lambda: unit_neg(a), lambda: square_class(a),
@@ -588,6 +595,20 @@ def test_a_tabulated_operation_makes_no_packed_product(monkeypatch):
                lambda: field.kmw_coords(a)):
         op()
     assert calls == []
+
+
+def test_no_table_is_built_before_a_discrete_log():
+    field = finite_field(3125)
+    fields._set(field, "_tables", None)  # forget the tables, should a test have built them
+    kernel = _Kernel(field)
+    a, b = _seeded_units(field, 2, 3125)
+    ops = [lambda f: f.mul(a, b), lambda f: f.inv(a), lambda f: f.pow(a, -2),
+           lambda f: f.neg(a), lambda f: f.square_class(a), lambda f: f.generator_power(77)]
+    assert [op(field) for op in ops] == [op(kernel) for op in ops]
+    assert field._tables is None
+    assert field.literal(field.generator_power(1)) == "g^1"
+    assert field._tables is not None
+    assert [op(field) for op in ops] == [op(kernel) for op in ops]
 
 
 def test_the_benchmark_fields_tabulate_in_under_600_kb():

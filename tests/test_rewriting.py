@@ -78,7 +78,7 @@ def test_too_many_units_are_refused_before_they_are_summed(monkeypatch):
     monkeypatch.setattr(rw, "unit_add", refuse)
     units = [unit(F7, 2)] * (MAX_WORD_LENGTH + 1)
     message = f"a word of {MAX_WORD_LENGTH + 1} atoms exceeds the supported bound {MAX_WORD_LENGTH}"
-    with pytest.raises(PreconditionError, match=message):
+    with pytest.raises(ValueError, match=message):
         derive_extended_steinberg(units)
 
 

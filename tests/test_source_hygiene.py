@@ -169,16 +169,14 @@ def test_the_check_sees_a_record_field_nothing_reads():
 WALKS = {"enumerate_units", "discrete_log_table", "sum_to_one_tuples", "powers", "_tabulate"}
 # Where a walk may run outside ``checks``: the walks themselves; the g^k
 # literals and degree-1 coordinates over F_q, which still read the
-# discrete-log table; the exp/log tables of a field of order at most
-# ``TABLE_ORDER``, built once on first use; and a proper extension's inverse
-# embedding, which walks at most 1,000 base units.
+# discrete-log table; and the exp/log tables of a field of order at most
+# ``TABLE_ORDER``, built once by its first discrete log.
 WALK_SITES = {
     "fields.enumerate_units",
     "fields.discrete_log_table",
     "fields.FiniteField.literal",
     "fields.FiniteField.kmw_coords",
-    "fields.TableField._tables",
-    "transfers._embedding_inverse_table",
+    "fields.TableField._log",
 }
 
 
