@@ -5,9 +5,10 @@ subclass of :class:`FieldDescriptor`:
 
 * :class:`FiniteField` -- F_q with q an odd prime power.  Elements are
   polynomials over the prime field modulo a monic irreducible, stored as
-  coefficient tuples.  Up to order ``TABLE_ORDER`` the field is a
-  :class:`TableField`, whose unit arithmetic reads exp/log tables once a
-  discrete log has been asked for.
+  coefficient tuples.  Its first discrete log builds exp/log tables of the
+  powers of its generator, which every later discrete log reads.  Up to
+  order ``TABLE_ORDER`` the field is a :class:`TableField`, whose unit
+  arithmetic then reads them too.
 * :class:`RealField` -- a real closed field.  Unit carriers are nonzero
   rationals; only the sign of a unit is ever invariant-relevant.
 * :class:`ClosedField` -- a quadratically closed field.  Unit carriers are
@@ -36,15 +37,15 @@ from typing import Iterator, Sequence
 from mwslice.abelian import Ambient, Record
 
 # Largest supported order q of a finite field.  Factoring q and searching for
-# a generator are trial divisions up to sqrt(q), and the discrete-log table
-# has q - 1 entries, so larger orders would run without useful bound.
+# a generator are trial divisions up to sqrt(q), and the exp/log tables that
+# the first discrete log builds have q - 1 entries, so larger orders would run
+# without useful bound.
 MAX_FIELD_ORDER = 10**6
 # The degree d of a supported F_(p^d) is at most this: 3^d <= MAX_FIELD_ORDER.
 MAX_FIELD_DEGREE = next(d for d in itertools.count() if 3 ** (d + 1) > MAX_FIELD_ORDER)
-# Largest order q whose units are tabulated: a field up to it is a TableField,
-# and its first discrete log builds the exp/log tables of q - 1 entries, which
-# are 16-bit arrays over F_p.  The build costs less than the discrete-log table
-# that a larger field's first g^k output walks.
+# Largest order q whose unit arithmetic reads the exp/log tables once a
+# discrete log has built them: a field up to it is a TableField.  Above it,
+# the tables serve discrete logs only and arithmetic stays on the kernel.
 TABLE_ORDER = 2**14
 
 
@@ -303,9 +304,15 @@ class FiniteField(FieldDescriptor):
     products (Itoh and Tsujii, *Inform. and Comput.* 78, 1988).  Packed
     integers never leave the field's methods.
 
-    A field of order at most ``TABLE_ORDER`` is a :class:`TableField`, which
-    runs its unit arithmetic on exp/log tables once it has built them; the
-    methods here are its kernel and the arithmetic of every larger field.
+    The first discrete log, asked for by a ``g^k`` output or a K^MW_1
+    coordinate, walks the q - 1 powers of the canonical generator g once on
+    the packed kernel and keeps two tables: ``exp`` (k -> the carrier of g^k)
+    and ``log`` (carrier -> k), as systems for finite fields keep them (Lidl
+    and Niederreiter, *Finite Fields*).  Every later discrete log is one
+    lookup, and ``enumerate_units`` reads ``exp``.  A field of order at most
+    ``TABLE_ORDER`` is a :class:`TableField`, which also runs its unit
+    arithmetic on the tables once they exist; the arithmetic methods here are
+    its kernel and the arithmetic of every larger field.
     """
 
     _fields = ("order", "modulus")
@@ -338,6 +345,7 @@ class FiniteField(FieldDescriptor):
         # packed x^j mod f for j = d, ..., 2d - 2
         folds = (self._pack(_prem((0,) * j + (1,), modulus, p)) for j in range(d, 2 * d - 1))
         _set(self, "_folds", tuple(folds))
+        _set(self, "_tables", None)  # (exp, log) from the first discrete log on
 
     # -- units: coefficient tuples modulo the field's modulus ------------------
 
@@ -502,14 +510,37 @@ class FiniteField(FieldDescriptor):
             return (pow(c[0], n, self.p),)
         return self._unpack(self._pow_packed(self._pack(c), n))
 
-    def powers(self, g: Unit) -> tuple[Unit, ...]:
-        """g^0, g^1, ..., g^(q-2), each from the one before."""
-        x, step = 1, self._pack(g.value)
-        out = []
-        for _ in range(self.order - 1):
-            out.append(Unit(self, self._unpack(x)))
+    def _tabulate(self) -> tuple:
+        """(exp, log) from one walk of the q - 1 powers of g, each from the one before.
+
+        Over F_p both tables are ``array``s, indexed by k and by the residue,
+        of the narrowest unsigned type that holds p: 16 bits while p <= 2^16.
+        Over F_(p^d) ``exp`` is a tuple of carriers and ``log`` a dict on the
+        same tuples.
+        """
+        n, g = self.order - 1, multiplicative_generator(self).value
+        if self.degree == 1:
+            p = self.p
+            code = next(c for c in "HIL" if array(c).itemsize * 8 >= p.bit_length())
+            exp, log = array(code, [0]) * n, array(code, [0]) * p
+            x = 1
+            for k in range(n):
+                exp[k] = x
+                log[x] = k
+                x = x * g[0] % p
+            return exp, log
+        x, step, carriers = 1, self._pack(g), []
+        for _ in range(n):
+            carriers.append(self._unpack(x))
             x = self._mul_packed(x, step)
-        return tuple(out)
+        return tuple(carriers), {c: k for k, c in enumerate(carriers)}
+
+    def _log(self, a: Unit) -> int:
+        """k with a = g^k, 0 <= k < q - 1; the first call builds the tables."""
+        if self._tables is None:
+            _set(self, "_tables", self._tabulate())
+        log = self._tables[1]
+        return log[a.value[0]] if self.degree == 1 else log[a.value]
 
     @cached_property
     def _comb(self) -> tuple[tuple[int, ...], ...]:
@@ -555,7 +586,7 @@ class FiniteField(FieldDescriptor):
         return 0 if pow(self.norm(a), (p - 1) // 2, p) == 1 else 1
 
     def literal(self, u: Unit) -> str:
-        return f"g^{discrete_log_table(self)[u]}"
+        return f"g^{self._log(u)}"
 
     # -- GW and W ----------------------------------------------------------------
 
@@ -597,7 +628,7 @@ class FiniteField(FieldDescriptor):
         return v is None or v == self.one()
 
     def kmw_coords(self, v) -> tuple[int, ...]:
-        return () if v is None else (discrete_log_table(self)[v],)
+        return () if v is None else (self._log(v),)
 
     def kmw_str(self, m: int, v) -> str:
         return f"(unit class {v}, ideal bit {square_class(v)})"
@@ -649,53 +680,17 @@ class FiniteField(FieldDescriptor):
 
 
 class TableField(FiniteField):
-    """F_q with q <= TABLE_ORDER: once a discrete log is asked for, unit
-    arithmetic is index arithmetic mod q - 1.
+    """F_q with q <= TABLE_ORDER: once a discrete log has built the exp/log
+    tables, unit arithmetic is index arithmetic mod q - 1.
 
-    The first ``literal`` or ``kmw_coords`` call, where a larger field reads
-    the discrete-log table, walks the powers of the canonical generator g
-    once on the packed kernel and keeps two tables: ``exp`` (k -> the
-    carrier of g^k) and ``log`` (carrier -> k), as systems for small finite
-    fields keep them (Lidl and Niederreiter, *Finite Fields*).  From then
-    on a product adds logs (over F_p it stays one product mod p, which costs
-    less), an inverse negates one, -1 is g^((q-1)/2), and since g is a
-    nonsquare the square class is the parity of the log.  Until then every
-    operation runs the kernel, so a command that prints no g^k pays nothing
-    for the tables.  Over F_p both tables are ``array``s indexed by the
-    residue; over F_(p^d) ``exp`` is a tuple of carriers and ``log`` a dict
-    on the same tuples.  Units read off ``exp`` skip ``check_carrier``: the
-    kernel computed their carriers.  Sums stay coefficient-wise, and outside
-    input is still checked.
+    From then on a product adds logs (over F_p it stays one product mod p,
+    which costs less), an inverse negates one, -1 is g^((q-1)/2), and since
+    g is a nonsquare the square class is the parity of the log.  Until then
+    every operation runs the kernel, so a command that prints no g^k pays
+    nothing for the tables.  Units read off ``exp`` skip ``check_carrier``:
+    the kernel computed their carriers.  Sums stay coefficient-wise, and
+    outside input is still checked.
     """
-
-    def _setup(self, p: int, d: int, modulus: tuple[int, ...]) -> None:
-        super()._setup(p, d, modulus)
-        _set(self, "_tables", None)  # (exp, log) from the first discrete log on
-
-    def _tabulate(self) -> tuple:
-        """(exp, log) from one walk of the q - 1 powers of g; entries fit in 16 bits."""
-        n, g = self.order - 1, multiplicative_generator(self).value
-        if self.degree == 1:
-            p = self.p
-            exp, log = array("H", bytes(2 * n)), array("H", bytes(2 * p))
-            x = 1
-            for k in range(n):
-                exp[k] = x
-                log[x] = k
-                x = x * g[0] % p
-            return exp, log
-        x, step, carriers = 1, self._pack(g), []
-        for _ in range(n):
-            carriers.append(self._unpack(x))
-            x = self._mul_packed(x, step)
-        return tuple(carriers), {c: k for k, c in enumerate(carriers)}
-
-    def _log(self, a: Unit) -> int:
-        """k with a = g^k, 0 <= k < q - 1; the first call builds the tables."""
-        if self._tables is None:
-            _set(self, "_tables", self._tabulate())
-        log = self._tables[1]
-        return log[a.value[0]] if self.degree == 1 else log[a.value]
 
     def generator_power(self, k: int) -> Unit:
         if self._tables is None:
@@ -729,12 +724,6 @@ class TableField(FiniteField):
         if self._tables is None:
             return FiniteField.square_class(self, a)
         return self._log(a) & 1
-
-    def literal(self, u: Unit) -> str:
-        return f"g^{self._log(u)}"
-
-    def kmw_coords(self, v) -> tuple[int, ...]:
-        return () if v is None else (self._log(v),)
 
 
 def finite_field(q: int, modulus: Sequence[int] | None = None) -> FiniteField:
@@ -932,10 +921,14 @@ COMPLEXES = ClosedField()
 
 @lru_cache(maxsize=None)
 def enumerate_units(field: FieldDescriptor) -> tuple[Unit, ...]:
-    """All q - 1 units as powers of the canonical multiplicative generator."""
+    """All q - 1 units as powers of the canonical multiplicative generator,
+    read off the field's ``exp`` table."""
     if not field.is_finite:
         raise UnsupportedEnumerationError(f"cannot enumerate units of {field}")
-    return field.powers(multiplicative_generator(field))
+    field._log(field.one())  # the first discrete log builds the tables
+    if field.degree == 1:
+        return tuple(_kernel_unit(field, (c,)) for c in field._tables[0])
+    return tuple(_kernel_unit(field, c) for c in field._tables[0])
 
 
 @lru_cache(maxsize=None)

@@ -313,6 +313,43 @@ def test_modulus_literal_is_bounded_before_it_is_built():
     assert peak < 1 << 20
 
 
+def test_mw_derive_over_a_large_prime_field_builds_only_its_log_tables(capsys):
+    import tracemalloc
+
+    import mwslice.rewriting  # noqa: F401  (so that no import counts toward the peak)
+    from mwslice import fields
+
+    fields._set(fields.parse_field("Fq(100003)"), "_tables", None)  # as in a fresh process
+    tracemalloc.start()
+    try:
+        code = main(["--output", "json", "mw-derive", "--field", "Fq(100003)",
+                     "--units", "2,100002"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["certificate"] == {"verified": True}
+    assert peak < 2_500_000  # two arrays of 4-byte entries and little else
+
+
+def test_mw_derive_over_the_largest_prime_field_builds_no_unit_table(capsys, monkeypatch):
+    from mwslice import fields
+
+    def refuse(field):
+        raise AssertionError(f"built a table of the units of {field}")
+
+    monkeypatch.setattr(fields, "enumerate_units", refuse)
+    monkeypatch.setattr(fields, "discrete_log_table", refuse)
+    argv = ["--output", "json", "mw-derive", "--field", "Fq(999983)", "--units", "2,999982"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        '{"certificate":{"verified":true},"command":"mw-derive",'
+        '"input":{"field":"Fq(999983)","units":"2,999982"},'
+        '"result":{"end":"0","field":"Fq(999983)","start":"[g^355214]*[g^499991]",'
+        '"steps":[{"bindings":{"u":"g^355214"},"position":{"factor":0,"term":0},'
+        '"rule":"R-steinberg"}]}}\n')
+
+
 @pytest.mark.parametrize("literal", ["Fq(7;poly=2*x+1)", "Fq(7;poly=x^2+1)"])
 def test_bad_prime_field_modulus_exits_2(capsys, literal):
     assert main(["gw", "--field", literal, "--form", "<1>"]) == 2

@@ -538,8 +538,7 @@ def _tabulated(field):
 def _unary_ops(ops, a, k):
     """The table-overridden operations of one unit and one exponent, as plain values."""
     q = a.field.order
-    return (ops.inv(a).value, ops.neg(a).value, ops.square_class(a), ops.literal(a),
-            ops.kmw_coords(a), ops.kmw_coords(None),
+    return (ops.inv(a).value, ops.neg(a).value, ops.square_class(a),
             ops.generator_power(k).value, ops.generator_power(k - 3 * (q - 1)).value,
             *(ops.pow(a, n).value for n in (-1, q - 1, -(q + 3), 10**30 + 7)))
 
@@ -554,6 +553,8 @@ def test_table_holds_the_schoolbook_powers_of_g(case):
     for k in range(field.order - 1):
         assert ((exp[k],) if field.degree == 1 else exp[k]) == power, k
         assert log[exp[k]] == k, k
+        assert field.literal(unit(field, power)) == f"g^{k}", k
+        assert field.kmw_coords(unit(field, power)) == (k,), k
         power = _schoolbook_mul(field, power, g)
     assert power == (1,) + (0,) * (field.degree - 1)  # g^(q-1) = 1
 
@@ -582,6 +583,17 @@ def test_table_operations_match_the_kernel_on_seeded_pairs(q):
         assert _unary_ops(field, a, k) == _unary_ops(kernel, a, k), (a, k)
         assert field.mul(a, b) == kernel.mul(a, b), (a, b)
         assert field.pow(a, k) == kernel.pow(a, k), (a, k)
+
+
+@pytest.mark.parametrize("q", [16411, 3**10, 999983])
+def test_logs_above_the_table_order_invert_the_comb(q):
+    field = finite_field(q)
+    assert type(field) is FiniteField
+    rng = random.Random(q)
+    for k in [0, 1, q - 2, -1, 10**30 + 7] + [rng.randrange(-q, 2 * q) for _ in range(200)]:
+        u = FiniteField.generator_power(field, k)  # the comb, which reads no table
+        assert field.literal(u) == f"g^{k % (q - 1)}", k
+        assert field.kmw_coords(u) == (k % (q - 1),), k
 
 
 def test_a_tabulated_operation_makes_no_packed_product(monkeypatch):

@@ -1,16 +1,18 @@
 """No CLI command walks the units of a large field.
 
-``FiniteField.powers`` builds all q - 1 powers of the generator; it is what
-``enumerate_units`` and ``discrete_log_table`` run.  Here it refuses every
-field of order above 10^5, and each command below must still exit 0 over
-fields of order near the 10^6 bound; so must the degree-1 transfer over a
-trivial extension, which no command reaches.  The exp/log tables of a
-``TableField`` are the other walk: these commands ask for no discrete log,
-so they build none, not even for the quadratic transfer's base Fq(729),
-and no field above ``TABLE_ORDER`` is a ``TableField``.  ``mw-derive`` is
-left out: it prints its units as ``g^k`` literals through
-``discrete_log_table``, an O(q) walk that is still open (the FOUND entry on
-``cli.cmd_mw_derive`` in CHANGES.md).
+``FiniteField._tabulate`` builds the exp/log tables of all q - 1 powers of
+the generator; it is the one walk of a field, run by the first discrete log
+and so by ``enumerate_units`` and ``discrete_log_table``.  Here it refuses
+every field of order above 10^5, and each command below must still exit 0
+over fields of order near the 10^6 bound; so must the degree-1 transfer
+over a trivial extension, which no command reaches.  These commands ask for
+no discrete log, so they build no tables, not even for the quadratic
+transfer's base Fq(729).  No field above ``TABLE_ORDER`` is a
+``TableField``: its first discrete log builds the tables, but its
+arithmetic stays on the kernel.  ``mw-derive`` is left out: it prints its
+units as ``g^k`` literals, so it builds the tables of its field, an O(q)
+walk of arrays over F_p (the MENDED entry on ``cli.cmd_mw_derive`` in
+CHANGES.md); ``tests/test_cli.py`` bounds its memory and pins its bytes.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ BIG = "Fq(999983)"
 
 @pytest.fixture(autouse=True)
 def refuse_big_walks(monkeypatch):
-    real = fields.FiniteField.powers
+    real = fields.FiniteField._tabulate
 
-    def powers(field, g):
+    def tabulate(field):
         if field.order > WALK_LIMIT:
             raise AssertionError(f"walked the {field.order - 1} units of {field}")
-        return real(field, g)
+        return real(field)
 
-    monkeypatch.setattr(fields.FiniteField, "powers", powers)
+    monkeypatch.setattr(fields.FiniteField, "_tabulate", tabulate)
     fields.enumerate_units.cache_clear()
     fields.discrete_log_table.cache_clear()
     yield
@@ -49,13 +51,13 @@ def refuse_big_walks(monkeypatch):
 def tables_built(monkeypatch):
     """The fields whose exp/log tables get built while the test runs."""
     built = []
-    real = fields.TableField._tabulate
+    real = fields.FiniteField._tabulate
 
     def tabulate(field):
         built.append(str(field))
         return real(field)
 
-    monkeypatch.setattr(fields.TableField, "_tabulate", tabulate)
+    monkeypatch.setattr(fields.FiniteField, "_tabulate", tabulate)
     return built
 
 
@@ -82,18 +84,34 @@ def test_command_needs_no_walk(name, output, capsys, tables_built):
     assert tables_built == []
 
 
-def test_no_field_above_the_table_order_is_tabulated(tables_built):
+def _arithmetic(field):
+    g = field.generator_power(1)
+    fields.square_class(fields.unit_inv(fields.unit_mul(g, fields.unit_neg(g))))
+    fields.unit_pow(g, -2)
+    field.generator_power(77)
+
+
+def test_no_field_above_the_table_order_is_tabulated(tables_built, monkeypatch):
     assert fields.TABLE_ORDER == 2**14
     assert type(fields.parse_field("Fq(16381)")) is fields.TableField  # the last prime below
-    for literal in ("Fq(16411)", BIG, "Fq(531441)"):  # 16411 is the first prime above
-        field = fields.parse_field(literal)
+    # 16411 is the first prime above; 3^10 is the first power of 3 above
+    above = [fields.parse_field(f) for f in ("Fq(16411)", "Fq(59049)", BIG, "Fq(531441)")]
+    for field in above:
         assert type(field) is fields.FiniteField
+        fields._set(field, "_tables", None)  # forget the tables, should a test have built them
+        _arithmetic(field)
+    assert tables_built == []  # arithmetic above the bound asks for no discrete log
+    for field in above[:2]:
         g = field.generator_power(1)
-        fields.square_class(fields.unit_inv(fields.unit_mul(g, fields.unit_neg(g))))
-        fields.unit_pow(g, -2)
-        if field.order < WALK_LIMIT:
-            assert field.literal(g) == "g^1"
-    assert tables_built == []
+        assert [field.literal(g), field.literal(g), field.kmw_coords(g)] == ["g^1", "g^1", (1,)]
+    assert tables_built == [str(f) for f in above[:2]]  # once per field, on its first log
+    calls = []
+    real = fields.FiniteField._mul_packed
+    monkeypatch.setattr(fields.FiniteField, "_mul_packed",
+                        lambda f, x, y: calls.append(1) or real(f, x, y))
+    _arithmetic(above[1])
+    assert calls  # the tables serve logs; the arithmetic is still the kernel's
+    assert tables_built == [str(f) for f in above[:2]]
 
 
 def test_degree_one_transfer_over_a_trivial_extension():

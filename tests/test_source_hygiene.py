@@ -165,18 +165,15 @@ def test_the_check_sees_a_record_field_nothing_reads():
     assert unread_fields({"a.py": a}, [a, b]) == ["a.py line 2: R.stale", "a.py line 5: S.gone"]
 
 
-# The walks: called by name, or as a method such as ``FiniteField.powers``.
-WALKS = {"enumerate_units", "discrete_log_table", "sum_to_one_tuples", "powers", "_tabulate"}
-# Where a walk may run outside ``checks``: the walks themselves; the g^k
-# literals and degree-1 coordinates over F_q, which still read the
-# discrete-log table; and the exp/log tables of a field of order at most
-# ``TABLE_ORDER``, built once by its first discrete log.
+# The walks: called by name, or as a method such as ``FiniteField._tabulate``.
+WALKS = {"enumerate_units", "discrete_log_table", "sum_to_one_tuples", "_tabulate"}
+# Where a walk may run outside ``checks``: the walks themselves, and the
+# discrete log of a finite field, whose first call builds the field's exp/log
+# tables once; g^k literals and K^MW_1 coordinates read it.
 WALK_SITES = {
     "fields.enumerate_units",
     "fields.discrete_log_table",
-    "fields.FiniteField.literal",
-    "fields.FiniteField.kmw_coords",
-    "fields.TableField._log",
+    "fields.FiniteField._log",
 }
 
 
@@ -214,13 +211,13 @@ def test_only_checks_walks_fields():
 
 
 def test_the_check_sees_a_misplaced_walk():
-    a = ast.parse("def enumerate_units(f): return f.powers(1)\n"
+    a = ast.parse("def enumerate_units(f): return f._tabulate()\n"
                   "class K:\n    def logs(self): return [discrete_log_table(self)]\n"
                   "    def literal(self): return enumerate_units(self)\n")
     b = ast.parse("import mwslice.checks\n"
                   "def cmd_check_all(): from mwslice import checks\n"
                   "def cmd_gw(): from mwslice.checks import represents\n")
-    c = ast.parse("def f(units): return [x.powers for x in units]\n")
+    c = ast.parse("def f(units): return [x._tabulate for x in units]\n")
     assert misplaced_walks({"fields": a, "cli": b, "forms": c, "checks": a}) == [
         "cli imports mwslice.checks",
         "cli.cmd_gw imports mwslice.checks",
