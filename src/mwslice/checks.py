@@ -26,7 +26,6 @@ from mwslice.fields import (
     REALS,
     FieldDescriptor,
     Unit,
-    discrete_log_table,
     enumerate_units,
     finite_field,
     multiplicative_generator,
@@ -243,7 +242,6 @@ def k2_brute_force_order(field: FieldDescriptor) -> int:
     contributes log(u)*log(1-u) to the annihilator of the generator.
     """
     q = field.order
-    logs = discrete_log_table(field)
     ann = q - 1
     e = one(field)
     for u in enumerate_units(field):
@@ -252,7 +250,7 @@ def k2_brute_force_order(field: FieldDescriptor) -> int:
         w = unit_sub(e, u)
         if w is None:
             continue
-        ann = gcd(ann, logs[u] * logs[w] % (q - 1))
+        ann = gcd(ann, field.kmw_coords(u)[0] * field.kmw_coords(w)[0] % (q - 1))
     return ann
 
 

@@ -535,12 +535,20 @@ class FiniteField(FieldDescriptor):
             x = self._mul_packed(x, step)
         return tuple(carriers), {c: k for k, c in enumerate(carriers)}
 
-    def _log(self, a: Unit) -> int:
-        """k with a = g^k, 0 <= k < q - 1; the first call builds the tables."""
+    def _exp_log(self) -> tuple:
+        """The (exp, log) tables; the first call builds them."""
         if self._tables is None:
             _set(self, "_tables", self._tabulate())
-        log = self._tables[1]
-        return log[a.value[0]] if self.degree == 1 else log[a.value]
+        return self._tables
+
+    def _log(self, a: Unit) -> int:
+        """k with a = g^k, 0 <= k < q - 1."""
+        return self._exp_log()[1][a.value[0] if self.degree == 1 else a.value]
+
+    def _exp(self, k: int) -> Unit:
+        """g^k read off ``exp``, once built; unchecked, as the kernel computed it."""
+        c = self._tables[0][k % (self.order - 1)]
+        return _kernel_unit(self, (c,) if self.degree == 1 else c)
 
     @cached_property
     def _comb(self) -> tuple[tuple[int, ...], ...]:
@@ -687,16 +695,14 @@ class TableField(FiniteField):
     which costs less), an inverse negates one, -1 is g^((q-1)/2), and since
     g is a nonsquare the square class is the parity of the log.  Until then
     every operation runs the kernel, so a command that prints no g^k pays
-    nothing for the tables.  Units read off ``exp`` skip ``check_carrier``:
-    the kernel computed their carriers.  Sums stay coefficient-wise, and
-    outside input is still checked.
+    nothing for the tables.  Sums stay coefficient-wise, and outside input
+    is still checked.
     """
 
     def generator_power(self, k: int) -> Unit:
         if self._tables is None:
             return FiniteField.generator_power(self, k)
-        c = self._tables[0][k % (self.order - 1)]
-        return _kernel_unit(self, (c,) if self.degree == 1 else c)
+        return self._exp(k)
 
     def mul(self, a: Unit, b: Unit) -> Unit:
         if self.degree == 1:
@@ -925,10 +931,8 @@ def enumerate_units(field: FieldDescriptor) -> tuple[Unit, ...]:
     read off the field's ``exp`` table."""
     if not field.is_finite:
         raise UnsupportedEnumerationError(f"cannot enumerate units of {field}")
-    field._log(field.one())  # the first discrete log builds the tables
-    if field.degree == 1:
-        return tuple(_kernel_unit(field, (c,)) for c in field._tables[0])
-    return tuple(_kernel_unit(field, c) for c in field._tables[0])
+    field._exp_log()  # the first read builds the tables
+    return tuple(map(field._exp, range(field.order - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -949,6 +953,7 @@ def multiplicative_generator(field: FieldDescriptor) -> Unit:
 
 @lru_cache(maxsize=None)
 def discrete_log_table(field: FieldDescriptor) -> dict[Unit, int]:
+    """u -> log_g u; only ``perfbench`` set-up calls it, to build the tables."""
     return {u: k for k, u in enumerate(enumerate_units(field))}
 
 

@@ -28,6 +28,9 @@ from mwslice.transfers import FiniteExtension, transfer_kmw
 
 WALK_LIMIT = 10**5
 BIG = "Fq(999983)"
+# Every field this file uses.  Fields are interned, so tables that an earlier
+# test built would let a discrete log here skip ``_tabulate`` unseen.
+FIELDS = (BIG, "Fq(994009)", "Fq(531441)", "Fq(729)", "Fq(16411)", "Fq(59049)")
 
 
 @pytest.fixture(autouse=True)
@@ -40,9 +43,15 @@ def refuse_big_walks(monkeypatch):
         return real(field)
 
     monkeypatch.setattr(fields.FiniteField, "_tabulate", tabulate)
+    used = [fields.parse_field(f) for f in FIELDS]
+    saved = [field._tables for field in used]
+    for field in used:
+        fields._set(field, "_tables", None)  # as in a fresh process
     fields.enumerate_units.cache_clear()
     fields.discrete_log_table.cache_clear()
     yield
+    for field, tables in zip(used, saved):
+        fields._set(field, "_tables", tables)
     fields.enumerate_units.cache_clear()
     fields.discrete_log_table.cache_clear()
 
@@ -98,7 +107,6 @@ def test_no_field_above_the_table_order_is_tabulated(tables_built, monkeypatch):
     above = [fields.parse_field(f) for f in ("Fq(16411)", "Fq(59049)", BIG, "Fq(531441)")]
     for field in above:
         assert type(field) is fields.FiniteField
-        fields._set(field, "_tables", None)  # forget the tables, should a test have built them
         _arithmetic(field)
     assert tables_built == []  # arithmetic above the bound asks for no discrete log
     for field in above[:2]:

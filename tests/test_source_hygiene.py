@@ -167,13 +167,13 @@ def test_the_check_sees_a_record_field_nothing_reads():
 
 # The walks: called by name, or as a method such as ``FiniteField._tabulate``.
 WALKS = {"enumerate_units", "discrete_log_table", "sum_to_one_tuples", "_tabulate"}
-# Where a walk may run outside ``checks``: the walks themselves, and the
-# discrete log of a finite field, whose first call builds the field's exp/log
-# tables once; g^k literals and K^MW_1 coordinates read it.
+# Where a walk may run outside ``checks``: the walks themselves, and the one
+# reader of a finite field's exp/log tables, whose first call builds them;
+# discrete logs, g^k literals and K^MW_1 coordinates go through it.
 WALK_SITES = {
     "fields.enumerate_units",
     "fields.discrete_log_table",
-    "fields.FiniteField._log",
+    "fields.FiniteField._exp_log",
 }
 
 
