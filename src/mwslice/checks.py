@@ -7,18 +7,18 @@ deterministic order.  The ``quick`` profile shrinks the largest grids, the
 
 Every exhaustive oracle the criteria compare against lives here too: the
 chain-equivalence classification of forms, the Steinberg presentation of
-K^M_2, the cartesian-square check, the sum-to-one tuples and the span of the
-Pfister elements.  Only ``check-all`` and the tests import this module, so
-no other command walks the units of a field.
+K^M_2, the cartesian-square check, the sum-to-one tuples, the span of the
+Pfister elements and the Gram matrix of a trace form.  Only ``check-all`` and
+the tests import this module, so no other command walks the units of a field.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from mwslice.abelian import Record, SubgroupDescription, full_subgroup
 from mwslice.fields import (
@@ -34,6 +34,7 @@ from mwslice.fields import (
     unit_add,
     unit_mul,
     unit_neg,
+    unit_pow,
     unit_sub,
 )
 from mwslice.filtration import (
@@ -76,6 +77,7 @@ from mwslice.transfers import (
     filtration_preservation_check,
     projection_formula_check,
     transfer_closure_subgroup,
+    transfer_of_unit_form,
 )
 
 STANDARD_FIELDS = (
@@ -124,19 +126,20 @@ def ideal_power_oracle(field: FieldDescriptor, n: int) -> SubgroupDescription:
     return SubgroupDescription(field.gw_ambient, tuple(pfister(a).coords for a in reps))
 
 
+def _unit_sum(units: Iterable[Unit]) -> Unit | None:
+    """The sum of some units; None stands for 0."""
+    total: Unit | None = None
+    for u in units:
+        total = u if total is None else unit_add(total, u)
+    return total
+
+
 def represents(field: FieldDescriptor, entries: tuple[Unit, ...], c: Unit) -> bool:
     """Exhaustive test: does the diagonal form with these entries represent c?"""
     values = [None] + list(enumerate_units(field))
     for point in itertools.product(values, repeat=len(entries)):
-        if all(x is None for x in point):
-            continue
-        total: Unit | None = None  # None stands for a zero running sum
-        for a, x in zip(entries, point):
-            if x is None:
-                continue
-            term = unit_mul(a, unit_mul(x, x))
-            total = term if total is None else unit_add(total, term)
-        if total == c:
+        terms = [unit_mul(a, unit_mul(x, x)) for a, x in zip(entries, point) if x is not None]
+        if terms and _unit_sum(terms) == c:
             return True
     return False
 
@@ -252,6 +255,32 @@ def k2_brute_force_order(field: FieldDescriptor) -> int:
             continue
         ann = gcd(ann, field.kmw_coords(u)[0] * field.kmw_coords(w)[0] % (q - 1))
     return ann
+
+
+def trace_form_oracle(ext: FiniteExtension, a: Unit) -> GWClass:
+    """Tr_*<a> over a finite base, read off the Gram matrix of Tr(a x y).
+
+    In the basis 1, X, ..., X^(d-1) over the base (X the polynomial class) the
+    Gram matrix is Tr(a X^(i+j)), each trace the sum of the d conjugates
+    z^(q_b^k).  Its Leibniz determinant lies in the base, so Euler's criterion
+    with q_b decides its square class inside the top field.
+    """
+    top, d, j = ext.top, ext.degree, ext.base.degree
+    x = Unit(top, (0, 1) + (0,) * (top.degree - 2)) if top.degree > 1 else one(top)
+    zs = [unit_mul(a, unit_pow(x, i)) for i in range(2 * d - 1)]
+    traces = [_unit_sum(top.frobenius(z, k * j) for k in range(d)) for z in zs]
+    terms = []
+    for perm in itertools.permutations(range(d)):
+        entries = [traces[i + perm[i]] for i in range(d)]
+        if all(t is not None for t in entries):
+            term = reduce(unit_mul, entries)
+            odd = sum(r > s for r, s in itertools.combinations(perm, 2)) % 2
+            terms.append(unit_neg(term) if odd else term)
+    det, e = _unit_sum(terms), one(top)
+    euler = None if det is None else unit_pow(det, (ext.base.order - 1) // 2)
+    if euler not in (e, unit_neg(e)):
+        raise ValueError(f"{ext}: the Gram determinant of <{a}> is not a base unit")
+    return GWClass(ext.base, (d, int(euler != e)))
 
 
 def cartesian_check(field: FieldDescriptor, m: int) -> tuple[int, str | None]:
@@ -572,7 +601,7 @@ def check_convergence(run: _Run) -> CheckResult:
 
 
 def check_transfers(run: _Run) -> CheckResult:
-    """Projection formula, filtration preservation, and the closure identity."""
+    """Gram oracle, projection formula, filtration preservation, closure identity."""
     f3, f5 = finite_field(3), finite_field(5)
     extensions = [
         FiniteExtension(f3, finite_field(9)),
@@ -580,6 +609,12 @@ def check_transfers(run: _Run) -> CheckResult:
         FiniteExtension(f5, finite_field(25)),
         FiniteExtension(REALS, COMPLEXES),
     ]
+    for ext in extensions[:3]:
+        for a in enumerate_units(ext.top):
+            run.cases += 1
+            got, want = transfer_of_unit_form(ext, a), trace_form_oracle(ext, a)
+            if got != want:
+                return run.fail(f"{ext}: Tr<{a}> = {got}, Gram oracle {want}")
     for ext in extensions:
         cases, counterexample = projection_formula_check(ext, 4)
         run.cases += cases
@@ -599,7 +634,7 @@ def check_transfers(run: _Run) -> CheckResult:
             level = tate_filtration(FiltrationQuery(n, p, q, base))
             if closure != level:
                 return run.fail(f"base {base}, (n,p,q)=({n},{p},{q}): closure != filtration")
-    return run.passed("projection formula, preservation grid, closure identity all exact")
+    return run.passed("Gram oracle, projection formula, preservation grid, closure identity all exact")
 
 
 CRITERIA: tuple[tuple[str, Callable[[_Run], CheckResult]], ...] = (

@@ -1,4 +1,5 @@
-"""Trace transfers: Gram computations, projection formula, the closure identity."""
+"""Trace transfers: trace forms against their Gram matrices, projection formula,
+the closure identity."""
 
 import itertools
 import json
@@ -6,7 +7,8 @@ from math import isqrt
 
 import pytest
 
-from mwslice import fields
+from mwslice import checks, fields, transfers
+from mwslice.checks import _Run, check_transfers, trace_form_oracle
 from mwslice.cli import main
 from mwslice.fields import (
     COMPLEXES,
@@ -24,7 +26,7 @@ from mwslice.fields import (
 )
 from mwslice.filtration import FiltrationQuery, tate_filtration
 from mwslice.forms import GWClass, gw_of_unit, gw_one, hyperbolic, witt_class
-from mwslice.milnor_witt import normalize, mw_symbol
+from mwslice.milnor_witt import MWNormalForm, normalize, mw_symbol
 from mwslice.transfers import (
     ExtensionError,
     FiniteExtension,
@@ -35,7 +37,6 @@ from mwslice.transfers import (
     p_star,
     parse_extension,
     projection_formula_check,
-    trace_to_base,
     trace_transfer_gw,
     trace_transfer_witt,
     transfer_closure_subgroup,
@@ -70,8 +71,7 @@ def test_complex_over_real_trace_of_one():
 
 
 def test_identity_extension_is_identity():
-    # degree 1 keeps the coordinates; the Gram route agrees, also between two
-    # moduli of F_9
+    # degree 1 keeps the coordinates, also between two moduli of F_9
     for ext in (FiniteExtension(F5, F5), FiniteExtension(F9, F9),
                 FiniteExtension(F9, finite_field(9, (2, 1, 1)))):
         for a in enumerate_units(ext.top):
@@ -86,23 +86,9 @@ def test_identity_extension_is_identity():
 def test_f9_over_f3_gram_values():
     # hand Gram computation in basis {1, x}, x^2 = -1:
     # Tr(1) = 2, Tr(x) = 0, Tr(x^2) = -2 = 1, so Tr<1> = <2, 1>: rank 2, disc 2
-    t1 = transfer_of_unit_form(EXT_93, one(F9))
-    assert t1 == GWClass(F3, (2, 1))
-    # trace of the embedded base field multiplies by the degree
-    two_up = embed_unit(EXT_93, unit(F3, 2))
-    assert trace_to_base(EXT_93, two_up) == unit(F3, 2 * 2)
-
-
-def test_trace_of_base_elements_is_degree_multiple():
-    from mwslice.fields import unit_add
-
-    for ext in (EXT_93, EXT_255, EXT_273):
-        for b in enumerate_units(ext.base)[:3]:
-            t = trace_to_base(ext, embed_unit(ext, b))
-            acc = None
-            for _ in range(ext.degree):
-                acc = b if acc is None else unit_add(acc, b)
-            assert t == acc
+    hand = GWClass(F3, (2, 1))
+    assert transfer_of_unit_form(EXT_93, one(F9)) == hand
+    assert trace_form_oracle(EXT_93, one(F9)) == hand
 
 
 def test_rank_multiplies_by_degree():
@@ -111,16 +97,34 @@ def test_rank_multiplies_by_degree():
             assert transfer_of_unit_form(ext, a).rank == ext.degree
 
 
-@pytest.mark.parametrize("top_q,base_q", [(9, 3), (27, 3), (25, 5), (49, 7), (81, 3), (81, 9)])
-def test_trace_form_class_matches_discriminant_formula(top_q, base_q):
+@pytest.mark.parametrize("top,base", [
+    *(pytest.param(finite_field(t), finite_field(b), id=f"{t}-{b}")
+      for t, b in [(9, 3), (27, 3), (25, 5), (49, 7), (81, 3), (81, 9)]),
+    pytest.param(finite_field(9, (2, 1, 1)), F3, id="9(x^2+x+2)-3"),
+])
+def test_trace_form_class_matches_discriminant_formula(top, base):
     # Over F_q a form is classified by rank and discriminant.  disc Tr<a> is
     # N(a) * disc Tr<1>, the norm preserves square classes, and disc Tr<1> is
-    # a square exactly when the degree d is odd.
-    ext = FiniteExtension(finite_field(base_q), finite_field(top_q))
+    # a square exactly when the degree d is odd.  The oracle reads the class
+    # off the Gram matrix Tr(a X^(i+j)) instead.
+    ext = FiniteExtension(base, top)
     d = ext.degree
     for a in enumerate_units(ext.top):
         expected = GWClass(ext.base, (d, square_class(a) + (d % 2 == 0)))
         assert transfer_of_unit_form(ext, a) == expected, a
+        assert trace_form_oracle(ext, a) == expected, a
+
+
+def test_transfer_criterion_catches_a_wrong_trace_form(monkeypatch):
+    # dropping the [d even] term passes every property check on its own
+    def no_degree_term(ext, a):
+        return GWClass(ext.base, (ext.degree, square_class(a)))
+
+    monkeypatch.setattr(transfers, "transfer_of_unit_form", no_degree_term)
+    monkeypatch.setattr(checks, "transfer_of_unit_form", no_degree_term)
+    result = check_transfers(_Run("11 transfers", "full"))
+    assert not result.ok
+    assert "Fq(9;poly=x^2+1)/Fq(3)" in result.detail
 
 
 def test_transfer_additivity():
@@ -193,6 +197,12 @@ def test_filtration_preservation_grid(ext):
             assert counterexample is None, (m, N)
 
 
+def test_transfer_kmw_rejects_a_zero_form_over_another_field():
+    for field in (finite_field(7), REALS):
+        with pytest.raises(ExtensionError):
+            transfer_kmw(EXT_93, MWNormalForm(field, None))
+
+
 def test_transfer_kmw_degree_one():
     g9 = multiplicative_generator(F9)
     nf = normalize(mw_symbol(g9))
@@ -235,9 +245,6 @@ def test_non_prime_base_extension():
     F81 = finite_field(81)
     ext = FiniteExtension(F9, F81)
     assert ext.degree == 2
-    b = multiplicative_generator(F9)
-    t = trace_to_base(ext, embed_unit(ext, b))
-    assert t == unit_add(b, b)
     assert transfer_of_unit_form(ext, one(F81)).rank == 2
     assert projection_formula_check(ext, 2)[1] is None
 
@@ -289,7 +296,13 @@ def test_largest_extension_never_enumerates_its_top_field(monkeypatch, capsys):
         assert field.order != 531441, "enumerated the units of the top field"
         return real(field)
 
+    def refuse_base_walk(ext):
+        raise AssertionError(f"walked the base field of {ext}")
+
     monkeypatch.setattr(fields.FiniteField, "_tabulate", refuse_top)
+    # a GW transfer reads the class off rank and discriminant: no embedding
+    monkeypatch.setattr(transfers, "_embedding_inverse_table", refuse_base_walk)
+    monkeypatch.setattr(transfers, "embedding_image_of_generator", refuse_base_walk)
     code = main(["--output", "json", "transfer", "--ext", "Fq(531441)/Fq(729)",
                  "--form", "<1,g>"])
     assert code == 0
