@@ -346,6 +346,7 @@ class FiniteField(FieldDescriptor):
         folds = (self._pack(_prem((0,) * j + (1,), modulus, p)) for j in range(d, 2 * d - 1))
         _set(self, "_folds", tuple(folds))
         _set(self, "_tables", None)  # (exp, log) from the first discrete log on
+        _set(self, "_one", _kernel_unit(self, (1,) + (0,) * (d - 1)))
 
     # -- units: coefficient tuples modulo the field's modulus ------------------
 
@@ -376,7 +377,7 @@ class FiniteField(FieldDescriptor):
         return Unit(self, (n % self.p,) + (0,) * (self.degree - 1))
 
     def one(self) -> Unit:
-        return self._from_int(1)
+        return self._one
 
     def _pack(self, c: Sequence[int]) -> int:
         x, k = 0, self.lane
@@ -693,11 +694,37 @@ class TableField(FiniteField):
 
     From then on a product adds logs (over F_p it stays one product mod p,
     which costs less), an inverse negates one, -1 is g^((q-1)/2), and since
-    g is a nonsquare the square class is the parity of the log.  Until then
-    every operation runs the kernel, so a command that prints no g^k pays
-    nothing for the tables.  Sums stay coefficient-wise, and outside input
-    is still checked.
+    g is a nonsquare the square class is the parity of the log.  Over
+    F_(p^d), d >= 2, the tables come with Zech logarithms Z(k) = log(1 + g^k)
+    (Lidl and Niederreiter, *Finite Fields*, 10.3; Huber, IEEE Trans. IT 36,
+    1990), so a sum is g^a + g^b = g^(a + Z(b - a)); Z holds 0, which no
+    Zech log takes, at k = (q-1)/2, where g^k = -1 and the sum is zero.
+    Over F_p a sum is one addition mod p.  Until the tables exist every
+    operation over F_(p^d) runs the kernel, so a command that prints no g^k
+    pays nothing for them.  Outside input is still checked.
     """
+
+    def _exp_log(self) -> tuple:
+        """The exp/log tables and, over F_(p^d), the Zech logs built right after them."""
+        if self._tables is None:
+            exp, log = FiniteField._exp_log(self)
+            if self.degree > 1:
+                p = self.p
+                # 1 + g^k; the zero carrier at g^k = -1 has no log and reads 0
+                _set(self, "_zech", array("H", [log.get(((c[0] + 1) % p,) + c[1:], 0)
+                                                for c in exp]))
+        return self._tables
+
+    def add(self, a: Unit, b: Unit) -> Unit | None:
+        if self.degree == 1:
+            s = (a.value[0] + b.value[0]) % self.p
+            return _kernel_unit(self, (s,)) if s else None
+        if self._tables is None:
+            return FiniteField.add(self, a, b)
+        log = self._tables[1]
+        i = log[a.value]
+        z = self._zech[(log[b.value] - i) % (self.order - 1)]
+        return self._exp(i + z) if z else None
 
     def generator_power(self, k: int) -> Unit:
         if self._tables is None:
@@ -960,8 +987,12 @@ def discrete_log_table(field: FieldDescriptor) -> dict[Unit, int]:
 # -- literal syntax ------------------------------------------------------------
 
 _FIELD_RE = re.compile(r"^Fq\((\d+)(?:;poly=([^)]+))?\)$")
+_TERM_RE = re.compile(r"^(-?\d*)\*?(x(?:\^(\d+))?)?$")
+_GENERATOR_RE = re.compile(r"^g(?:\^(-?\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
+@lru_cache(maxsize=64)
 def parse_field(text: str) -> FieldDescriptor:
     """Parse field literals: ``Fq(7)``, ``Fq(9;poly=x^2+1)``, ``R``, ``C``."""
     text = text.strip()
@@ -987,7 +1018,7 @@ def parse_poly(text: str, degree: int = MAX_FIELD_DEGREE) -> tuple[int, ...]:
     for part in text.replace(" ", "").replace("-", "+-").split("+"):
         if not part:
             continue
-        m = re.match(r"^(-?\d*)\*?(x(?:\^(\d+))?)?$", part)
+        m = _TERM_RE.match(part)
         if not m or (m.group(1) in ("", "-") and not m.group(2)):
             raise ValueError(f"bad polynomial term {part!r}")
         coeff = {"": 1, "-": -1}.get(m.group(1), None)
@@ -1024,13 +1055,13 @@ def poly_str(coeffs: Sequence[int]) -> str:
 def parse_unit(field: FieldDescriptor, text: str) -> Unit:
     """Parse unit literals: integers, rationals ``a/b``, powers ``g^k``."""
     text = text.strip()
-    m = re.match(r"^g(?:\^(-?\d+))?$", text)
+    m = _GENERATOR_RE.match(text)
     if m:
         if not field.is_finite:
             raise ValueError("generator literals g^k only apply to finite fields")
         k = int(m.group(1)) if m.group(1) else 1
         return field.generator_power(k)
-    m = re.match(r"^(-?\d+)(?:/(\d+))?$", text)
+    m = _RATIONAL_RE.match(text)
     if not m:
         raise ValueError(f"unrecognised unit literal {text!r}")
     num = int(m.group(1))

@@ -79,14 +79,19 @@ class MWMonomial(Record):
 
 
 class MWExpression(Record):
+    """An ordered sum of monomials over one field.
+
+    The constructor is the boundary for expressions built from outside: it
+    checks that every unit atom lies over the field.  Expressions the module
+    builds from checked ones (sums, products, negations, ``collect``, the
+    parser) skip that walk; every expression is held to the size bounds.
+    """
+
     __slots__ = _fields = ("field", "terms")
 
     def __init__(self, field: FieldDescriptor, terms: tuple[MWMonomial, ...]) -> None:
-        if len(terms) > MAX_TERMS:  # compare first: every expression passes here
-            _check_size(len(terms), 0)
+        _bounded(terms)
         for t in terms:
-            if len(t.factors) > MAX_WORD_LENGTH:
-                _check_size(0, len(t.factors))
             for a in t.factors:
                 if a is not ETA and a.field is not field:
                     raise FieldMismatchError("symbol unit over the wrong field")
@@ -104,15 +109,13 @@ class MWExpression(Record):
 
     def __add__(self, other: "MWExpression") -> "MWExpression":
         self._check(other)
-        return collect(MWExpression(self.field, self.terms + other.terms))
+        return collect(self.field, self.terms + other.terms)
 
     def __sub__(self, other: "MWExpression") -> "MWExpression":
         return self + (-other)
 
     def __neg__(self) -> "MWExpression":
-        return MWExpression(
-            self.field, tuple(MWMonomial(-t.coeff, t.factors) for t in self.terms)
-        )
+        return _expression(self.field, tuple(MWMonomial(-t.coeff, t.factors) for t in self.terms))
 
     def __mul__(self, other: "MWExpression") -> "MWExpression":
         self._check(other)
@@ -123,7 +126,7 @@ class MWExpression(Record):
         for s in self.terms:
             for t in other.terms:
                 terms.append(MWMonomial(s.coeff * t.coeff, s.factors + t.factors))
-        return collect(MWExpression(self.field, tuple(terms)))
+        return collect(self.field, terms)
 
     def _check(self, other: "MWExpression") -> None:
         if self.field != other.field:
@@ -131,6 +134,24 @@ class MWExpression(Record):
 
     def __str__(self) -> str:
         return _render(self.terms, _atom_str)
+
+
+def _expression(field: FieldDescriptor, terms: tuple[MWMonomial, ...]) -> MWExpression:
+    """An expression whose atoms already lie over field; only the size bounds are checked."""
+    _bounded(terms)
+    e = object.__new__(MWExpression)
+    _set(e, "field", field)
+    _set(e, "terms", terms)
+    return e
+
+
+def _bounded(terms: tuple[MWMonomial, ...]) -> None:
+    """Refuse more than MAX_TERMS monomials or a word of more than MAX_WORD_LENGTH atoms."""
+    if len(terms) > MAX_TERMS:  # compare first: every expression passes here
+        _check_size(len(terms), 0)
+    for t in terms:
+        if len(t.factors) > MAX_WORD_LENGTH:
+            check_word_length(len(t.factors))
 
 
 def _check_size(terms: int, longest_word: int) -> None:
@@ -145,35 +166,38 @@ def check_word_length(length: int) -> None:
         raise ValueError(f"a word of {length} atoms exceeds the supported bound {MAX_WORD_LENGTH}")
 
 
-def collect(e: MWExpression) -> MWExpression:
-    """Merge monomials with identical factor words; drop zero coefficients."""
-    order: list[tuple] = []
+def collect(field: FieldDescriptor, terms: Sequence[MWMonomial]) -> MWExpression:
+    """The sum of these monomials: identical words merged where each first
+    occurs, zero coefficients dropped.
+
+    The monomials come from checked expressions over field, as they are or
+    with their words spliced and joined, so their atoms are not walked again.
+    """
+    if len(terms) == 1:  # nothing to merge
+        (t,) = terms
+        return _expression(field, (t,) if t.coeff else ())
     acc: dict[tuple, int] = {}
-    for t in e.terms:
-        if t.factors not in acc:
-            acc[t.factors] = 0
-            order.append(t.factors)
-        acc[t.factors] += t.coeff
-    terms = tuple(MWMonomial(acc[f], f) for f in order if acc[f] != 0)
-    return MWExpression(e.field, terms)
+    for t in terms:
+        acc[t.factors] = acc.get(t.factors, 0) + t.coeff
+    return _expression(field, tuple(MWMonomial(c, w) for w, c in acc.items() if c))
 
 
 def mw_zero(field: FieldDescriptor) -> MWExpression:
-    return MWExpression(field, ())
+    return _expression(field, ())
 
 
 def mw_int(field: FieldDescriptor, n: int) -> MWExpression:
     if n == 0:
         return mw_zero(field)
-    return MWExpression(field, (MWMonomial(n, ()),))
+    return _expression(field, (MWMonomial(n, ()),))
 
 
 def mw_eta(field: FieldDescriptor) -> MWExpression:
-    return MWExpression(field, (MWMonomial(1, (ETA,)),))
+    return _expression(field, (MWMonomial(1, (ETA,)),))
 
 
 def mw_symbol(u: Unit) -> MWExpression:
-    return MWExpression(u.field, (MWMonomial(1, (u,)),))
+    return _expression(u.field, (MWMonomial(1, (u,)),))
 
 
 def mw_symbols(units: Sequence[Unit]) -> MWExpression:
@@ -182,7 +206,7 @@ def mw_symbols(units: Sequence[Unit]) -> MWExpression:
 
 def mw_unit_form(u: Unit) -> MWExpression:
     """<u> = 1 + eta*[u], the degree-zero unit form."""
-    return mw_int(u.field, 1) + MWExpression(u.field, (MWMonomial(1, (ETA, u)),))
+    return mw_int(u.field, 1) + _expression(u.field, (MWMonomial(1, (ETA, u)),))
 
 
 # -- normal forms ------------------------------------------------------------------
@@ -321,7 +345,7 @@ def theta0_inverse(x: GWClass) -> MWExpression:
     e = mw_int(f, x.rank)
     for c, u in zip(x.coords[1:], f.gw_generator_units()):
         if c:
-            e = e + MWExpression(f, (MWMonomial(c, (ETA, u)),))
+            e = e + _expression(f, (MWMonomial(c, (ETA, u)),))
     return e
 
 
@@ -359,7 +383,7 @@ def kmw_generating_expressions(field: FieldDescriptor, m: int) -> tuple[MWExpres
     gens0 = [mw_int(field, 1)] + [mw_unit_form(u) for u in units]
     if m == 0:
         return tuple(gens0)
-    eta_pow = MWExpression(field, (MWMonomial(1, (ETA,) * -m),))
+    eta_pow = _expression(field, (MWMonomial(1, (ETA,) * -m),))
     return tuple(eta_pow * g for g in gens0)
 
 
@@ -456,14 +480,20 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
                     acc[t.factors] = c  # a word already there keeps its place
                 else:
                     del acc[t.factors]
-        return MWExpression(field, tuple(MWMonomial(c, w) for w, c in acc.items()))
+        return _expression(field, tuple(MWMonomial(c, w) for w, c in acc.items()))
 
     def parse_term() -> MWExpression:
         nonlocal idx
         out = parse_factor()
         while peek() == "*":
             idx += 1
-            out = out * parse_factor()
+            rhs = parse_factor()
+            if len(out.terms) == len(rhs.terms) == 1:  # join the two words directly
+                (s,), (t,) = out.terms, rhs.terms
+                check_word_length(len(s.factors) + len(t.factors))
+                out = _expression(field, (MWMonomial(s.coeff * t.coeff, s.factors + t.factors),))
+            else:
+                out = out * rhs
         return out
 
     def parse_factor() -> MWExpression:

@@ -17,6 +17,7 @@ from typing import Sequence
 from mwslice.abelian import Record
 from mwslice.fields import (
     FieldDescriptor,
+    FieldMismatchError,
     Unit,
     one,
     parse_field,
@@ -62,33 +63,45 @@ def _mono(coeff: int, *atoms) -> MWMonomial:
 
 
 def _expr(fld: FieldDescriptor, *monos: MWMonomial) -> MWExpression:
-    return MWExpression(fld, tuple(monos))
+    """A rule side, collected: its units are bindings checked over fld, and no
+    side has words that cancel, so collecting it changes no step's result."""
+    return collect(fld, monos)
 
 
-def _unit_binding(bindings: dict, name: str) -> Unit:
+def _check_field(v: Unit, fld: FieldDescriptor, name: str) -> None:
+    if v.field is not fld:
+        raise FieldMismatchError(f"binding {name!r} is a unit over {v.field}, not {fld}")
+
+
+def _unit_binding(bindings: dict, name: str, fld: FieldDescriptor) -> Unit:
     try:
         v = bindings[name]
     except KeyError:
         raise RuleConditionError(f"missing binding {name!r}") from None
     if not isinstance(v, Unit):
         raise RuleConditionError(f"binding {name!r} must be a unit")
+    _check_field(v, fld, name)
     return v
 
 
 def instantiate(rule: str, fld: FieldDescriptor, bindings: dict) -> tuple[MWExpression, MWExpression]:
-    """The (lhs, rhs) expressions of a rule instance; checks side conditions."""
+    """The (lhs, rhs) expressions of a rule instance; checks side conditions.
+
+    Each unit binding is checked to lie over fld once, here; the sides built
+    from them are then collected without a second walk.
+    """
     if rule == "R-eta-comm":
-        u = _unit_binding(bindings, "u")
+        u = _unit_binding(bindings, "u", fld)
         return _expr(fld, _mono(1, ETA, u)), _expr(fld, _mono(1, u, ETA))
     if rule == "R-steinberg":
-        u = _unit_binding(bindings, "u")
+        u = _unit_binding(bindings, "u", fld)
         w = unit_add(one(fld), unit_neg(u))
         if w is None:
             raise RuleConditionError("Steinberg relation needs u != 1")
         return _expr(fld, _mono(1, u, w)), mw_zero(fld)
     if rule in ("R-product", "R-twisted"):
-        a = _unit_binding(bindings, "u" if rule == "R-product" else "a")
-        b = _unit_binding(bindings, "v" if rule == "R-product" else "b")
+        a = _unit_binding(bindings, "u" if rule == "R-product" else "a", fld)
+        b = _unit_binding(bindings, "v" if rule == "R-product" else "b", fld)
         ab = unit_mul(a, b)
         lhs = _expr(fld, _mono(1, ab))
         rhs = _expr(fld, _mono(1, a), _mono(1, b), _mono(1, ETA, a, b))
@@ -106,6 +119,8 @@ def instantiate(rule: str, fld: FieldDescriptor, bindings: dict) -> tuple[MWExpr
         atom = bindings.get("atom")
         if atom is not ETA and not isinstance(atom, Unit):
             raise RuleConditionError("R-central needs an atom binding 'atom'")
+        if atom is not ETA:
+            _check_field(atom, fld, "atom")
         side = bindings.get("side", "left")
         a = _expr(fld, _mono(1, atom))
         left, right = z * a, a * z
@@ -115,23 +130,23 @@ def instantiate(rule: str, fld: FieldDescriptor, bindings: dict) -> tuple[MWExpr
             return right, left
         raise RuleConditionError(f"R-central side must be left or right, got {side!r}")
     if rule == "R-inv":
-        a = _unit_binding(bindings, "a")
+        a = _unit_binding(bindings, "a", fld)
         ainv = unit_inv(a)
         lhs = _expr(fld, _mono(1, ainv))
         rhs = _expr(fld, _mono(-1, a), _mono(-1, ETA, ainv, a))
         return lhs, rhs
     if rule == "R-negself":
-        a = _unit_binding(bindings, "a")
+        a = _unit_binding(bindings, "a", fld)
         return _expr(fld, _mono(1, a, unit_neg(a))), mw_zero(fld)
     if rule == "R-one":
         return _expr(fld, _mono(1, one(fld))), mw_zero(fld)
     if rule == "R-neginv":
-        a = _unit_binding(bindings, "a")
+        a = _unit_binding(bindings, "a", fld)
         target = unit_neg(unit_inv(a))
         return _expr(fld, _mono(1, a, target)), mw_zero(fld)
     if rule == "R-sum":
-        u = _unit_binding(bindings, "u")
-        v = _unit_binding(bindings, "v")
+        u = _unit_binding(bindings, "u", fld)
+        v = _unit_binding(bindings, "v", fld)
         s = unit_add(u, v)
         if s is None:
             raise RuleConditionError("R-sum needs u + v != 0")
@@ -229,7 +244,7 @@ def derivation_from_json(data: dict) -> Derivation:
         _require(isinstance(s, dict), "each step must be a JSON object")
         pos, raw = s.get("position"), s.get("bindings", {})
         _require(isinstance(s.get("rule"), str) and isinstance(pos, dict)
-                 and all(isinstance(pos.get(k), int) for k in ("term", "factor")),
+                 and all(type(pos.get(k)) is int for k in ("term", "factor")),
                  "each step needs a rule name and an integer term and factor position")
         _require(isinstance(raw, dict) and all(isinstance(v, str) for v in raw.values()),
                  "step bindings must map names to strings")
@@ -272,6 +287,8 @@ def apply_step(expr: MWExpression, step: Step) -> MWExpression:
         )
     c = t.coeff // anchor.coeff
     prefix, suffix = t.factors[:j], t.factors[j + width :]
+    if rhs.terms:  # the longest new word, refused before any is built
+        check_word_length(len(t.factors) - width + max(len(r.factors) for r in rhs.terms))
 
     remaining = list(expr.terms)
     remaining[step.term_index] = None  # anchor term consumed
@@ -296,7 +313,7 @@ def apply_step(expr: MWExpression, step: Step) -> MWExpression:
                 new_terms.append(MWMonomial(c * r.coeff, prefix + r.factors + suffix))
         if term is not None:
             new_terms.append(term)
-    return collect(MWExpression(expr.field, tuple(new_terms)))
+    return collect(expr.field, new_terms)
 
 
 class VerificationResult(Record):
@@ -317,7 +334,7 @@ def verify_derivation(d: Derivation) -> VerificationResult:
             current = apply_step(current, step)
         except ValueError as exc:
             return VerificationResult(False, i, str(exc))
-    if collect(current).terms != collect(d.end).terms:
+    if collect(current.field, current.terms).terms != collect(d.end.field, d.end.terms).terms:
         return VerificationResult(False, None, f"derivation ends at {current}, not {d.end}")
     return VerificationResult(True)
 

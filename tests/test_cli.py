@@ -166,6 +166,19 @@ def test_mw_verify_wrong_shape_exits_2(capsys, tmp_path, content):
     assert err.startswith("error: malformed derivation") and "Traceback" not in err
 
 
+def test_mw_verify_refuses_boolean_positions(capsys, tmp_path):
+    assert main(["--output", "json", "mw-derive", "--field", "Fq(7)", "--units", "3,5"]) == 0
+    cert = json.loads(capsys.readouterr().out)["result"]
+    cert["steps"][0]["position"] = {"term": False, "factor": False}
+    path = tmp_path / "derivation.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    assert main(["mw-verify", "--derivation", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: malformed derivation: each step needs a rule name"
+                            " and an integer term and factor position\n")
+
+
 def test_moore_large_prime_ell(capsys):
     code, out = run(capsys, "moore", "--field", "R", "--ell", "1000000007", "--n", "3")
     assert code == 0 and out.endswith("Z/1000000007")

@@ -564,12 +564,14 @@ def test_table_operations_match_the_kernel_on_every_pair(case):
     field = _tabulated(finite_field(*case))
     assert type(field) is TableField
     kernel, units = _Kernel(field), _all_units(field)
-    mul, pow_, kmul, kpow = field.mul, field.pow, kernel.mul, kernel.pow
+    mul, pow_, add, kmul, kpow, kadd = (field.mul, field.pow, field.add,
+                                        kernel.mul, kernel.pow, kernel.add)
     for k, a in enumerate(units):
         assert _unary_ops(field, a, k) == _unary_ops(kernel, a, k), a
         for n, b in enumerate(units):
             assert mul(a, b) == kmul(a, b), (a, b)
             assert pow_(a, n) == kpow(a, n), (a, n)
+            assert add(a, b) == kadd(a, b), (a, b)  # None where b = -a
 
 
 @pytest.mark.parametrize("q", [2187, 10007, 15625, 16381])
@@ -583,6 +585,8 @@ def test_table_operations_match_the_kernel_on_seeded_pairs(q):
         assert _unary_ops(field, a, k) == _unary_ops(kernel, a, k), (a, k)
         assert field.mul(a, b) == kernel.mul(a, b), (a, b)
         assert field.pow(a, k) == kernel.pow(a, k), (a, k)
+        assert field.add(a, b) == kernel.add(a, b), (a, b)
+        assert field.add(a, field.neg(a)) is None, a
 
 
 @pytest.mark.parametrize("q", [16411, 3**10, 999983])
@@ -602,7 +606,7 @@ def test_a_tabulated_operation_makes_no_packed_product(monkeypatch):
     field.literal(a)  # builds the tables
     calls = _count_products(monkeypatch)
     for op in (lambda: unit_mul(a, b), lambda: unit_inv(a), lambda: unit_pow(a, -2),
-               lambda: unit_neg(a), lambda: square_class(a),
+               lambda: unit_neg(a), lambda: unit_add(a, b), lambda: square_class(a),
                lambda: field.generator_power(77), lambda: field.literal(a),
                lambda: field.kmw_coords(a)):
         op()
@@ -615,7 +619,8 @@ def test_no_table_is_built_before_a_discrete_log():
     kernel = _Kernel(field)
     a, b = _seeded_units(field, 2, 3125)
     ops = [lambda f: f.mul(a, b), lambda f: f.inv(a), lambda f: f.pow(a, -2),
-           lambda f: f.neg(a), lambda f: f.square_class(a), lambda f: f.generator_power(77)]
+           lambda f: f.neg(a), lambda f: f.add(a, b), lambda f: f.square_class(a),
+           lambda f: f.generator_power(77)]
     assert [op(field) for op in ops] == [op(kernel) for op in ops]
     assert field._tables is None
     assert field.literal(field.generator_power(1)) == "g^1"
@@ -637,3 +642,21 @@ def test_the_benchmark_fields_tabulate_in_under_600_kb():
         tracemalloc.stop()
     assert [len(exp) for exp, _ in tables] == [10006, 2186]
     assert size <= 600_000
+
+
+def test_zech_logs_come_with_the_tables_of_prime_power_fields_only():
+    field, prime = _tabulated(finite_field(2187)), _tabulated(finite_field(10007))
+    exp, log = field._tables
+    zech, n = field._zech, field.order - 1
+    assert (zech.typecode, len(zech)) == ("H", n)  # 2 bytes per unit of Fq(2187)
+    assert [k for k in range(n) if not zech[k]] == [n // 2]
+    for k in range(n):
+        one_plus = ((exp[k][0] + 1) % 3,) + exp[k][1:]  # 1 + g^k
+        if k == n // 2:
+            assert not any(one_plus)  # g^k = -1
+        else:
+            assert exp[zech[k]] == one_plus, k
+    assert not hasattr(prime, "_zech")  # a prime field adds mod p and keeps no Zech table
+    a = prime.generator_power(5)
+    assert prime.add(a, prime.neg(a)) is None
+    assert prime.add(a, a).value == (2 * a.value[0] % 10007,)

@@ -413,3 +413,26 @@ def test_parser_rejects_garbage():
         parse_expression(F7, "(1 + eta")
     with pytest.raises(ValueError):
         parse_expression(F7, "[0]")
+
+
+def test_an_expression_built_from_outside_checks_its_units():
+    from mwslice.fields import FieldMismatchError
+    from mwslice.milnor_witt import ETA, MWExpression, MWMonomial
+
+    ok = MWExpression(F7, (MWMonomial(2, (ETA, unit(F7, 3))), MWMonomial(1, ())))
+    assert str(ok) == "2*eta*[3] + 1"
+    for word in [(unit(F5, 2),), (ETA, unit(F7, 3), unit(F5, 2))]:
+        with pytest.raises(FieldMismatchError, match="^symbol unit over the wrong field$"):
+            MWExpression(F7, (MWMonomial(1, (unit(F7, 3),)), MWMonomial(1, word)))
+
+
+def test_a_long_product_is_refused_before_its_word_is_built(monkeypatch):
+    built, real = [], milnor_witt.MWMonomial
+    monkeypatch.setattr(milnor_witt, "MWMonomial",
+                        lambda coeff, word: built.append(len(word)) or real(coeff, word))
+    limit = milnor_witt.MAX_WORD_LENGTH
+    assert len(parse_expression(F7, "*".join(["[2]"] * limit)).terms[0].factors) == limit
+    built.clear()
+    with pytest.raises(ValueError, match=f"^a word of {limit + 1} atoms exceeds the supported bound {limit}$"):
+        parse_expression(F7, "*".join(["[2]"] * (limit + 1)))
+    assert built and max(built) == limit

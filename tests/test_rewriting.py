@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwslice.fields import enumerate_units, finite_field, one, unit, unit_add, unit_neg
+from mwslice import fields
+from mwslice import rewriting as rw
+from mwslice.fields import (
+    FieldMismatchError,
+    enumerate_units,
+    finite_field,
+    one,
+    parse_unit,
+    unit,
+    unit_add,
+    unit_neg,
+)
 from mwslice.milnor_witt import (
     ETA,
     MAX_WORD_LENGTH,
@@ -237,3 +248,69 @@ def test_random_tuples_with_unit_completion(q, picks):
     d = derive_extended_steinberg(tup)
     assert verify_derivation(d).ok
     assert normalize(mw_symbols(tup), degree=len(tup)).is_zero
+
+
+def test_positions_must_be_integers_not_booleans():
+    data = derive_extended_steinberg([unit(F7, 3), unit(F7, 5)]).to_json()
+    assert verify_derivation(derivation_from_json(data)).ok
+    for key in ("term", "factor"):
+        bad = json.loads(json.dumps(data))
+        bad["steps"][0]["position"][key] = False  # False == 0 would replay as position 0
+        with pytest.raises(ValueError, match="^malformed derivation: .*integer term and factor"):
+            derivation_from_json(bad)
+
+
+@pytest.mark.parametrize("rule, bindings", [
+    ("R-steinberg", {"u": unit(F5, 2)}),
+    ("R-sum", {"u": unit(F7, 2), "v": unit(F5, 3)}),
+    ("R-central", {"z": mw_unit_form(unit(F7, 3)), "atom": unit(F5, 2), "side": "left"}),
+], ids=["unit", "second-unit", "central-atom"])
+def test_a_binding_over_another_field_is_refused(rule, bindings):
+    start = parse_expression(F7, "[2]*[6]")
+    step = Step(rule, 0, 0, bindings)
+    with pytest.raises(FieldMismatchError, match="is a unit over Fq\\(5\\), not Fq\\(7\\)$"):
+        apply_step(start, step)
+    res = verify_derivation(Derivation(F7, start, (step,), mw_zero(F7)))
+    assert (res.ok, res.failed_step) == (False, 0) and "Fq(5)" in res.reason
+
+
+def test_a_step_that_grows_a_word_past_the_bound_is_refused_before_it_is_built(monkeypatch):
+    # [6] = [2] + [3] + eta*[2]*[3] turns the first atom of a full word into three
+    start = parse_expression(F7, "*".join(["[6]"] + ["[2]"] * (MAX_WORD_LENGTH - 1)))
+    built, real = [], rw.MWMonomial
+    monkeypatch.setattr(rw, "MWMonomial",
+                        lambda coeff, word: built.append(len(word)) or real(coeff, word))
+    step = Step("R-product", 0, 0, {"u": unit(F7, 2), "v": unit(F7, 3)})
+    message = f"^a word of {MAX_WORD_LENGTH + 2} atoms exceeds the supported bound {MAX_WORD_LENGTH}$"
+    with pytest.raises(ValueError, match=message):
+        apply_step(start, step)
+    assert max(built, default=0) <= MAX_WORD_LENGTH
+
+
+def test_a_round_trip_over_tabulated_fields_rechecks_nothing(monkeypatch):
+    """With the tables of the benchmark fields built, deriving, serializing,
+    reading back and replaying a certificate of g^k literals checks no carrier
+    and makes no packed product: every unit comes off the tables."""
+    tuples = {}
+    for q in (2187, 10007):
+        field = finite_field(q)
+        ks = [5, q // 3, q - 4]
+        a, b, c = map(field.generator_power, ks)
+        rest = unit_add(one(field), unit_neg(unit_add(unit_add(a, b), c)))  # a + b + c + rest = 1
+        tuples[field] = [f"g^{k}" for k in ks] + [field.literal(rest)]  # builds the tables
+    counts = {"check_carrier": 0, "_mul_packed": 0}
+    for name in counts:
+        real = getattr(fields.FiniteField, name)
+
+        def counted(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(fields.FiniteField, name, counted)
+    for field, literals in tuples.items():
+        units = [parse_unit(field, text) for text in literals]
+        data = json.loads(json.dumps(derive_extended_steinberg(units).to_json()))
+        replayed = derivation_from_json(data)
+        assert verify_derivation(replayed).ok and data["end"] == "0"
+        assert len(replayed.steps) == 3, data  # two sums and a closing rule
+    assert counts == {"check_carrier": 0, "_mul_packed": 0}
