@@ -700,8 +700,8 @@ class TableField(FiniteField):
     1990), so a sum is g^a + g^b = g^(a + Z(b - a)); Z holds 0, which no
     Zech log takes, at k = (q-1)/2, where g^k = -1 and the sum is zero.
     Over F_p a sum is one addition mod p.  Until the tables exist every
-    operation over F_(p^d) runs the kernel, so a command that prints no g^k
-    pays nothing for them.  Outside input is still checked.
+    operation except the F_p sum and product runs the kernel, so a command
+    that prints no g^k pays nothing for them.  Outside input is still checked.
     """
 
     def _exp_log(self) -> tuple:

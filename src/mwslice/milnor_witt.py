@@ -487,13 +487,7 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
         out = parse_factor()
         while peek() == "*":
             idx += 1
-            rhs = parse_factor()
-            if len(out.terms) == len(rhs.terms) == 1:  # join the two words directly
-                (s,), (t,) = out.terms, rhs.terms
-                check_word_length(len(s.factors) + len(t.factors))
-                out = _expression(field, (MWMonomial(s.coeff * t.coeff, s.factors + t.factors),))
-            else:
-                out = out * rhs
+            out = out * parse_factor()
         return out
 
     def parse_factor() -> MWExpression:

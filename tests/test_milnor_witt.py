@@ -390,7 +390,7 @@ def test_a_sum_parses_to_the_fold_of_its_summands(pairs):
 
 def test_a_long_sum_is_collected_once_not_per_summand(monkeypatch):
     real, calls = milnor_witt.collect, []
-    monkeypatch.setattr(milnor_witt, "collect", lambda e: calls.append(e) or real(e))
+    monkeypatch.setattr(milnor_witt, "collect", lambda field, terms: calls.append(terms) or real(field, terms))
     text = " + ".join(f"[g^{k}]" for k in range(1, 1000))
     assert len(parse_expression(finite_field(10007), text).terms) == 999
     assert len(calls) <= 1
