@@ -103,11 +103,14 @@ def cmd_mw_derive(args) -> int:
 def cmd_mw_verify(args) -> int:
     from mwslice.rewriting import derivation_from_json, verify_derivation
 
-    if args.derivation == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.derivation, encoding="utf-8") as fh:
-            data = json.load(fh)
+    try:
+        if args.derivation == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.derivation, encoding="utf-8") as fh:
+                data = json.load(fh)
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ValueError("derivation JSON nests too deeply") from None
     derivation = derivation_from_json(data)
     res = verify_derivation(derivation)
     payload = {"command": "mw-verify", "input": {"derivation": args.derivation},

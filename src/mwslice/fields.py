@@ -6,9 +6,8 @@ subclass of :class:`FieldDescriptor`:
 * :class:`FiniteField` -- F_q with q an odd prime power.  Elements are
   polynomials over the prime field modulo a monic irreducible, stored as
   coefficient tuples.  Its first discrete log builds exp/log tables of the
-  powers of its generator, which every later discrete log reads.  Up to
-  order ``TABLE_ORDER`` the field is a :class:`TableField`, whose unit
-  arithmetic then reads them too.
+  powers of its generator, which every later discrete log and its unit
+  arithmetic then read.
 * :class:`RealField` -- a real closed field.  Unit carriers are nonzero
   rationals; only the sign of a unit is ever invariant-relevant.
 * :class:`ClosedField` -- a quadratically closed field.  Unit carriers are
@@ -43,10 +42,6 @@ from mwslice.abelian import Ambient, Record
 MAX_FIELD_ORDER = 10**6
 # The degree d of a supported F_(p^d) is at most this: 3^d <= MAX_FIELD_ORDER.
 MAX_FIELD_DEGREE = next(d for d in itertools.count() if 3 ** (d + 1) > MAX_FIELD_ORDER)
-# Largest order q whose unit arithmetic reads the exp/log tables once a
-# discrete log has built them: a field up to it is a TableField.  Above it,
-# the tables serve discrete logs only and arithmetic stays on the kernel.
-TABLE_ORDER = 2**14
 
 
 class FieldMismatchError(ValueError):
@@ -309,10 +304,14 @@ class FiniteField(FieldDescriptor):
     the packed kernel and keeps two tables: ``exp`` (k -> the carrier of g^k)
     and ``log`` (carrier -> k), as systems for finite fields keep them (Lidl
     and Niederreiter, *Finite Fields*).  Every later discrete log is one
-    lookup, and ``enumerate_units`` reads ``exp``.  A field of order at most
-    ``TABLE_ORDER`` is a :class:`TableField`, which also runs its unit
-    arithmetic on the tables once they exist; the arithmetic methods here are
-    its kernel and the arithmetic of every larger field.
+    lookup, and ``enumerate_units`` reads ``exp``.  Then unit arithmetic is
+    index arithmetic mod q - 1: a product adds logs (over F_p it stays one
+    product mod p), an inverse negates one, -1 is g^((q-1)/2), a square has
+    an even log (g is a nonsquare), and over F_(p^d), d >= 2, a sum is
+    g^(a + Z(b - a)) = g^a + g^b by the Zech logs Z(k) = log(1 + g^k) (ibid.
+    10.3), which the first such sum tabulates.  Before the tables, every
+    operation but the F_p sum and product runs the kernel above, which the
+    tests take as the reference for the tables.
     """
 
     _fields = ("order", "modulus")
@@ -326,7 +325,7 @@ class FiniteField(FieldDescriptor):
         mod = tuple(m % p for m in modulus) if modulus is not None else default_modulus(p, d)
         if d == 1 and len(mod) == 2 and mod[1] == 1:
             mod = default_modulus(p, 1)
-        return (TableField if q <= TABLE_ORDER else FiniteField)._intern(p, d, mod)
+        return cls._intern(p, d, mod)
 
     def _setup(self, p: int, d: int, modulus: tuple[int, ...]) -> None:
         if len(modulus) != d + 1 or modulus[-1] != 1:
@@ -487,7 +486,9 @@ class FiniteField(FieldDescriptor):
 
     def mul(self, a: Unit, b: Unit) -> Unit:
         if self.degree == 1:
-            return Unit(self, (a.value[0] * b.value[0] % self.p,))
+            return _kernel_unit(self, (a.value[0] * b.value[0] % self.p,))
+        if self._tables is not None:
+            return self._exp(self._log(a) + self._log(b))
         return Unit(self, self._unpack(self._mul_packed(self._pack(a.value), self._pack(b.value))))
 
     def pow(self, a: Unit, n: int) -> Unit:
@@ -497,6 +498,8 @@ class FiniteField(FieldDescriptor):
         on the inverse: a coefficient like -2 in K^MW costs an inverse and a
         square, not a power of length log q.
         """
+        if self._tables is not None:
+            return self._exp(self._log(a) * n)
         n %= self.order - 1
         if self.degree == 1:
             return Unit(self, (pow(a.value[0], n, self.p),))
@@ -552,6 +555,14 @@ class FiniteField(FieldDescriptor):
         return _kernel_unit(self, (c,) if self.degree == 1 else c)
 
     @cached_property
+    def _zech(self) -> array:
+        """Z(k) = log(1 + g^k) over F_(p^d), d >= 2, in 16 bits while they fit;
+        0, which no Zech log takes, where g^k = -1 and 1 + g^k has no log."""
+        (exp, log), p = self._tables, self.p
+        return array("H" if self.order <= 1 << 16 else "I",
+                     [log.get(((c[0] + 1) % p,) + c[1:], 0) for c in exp])
+
+    @cached_property
     def _comb(self) -> tuple[tuple[int, ...], ...]:
         """Row i holds packed g^(w 16^i), w < 16, for each 4-bit window of q - 2."""
         step = self._pack(multiplicative_generator(self).value)  # g^(16^i)
@@ -565,11 +576,14 @@ class FiniteField(FieldDescriptor):
         return tuple(rows)
 
     def generator_power(self, k: int) -> Unit:
-        """g^k for the canonical generator g: one comb entry per nonzero 4-bit
-        window of k mod q - 1, so at most one product fewer than windows."""
+        """g^k for the canonical generator g: an ``exp`` entry once tabulated;
+        before, a kernel power over F_p, and over F_(p^d) one comb entry per
+        nonzero 4-bit window of k mod q - 1, one product fewer than windows."""
+        if self._tables is not None:
+            return self._exp(k)
         k %= self.order - 1
         if self.degree == 1:
-            return FiniteField.pow(self, multiplicative_generator(self), k)
+            return self.pow(multiplicative_generator(self), k)
         x = 0  # no window taken yet
         for row in self._comb:
             if k & 15:
@@ -578,19 +592,29 @@ class FiniteField(FieldDescriptor):
         return Unit(self, self._unpack(x or 1))
 
     def inv(self, a: Unit) -> Unit:
-        if self.degree == 1:
-            return Unit(self, (pow(a.value[0], -1, self.p),))
-        return Unit(self, self._unpack(self._inv_packed(self._pack(a.value))))
+        return self.pow(a, -1)
 
     def neg(self, a: Unit) -> Unit:
+        if self._tables is not None:
+            return self._exp(self._log(a) + (self.order - 1) // 2)
         return Unit(self, tuple((-c) % self.p for c in a.value))
 
     def add(self, a: Unit, b: Unit) -> Unit | None:
+        if self.degree == 1:
+            s = (a.value[0] + b.value[0]) % self.p
+            return _kernel_unit(self, (s,)) if s else None
+        if self._tables is not None:
+            log = self._tables[1]
+            i = log[a.value]
+            z = self._zech[(log[b.value] - i) % (self.order - 1)]
+            return self._exp(i + z) if z else None
         coeffs = tuple((x + y) % self.p for x, y in zip(a.value, b.value))
         return Unit(self, coeffs) if any(coeffs) else None
 
     def square_class(self, a: Unit) -> int:
-        """a is a square iff its norm is a square in F_p (Euler's criterion there)."""
+        """The parity of log_g a once tabulated; before, Euler's criterion on the norm."""
+        if self._tables is not None:
+            return self._log(a) & 1
         p = self.p
         return 0 if pow(self.norm(a), (p - 1) // 2, p) == 1 else 1
 
@@ -686,77 +710,6 @@ class FiniteField(FieldDescriptor):
         if m > 0 or n > 1:
             return ()
         return (self.witt_coords((0, 1)) if m < 0 else (0, 1),)
-
-
-class TableField(FiniteField):
-    """F_q with q <= TABLE_ORDER: once a discrete log has built the exp/log
-    tables, unit arithmetic is index arithmetic mod q - 1.
-
-    From then on a product adds logs (over F_p it stays one product mod p,
-    which costs less), an inverse negates one, -1 is g^((q-1)/2), and since
-    g is a nonsquare the square class is the parity of the log.  Over
-    F_(p^d), d >= 2, the tables come with Zech logarithms Z(k) = log(1 + g^k)
-    (Lidl and Niederreiter, *Finite Fields*, 10.3; Huber, IEEE Trans. IT 36,
-    1990), so a sum is g^a + g^b = g^(a + Z(b - a)); Z holds 0, which no
-    Zech log takes, at k = (q-1)/2, where g^k = -1 and the sum is zero.
-    Over F_p a sum is one addition mod p.  Until the tables exist every
-    operation except the F_p sum and product runs the kernel, so a command
-    that prints no g^k pays nothing for them.  Outside input is still checked.
-    """
-
-    def _exp_log(self) -> tuple:
-        """The exp/log tables and, over F_(p^d), the Zech logs built right after them."""
-        if self._tables is None:
-            exp, log = FiniteField._exp_log(self)
-            if self.degree > 1:
-                p = self.p
-                # 1 + g^k; the zero carrier at g^k = -1 has no log and reads 0
-                _set(self, "_zech", array("H", [log.get(((c[0] + 1) % p,) + c[1:], 0)
-                                                for c in exp]))
-        return self._tables
-
-    def add(self, a: Unit, b: Unit) -> Unit | None:
-        if self.degree == 1:
-            s = (a.value[0] + b.value[0]) % self.p
-            return _kernel_unit(self, (s,)) if s else None
-        if self._tables is None:
-            return FiniteField.add(self, a, b)
-        log = self._tables[1]
-        i = log[a.value]
-        z = self._zech[(log[b.value] - i) % (self.order - 1)]
-        return self._exp(i + z) if z else None
-
-    def generator_power(self, k: int) -> Unit:
-        if self._tables is None:
-            return FiniteField.generator_power(self, k)
-        return self._exp(k)
-
-    def mul(self, a: Unit, b: Unit) -> Unit:
-        if self.degree == 1:
-            return _kernel_unit(self, (a.value[0] * b.value[0] % self.p,))
-        if self._tables is None:
-            return FiniteField.mul(self, a, b)
-        return self.generator_power(self._log(a) + self._log(b))
-
-    def inv(self, a: Unit) -> Unit:
-        if self._tables is None:
-            return FiniteField.inv(self, a)
-        return self.generator_power(-self._log(a))
-
-    def pow(self, a: Unit, n: int) -> Unit:
-        if self._tables is None:
-            return FiniteField.pow(self, a, n)
-        return self.generator_power(self._log(a) * n)
-
-    def neg(self, a: Unit) -> Unit:
-        if self._tables is None:
-            return FiniteField.neg(self, a)
-        return self.generator_power(self._log(a) + (self.order - 1) // 2)
-
-    def square_class(self, a: Unit) -> int:
-        if self._tables is None:
-            return FiniteField.square_class(self, a)
-        return self._log(a) & 1
 
 
 def finite_field(q: int, modulus: Sequence[int] | None = None) -> FiniteField:

@@ -190,6 +190,8 @@ class Derivation(Record):
 
     def __init__(self, field: FieldDescriptor, start: MWExpression, steps: tuple[Step, ...],
                  end: MWExpression) -> None:
+        if start.field is not field or end.field is not field:
+            raise FieldMismatchError(f"expressions over {start.field} and {end.field}, not {field}")
         _set(self, "field", field)
         _set(self, "start", start)
         _set(self, "steps", steps)

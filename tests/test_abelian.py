@@ -1,6 +1,7 @@
 """Lattice-backed subgroup descriptions: membership, order, index, quotients."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,41 @@ def test_smith_normal_form_known():
     assert smith_normal_form([[2, 0], [0, 3]], 2) == [1, 6]
     assert smith_normal_form([[2, 4], [4, 8]], 2) == [2]
     assert smith_normal_form([[1, 0], [0, 1]], 2) == [1, 1]
+
+
+def _det(m):
+    """The determinant by expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _determinantal_quotients(rows, cols):
+    """d_k / d_(k-1) for each k with d_k, the gcd of the k x k minors, nonzero."""
+    out, prev = [], 1
+    for k in range(1, min(len(rows), cols) + 1):
+        d = 0
+        for picked in itertools.combinations(rows, k):
+            for c in itertools.combinations(range(cols), k):
+                d = math.gcd(d, _det([[row[j] for j in c] for row in picked]))
+        if not d:
+            break
+        out.append(d // prev)
+        prev = d
+    return out
+
+
+small_matrices = st.integers(1, 4).flatmap(lambda cols: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), max_size=4),
+    st.just(cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=small_matrices)
+def test_smith_form_is_the_quotients_of_determinantal_divisors(case):
+    rows, cols = case
+    assert smith_normal_form(rows, cols) == _determinantal_quotients(rows, cols)
 
 
 def test_membership_free_lattice():

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, canonical JSON."""
 
+import io
 import json
 
 import pytest
@@ -177,6 +178,19 @@ def test_mw_verify_refuses_boolean_positions(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err == ("error: malformed derivation: each step needs a rule name"
                             " and an integer term and factor position\n")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_mw_verify_refuses_json_nested_past_the_recursion_limit(capsys, tmp_path, monkeypatch,
+                                                                source):
+    text = "[" * 200_000 + "]" * 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["mw-verify", "--derivation", "-" if source == "stdin" else str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: derivation JSON nests too deeply\n")
 
 
 def test_moore_large_prime_ell(capsys):

@@ -26,6 +26,7 @@ derivations = st.one_of(
                      '{"field": "Fq(5)", "start": "[g^1]*[g^2]", "steps": []}']),
     st.tuples(fields, ints).map(
         lambda t: f'{{"field": "{t[0]}", "start": "{t[1]}", "end": "0", "steps": []}}'),
+    st.just("[" * 100_000 + "]" * 100_000),  # deeper than the JSON decoder can recurse
 )
 
 

@@ -274,6 +274,16 @@ def test_a_binding_over_another_field_is_refused(rule, bindings):
     assert (res.ok, res.failed_step) == (False, 0) and "Fq(5)" in res.reason
 
 
+def test_a_derivation_refuses_expressions_over_another_field():
+    # its certificate would label Fq(5)'s g^k literals as Fq(7), where they are other units
+    step = Step("R-steinberg", 0, 0, {"u": unit(F5, 2)})
+    message = "^expressions over Fq\\({}\\) and Fq\\(5\\), not Fq\\(7\\)$"
+    with pytest.raises(FieldMismatchError, match=message.format(5)):
+        Derivation(F7, parse_expression(F5, "[2]*[4]"), (step,), mw_zero(F5))
+    with pytest.raises(FieldMismatchError, match=message.format(7)):
+        Derivation(F7, parse_expression(F7, "[2]*[6]"), (), mw_zero(F5))
+
+
 def test_a_step_that_grows_a_word_past_the_bound_is_refused_before_it_is_built(monkeypatch):
     # [6] = [2] + [3] + eta*[2]*[3] turns the first atom of a full word into three
     start = parse_expression(F7, "*".join(["[6]"] + ["[2]"] * (MAX_WORD_LENGTH - 1)))
