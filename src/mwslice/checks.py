@@ -41,6 +41,7 @@ from mwslice.filtration import (
     FiltrationQuery,
     convergence_check,
     eta_image_subgroup,
+    kmw_times_In,
     moore_filtration,
     tate_filtration,
 )
@@ -386,13 +387,21 @@ def check_filtration_at_origin(run: _Run) -> CheckResult:
     return run.passed("F^n pi_00 = I^max(n,0) over all six fields")
 
 
+def _case_index(n: int, p: int, q: int) -> int:
+    """N at (n, p, q) by the paper's cases, apart from ``filtration.shift_index``."""
+    if n <= p or n <= q:  # the stabilization range: the whole group
+        return 0
+    return n - p if p >= q else n - q
+
+
 def check_grid_law(run: _Run) -> CheckResult:
     """tate = K^MW_{q-p} I^N with N = shift_index, shift-invariant under diagonal shifts.
 
     For n <= p the level must be the whole group (stabilization).  For n > p it
     must equal the image of eta^M computed from the generators of
     K^MW_{q-p+M}: the proof's identification of each level, computed
-    independently of the level.
+    independently of the level.  Under a diagonal shift by r the level must be
+    K^MW_{q-p} I^N with N read by cases at (n + r, p + r, q + r).
     """
     bound = 6 if run.profile == "full" else 3
     shifts = (-2, -1, 1, 2)
@@ -406,8 +415,7 @@ def check_grid_law(run: _Run) -> CheckResult:
             if n > p and level != eta_image_subgroup(query):
                 return run.fail(f"{field} {(n,p,q)}: level != eta-image")
             for r in shifts:
-                shifted = tate_filtration(FiltrationQuery(n + r, p + r, q + r, field))
-                if shifted != level:
+                if kmw_times_In(q - p, _case_index(n + r, p + r, q + r), field) != level:
                     return run.fail(f"{field} {(n,p,q)} shift r={r}: not invariant")
             nxt = tate_filtration(FiltrationQuery(n + 1, p, q, field))
             if not nxt <= level:

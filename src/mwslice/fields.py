@@ -688,7 +688,7 @@ class FiniteField(FieldDescriptor):
         for t in terms:
             if t.eta_power == 0:
                 u_acc = unit_mul(u_acc, unit_pow(t.symbol[0], t.coeff))
-            bit = (bit + gw_part(t).disc_dev) % 2
+            bit = (bit + gw_part(t).coords[1]) % 2
         if square_class(u_acc) != bit:
             raise ValueError(
                 f"cartesian-square compatibility violated: unit {u_acc} vs ideal bit {bit}"

@@ -14,9 +14,12 @@ Fields*, ch. II).  A GW class is its coordinate vector (rank, c) for
 * quadratically closed: (rank) in Z; W = rank mod 2.
 
 One ring law serves all three: (r, c)(s, d) = (rs, rd + sc - 2cd), with the
-c part absent over C.  It is not taken on faith: the test suite validates it
-against the brute-force isometry oracle in ``mwslice.checks`` and, over R and
-C, against classes of tensor products of diagonal forms.
+c part absent over C.  It lives in one helper on coordinate tuples,
+``_ring_mul``, which both the product of classes and ``pfister`` call, so a
+Pfister element is folded on tuples and becomes one class at the end.  The
+law is not taken on faith: the test suite validates it against the
+brute-force isometry oracle in ``mwslice.checks`` and, over R and C, against
+classes of tensor products of diagonal forms.
 """
 
 from __future__ import annotations
@@ -105,8 +108,7 @@ class GWClass(_CoordinateClass):
 
     def __mul__(self, other: "GWClass") -> "GWClass":
         self._check(other)
-        (r, *c), (s, *d) = self.coords, other.coords
-        return GWClass(self.field, (r * s, *(r * b + s * a - 2 * a * b for a, b in zip(c, d))))
+        return GWClass(self.field, _ring_mul(self.coords, other.coords))
 
     @property
     def rank(self) -> int:
@@ -131,6 +133,14 @@ class GWClass(_CoordinateClass):
         return f"(rank {self.rank}" + "".join(f", {k} {v}" for k, v in extra) + ")"
 
 
+def _ring_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """(r, c)(s, d) = (rs, rd + sc - 2cd) on coordinate tuples, unreduced; (r)(s) = (rs) over C."""
+    if len(x) == 1:
+        return (x[0] * y[0],)
+    (r, c), (s, d) = x, y
+    return (r * s, r * d + s * c - 2 * c * d)
+
+
 def gw_zero(field: FieldDescriptor) -> GWClass:
     return GWClass(field, (0, 0)[:field.gw_ambient.dim])
 
@@ -145,10 +155,9 @@ def gw_of_unit(u: Unit) -> GWClass:
 
 
 def gw_of_form(qf: QuadraticForm) -> GWClass:
-    out = gw_zero(qf.field)
-    for u in qf.diagonal:
-        out = out + gw_of_unit(u)
-    return out
+    """The sum of the classes <u>: the rank, then the count of nonsquare entries."""
+    f = qf.field
+    return GWClass(f, (qf.rank, sum(map(f.square_class, qf.diagonal)))[:f.gw_ambient.dim])
 
 
 def gw_box(field: FieldDescriptor, rank_bound: int) -> list[GWClass]:
@@ -183,12 +192,13 @@ def pfister(units: list[Unit] | tuple[Unit, ...]) -> GWClass:
     if not units:
         raise ValueError("pfister requires at least one unit")
     f = units[0].field
-    out = gw_one(f)
-    for u in units:
-        if u.field != f:
+    dim = f.gw_ambient.dim
+    out = (1, 0)[:dim]
+    for u in units:  # <u> - <1> = (0, square class of u)
+        if u.field is not f:
             raise FieldMismatchError("pfister units must share one field")
-        out = out * (gw_of_unit(u) - gw_one(f))
-    return out
+        out = _ring_mul(out, (0, f.square_class(u))[:dim])
+    return GWClass(f, out)
 
 
 # -- Witt ring ------------------------------------------------------------------

@@ -119,6 +119,11 @@ class MWExpression(Record):
 
     def __mul__(self, other: "MWExpression") -> "MWExpression":
         self._check(other)
+        if len(self.terms) == 1 == len(other.terms):  # one monomial: nothing to collect
+            (s,), (t,) = self.terms, other.terms
+            check_word_length(len(s.factors) + len(t.factors))
+            c = s.coeff * t.coeff
+            return _expression(self.field, (MWMonomial(c, s.factors + t.factors),) if c else ())
         _check_size(len(self.terms) * len(other.terms),
                     max((len(t.factors) for t in self.terms), default=0)
                     + max((len(t.factors) for t in other.terms), default=0))
@@ -304,7 +309,8 @@ def normal_form_from_coords(
 
 def _term_gw_part(field: FieldDescriptor, t: MWMonomial) -> GWClass:
     """c * prod(<u_i> - <1>) over the symbols of the monomial."""
-    return (pfister(t.symbol) if t.symbol else gw_one(field)).scale(t.coeff)
+    symbol = t.symbol
+    return (pfister(symbol) if symbol else gw_one(field)).scale(t.coeff)
 
 
 def normalize(e: MWExpression, degree: int | None = None) -> MWNormalForm:
@@ -437,7 +443,8 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
 
     Example: ``eta*(2 + eta*[-1])``.
     """
-    tokens = []
+    items = []
+    error = None  # a bad literal is raised once the whole text has tokenized
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -445,19 +452,19 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
             if text[pos:].strip():
                 raise ValueError(f"bad token at {text[pos:]!r}")
             break
-        tokens.append(m)
+        kind = m.lastgroup
+        try:
+            if kind == "int":
+                items.append((kind, int(m.group(kind))))
+            elif kind == "sym":
+                items.append((kind, parse_unit(field, m.group(kind)[1:-1])))
+            else:
+                items.append((kind, None) if kind == "eta" else (m.group(kind), None))
+        except ValueError as exc:
+            error = error or exc
         pos = m.end()
-
-    items = []
-    for m in tokens:
-        if m.group("int"):
-            items.append(("int", int(m.group("int"))))
-        elif m.group("eta"):
-            items.append(("eta", None))
-        elif m.group("sym"):
-            items.append(("sym", parse_unit(field, m.group("sym")[1:-1])))
-        else:
-            items.append((m.group("op"), None))
+    if error is not None:
+        raise error
 
     idx = 0
     depth = 0

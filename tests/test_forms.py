@@ -319,3 +319,40 @@ def test_gw_ring_laws_real_property(ranks, sigs):
     assert (x + y) * z == x * z + y * z
     assert (x * y) * z == x * (y * z)
     assert witt_class(x * y) == witt_class(x) * witt_class(y)
+
+
+RING_LAW_FIELDS = (F7, F9, finite_field(2187), REALS, COMPLEXES)
+
+
+@st.composite
+def field_and_units(draw):
+    """A field and 1-4 units over it: coefficient tuples over F_q, rationals over R and C."""
+    field = draw(st.sampled_from(RING_LAW_FIELDS))
+    if field.is_finite:
+        carrier = st.lists(st.integers(0, field.p - 1), min_size=field.degree,
+                           max_size=field.degree).filter(any).map(tuple)
+    else:
+        carrier = st.fractions(-20, 20, max_denominator=9).filter(bool)
+    return field, draw(st.lists(carrier.map(lambda c: unit(field, c)), min_size=1, max_size=4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(field_and_units())
+def test_pfister_and_gw_of_form_are_folds_of_the_class_laws(case):
+    field, units = case
+    product, total = gw_one(field), gw_zero(field)
+    for u in units:
+        product = product * (gw_of_unit(u) - gw_one(field))
+        total = total + gw_of_unit(u)
+    assert pfister(units) == product
+    assert gw_of_form(QuadraticForm(field, tuple(units))) == total
+
+
+def test_pfister_builds_one_class(monkeypatch):
+    built, init = [], GWClass.__init__
+    monkeypatch.setattr(GWClass, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    for units in ([unit(F7, 3)], [unit(F7, 3)] * 4, [unit(F9, (1, 1))] * 2,
+                  [unit(REALS, -1)] * 3, [unit(COMPLEXES, 2)] * 2):
+        built.clear()
+        pfister(units)
+        assert len(built) == 1, units

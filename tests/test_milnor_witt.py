@@ -415,6 +415,30 @@ def test_parser_rejects_garbage():
         parse_expression(F7, "[0]")
 
 
+# Each refusal of the parser with its exact message.  A bad token anywhere in
+# the text is reported before a bad literal ahead of it.
+PARSER_REFUSALS = [
+    ("bad-token", F7, "[3] + $ 2", "bad token at ' $ 2'"),
+    ("trailing", F7, "[3] )", "trailing tokens in '[3] )'"),
+    ("unbalanced", F7, "eta*(2 + [3]", "unbalanced parentheses in 'eta*(2 + [3]'"),
+    ("end", F7, "[3] +", "unexpected end of expression in '[3] +'"),
+    ("unexpected", F7, "2 + * [3]", "unexpected token '*' in '2 + * [3]'"),
+    ("terms", REALS, " + ".join(f"[{n}]" for n in range(1, 1002)),
+     "1001 monomials exceed the supported bound 1000"),
+    ("product", F7, "*".join(["eta"] * 1001), "a word of 1001 atoms exceeds the supported bound 1000"),
+    ("bad-literal", F7, "[x] + [y]", "unrecognised unit literal 'x'"),
+    ("bad-token-after-bad-literal", F7, "[x] + $", "bad token at ' $'"),
+]
+
+
+@pytest.mark.parametrize("field, text, message", [case[1:] for case in PARSER_REFUSALS],
+                         ids=[case[0] for case in PARSER_REFUSALS])
+def test_parser_refusals_keep_their_messages(field, text, message):
+    with pytest.raises(ValueError) as info:
+        parse_expression(field, text)
+    assert str(info.value) == message
+
+
 def test_an_expression_built_from_outside_checks_its_units():
     from mwslice.fields import FieldMismatchError
     from mwslice.milnor_witt import ETA, MWExpression, MWMonomial
