@@ -119,11 +119,6 @@ class MWExpression(Record):
 
     def __mul__(self, other: "MWExpression") -> "MWExpression":
         self._check(other)
-        if len(self.terms) == 1 == len(other.terms):  # one monomial: nothing to collect
-            (s,), (t,) = self.terms, other.terms
-            check_word_length(len(s.factors) + len(t.factors))
-            c = s.coeff * t.coeff
-            return _expression(self.field, (MWMonomial(c, s.factors + t.factors),) if c else ())
         _check_size(len(self.terms) * len(other.terms),
                     max((len(t.factors) for t in self.terms), default=0)
                     + max((len(t.factors) for t in other.terms), default=0))
@@ -443,8 +438,7 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
 
     Example: ``eta*(2 + eta*[-1])``.
     """
-    items = []
-    error = None  # a bad literal is raised once the whole text has tokenized
+    tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -452,19 +446,19 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
             if text[pos:].strip():
                 raise ValueError(f"bad token at {text[pos:]!r}")
             break
-        kind = m.lastgroup
-        try:
-            if kind == "int":
-                items.append((kind, int(m.group(kind))))
-            elif kind == "sym":
-                items.append((kind, parse_unit(field, m.group(kind)[1:-1])))
-            else:
-                items.append((kind, None) if kind == "eta" else (m.group(kind), None))
-        except ValueError as exc:
-            error = error or exc
+        tokens.append(m)
         pos = m.end()
-    if error is not None:
-        raise error
+
+    items = []
+    for m in tokens:
+        if m.group("int"):
+            items.append(("int", int(m.group("int"))))
+        elif m.group("eta"):
+            items.append(("eta", None))
+        elif m.group("sym"):
+            items.append(("sym", parse_unit(field, m.group("sym")[1:-1])))
+        else:
+            items.append((m.group("op"), None))
 
     idx = 0
     depth = 0
