@@ -9,6 +9,7 @@ the ideal I^{N+m} in GW coordinates.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 from mwslice.abelian import Ambient, Record, SubgroupDescription, full_subgroup
@@ -59,12 +60,20 @@ class FiltrationQuery(Record):
         return {"n": self.n, "p": self.p, "q": self.q, "field": str(self.field)}
 
 
+@lru_cache(maxsize=None)
 def kmw_times_In(m: int, n: int, field: FieldDescriptor) -> SubgroupDescription:
     """The subgroup K^MW_m(F) * I(F)^n in the degree-m coordinate group.
 
     n = 0 gives the full group; for n >= 1 the field's ``level_generators``
     span it: I^n in Witt coordinates when m < 0 and in GW coordinates when
     m = 0, and K^MW_m * I^n in the degree-m coordinates when m > 0.
+
+    A level depends on (m, n, field) only, not on the point (n, p, q) where
+    it is asked for, so each is built once and the immutable result shared.
+    ``MAX_INDEX`` bounds the keys per field: a query's indices give
+    |m| <= 2 * MAX_INDEX and n <= 2 * MAX_INDEX + 1 (``graded_piece`` asks
+    one step past its query).  A negative n raises on every call, since
+    exceptions are not cached.
     """
     if n < 0:
         raise ValueError("ideal powers are indexed by naturals")
@@ -150,14 +159,23 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> tuple[bool, tuple[
             for a, b in zip(chain, chain[1:]):
                 if not b <= a:
                     details.append(f"monotonicity fails at (p,q)=({p},{q})")
+            # The level at n = cutoff has N = cutoff - max(p, q).  The certificate
+            # I^k = 0 (k = vanishing) kills K^MW_m * I^N in every degree m once
+            # N >= k, so from that cutoff on a nonzero tail is a failure.
             if vanishing is not None:
-                if not chain[-1].is_zero and cutoff >= max(p, q) + 2:
+                if not chain[-1].is_zero and cutoff >= max(p, q) + vanishing:
                     details.append(f"tail not zero at (p,q)=({p},{q})")
                 continue
-            # any fixed nonzero coordinate leaves the chain at a finite stage
-            for c in (1, 2, 3, 4):
+            # Over R the ladder I(R)^N = 2^(N-1) Z (GW coordinates, N >= 1) makes
+            # the level meet the last coordinate in 2^(N-1) Z when m = 0 and in
+            # 2^N Z when m != 0.  So the probe c = 2^v leaves at N = v + 1 +
+            # [p == q], that is at n = max(p, q) + c.bit_length() + [p == q];
+            # a chain that still holds it at a cutoff that far out is wrong.
+            # A ladder stuck at 2^j Z holds the probe 2^j, so 1, 2 and 4 catch
+            # j <= 2; an odd probe c > 1 is held only where 1 is, and later.
+            for c in (1, 2, 4):
                 stays = all(level.contains(_embed(field, q - p, c)) for level in chain[1:])
-                if stays and cutoff > p + c.bit_length() + 2:
+                if stays and cutoff >= max(p, q) + c.bit_length() + (p == q):
                     details.append(f"element {c} never leaves the chain at ({p},{q})")
     if vanishing is not None and not fundamental_power_description(field, vanishing).is_zero:
         details.append(f"I^{vanishing} is not zero")

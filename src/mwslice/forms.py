@@ -183,17 +183,18 @@ def hyperbolic(field: FieldDescriptor) -> GWClass:
     return gw_of_form(form(field, 1, -1))
 
 
-def pfister(units: list[Unit] | tuple[Unit, ...]) -> GWClass:
-    """Rank-zero Pfister element: the product of (<u_i> - <1>).
+def pfister(units: list[Unit] | tuple[Unit, ...], coeff: int = 1) -> GWClass:
+    """Rank-zero Pfister element: coeff times the product of (<u_i> - <1>).
 
     This normalization makes eta-symbols and Pfister elements coincide: the
-    degree-zero evaluation of [u]*eta is exactly pfister([u]).
+    degree-zero evaluation of [u]*eta is exactly pfister([u]).  The fold
+    starts at coeff * <1>, so a multiple is one class too.
     """
     if not units:
         raise ValueError("pfister requires at least one unit")
     f = units[0].field
     dim = f.gw_ambient.dim
-    out = (1, 0)[:dim]
+    out = (coeff, 0)[:dim]
     for u in units:  # <u> - <1> = (0, square class of u)
         if u.field is not f:
             raise FieldMismatchError("pfister units must share one field")

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from mwslice.abelian import Ambient, Record
 from mwslice.fields import FieldDescriptor, FieldMismatchError, Unit, parse_unit, square_class
-from mwslice.forms import GWClass, WittClass, gw_one, gw_zero, pfister, witt_class, witt_zero
+from mwslice.forms import GWClass, WittClass, gw_zero, pfister, witt_class, witt_zero
 
 
 class InhomogeneousError(ValueError):
@@ -303,9 +303,11 @@ def normal_form_from_coords(
 
 
 def _term_gw_part(field: FieldDescriptor, t: MWMonomial) -> GWClass:
-    """c * prod(<u_i> - <1>) over the symbols of the monomial."""
+    """c * prod(<u_i> - <1>) over the symbols of the monomial, as one class."""
     symbol = t.symbol
-    return (pfister(symbol) if symbol else gw_one(field)).scale(t.coeff)
+    if symbol:
+        return pfister(symbol, t.coeff)
+    return GWClass(field, (t.coeff, 0)[:field.gw_ambient.dim])
 
 
 def normalize(e: MWExpression, degree: int | None = None) -> MWNormalForm:

@@ -176,13 +176,15 @@ _set = object.__setattr__
 
 
 class Step(Record):
+    """One rule application; ``bindings`` holds the (name, value) pairs sorted by name."""
+
     __slots__ = _fields = ("rule", "term_index", "factor_index", "bindings")
 
     def __init__(self, rule: str, term_index: int, factor_index: int, bindings: dict) -> None:
         _set(self, "rule", rule)
         _set(self, "term_index", term_index)
         _set(self, "factor_index", factor_index)
-        _set(self, "bindings", dict(bindings))
+        _set(self, "bindings", tuple(sorted(bindings.items())))
 
 
 class Derivation(Record):
@@ -213,9 +215,9 @@ class Derivation(Record):
         }
 
 
-def _bindings_to_json(bindings: dict) -> dict:
+def _bindings_to_json(bindings: tuple) -> dict:
     out = {}
-    for k, v in sorted(bindings.items()):
+    for k, v in bindings:
         if k == "atom":  # eta or a unit, written "[u]" as in an expression
             out[k] = atom_literal(v)
         elif isinstance(v, Unit):
@@ -268,7 +270,7 @@ def derivation_from_json(data: dict) -> Derivation:
 
 def apply_step(expr: MWExpression, step: Step) -> MWExpression:
     """Apply one certified step; raises on any mismatch."""
-    lhs, rhs = instantiate(step.rule, expr.field, step.bindings)
+    lhs, rhs = instantiate(step.rule, expr.field, dict(step.bindings))
     if not lhs.terms:
         raise StepMismatchError(f"{step.rule} instantiates to an empty pattern")
     anchor = lhs.terms[0]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwslice.abelian import full_subgroup
+from mwslice.abelian import SubgroupDescription, full_subgroup
+from mwslice.cli import main
 from mwslice.fields import COMPLEXES, REALS, finite_field
 from mwslice.filtration import (
     FiltrationQuery,
@@ -173,3 +174,103 @@ def test_filtration_law_property(n, p, q, which):
         assert got.is_full
     else:
         assert got == eta_image_subgroup(query)
+
+
+def test_a_level_is_one_object_per_degree_and_index():
+    for field in ALL_FIELDS:
+        for n, p, q in ((3, 0, 1), (4, 1, -1), (5, 2, 2), (1, 3, 0)):
+            level = tate_filtration(FiltrationQuery(n, p, q, field))
+            N = shift_index(n - p, n - q)
+            assert level is kmw_times_In(q - p, N, field)
+            for r in (-2, 1, 3):
+                assert tate_filtration(FiltrationQuery(n + r, p + r, q + r, field)) is level
+
+
+def test_a_repeated_level_builds_no_subgroup(monkeypatch):
+    built, init = [], SubgroupDescription.__init__
+    monkeypatch.setattr(SubgroupDescription, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    kmw_times_In.cache_clear()
+    first = kmw_times_In(-1, 3, REALS)
+    assert len(built) == 1
+    for query in (FiltrationQuery(3, 0, -1, REALS), FiltrationQuery(4, 1, 0, REALS)):
+        assert tate_filtration(query) is first
+    assert kmw_times_In(-1, 3, REALS) is first
+    assert len(built) == 1
+
+
+def test_a_negative_ideal_power_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="indexed by naturals"):
+            kmw_times_In(0, -1, F5)
+
+
+def test_the_longest_real_convergence_check_is_bounded_in_memory(capsys):
+    import tracemalloc
+
+    kmw_times_In.cache_clear()  # as in a fresh process
+    tracemalloc.start()
+    try:
+        code = main(["convergence", "--field", "R", "--cutoff", "1000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "separated = True" in capsys.readouterr().out
+    assert peak < 3_000_000  # about 5,000 shared levels, 2.3 MB measured
+
+
+def test_a_right_filtration_converges_at_every_cutoff():
+    for field in (REALS, COMPLEXES, F3, F9):
+        for cutoff in range(1, 11):
+            assert convergence_check(field, cutoff) == (
+                True, ("intersection of the chain is zero at the cutoff",)), (field, cutoff)
+
+
+def _stalled(monkeypatch, stall):
+    """Patch the filtration so that its ladder stops at I^stall; return the real levels."""
+    from mwslice import filtration
+
+    real = filtration.kmw_times_In
+    monkeypatch.setattr(filtration, "kmw_times_In", lambda m, n, f: real(m, min(n, stall), f))
+    return real
+
+
+@pytest.mark.parametrize("stall", [0, 1, 2, 3, 4])
+def test_a_stalled_real_ladder_is_caught_once_the_right_one_has_left(monkeypatch, stall):
+    # element c is reported at (p, q) exactly when the stalled level at
+    # n = cutoff, the smallest of its chain, holds it and the right one does not
+    real = _stalled(monkeypatch, stall)
+    reported = []
+    for cutoff in range(1, 9):
+        expected = []
+        for p, q in itertools.product(range(3), repeat=2):
+            N = shift_index(cutoff - p, cutoff - q)
+            for c in (1, 2, 4):
+                v = (0,) * (kmw_ambient(REALS, q - p).dim - 1) + (c,)
+                if real(q - p, min(N, stall), REALS).contains(v) and not real(q - p, N, REALS).contains(v):
+                    expected.append(f"element {c} never leaves the chain at ({p},{q})")
+        separated, details = convergence_check(REALS, cutoff)
+        assert details == (tuple(expected) or ("intersection of the chain is zero at the cutoff",))
+        assert separated == (not expected)
+        reported += expected
+    assert bool(reported) == (stall <= 3)  # I(R)^3 = 4Z is the deepest stall a probe sees
+
+
+@pytest.mark.parametrize("field", [F7, COMPLEXES], ids=str)
+def test_a_stalled_tail_is_caught_once_the_certificate_kills_it(monkeypatch, field):
+    # a tail is reported exactly when it is nonzero although I^N, N at the
+    # cutoff, is already zero in GW coordinates
+    real = _stalled(monkeypatch, 0)
+    reported = []
+    for cutoff in range(1, 6):
+        expected = [
+            f"tail not zero at (p,q)=({p},{q})"
+            for p, q in itertools.product(range(3), repeat=2)
+            if not real(q - p, 0, field).is_zero
+            and fundamental_power_description(field, shift_index(cutoff - p, cutoff - q)).is_zero
+        ]
+        separated, details = convergence_check(field, cutoff)
+        assert details == (tuple(expected) or ("intersection of the chain is zero at the cutoff",))
+        reported += expected
+    assert reported

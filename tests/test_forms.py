@@ -345,6 +345,7 @@ def test_pfister_and_gw_of_form_are_folds_of_the_class_laws(case):
         product = product * (gw_of_unit(u) - gw_one(field))
         total = total + gw_of_unit(u)
     assert pfister(units) == product
+    assert pfister(units, -3) == product.scale(-3)
     assert gw_of_form(QuadraticForm(field, tuple(units))) == total
 
 
@@ -355,4 +356,5 @@ def test_pfister_builds_one_class(monkeypatch):
                   [unit(REALS, -1)] * 3, [unit(COMPLEXES, 2)] * 2):
         built.clear()
         pfister(units)
-        assert len(built) == 1, units
+        pfister(units, 5)
+        assert len(built) == 2, units

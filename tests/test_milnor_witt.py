@@ -460,3 +460,21 @@ def test_a_long_product_is_refused_before_its_word_is_built(monkeypatch):
     with pytest.raises(ValueError, match=f"^a word of {limit + 1} atoms exceeds the supported bound {limit}$"):
         parse_expression(F7, "*".join(["[2]"] * (limit + 1)))
     assert built and max(built) == limit
+
+
+def test_each_term_of_a_normal_form_builds_one_gw_class(monkeypatch):
+    from mwslice.forms import pfister
+    from mwslice.milnor_witt import ETA, MWMonomial
+
+    u7, u9, m1 = unit(F7, 3), unit(F9, (1, 1)), unit(REALS, -1)
+    cases = [(F7, MWMonomial(4, (ETA, u7))), (F7, MWMonomial(-3, (ETA, ETA, u7, u7))),
+             (F7, MWMonomial(5, ())), (F9, MWMonomial(2, (u9, ETA, ETA, ETA))),
+             (REALS, MWMonomial(-2, (ETA, m1, ETA, m1))), (COMPLEXES, MWMonomial(3, ()))]
+    expected = [(pfister(t.symbol) if t.symbol else gw_one(f)).scale(t.coeff)
+                for f, t in cases]
+    built, init = [], GWClass.__init__
+    monkeypatch.setattr(GWClass, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    for (field, t), want in zip(cases, expected):
+        built.clear()
+        assert milnor_witt._term_gw_part(field, t) == want
+        assert len(built) == 1, t

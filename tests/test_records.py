@@ -18,13 +18,15 @@ from mwslice.fields import (
 from mwslice.filtration import FiltrationQuery
 from mwslice.forms import GWClass, QuadraticForm, WittClass, form
 from mwslice.milnor_witt import ETA, MWExpression, MWMonomial, MWNormalForm
-from mwslice.rewriting import Step, VerificationResult, derive_extended_steinberg
+from mwslice.rewriting import Derivation, Step, VerificationResult, derive_extended_steinberg
 from mwslice.transfers import FiniteExtension
 
 F3 = finite_field(3)
 F7 = finite_field(7)
 F9 = finite_field(9)
 U3 = Unit(F7, (3,))
+U5 = Unit(F7, (5,))
+START = MWExpression(F7, (MWMonomial(1, (Unit(F7, (1,)),)),))
 
 
 def every_record():
@@ -82,6 +84,10 @@ HASHED = {
     "VerificationResult": (lambda: VerificationResult(False, 2, "why"), (False, 2, "why")),
     "FiniteExtension": (lambda: FiniteExtension(F3, F9), (F3, F9)),
     "CheckResult": (lambda: CheckResult("n", True, 3, "d", 0.5), ("n", True, 3, "d", 0.5)),
+    "Step": (lambda: Step("R-product", 0, 1, {"v": U5, "u": U3}),
+             ("R-product", 0, 1, (("u", U3), ("v", U5)))),
+    "Derivation": (lambda: Derivation(F7, START, (Step("R-one", 0, 0, {}),), MWExpression(F7, ())),
+                   (F7, START, (Step("R-one", 0, 0, {}),), MWExpression(F7, ()))),
 }
 
 
@@ -151,7 +157,15 @@ def test_repr_names_the_class_and_fields():
     assert repr(Ambient(1, (2,))) == (
         "Ambient(free_rank=1, torsion=(2,), coord_names=('c0', 'c1'), label='')")
     assert repr(Step("R-one", 0, 1, {})) == (
-        "Step(rule='R-one', term_index=0, factor_index=1, bindings={})")
+        "Step(rule='R-one', term_index=0, factor_index=1, bindings=())")
+
+
+def test_step_bindings_are_sorted_pairs_that_cannot_be_rebound():
+    step = Step("R-product", 0, 0, {"v": U5, "u": U3})
+    assert step.bindings == (("u", U3), ("v", U5))
+    with pytest.raises(TypeError):
+        step.bindings["u"] = U5  # type: ignore[index]
+    assert step == Step("R-product", 0, 0, {"u": U3, "v": U5})
 
 
 def test_exports_resolve_lazily():

@@ -34,6 +34,7 @@ def test_traced_queries_count_built_subgroups(tracer):
     from mwslice import filtration
 
     original = SubgroupDescription.__dict__["__post_init__"]
+    filtration.kmw_times_In.cache_clear()  # levels built by earlier tests are not rebuilt
     t = tracer.Tracer()
     t.install()
     try:
