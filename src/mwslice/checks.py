@@ -266,10 +266,10 @@ def trace_form_oracle(ext: FiniteExtension, a: Unit) -> GWClass:
     z^(q_b^k).  Its Leibniz determinant lies in the base, so Euler's criterion
     with q_b decides its square class inside the top field.
     """
-    top, d, j = ext.top, ext.degree, ext.base.degree
+    top, d = ext.top, ext.degree
     x = Unit(top, (0, 1) + (0,) * (top.degree - 2)) if top.degree > 1 else one(top)
     zs = [unit_mul(a, unit_pow(x, i)) for i in range(2 * d - 1)]
-    traces = [_unit_sum(top.frobenius(z, k * j) for k in range(d)) for z in zs]
+    traces = [_unit_sum(unit_pow(z, ext.base.order**k) for k in range(d)) for z in zs]
     terms = []
     for perm in itertools.permutations(range(d)):
         entries = [traces[i + perm[i]] for i in range(d)]

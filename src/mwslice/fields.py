@@ -292,12 +292,11 @@ class FiniteField(FieldDescriptor):
     width k holds d (p-1)^2 (1 + (d-1)(p-1)): a product coefficient is at most
     d (p-1)^2, and folding the d-1 high lanes back through x^j mod f (whose
     coefficients are below p) adds at most (d-1)(p-1) times that to a low
-    lane, so no lane carries into the next.  A Frobenius power u -> u^(p^j)
-    is F_p-linear: the sum of c_i times the packed x^(i p^j) mod f, each lane
-    at most d (p-1)^2.  Inverses and square classes go through the norm
-    N(u) = u^((q-1)/(p-1)) in F_p, built from Frobenius maps in O(log d)
-    products (Itoh and Tsujii, *Inform. and Comput.* 78, 1988).  Packed
-    integers never leave the field's methods.
+    lane, so no lane carries into the next.  Beside the product the kernel
+    has one operation, the power u^n by square-and-multiply on the exponent
+    reduced mod q - 1: an inverse is u^(q-2), a square class is Euler's
+    criterion u^((q-1)/2) = 1, and g^k is a power of g.  Each costs at most
+    2 log2 q products.  Packed integers never leave the field's methods.
 
     The first discrete log, asked for by a ``g^k`` output or a K^MW_1
     coordinate, walks the q - 1 powers of the canonical generator g once on
@@ -410,69 +409,6 @@ class FiniteField(FieldDescriptor):
             high >>= k
         return self._reduce_lanes(r)
 
-    def _linear(self, images: tuple[int, ...], x: int) -> int:
-        """sum c_i images[i] for the lanes c_i of x, reduced: an F_p-linear map."""
-        k = self.lane
-        mask = (1 << k) - 1
-        r = 0
-        for image in images:
-            r += (x & mask) * image
-            x >>= k
-        return self._reduce_lanes(r)
-
-    @cached_property
-    def _frobenius(self) -> tuple[tuple[int, ...], ...]:
-        """Row j holds packed x^(i p^j) mod f for i < d: the images of u -> u^(p^j)."""
-        d = self.degree
-        xp = self._pack(self.carrier_pow((0, 1) + (0,) * (d - 2), self.p))
-        row = [1]
-        for _ in range(d - 1):
-            row.append(self._mul_packed(row[-1], xp))
-        rows = [tuple(1 << self.lane * i for i in range(d)), tuple(row)]
-        while len(rows) < d:
-            rows.append(tuple(self._linear(rows[1], y) for y in rows[-1]))
-        return tuple(rows)
-
-    def _frobenius_packed(self, x: int, j: int) -> int:
-        return self._linear(self._frobenius[j], x)
-
-    def frobenius(self, a: Unit, j: int) -> Unit:
-        """a^(p^j), the j-th power of the Frobenius map."""
-        j %= self.degree
-        if not j:
-            return a
-        return Unit(self, self._unpack(self._frobenius_packed(self._pack(a.value), j)))
-
-    def _norm_packed(self, x: int) -> tuple[int, int]:
-        """(t, N) for a packed unit x of F_{p^d}, d >= 2: t = x^(p + ... + p^(d-1))
-        packed, and N = x t = x^((q-1)/(p-1)) its norm, an integer below p.
-
-        s_m = x^(1 + p + ... + p^(m-1)) obeys s_(2m) = s_m phi^m(s_m) and
-        s_(m+1) = x phi(s_m), so s_(d-1) costs at most two products per bit
-        of d - 1; then t = phi(s_(d-1)).  N lies in F_p, so its packed form
-        is its constant coefficient.
-        """
-        s, m = x, 1
-        for bit in bin(self.degree - 1)[3:]:
-            s = self._mul_packed(s, self._frobenius_packed(s, m))
-            m *= 2
-            if bit == "1":
-                s = self._mul_packed(x, self._frobenius_packed(s, 1))
-                m += 1
-        t = self._frobenius_packed(s, 1)
-        return t, self._mul_packed(x, t)
-
-    def norm(self, a: Unit) -> int:
-        """N(a) = a^((q-1)/(p-1)), the norm to the prime field, as an integer below p."""
-        if self.degree == 1:
-            return a.value[0]
-        return self._norm_packed(self._pack(a.value))[1]
-
-    def _inv_packed(self, x: int) -> int:
-        """x^-1 = N(x)^-1 x^(p + ... + p^(d-1)), a scalar multiple of t."""
-        t, n = self._norm_packed(x)
-        return self._reduce_lanes(t * pow(n, -1, self.p))
-
     def _pow_packed(self, x: int, n: int) -> int:
         """x^n for a packed x and n >= 0, by square-and-multiply."""
         result = 0  # no factor taken yet
@@ -492,21 +428,10 @@ class FiniteField(FieldDescriptor):
         return Unit(self, self._unpack(self._mul_packed(self._pack(a.value), self._pack(b.value))))
 
     def pow(self, a: Unit, n: int) -> Unit:
-        """a^n for any integer n, reduced mod q - 1.
-
-        Over F_{p^d} a reduced exponent n above (q - 1)/2 becomes q - 1 - n
-        on the inverse: a coefficient like -2 in K^MW costs an inverse and a
-        square, not a power of length log q.
-        """
+        """a^n for any integer n, reduced mod q - 1."""
         if self._tables is not None:
             return self._exp(self._log(a) * n)
-        n %= self.order - 1
-        if self.degree == 1:
-            return Unit(self, (pow(a.value[0], n, self.p),))
-        x = self._pack(a.value)
-        if 2 * n > self.order - 1:
-            x, n = self._inv_packed(x), self.order - 1 - n
-        return Unit(self, self._unpack(self._pow_packed(x, n)))
+        return Unit(self, self.carrier_pow(a.value, n % (self.order - 1)))
 
     def carrier_pow(self, c: tuple[int, ...], n: int) -> tuple[int, ...]:
         """c^n on raw coefficient tuples for n >= 0, by square-and-multiply."""
@@ -562,34 +487,12 @@ class FiniteField(FieldDescriptor):
         return array("H" if self.order <= 1 << 16 else "I",
                      [log.get(((c[0] + 1) % p,) + c[1:], 0) for c in exp])
 
-    @cached_property
-    def _comb(self) -> tuple[tuple[int, ...], ...]:
-        """Row i holds packed g^(w 16^i), w < 16, for each 4-bit window of q - 2."""
-        step = self._pack(multiplicative_generator(self).value)  # g^(16^i)
-        rows = []
-        for _ in range(0, (self.order - 2).bit_length(), 4):
-            row = [1]
-            for _ in range(15):
-                row.append(self._mul_packed(row[-1], step))
-            rows.append(tuple(row))
-            step = self._mul_packed(row[-1], step)
-        return tuple(rows)
-
     def generator_power(self, k: int) -> Unit:
-        """g^k for the canonical generator g: an ``exp`` entry once tabulated;
-        before, a kernel power over F_p, and over F_(p^d) one comb entry per
-        nonzero 4-bit window of k mod q - 1, one product fewer than windows."""
+        """g^k for the canonical generator g: an ``exp`` entry once tabulated,
+        a kernel power before."""
         if self._tables is not None:
             return self._exp(k)
-        k %= self.order - 1
-        if self.degree == 1:
-            return self.pow(multiplicative_generator(self), k)
-        x = 0  # no window taken yet
-        for row in self._comb:
-            if k & 15:
-                x = self._mul_packed(x, row[k & 15]) if x else row[k & 15]
-            k >>= 4
-        return Unit(self, self._unpack(x or 1))
+        return self.pow(multiplicative_generator(self), k)
 
     def inv(self, a: Unit) -> Unit:
         return self.pow(a, -1)
@@ -612,11 +515,10 @@ class FiniteField(FieldDescriptor):
         return Unit(self, coeffs) if any(coeffs) else None
 
     def square_class(self, a: Unit) -> int:
-        """The parity of log_g a once tabulated; before, Euler's criterion on the norm."""
+        """The parity of log_g a once tabulated; before, Euler's criterion a^((q-1)/2) = 1."""
         if self._tables is not None:
             return self._log(a) & 1
-        p = self.p
-        return 0 if pow(self.norm(a), (p - 1) // 2, p) == 1 else 1
+        return 0 if self.carrier_pow(a.value, (self.order - 1) // 2) == self._one.value else 1
 
     def literal(self, u: Unit) -> str:
         return f"g^{self._log(u)}"

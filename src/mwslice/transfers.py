@@ -179,7 +179,7 @@ def transfer_of_unit_form(ext: FiniteExtension, a: Unit) -> GWClass:
     d and determinant N(a) d_(E/F); the norm keeps square classes, and d_(E/F)
     is a square iff d is odd (Scharlau, *Quadratic and Hermitian Forms*,
     ch. 2.5; Serre, *Local Fields*, ch. III.2).  ``checks.trace_form_oracle``
-    builds the Gram matrix instead.  The cache spares ``square_class`` its norm.
+    builds the Gram matrix instead.  The cache spares ``square_class`` its power.
     """
     if not ext.base.is_finite:
         return hyperbolic(ext.base)  # Gram of Tr(a x y) in basis {1, i} is hyperbolic
@@ -220,13 +220,10 @@ def trace_transfer_witt(ext: FiniteExtension, w: WittClass) -> WittClass:
 
 
 def norm_to_base(ext: FiniteExtension, u: Unit) -> Unit:
-    """Field norm top -> base: the product of the conjugates u^(q_b^i), i < d."""
+    """Field norm top -> base: u^((Q-1)/(q_b-1)), the product of the d conjugates
+    u^(q_b^i), i < d, for Q = q_b^d."""
     assert ext.base.is_finite
-    frobenius, j = ext.top.frobenius, ext.base.degree  # q_b = p^j
-    acc = one(ext.top)
-    for i in range(ext.degree):
-        acc = unit_mul(acc, frobenius(u, i * j))
-    return _down(ext, acc)
+    return _down(ext, unit_pow(u, (ext.top.order - 1) // (ext.base.order - 1)))
 
 
 def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:

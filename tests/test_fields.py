@@ -406,7 +406,7 @@ def test_generator_power_matches_unit_pow_large(q):
     rng = random.Random(q)
     exponents = [0, 1, q - 2, q - 1, -1, 10**30 + 7]
     exponents += [rng.randrange(-10**12, 10**12) for _ in range(40)]
-    with _untabulated(finite_field(q)) as field:  # the comb and the kernel power
+    with _untabulated(finite_field(q)) as field:  # the kernel power
         for k in exponents:
             got = field.generator_power(k)
             assert got == unit_pow(g, k), k
@@ -445,7 +445,7 @@ def test_a_linear_modulus_names_the_prime_field():
     assert derivation_from_json(d.to_json()) == d
 
 
-# -- the norm kernel against Fermat, Euler and the norm as one long power --------
+# -- the kernel inverse and Euler's criterion against schoolbook arithmetic --------
 
 
 def _kernel_cases(q):
@@ -455,26 +455,15 @@ def _kernel_cases(q):
 
 
 @pytest.mark.parametrize("q", SMALL_EXTENSIONS + LARGE_FIELDS)
-def test_inverse_square_class_and_norm_match_long_powers(q):
+def test_inverse_and_square_class_match_schoolbook_arithmetic(q):
     field, units = _kernel_cases(q)
-    p, e = field.p, one(field)
-    zeros = (0,) * (field.degree - 1)
-    for a in units:
-        inv = unit_inv(a)
-        assert unit_mul(a, inv) == e, a
-        assert inv.value == field.carrier_pow(a.value, q - 2), a  # Fermat
-        euler = field.carrier_pow(a.value, (q - 1) // 2)
-        assert square_class(a) == (0 if euler == e.value else 1), a
-        assert (field.norm(a),) + zeros == field.carrier_pow(a.value, (q - 1) // (p - 1)), a
-
-
-@pytest.mark.parametrize("q", SMALL_EXTENSIONS + LARGE_FIELDS)
-def test_frobenius_is_the_p_power_map(q):
-    field, units = _kernel_cases(q)
-    for a in units[:50]:
-        for j in range(-1, field.degree + 1):
-            expect = field.carrier_pow(a.value, field.p ** (j % field.degree))
-            assert field.frobenius(a, j).value == expect, (a, j)
+    e = one(field)
+    with _untabulated(field):
+        for a in units:
+            assert _schoolbook_mul(field, a.value, unit_inv(a).value) == e.value, a
+            euler = _schoolbook_pow(field, a.value, (q - 1) // 2)
+            assert square_class(a) == (0 if euler == e.value else 1), a
+        assert field._tables is None
 
 
 def _count_products(monkeypatch):
@@ -489,35 +478,27 @@ def _count_products(monkeypatch):
     return calls
 
 
+def _inverse_square(a):
+    return unit_pow(a, -2)
+
+
 @pytest.mark.parametrize("q", LARGE_FIELDS)
-def test_inverse_and_square_class_cost_log_d_products(q, monkeypatch):
+def test_kernel_operations_cost_two_products_per_bit(q, monkeypatch):
     field = finite_field(q)
     units = _seeded_units(field, 40, q + 3)
-    unit_inv(units[0])  # builds the Frobenius table
-    budget = 2 * (field.degree - 1).bit_length()  # 2 ceil(log2 d)
-    calls = _count_products(monkeypatch)
-    for a in units:
-        for op in (unit_inv, square_class):
-            calls.clear()
-            op(a)
-            assert len(calls) <= budget, (op.__name__, a, len(calls))
-        calls.clear()
-        unit_pow(a, -2)  # inverts, then squares
-        assert len(calls) <= budget + 1, (a, len(calls))
-
-
-@pytest.mark.parametrize("q", LARGE_FIELDS)
-def test_generator_power_costs_one_product_per_window(q, monkeypatch):
-    field = finite_field(q)
-    field.generator_power(1)  # builds the comb
-    budget = -(-(q - 2).bit_length() // 4) - 1  # 2 over Fq(2187)
-    calls = _count_products(monkeypatch)
     rng = random.Random(q)
-    for k in [0, 1, q - 2, q - 1, -1, 10**30 + 7] + [rng.randrange(q - 1) for _ in range(40)]:
-        calls.clear()
-        field.generator_power(k)
-        assert len(calls) <= budget, (k, len(calls))
-
+    exponents = [0, 1, q - 2, q - 1, -1, 10**30 + 7] + [rng.randrange(q - 1) for _ in range(40)]
+    with _untabulated(field):
+        multiplicative_generator(field)  # the search for g is set-up, not an operation
+        budget = 2 * (q - 1).bit_length()
+        calls = _count_products(monkeypatch)
+        cases = [(op, a) for a in units for op in (unit_inv, square_class, _inverse_square)]
+        cases += [(field.generator_power, k) for k in exponents]
+        for op, x in cases:
+            calls.clear()
+            op(x)
+            assert len(calls) <= budget, (op.__name__, x, len(calls))
+        assert field._tables is None
 
 
 # -- exp/log tables against the packed kernel -------------------------------------
@@ -610,12 +591,12 @@ def test_table_operations_match_the_kernel_on_seeded_pairs(q):
 
 
 @pytest.mark.parametrize("q", [16411, 3**10, 999983])
-def test_logs_above_the_table_order_invert_the_comb(q):
+def test_logs_above_the_table_order_invert_the_kernel_power(q):
     field = finite_field(q)
     assert type(field) is FiniteField
     rng = random.Random(q)
     for k in [0, 1, q - 2, -1, 10**30 + 7] + [rng.randrange(-q, 2 * q) for _ in range(200)]:
-        u = _Kernel(field).generator_power(k)  # the comb, or a kernel power: no table
+        u = _Kernel(field).generator_power(k)  # a kernel power: no table
         assert field.literal(u) == f"g^{k % (q - 1)}", k
         assert field.kmw_coords(u) == (k % (q - 1),), k
 

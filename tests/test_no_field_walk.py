@@ -125,6 +125,26 @@ def test_degree_one_transfer_over_a_trivial_extension():
     assert (down.field, down.value, down.ideal_bit) == (field, g, 1)
 
 
+@pytest.mark.parametrize("output", ["table", "json"])
+def test_verify_a_kernel_certificate_over_a_large_prime_power_field(output, tmp_path, capsys,
+                                                                     tables_built):
+    # over Fq(3^12), -1 = g^265720: [a][-a] = 0 for a = g^5, [a][-1/a] = 0 for a = g^7
+    cert = {"field": "Fq(531441)", "start": "[g^5]*[g^265725] + [g^7]*[g^265713]", "end": "0",
+            "steps": [{"rule": "R-negself", "position": {"term": 0, "factor": 0},
+                       "bindings": {"a": "g^5"}},
+                      {"rule": "R-neginv", "position": {"term": 0, "factor": 0},
+                       "bindings": {"a": "g^7"}}]}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["--output", output, "mw-verify", "--derivation", str(path)]) == 0
+    out = capsys.readouterr().out
+    if output == "json":
+        assert json.loads(out)["result"] == {"verified": True, "failed_step": None, "reason": None}
+    else:
+        assert out == "verified: True\n"
+    assert tables_built == []
+
+
 def test_verify_a_certificate_over_a_large_field(tmp_path, capsys):
     # [2][-1] = 0 by the Steinberg relation, since 1 - 2 = -1
     cert = {"field": BIG, "start": "[2]*[-1]", "end": "0",

@@ -3,6 +3,7 @@ the closure identity."""
 
 import itertools
 import json
+from functools import reduce
 from math import isqrt
 
 import pytest
@@ -210,6 +211,14 @@ def test_transfer_kmw_degree_one():
     assert down.degree == 1
     assert down.value == norm_to_base(EXT_93, g9)
     assert down.ideal_bit == 1
+
+
+@pytest.mark.parametrize("top, base", [(9, 3), (27, 3), (25, 5), (81, 9)])
+def test_norm_is_the_product_of_the_conjugates(top, base):
+    ext = FiniteExtension(finite_field(base), finite_field(top))
+    for u in enumerate_units(ext.top):
+        conjugates = [unit_pow(u, base**i) for i in range(ext.degree)]
+        assert norm_to_base(ext, u) == transfers._down(ext, reduce(unit_mul, conjugates)), u
 
 
 def test_transfer_closure_examples():
