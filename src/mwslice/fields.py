@@ -149,8 +149,9 @@ class FieldDescriptor(Record):
     invariant off them.  A K^MW normal form in degree m >= 1 is (m, value)
     with the field's value: the Milnor unit class over F_q in degree 1 (None
     from degree 2, where the group is zero), and over R and C the integer c
-    of c * [-1]^m (always 0 over C).  The ``kmw_*`` and ``eta_*`` methods take
-    and return that value.
+    of c * [-1]^m (always 0 over C).  The ``kmw_*`` methods take and return
+    that value; ``eta_coords`` maps the degree-m coordinates of
+    ``kmw_ambient(m)`` to those of degree m - 1.
     """
 
     __eq__ = object.__eq__
@@ -597,12 +598,11 @@ class FiniteField(FieldDescriptor):
             )
         return u_acc
 
-    def eta_kmw(self, m: int, v) -> Unit | None:
-        """eta from degree m >= 2 lands in degree m - 1 >= 1: the zero class."""
-        return self.one() if m == 2 else None
-
-    def eta_to_gw(self, v) -> tuple[int, int]:
-        return (0, square_class(v))
+    def eta_coords(self, m: int, coords) -> tuple[int, ...]:
+        """[g^k] to the ideal bit k mod 2 (g is a nonsquare); zero from degree 2."""
+        if m == 1:
+            return (0, coords[0] % 2)
+        return (0,) if m == 2 else ()
 
     def level_generators(self, m: int, n: int) -> tuple[tuple[int, ...], ...]:
         """K^MW_m I^n for n >= 1 in degree-m coordinates.
@@ -730,11 +730,9 @@ class RealField(_RationalField):
             c += q
         return c
 
-    def eta_kmw(self, m: int, v) -> int:
-        return -2 * v
-
-    def eta_to_gw(self, v) -> tuple[int, int]:
-        return (0, v)
+    def eta_coords(self, m: int, coords) -> tuple[int, ...]:
+        """c [-1]^m to c (<-1> - <1>) in degree 1 and to -2c [-1]^(m-1) above."""
+        return (0, coords[0]) if m == 1 else (-2 * coords[0],)
 
     def level_generators(self, m: int, n: int) -> tuple[tuple[int, ...], ...]:
         """K^MW_m I^n for n >= 1: 2^n [-1]^m from m = 1 on, I^n below.
@@ -793,11 +791,8 @@ class ClosedField(_RationalField):
     def kmw_normalize(self, d: int, terms, gw_part) -> int:
         return 0
 
-    def eta_kmw(self, m: int, v) -> int:
-        return 0
-
-    def eta_to_gw(self, v) -> tuple[int]:
-        return (0,)
+    def eta_coords(self, m: int, coords) -> tuple[int, ...]:
+        return (0,) if m == 1 else ()
 
     def level_generators(self, m: int, n: int) -> tuple[tuple[int, ...], ...]:
         return ()

@@ -15,7 +15,7 @@ from math import isqrt
 from mwslice.abelian import Ambient, Record, SubgroupDescription, full_subgroup
 from mwslice.fields import FieldDescriptor
 from mwslice.forms import fundamental_power_description
-from mwslice.milnor_witt import eta_times, kmw_ambient, normal_form_from_coords
+from mwslice.milnor_witt import eta_coords, kmw_ambient
 
 
 # Largest supported |n|, |p|, |q| of a query, Moore level n and convergence
@@ -123,10 +123,9 @@ def eta_image_subgroup(query: FiltrationQuery) -> SubgroupDescription:
     M = N if m >= 0 else -m + N
     gens = []
     for row in full_subgroup(kmw_ambient(field, m + M)).basis:  # the unit vectors
-        nf = normal_form_from_coords(field, m + M, row)
-        for _ in range(M):
-            nf = eta_times(nf)
-        gens.append(nf.coords())
+        for d in range(m + M, m, -1):
+            row = eta_coords(field, d, row)
+        gens.append(row)
     return SubgroupDescription(kmw_ambient(field, m), tuple(gens))
 
 

@@ -362,16 +362,14 @@ def to_witt(e: MWExpression) -> WittClass:
     return nf.value
 
 
-def eta_times(nf: MWNormalForm) -> MWNormalForm:
-    """Multiplication by eta on normal-form coordinates (degree m -> m - 1)."""
-    field, m = nf.field, nf.degree
-    if m is None:
-        raise ValueError("eta action on the zero form needs a degree")
-    if m <= 0:  # into W: from GW by witt_class, within W the identity
-        return MWNormalForm(field, m - 1, witt_class(nf.value) if m == 0 else nf.value)
-    if m == 1:
-        return MWNormalForm(field, 0, GWClass(field, field.eta_to_gw(nf.value)))
-    return MWNormalForm(field, m - 1, field.eta_kmw(m, nf.value))
+def eta_coords(field: FieldDescriptor, m: int, coords: tuple[int, ...]) -> tuple[int, ...]:
+    """Multiplication by eta on degree-m coordinates, into degree m - 1 (unreduced):
+    GW -> W in degree 0, the identity below it and the field's hook above it."""
+    if m == 0:
+        return field.witt_coords(coords)
+    if m < 0:
+        return coords
+    return field.eta_coords(m, coords)
 
 
 def kmw_generating_expressions(field: FieldDescriptor, m: int) -> tuple[MWExpression, ...]:

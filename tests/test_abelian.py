@@ -247,3 +247,26 @@ def test_subgroup_answers_depend_only_on_the_lattice(data, mix):
     )
     for v in probes:
         assert sub.contains(v) == (v in closure)
+
+
+@st.composite
+def finite_subgroup_pairs(draw):
+    """B <= A in Z/d1 + Z/d2 (d <= 12): A from random generators, B from combinations of them."""
+    ambient = Ambient(0, (draw(st.integers(2, 12)), draw(st.integers(2, 12))))
+    a_gens = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=3))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(a_gens), max_size=len(a_gens))
+    b_gens = [tuple(sum(c * g[j] for c, g in zip(cs, a_gens)) for j in range(2))
+              for cs in draw(st.lists(coeffs, max_size=3))]
+    return (ambient, SubgroupDescription(ambient, tuple(a_gens)),
+            SubgroupDescription(ambient, tuple(b_gens)), a_gens, b_gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=finite_subgroup_pairs())
+def test_quotient_order_is_the_coset_count(case):
+    ambient, big, small, a_gens, b_gens = case
+    assert small <= big
+    a, b = big.elements(), small.elements()
+    assert (len(a), len(b)) == (len(_closure(ambient, a_gens)), len(_closure(ambient, b_gens)))
+    assert len(a) % len(b) == 0
+    assert big.quotient_shape(small).order() == len(a) // len(b)

@@ -5,7 +5,8 @@ the generator; it is the one walk of a field, run by the first discrete log
 and so by ``enumerate_units`` and ``discrete_log_table``.  Here it refuses
 every field of order above 10^5, and each command below must still exit 0
 over fields of order near the 10^6 bound; so must the degree-1 transfer
-over a trivial extension, which no command reaches.  These commands ask for
+over a trivial extension, which no command reaches, and the eta image that
+``grid_law`` compares with each level.  These commands ask for
 no discrete log, so they build no tables, not even for the quadratic
 transfer's base Fq(729).  Unit arithmetic builds no tables either: it
 runs on the packed kernel until a discrete log has built them, and reads
@@ -23,6 +24,7 @@ import pytest
 
 from mwslice import fields
 from mwslice.cli import main
+from mwslice.filtration import FiltrationQuery, eta_image_subgroup, tate_filtration
 from mwslice.milnor_witt import mw_symbol, normalize
 from mwslice.transfers import FiniteExtension, transfer_kmw
 
@@ -123,6 +125,15 @@ def test_degree_one_transfer_over_a_trivial_extension():
     g = fields.multiplicative_generator(field)
     down = transfer_kmw(FiniteExtension(field, field), normalize(mw_symbol(g)))
     assert (down.field, down.value, down.ideal_bit) == (field, g, 1)
+
+
+@pytest.mark.parametrize("name", [BIG, "Fq(994009)", "Fq(531441)"])
+def test_eta_image_needs_no_walk(name, tables_built):
+    field = fields.parse_field(name)
+    for n, p, q in ((1, 0, 1), (1, 0, 0), (2, 0, 1), (2, 1, 0)):
+        query = FiltrationQuery(n, p, q, field)
+        assert eta_image_subgroup(query) == tate_filtration(query)
+    assert tables_built == []
 
 
 @pytest.mark.parametrize("output", ["table", "json"])
