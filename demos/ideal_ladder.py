@@ -7,13 +7,12 @@ of the induced filtration of pi_{0,0} of the sphere.
 """
 
 from mwslice.fields import COMPLEXES, REALS, finite_field
-from mwslice.filtration import FiltrationQuery, graded_piece
-from mwslice.forms import fundamental_power_description
+from mwslice.filtration import FiltrationQuery, graded_piece, kmw_times_In
 
 print("=== the ideal ladder over R ===")
 print("GW(R) = Z x Z in (virtual rank, virtual index) coordinates\n")
 for n in range(0, 9):
-    desc = fundamental_power_description(REALS, n)
+    desc = kmw_times_In(0, n, REALS)
     if desc.is_full:
         print(f"I^{n} = GW(R)")
     else:
@@ -25,14 +24,14 @@ for q in (3, 5, 9):
     field = finite_field(q)
     sizes = []
     for n in range(0, 4):
-        d = fundamental_power_description(field, n)
+        d = kmw_times_In(0, n, field)
         tag = d.order_or_index()
         sizes.append("GW" if tag == "full" else ("0" if tag == "zero" else f"order {tag[1]}"))
     print(f"F_{q}:  I^0 = {sizes[0]}, I^1 = {sizes[1]}, I^2 = {sizes[2]}, I^3 = {sizes[3]}")
 
 print("\n=== quadratically closed: nothing to filter ===")
 for n in range(0, 3):
-    print(f"I^{n}(C) = {fundamental_power_description(COMPLEXES, n).order_or_index()}")
+    print(f"I^{n}(C) = {kmw_times_In(0, n, COMPLEXES).order_or_index()}")
 
 print("\n=== graded pieces of F^n pi_00 S ===")
 for field, name in ((REALS, "R"), (finite_field(5), "F_5")):

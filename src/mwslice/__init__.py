@@ -51,10 +51,8 @@ _EXPORTS = {
         "QuadraticForm",
         "WittClass",
         "form",
-        "fundamental_power_description",
         "gw_of_form",
         "hyperbolic",
-        "in_fundamental_power",
         "parse_form",
         "pfister",
         "witt_class",

@@ -48,11 +48,9 @@ from mwslice.filtration import (
 from mwslice.forms import (
     GWClass,
     QuadraticForm,
-    fundamental_power_description,
     gw_box,
     gw_of_form,
     gw_zero,
-    in_fundamental_power,
     pfister,
 )
 from mwslice.milnor_witt import (
@@ -303,12 +301,12 @@ def cartesian_check(field: FieldDescriptor, m: int) -> tuple[int, str | None]:
             ideal_part = GWClass(field, (0, normalize(word).ideal_bit))
         else:
             ideal_part = gw_zero(field)
-        if not in_fundamental_power(pfister(list(symbol)) - ideal_part, m + 1):
+        if not kmw_times_In(0, m + 1, field).contains((pfister(list(symbol)) - ideal_part).coords):
             return checked, f"the square does not commute at {word}"
     milnor_order = field.order - 1 if m == 1 else k2_brute_force_order(field)
-    ideal = fundamental_power_description(field, m)
+    ideal = kmw_times_In(0, m, field)
     # fiber product order: both maps to I^m/I^(m+1) are onto for our fields
-    quotient_order = ideal.quotient_shape(fundamental_power_description(field, m + 1)).order()
+    quotient_order = ideal.quotient_shape(kmw_times_In(0, m + 1, field)).order()
     fiber_order = milnor_order * ideal.order() // max(quotient_order, 1)
     coordinate_order = kmw_ambient(field, m).order()
     if fiber_order != coordinate_order:
@@ -355,7 +353,7 @@ class _Run:
 def check_real_ideal_ladder(run: _Run) -> CheckResult:
     """I(R)^n = (2^(n-1)) in the index coordinate, signature in 2^n Z, n = 0..12."""
     for n in range(0, 13):
-        desc = fundamental_power_description(REALS, n)
+        desc = kmw_times_In(0, n, REALS)
         run.cases += 1
         if n == 0:
             if not desc.is_full:

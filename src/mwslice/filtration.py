@@ -14,7 +14,6 @@ from math import isqrt
 
 from mwslice.abelian import Ambient, Record, SubgroupDescription, full_subgroup
 from mwslice.fields import FieldDescriptor
-from mwslice.forms import fundamental_power_description
 from mwslice.milnor_witt import eta_coords, kmw_ambient
 
 
@@ -100,7 +99,7 @@ def reported_level(query: FiltrationQuery) -> SubgroupDescription:
     """The level as the CLI shows it: I^{N+m} in GW coordinates when m, N >= 1."""
     m, N = query.degree, query.N
     if m >= 1 and N >= 1:
-        return fundamental_power_description(query.field, N + m)
+        return kmw_times_In(0, N + m, query.field)
     return tate_filtration(query)
 
 
@@ -137,10 +136,12 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> tuple[bool, tuple[
 
     Checks monotonicity of the chain on a small (p, q) grid and certifies the
     vanishing of the intersection structurally with the model's certificate:
-    I^2 = 0 over a finite field, the dyadic valuation bound on signatures over
-    a real closed field, and I = 0 over a quadratically closed field.  Where
-    some I^k vanishes the tail of each chain must be zero; otherwise fixed
-    elements are probed to leave the chain.  Returns whether the filtration
+    I^2 = 0 over a finite field, the dyadic valuation bound over a real
+    closed field, and I = 0 over a quadratically closed field.  Where some
+    I^k vanishes the tail of each chain must be zero.  Over R the level at
+    n = cutoff must lie in 2^k L, L the ambient lattice, for the k that the
+    ladder I(R)^N = 2^(N-1) Z gives; the lattices 2^k L meet in zero, so the
+    bound proves the whole chain separated.  Returns whether the filtration
     is separated and the details: each failure found, or a line saying that
     the intersection is zero.
     """
@@ -165,33 +166,21 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> tuple[bool, tuple[
                 if not chain[-1].is_zero and cutoff >= max(p, q) + vanishing:
                     details.append(f"tail not zero at (p,q)=({p},{q})")
                 continue
-            # Over R the ladder I(R)^N = 2^(N-1) Z (GW coordinates, N >= 1) makes
-            # the level meet the last coordinate in 2^(N-1) Z when m = 0 and in
-            # 2^N Z when m != 0.  So the probe c = 2^v leaves at N = v + 1 +
-            # [p == q], that is at n = max(p, q) + c.bit_length() + [p == q];
-            # a chain that still holds it at a cutoff that far out is wrong.
-            # A ladder stuck at 2^j Z holds the probe 2^j, so 1, 2 and 4 catch
-            # j <= 2; an odd probe c > 1 is held only where 1 is, and later.
-            for c in (1, 2, 4):
-                stays = all(level.contains(_embed(field, q - p, c)) for level in chain[1:])
-                if stays and cutoff >= max(p, q) + c.bit_length() + (p == q):
-                    details.append(f"element {c} never leaves the chain at ({p},{q})")
-    if vanishing is not None and not fundamental_power_description(field, vanishing).is_zero:
+            # Over R, I(R)^N = 2^(N-1) Z in the index coordinate (N >= 1) puts the
+            # level in 2^(N-1) L when m = 0 and in 2^N L when m != 0 (signatures
+            # and c of c [-1]^m gain the factor 2), so k = N - [p == q].  The
+            # least 2-adic valuation of the basis entries is that of the level.
+            k = cutoff - max(p, q) - (p == q)
+            low = min(((e & -e).bit_length() - 1 for row in chain[-1].basis for e in row if e),
+                      default=k)
+            if low < k:
+                details.append(f"level not in 2^{k} L at (p,q)=({p},{q})")
+    if vanishing is not None and not kmw_times_In(0, vanishing, field).is_zero:
         details.append(f"I^{vanishing} is not zero")
     separated = not details
     if separated:
         details.append("intersection of the chain is zero at the cutoff")
     return separated, tuple(details)
-
-
-def _embed(field: FieldDescriptor, m: int, c: int) -> tuple[int, ...]:
-    """A nonzero degree-m coordinate vector scaled by c, for probing chains."""
-    amb = kmw_ambient(field, m)
-    if amb.dim == 0:
-        return ()
-    v = [0] * amb.dim
-    v[-1] = c
-    return tuple(v)
 
 
 # -- the Moore-spectrum counterexample ---------------------------------------------
@@ -227,7 +216,7 @@ def moore_filtration(ell: int, field: FieldDescriptor, n: int) -> SubgroupDescri
     ambient = gw_mod_ell_ambient(field, ell)
     if n == 0:
         return full_subgroup(ambient)
-    desc = fundamental_power_description(field, n)
+    desc = kmw_times_In(0, n, field)
     # torsion coordinates are killed: (0, 1) = ell * (0, 1) in GW(F_q) since ell is odd
     gens = tuple(tuple(c % ell for c in g[: ambient.dim]) for g in desc.basis)
     return SubgroupDescription(ambient, gens)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from mwslice.abelian import Record, SubgroupDescription, full_subgroup
+from mwslice.abelian import Record
 from mwslice.fields import FieldDescriptor, FieldMismatchError, Unit, square_class, unit
 
 _set = object.__setattr__
@@ -239,20 +239,3 @@ def witt_lift(w: WittClass) -> GWClass:
 def witt_zero(field: FieldDescriptor) -> WittClass:
     return witt_class(gw_zero(field))
 
-
-# -- fundamental ideal ------------------------------------------------------------
-
-
-def in_fundamental_power(x: GWClass, n: int) -> bool:
-    """Decide x in I(F)^n.  I^0 = GW."""
-    return fundamental_power_description(x.field, n).contains(x.coords)
-
-
-def fundamental_power_description(field: FieldDescriptor, n: int) -> SubgroupDescription:
-    """I(F)^n as a subgroup of GW coordinates."""
-    if n < 0:
-        raise ValueError("fundamental powers are indexed by naturals")
-    ambient = field.gw_ambient
-    if n == 0:
-        return full_subgroup(ambient)
-    return SubgroupDescription(ambient, field.level_generators(0, n))

@@ -23,7 +23,7 @@ Steinberg presentation and the cartesian square, live in ``mwslice.checks``.
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 from mwslice.abelian import Ambient, Record
@@ -283,8 +283,14 @@ class MWNormalForm(Record):
         return self.field.kmw_str(m, self.value)
 
 
+@lru_cache(maxsize=None)
 def kmw_ambient(field: FieldDescriptor, m: int) -> Ambient:
-    """Coordinate group of K^MW_m normal forms."""
+    """Coordinate group of K^MW_m normal forms, one shared object per (field, m).
+
+    The keys are bounded per field: a filtration query asks for
+    |m| <= 2 * ``filtration.MAX_INDEX``, and an expression for a degree of
+    at most ``MAX_WORD_LENGTH`` in absolute value.
+    """
     if m == 0:
         return field.gw_ambient
     if m < 0:

@@ -20,7 +20,7 @@ from mwslice.filtration import (
     shift_index,
     tate_filtration,
 )
-from mwslice.forms import fundamental_power_description
+from mwslice.checks import ideal_power_oracle
 from mwslice.milnor_witt import kmw_ambient
 
 F3 = finite_field(3)
@@ -46,10 +46,14 @@ def test_tate_examples():
 
 
 def test_tate_equals_ideal_power_at_origin():
+    # against the span of the n-fold Pfister elements, not the library's ladder
     for field in ALL_FIELDS:
         for n in range(-3, 9):
-            assert tate_filtration(FiltrationQuery(n, 0, 0, field)) == \
-                fundamental_power_description(field, max(n, 0))
+            level = tate_filtration(FiltrationQuery(n, 0, 0, field))
+            if n <= 0:
+                assert level == full_subgroup(field.gw_ambient)
+            else:
+                assert level == ideal_power_oracle(field, n)
 
 
 def test_kmw_times_In_dichotomy():
@@ -236,31 +240,49 @@ def _stalled(monkeypatch, stall):
     return real
 
 
-@pytest.mark.parametrize("stall", [0, 1, 2, 3, 4])
+def _probe_catches(real, stall, cutoff, p, q):
+    """Whether the probes of the earlier check, the elements 1, 2 and 4 in the
+    last coordinate, see the stall at (p, q): one of them is held by the
+    stalled level at n = cutoff and not by the right one."""
+    N = shift_index(cutoff - p, cutoff - q)
+    for c in (1, 2, 4):
+        v = (0,) * (kmw_ambient(REALS, q - p).dim - 1) + (c,)
+        if real(q - p, min(N, stall), REALS).contains(v) and not real(q - p, N, REALS).contains(v):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("stall", range(8))
 def test_a_stalled_real_ladder_is_caught_once_the_right_one_has_left(monkeypatch, stall):
-    # element c is reported at (p, q) exactly when the stalled level at
-    # n = cutoff, the smallest of its chain, holds it and the right one does not
+    # the level at n = cutoff is reported exactly when its least 2-adic
+    # valuation, 0 for a full level and j - [p == q] for I^j, is below
+    # k = cutoff - max(p, q) - [p == q]
     real = _stalled(monkeypatch, stall)
-    reported = []
+    first, probed = None, 0
     for cutoff in range(1, 9):
         expected = []
         for p, q in itertools.product(range(3), repeat=2):
-            N = shift_index(cutoff - p, cutoff - q)
-            for c in (1, 2, 4):
-                v = (0,) * (kmw_ambient(REALS, q - p).dim - 1) + (c,)
-                if real(q - p, min(N, stall), REALS).contains(v) and not real(q - p, N, REALS).contains(v):
-                    expected.append(f"element {c} never leaves the chain at ({p},{q})")
+            j = min(shift_index(cutoff - p, cutoff - q), stall)
+            k = cutoff - max(p, q) - (p == q)
+            caught = (j - (p == q) if j else 0) < k
+            if caught:
+                expected.append(f"level not in 2^{k} L at (p,q)=({p},{q})")
+                first = first or cutoff
+            if _probe_catches(real, stall, cutoff, p, q):
+                assert caught, (cutoff, p, q)
+                probed += 1
         separated, details = convergence_check(REALS, cutoff)
         assert details == (tuple(expected) or ("intersection of the chain is zero at the cutoff",))
         assert separated == (not expected)
-        reported += expected
-    assert bool(reported) == (stall <= 3)  # I(R)^3 = 4Z is the deepest stall a probe sees
+    assert first == max(stall + 1, 2)
+    assert bool(probed) == (stall <= 3)  # I(R)^3 = 4Z is the deepest stall a probe sees
 
 
 @pytest.mark.parametrize("field", [F7, COMPLEXES], ids=str)
 def test_a_stalled_tail_is_caught_once_the_certificate_kills_it(monkeypatch, field):
     # a tail is reported exactly when it is nonzero although I^N, N at the
-    # cutoff, is already zero in GW coordinates
+    # cutoff, is already zero in GW coordinates; the stalled I^k itself is
+    # reported at every cutoff
     real = _stalled(monkeypatch, 0)
     reported = []
     for cutoff in range(1, 6):
@@ -268,9 +290,10 @@ def test_a_stalled_tail_is_caught_once_the_certificate_kills_it(monkeypatch, fie
             f"tail not zero at (p,q)=({p},{q})"
             for p, q in itertools.product(range(3), repeat=2)
             if not real(q - p, 0, field).is_zero
-            and fundamental_power_description(field, shift_index(cutoff - p, cutoff - q)).is_zero
+            and real(0, shift_index(cutoff - p, cutoff - q), field).is_zero
         ]
         separated, details = convergence_check(field, cutoff)
-        assert details == (tuple(expected) or ("intersection of the chain is zero at the cutoff",))
+        assert details == (*expected, f"I^{field.vanishing_power} is not zero")
+        assert not separated
         reported += expected
     assert reported

@@ -28,18 +28,22 @@ from mwslice.forms import (
     GWClass,
     QuadraticForm,
     form,
-    fundamental_power_description,
     gw_of_form,
     gw_of_unit,
     gw_one,
     gw_zero,
     hyperbolic,
-    in_fundamental_power,
     parse_form,
     pfister,
     witt_class,
     witt_zero,
 )
+
+
+def in_ideal_power(x: GWClass, n: int) -> bool:
+    """x in I(F)^n: membership in the level K^MW_0 * I^n."""
+    return kmw_times_In(0, n, x.field).contains(x.coords)
+
 
 F3 = finite_field(3)
 F5 = finite_field(5)
@@ -148,7 +152,7 @@ def test_pfister_lands_in_ideal_powers(q):
     units = enumerate_units(field)
     for n in (1, 2, 3, 4):
         for tup in itertools.product(units, repeat=n):
-            assert in_fundamental_power(pfister(list(tup)), n)
+            assert in_ideal_power(pfister(list(tup)), n)
 
 
 def test_witt_class_examples():
@@ -194,37 +198,37 @@ def test_in_fundamental_power_real():
     for n in range(1, 9):
         for k in (-3, -1, 1, 2):
             # rank 0, signature 2^n k: index -2^(n-1) k
-            assert in_fundamental_power(GWClass(REALS, (0, -(1 << (n - 1)) * k)), n)
+            assert in_ideal_power(GWClass(REALS, (0, -(1 << (n - 1)) * k)), n)
         if n >= 2:
-            assert not in_fundamental_power(GWClass(REALS, (0, 1 - (1 << (n - 1)))), n)
-    assert in_fundamental_power(GWClass(REALS, (3, 1)), 0)
-    assert not in_fundamental_power(GWClass(REALS, (3, 1)), 1)
+            assert not in_ideal_power(GWClass(REALS, (0, 1 - (1 << (n - 1)))), n)
+    assert in_ideal_power(GWClass(REALS, (3, 1)), 0)
+    assert not in_ideal_power(GWClass(REALS, (3, 1)), 1)
 
 
 def test_in_fundamental_power_finite():
     s = multiplicative_generator(F5)
     x = gw_of_unit(s) - gw_one(F5)
-    assert in_fundamental_power(x, 1)
-    assert not in_fundamental_power(x, 2)
-    assert in_fundamental_power(x + x, 2)  # 2x = 0 over F_q
+    assert in_ideal_power(x, 1)
+    assert not in_ideal_power(x, 2)
+    assert in_ideal_power(x + x, 2)  # 2x = 0 over F_q
 
 
 def test_fundamental_power_descriptions():
-    d3 = fundamental_power_description(REALS, 3)
+    d3 = kmw_times_In(0, 3, REALS)
     assert d3.canonical_generators() == ((0, 4),)       # (2^{n-1}) in the index coordinate
     assert d3.index_in_saturation() == 4
-    assert fundamental_power_description(F5, 1).order() == 2
-    assert fundamental_power_description(F5, 2).is_zero
-    assert fundamental_power_description(COMPLEXES, 1).is_zero
-    assert fundamental_power_description(COMPLEXES, 0).is_full
+    assert kmw_times_In(0, 1, F5).order() == 2
+    assert kmw_times_In(0, 2, F5).is_zero
+    assert kmw_times_In(0, 1, COMPLEXES).is_zero
+    assert kmw_times_In(0, 0, COMPLEXES).is_full
 
 
 def test_ideal_powers_multiply_into_higher_powers():
     for field in (F3, F5, REALS):
         for a, b in itertools.product((1, 2, 3, 4, 5, 6), repeat=2):
-            da = fundamental_power_description(field, a)
-            db = fundamental_power_description(field, b)
-            dab = fundamental_power_description(field, a + b)
+            da = kmw_times_In(0, a, field)
+            db = kmw_times_In(0, b, field)
+            dab = kmw_times_In(0, a + b, field)
             for ga in da.basis:
                 for gb in db.basis:
                     x = GWClass(field, ga) * GWClass(field, gb)
@@ -235,7 +239,7 @@ def test_ideal_power_injects_into_witt():
     # I^r -> W(F) is injective for r >= 1: orders agree
     for field in (F3, F5, F9, REALS):
         for r in (1, 2, 3):
-            gw_side = fundamental_power_description(field, r)
+            gw_side = kmw_times_In(0, r, field)
             witt_side = kmw_times_In(-1, r, field)
             assert gw_side.order() == witt_side.order() or (
                 gw_side.order() is None and witt_side.order() is None

@@ -23,12 +23,11 @@ from mwslice.fields import (
     unit_mul,
     unit_pow,
 )
-from mwslice.filtration import FiltrationQuery, eta_image_subgroup
+from mwslice.filtration import FiltrationQuery, eta_image_subgroup, kmw_times_In
 from mwslice.forms import (
     GWClass,
     WittClass,
     form,
-    fundamental_power_description,
     gw_of_form,
     gw_one,
     gw_zero,
@@ -203,7 +202,7 @@ def test_eta_power_images_equal_ideal_powers():
     for field in ALL_FIELDS:
         for n in range(1, 9):
             image = eta_image_subgroup(FiltrationQuery(n, 0, 0, field))
-            assert image == fundamental_power_description(field, n)
+            assert image == kmw_times_In(0, n, field)
 
 
 def test_degree_one_finite_coordinates():
@@ -304,6 +303,12 @@ def test_kmw_ambients():
     assert kmw_ambient(F7, -2).torsion == (4,)
     assert kmw_ambient(REALS, 4).free_rank == 1
     assert kmw_ambient(COMPLEXES, 3).is_trivial
+
+
+@pytest.mark.parametrize("field", [F7, REALS, COMPLEXES], ids=str)
+def test_a_coordinate_group_is_one_object_per_field_and_degree(field):
+    for m in range(-2, 4):
+        assert kmw_ambient(field, m) is kmw_ambient(field, m)
 
 
 def test_generating_expressions_generate():

@@ -11,7 +11,9 @@ string in the package's ``_EXPORTS`` table counts as a read.  So must every
 name in a class's ``_fields`` tuple, there as an attribute load (``x.name``).
 Walks over every unit of a field, and the exhaustive oracles that run them,
 are called only from ``checks`` and the few places named in ``WALK_SITES``,
-and only ``cli.cmd_check_all`` imports ``checks``.
+and only ``cli.cmd_check_all`` imports ``checks``.  Only
+``filtration.kmw_times_In`` builds a filtration level from a field's
+``level_generators``.
 """
 
 from __future__ import annotations
@@ -177,31 +179,42 @@ WALK_SITES = {
 }
 
 
+def nodes_by_site(modules: dict[str, ast.Module]):
+    """Each node with its site, ``module.Class.function``, the innermost definition around it."""
+
+    def visit(node: ast.AST, site: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{site}.{child.name}")
+            else:
+                yield site, child
+                yield from visit(child, site)
+
+    for module, tree in modules.items():
+        yield from visit(tree, module)
+
+
+def called_name(node: ast.AST) -> str | None:
+    """The name a call calls, by name or as a method; None for anything else."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
 def misplaced_walks(modules: dict[str, ast.Module]) -> list[str]:
     """Each function outside ``checks`` that walks a field or imports ``checks``
     where ``WALK_SITES`` or ``cli.cmd_check_all`` does not allow it."""
     found: dict[str, str] = {}
-
-    def visit(node: ast.AST, site: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{site}.{child.name}")
-                continue
-            if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name in WALKS and site not in WALK_SITES:
-                    found.setdefault(site, f"calls {name}")
-            elif isinstance(child, (ast.Import, ast.ImportFrom)):
-                names = {a.name for a in child.names}
-                if isinstance(child, ast.ImportFrom):
-                    names = {f"{child.module}.{n}" for n in names} | {child.module}
-                if "mwslice.checks" in names and site != "cli.cmd_check_all":
-                    found.setdefault(site, "imports mwslice.checks")
-            visit(child, site)
-
-    for module, tree in modules.items():
-        if module != "checks":
-            visit(tree, module)
+    for site, node in nodes_by_site({m: t for m, t in modules.items() if m != "checks"}):
+        name = called_name(node)
+        if name in WALKS and site not in WALK_SITES:
+            found.setdefault(site, f"calls {name}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {a.name for a in node.names}
+            if isinstance(node, ast.ImportFrom):
+                names = {f"{node.module}.{n}" for n in names} | {node.module}
+            if "mwslice.checks" in names and site != "cli.cmd_check_all":
+                found.setdefault(site, "imports mwslice.checks")
     return [f"{site} {what}" for site, what in sorted(found.items())]
 
 
@@ -224,3 +237,22 @@ def test_the_check_sees_a_misplaced_walk():
         "fields.K.literal calls enumerate_units",
         "fields.K.logs calls discrete_log_table",
     ]
+
+
+def call_sites(modules: dict[str, ast.Module], name: str) -> list[str]:
+    """Each site that calls ``name``, by name or as a method."""
+    return sorted({site for site, node in nodes_by_site(modules) if called_name(node) == name})
+
+
+def test_one_builder_for_the_levels():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert call_sites(modules, "level_generators") == ["filtration.kmw_times_In"]
+
+
+def test_the_check_sees_a_second_builder():
+    a = ast.parse("def kmw_times_In(m, n, f): return f.level_generators(m, n)\n")
+    b = ast.parse("def fundamental_power_description(f, n):\n"
+                  "    return SubgroupDescription(f.gw_ambient, f.level_generators(0, n))\n"
+                  "class K:\n    def level_generators(self, m, n): return level_generators(m, n)\n")
+    assert call_sites({"filtration": a, "forms": b}, "level_generators") == [
+        "filtration.kmw_times_In", "forms.K.level_generators", "forms.fundamental_power_description"]

@@ -25,7 +25,7 @@ from mwslice.fields import (
     unit_mul,
     unit_pow,
 )
-from mwslice.filtration import FiltrationQuery, tate_filtration
+from mwslice.filtration import FiltrationQuery, kmw_times_In, tate_filtration
 from mwslice.forms import GWClass, gw_of_unit, gw_one, hyperbolic, witt_class
 from mwslice.milnor_witt import MWNormalForm, normalize, mw_symbol
 from mwslice.transfers import (
@@ -226,10 +226,7 @@ def test_transfer_closure_examples():
     full = transfer_closure_subgroup(F5, 1, 0, 1, 2)
     assert full.is_full
     # n = 1, p = q = 0: the closure is exactly the fundamental ideal
-    from mwslice.forms import fundamental_power_description
-
-    assert transfer_closure_subgroup(F5, 0, 0, 1, 2) == \
-        fundamental_power_description(F5, 1)
+    assert transfer_closure_subgroup(F5, 0, 0, 1, 2) == kmw_times_In(0, 1, F5)
     # n <= min(p, q): full by stabilization
     assert transfer_closure_subgroup(F5, 2, 2, 1, 2).is_full
 
