@@ -356,10 +356,6 @@ class SubgroupDescription(Record):
         return f"<{gens}> < {self.ambient} ({kind} {n})"
 
 
-def zero_subgroup(ambient: Ambient) -> SubgroupDescription:
-    return SubgroupDescription(ambient, ())
-
-
 @lru_cache(maxsize=None)
 def full_subgroup(ambient: Ambient) -> SubgroupDescription:
     """The whole ambient, built (one HNF) once per ambient; both types are frozen."""

@@ -265,7 +265,7 @@ def trace_form_oracle(ext: FiniteExtension, a: Unit) -> GWClass:
     with q_b decides its square class inside the top field.
     """
     top, d = ext.top, ext.degree
-    x = Unit(top, (0, 1) + (0,) * (top.degree - 2)) if top.degree > 1 else one(top)
+    x = Unit(top, top.p) if top.degree > 1 else one(top)
     zs = [unit_mul(a, unit_pow(x, i)) for i in range(2 * d - 1)]
     traces = [_unit_sum(unit_pow(z, ext.base.order**k) for k in range(d)) for z in zs]
     terms = []

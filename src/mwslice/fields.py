@@ -4,10 +4,10 @@ Three families of field are modelled, all of characteristic != 2, each by a
 subclass of :class:`FieldDescriptor`:
 
 * :class:`FiniteField` -- F_q with q an odd prime power.  Elements are
-  polynomials over the prime field modulo a monic irreducible, stored as
-  coefficient tuples.  Its first discrete log builds exp/log tables of the
-  powers of its generator, which every later discrete log and its unit
-  arithmetic then read.
+  polynomials over the prime field modulo a monic irreducible; a unit's
+  carrier is the integer sum c_i p^i of its coefficients, 0 < carrier < q.
+  Its first discrete log builds exp/log arrays of the powers of its
+  generator, which every later discrete log and its unit arithmetic then read.
 * :class:`RealField` -- a real closed field.  Unit carriers are nonzero
   rationals; only the sign of a unit is ever invariant-relevant.
 * :class:`ClosedField` -- a quadratically closed field.  Unit carriers are
@@ -198,7 +198,7 @@ class Unit(Record):
     __slots__ = ("field", "value", "_hash")
     _fields = ("field", "value")
 
-    def __init__(self, field: FieldDescriptor, value: tuple[int, ...] | Fraction) -> None:
+    def __init__(self, field: FieldDescriptor, value: int | Fraction) -> None:
         field.check_carrier(value)
         _set(self, "field", field)
         _set(self, "value", value)
@@ -212,12 +212,11 @@ class Unit(Record):
 
     @property
     def encoding(self) -> int:
-        """Integer encoding sum(c_i p^i); fixes the canonical residue order."""
-        assert self.field.is_finite
-        return sum(c * self.field.p**i for i, c in enumerate(self.value))
+        """The integer sum(c_i p^i) that orders residues: over F_q, the carrier."""
+        return self.value
 
 
-def _kernel_unit(field: FieldDescriptor, value: tuple[int, ...]) -> Unit:
+def _kernel_unit(field: FieldDescriptor, value: int) -> Unit:
     """A Unit whose carrier the field's own kernel computed, so it skips ``check_carrier``."""
     u = object.__new__(Unit)
     _set(u, "field", field)
@@ -285,12 +284,13 @@ class FiniteField(FieldDescriptor):
     """F_q, q odd: GW = Z x Z/2 by (rank, disc_dev), W = Z/4 or Z/2 x Z/2.
 
     One object per (p, d, modulus): every monic linear modulus gives F_p the
-    same arithmetic, so each names Fq(p).
+    same arithmetic, so each names Fq(p).  A unit sum c_i x^i is carried by
+    one integer, its code sum c_i p^i, 0 < code < q, which orders residues.
 
     Over F_{p^d} a product is one integer multiplication (Kronecker
     substitution; von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4).
-    A carrier (c_0, ..., c_{d-1}) is packed as sum c_i 2^(k i), where the lane
-    width k holds d (p-1)^2 (1 + (d-1)(p-1)): a product coefficient is at most
+    A code is packed as sum c_i 2^(k i), where the lane width k holds
+    d (p-1)^2 (1 + (d-1)(p-1)): a product coefficient is at most
     d (p-1)^2, and folding the d-1 high lanes back through x^j mod f (whose
     coefficients are below p) adds at most (d-1)(p-1) times that to a low
     lane, so no lane carries into the next.  Beside the product the kernel
@@ -301,17 +301,18 @@ class FiniteField(FieldDescriptor):
 
     The first discrete log, asked for by a ``g^k`` output or a K^MW_1
     coordinate, walks the q - 1 powers of the canonical generator g once on
-    the packed kernel and keeps two tables: ``exp`` (k -> the carrier of g^k)
-    and ``log`` (carrier -> k), as systems for finite fields keep them (Lidl
+    the packed kernel and keeps two arrays: ``exp`` (k -> the code of g^k)
+    and ``log`` (code -> k), as systems for finite fields keep them (Lidl
     and Niederreiter, *Finite Fields*).  Every later discrete log is one
     lookup, and ``enumerate_units`` reads ``exp``.  Then unit arithmetic is
     index arithmetic mod q - 1: a product adds logs (over F_p it stays one
-    product mod p), an inverse negates one, -1 is g^((q-1)/2), a square has
-    an even log (g is a nonsquare), and over F_(p^d), d >= 2, a sum is
-    g^(a + Z(b - a)) = g^a + g^b by the Zech logs Z(k) = log(1 + g^k) (ibid.
-    10.3), which the first such sum tabulates.  Before the tables, every
-    operation but the F_p sum and product runs the kernel above, which the
-    tests take as the reference for the tables.
+    product mod p), an inverse negates one, a square has an even log (g is
+    a nonsquare), and over F_(p^d), d >= 2, a sum is g^(a + Z(b - a)) =
+    g^a + g^b by the Zech logs Z(k) = log(1 + g^k) (ibid. 10.3), which the
+    first such sum tabulates.  A negation is the product by -1, whose code
+    is p - 1.  Before the tables, every operation but the F_p sum and
+    product runs the kernel above, which the tests take as the reference
+    for the tables.
     """
 
     _fields = ("order", "modulus")
@@ -342,24 +343,26 @@ class FiniteField(FieldDescriptor):
         _set(self, "lane", k)
         _set(self, "_lane_shifts", tuple(range(k * (d - 1), -1, -k)))  # top lane first
         # packed x^j mod f for j = d, ..., 2d - 2
-        folds = (self._pack(_prem((0,) * j + (1,), modulus, p)) for j in range(d, 2 * d - 1))
-        _set(self, "_folds", tuple(folds))
+        folds = (_prem((0,) * j + (1,), modulus, p) for j in range(d, 2 * d - 1))
+        _set(self, "_folds", tuple(sum(c << k * i for i, c in enumerate(f)) for f in folds))
         _set(self, "_tables", None)  # (exp, log) from the first discrete log on
-        _set(self, "_one", _kernel_unit(self, (1,) + (0,) * (d - 1)))
+        _set(self, "_one", _kernel_unit(self, 1))
+        _set(self, "_minus_one", _kernel_unit(self, p - 1))
 
-    # -- units: coefficient tuples modulo the field's modulus ------------------
+    # -- units: integer codes of residues modulo the field's modulus -----------
 
     def check_carrier(self, value) -> None:
-        if not isinstance(value, tuple) or not value:
-            raise ValueError("finite-field units are nonempty coefficient tuples")
-        top = max(value)
-        if len(value) != self.degree or top >= self.p or min(value) < 0:
-            raise ValueError(f"unreduced residue {value}")
-        if not top:
-            raise ValueError("zero is not a unit")
+        if type(value) is not int:
+            raise ValueError("finite-field units are integer codes sum(c_i p^i)")
+        if not 0 < value < self.order:
+            raise ValueError(f"unreduced residue {value}" if value else "zero is not a unit")
+
+    def coefficients(self, value: int) -> tuple[int, ...]:
+        """The d coefficients (c_0, ..., c_(d-1)) of the unit with this code."""
+        return tuple(value // self.p**i % self.p for i in range(self.degree))
 
     def carrier_str(self, value) -> str:
-        return poly_str(value)
+        return poly_str(self.coefficients(value))
 
     def coerce(self, value) -> Unit:
         if isinstance(value, Fraction):
@@ -370,24 +373,29 @@ class FiniteField(FieldDescriptor):
         if isinstance(value, int):
             return self._from_int(value)
         coeffs = _prem([c % self.p for c in value], self.modulus, self.p)
-        return Unit(self, coeffs + (0,) * (self.degree - len(coeffs)))
+        return Unit(self, sum(c * self.p**i for i, c in enumerate(coeffs)))
 
     def _from_int(self, n: int) -> Unit:
-        return Unit(self, (n % self.p,) + (0,) * (self.degree - 1))
+        return Unit(self, n % self.p)
 
     def one(self) -> Unit:
         return self._one
 
-    def _pack(self, c: Sequence[int]) -> int:
-        x, k = 0, self.lane
-        for ci in reversed(c):
-            x = x << k | ci
+    def _pack(self, code: int) -> int:
+        """The packed lanes of a code: its base-p digits, k bits apart."""
+        x, p, k = 0, self.p, self.lane
+        for s in range(0, k * self.degree, k):
+            code, c = divmod(code, p)
+            x |= c << s
         return x
 
-    def _unpack(self, x: int) -> tuple[int, ...]:
-        k = self.lane
-        mask = (1 << k) - 1
-        return tuple([x >> s & mask for s in range(0, k * self.degree, k)])
+    def _unpack(self, x: int) -> int:
+        """The code of a packed carrier whose lanes are reduced mod p."""
+        p, mask = self.p, (1 << self.lane) - 1
+        code = 0
+        for s in self._lane_shifts:
+            code = code * p + (x >> s & mask)
+        return code
 
     def _reduce_lanes(self, r: int) -> int:
         """The packed carrier whose lanes are the d low lanes of r, each mod p."""
@@ -423,7 +431,7 @@ class FiniteField(FieldDescriptor):
 
     def mul(self, a: Unit, b: Unit) -> Unit:
         if self.degree == 1:
-            return _kernel_unit(self, (a.value[0] * b.value[0] % self.p,))
+            return _kernel_unit(self, a.value * b.value % self.p)
         if self._tables is not None:
             return self._exp(self._log(a) + self._log(b))
         return Unit(self, self._unpack(self._mul_packed(self._pack(a.value), self._pack(b.value))))
@@ -434,38 +442,37 @@ class FiniteField(FieldDescriptor):
             return self._exp(self._log(a) * n)
         return Unit(self, self.carrier_pow(a.value, n % (self.order - 1)))
 
-    def carrier_pow(self, c: tuple[int, ...], n: int) -> tuple[int, ...]:
-        """c^n on raw coefficient tuples for n >= 0, by square-and-multiply."""
+    def carrier_pow(self, c: int, n: int) -> int:
+        """c^n on raw codes for n >= 0, by square-and-multiply."""
         if self.degree == 1:
-            return (pow(c[0], n, self.p),)
+            return pow(c, n, self.p)
         return self._unpack(self._pow_packed(self._pack(c), n))
 
-    def _tabulate(self) -> tuple:
+    def _tabulate(self) -> tuple[array, array]:
         """(exp, log) from one walk of the q - 1 powers of g, each from the one before.
 
-        Over F_p both tables are ``array``s, indexed by k and by the residue,
-        of the narrowest unsigned type that holds p: 16 bits while p <= 2^16.
-        Over F_(p^d) ``exp`` is a tuple of carriers and ``log`` a dict on the
-        same tuples.
+        Both tables are ``array``s, indexed by k and by the code, of the
+        narrowest unsigned type that holds q: 16 bits while q <= 2^16.  Over
+        F_p a step is one product mod p; over F_(p^d) it is one packed product.
         """
         n, g = self.order - 1, multiplicative_generator(self).value
+        typecode = next(c for c in "HIL" if array(c).itemsize * 8 >= self.order.bit_length())
+        exp, log = array(typecode, [0]) * n, array(typecode, [0]) * self.order
         if self.degree == 1:
-            p = self.p
-            code = next(c for c in "HIL" if array(c).itemsize * 8 >= p.bit_length())
-            exp, log = array(code, [0]) * n, array(code, [0]) * p
-            x = 1
+            x, p = 1, self.p
             for k in range(n):
                 exp[k] = x
                 log[x] = k
-                x = x * g[0] % p
+                x = x * g % p
             return exp, log
-        x, step, carriers = 1, self._pack(g), []
-        for _ in range(n):
-            carriers.append(self._unpack(x))
-            x = self._mul_packed(x, step)
-        return tuple(carriers), {c: k for k, c in enumerate(carriers)}
+        x, step, mul, unpack = 1, self._pack(g), self._mul_packed, self._unpack
+        for k in range(n):
+            c = exp[k] = unpack(x)
+            log[c] = k
+            x = mul(x, step)
+        return exp, log
 
-    def _exp_log(self) -> tuple:
+    def _exp_log(self) -> tuple[array, array]:
         """The (exp, log) tables; the first call builds them."""
         if self._tables is None:
             _set(self, "_tables", self._tabulate())
@@ -473,20 +480,18 @@ class FiniteField(FieldDescriptor):
 
     def _log(self, a: Unit) -> int:
         """k with a = g^k, 0 <= k < q - 1."""
-        return self._exp_log()[1][a.value[0] if self.degree == 1 else a.value]
+        return self._exp_log()[1][a.value]
 
     def _exp(self, k: int) -> Unit:
         """g^k read off ``exp``, once built; unchecked, as the kernel computed it."""
-        c = self._tables[0][k % (self.order - 1)]
-        return _kernel_unit(self, (c,) if self.degree == 1 else c)
+        return _kernel_unit(self, self._tables[0][k % (self.order - 1)])
 
     @cached_property
     def _zech(self) -> array:
-        """Z(k) = log(1 + g^k) over F_(p^d), d >= 2, in 16 bits while they fit;
-        0, which no Zech log takes, where g^k = -1 and 1 + g^k has no log."""
+        """Z(k) = log(1 + g^k) over F_(p^d), d >= 2, where 1 + c adds 1 to the constant
+        digit of the code c; 0, which no Zech log takes, where g^k = -1 (``log[0]``)."""
         (exp, log), p = self._tables, self.p
-        return array("H" if self.order <= 1 << 16 else "I",
-                     [log.get(((c[0] + 1) % p,) + c[1:], 0) for c in exp])
+        return array(exp.typecode, [log[c + 1 if (c + 1) % p else c + 1 - p] for c in exp])
 
     def generator_power(self, k: int) -> Unit:
         """g^k for the canonical generator g: an ``exp`` entry once tabulated,
@@ -499,27 +504,25 @@ class FiniteField(FieldDescriptor):
         return self.pow(a, -1)
 
     def neg(self, a: Unit) -> Unit:
-        if self._tables is not None:
-            return self._exp(self._log(a) + (self.order - 1) // 2)
-        return Unit(self, tuple((-c) % self.p for c in a.value))
+        return self.mul(a, self._minus_one)
 
     def add(self, a: Unit, b: Unit) -> Unit | None:
         if self.degree == 1:
-            s = (a.value[0] + b.value[0]) % self.p
-            return _kernel_unit(self, (s,)) if s else None
+            s = (a.value + b.value) % self.p
+            return _kernel_unit(self, s) if s else None
         if self._tables is not None:
             log = self._tables[1]
             i = log[a.value]
             z = self._zech[(log[b.value] - i) % (self.order - 1)]
             return self._exp(i + z) if z else None
-        coeffs = tuple((x + y) % self.p for x, y in zip(a.value, b.value))
-        return Unit(self, coeffs) if any(coeffs) else None
+        s = self._unpack(self._reduce_lanes(self._pack(a.value) + self._pack(b.value)))
+        return Unit(self, s) if s else None
 
     def square_class(self, a: Unit) -> int:
         """The parity of log_g a once tabulated; before, Euler's criterion a^((q-1)/2) = 1."""
         if self._tables is not None:
             return self._log(a) & 1
-        return 0 if self.carrier_pow(a.value, (self.order - 1) // 2) == self._one.value else 1
+        return 0 if self.carrier_pow(a.value, (self.order - 1) // 2) == 1 else 1
 
     def literal(self, u: Unit) -> str:
         return f"g^{self._log(u)}"
@@ -589,8 +592,8 @@ class FiniteField(FieldDescriptor):
         u_acc = self.one()
         bit = 0
         for t in terms:
-            if t.eta_power == 0:
-                u_acc = unit_mul(u_acc, unit_pow(t.symbol[0], t.coeff))
+            if len(t.factors) == 1:  # in degree 1, the words without eta: one unit [u]
+                u_acc = unit_mul(u_acc, unit_pow(t.factors[0], t.coeff))
             bit = (bit + gw_part(t).coords[1]) % 2
         if square_class(u_acc) != bit:
             raise ValueError(
@@ -816,15 +819,13 @@ def enumerate_units(field: FieldDescriptor) -> tuple[Unit, ...]:
 def multiplicative_generator(field: FieldDescriptor) -> Unit:
     """Smallest generator of F_q^x in the canonical residue order.
 
-    Residues are tried by increasing ``Unit.encoding``, decoded from its base-p
-    digits; u has order q - 1 iff u^((q-1)/r) != 1 for each prime r | q - 1.
+    Residues are tried by increasing code (``Unit.encoding``); u has order
+    q - 1 iff u^((q-1)/r) != 1 for each prime r | q - 1.
     """
     exponents = [(field.order - 1) // r for r in _prime_factors(field.order - 1)]
-    e = field.one().value
     for code in range(1, field.order):
-        c = tuple(code // field.p**i % field.p for i in range(field.degree))
-        if all(field.carrier_pow(c, k) != e for k in exponents):
-            return Unit(field, c)
+        if all(field.carrier_pow(code, k) != 1 for k in exponents):
+            return Unit(field, code)
     raise RuntimeError("no multiplicative generator found")
 
 

@@ -119,7 +119,7 @@ def embedding_image_of_generator(ext: FiniteExtension) -> Unit:
         x = unit_mul(x, h)
     if not roots:
         raise ExtensionError(f"no root of the base modulus found in {top}")
-    return min(roots, key=lambda u: u.encoding)
+    return min(roots, key=lambda u: u.value)
 
 
 def _evaluate(field: FieldDescriptor, coeffs: Sequence[int], x: Unit) -> Unit | None:
@@ -136,11 +136,9 @@ def _evaluate(field: FieldDescriptor, coeffs: Sequence[int], x: Unit) -> Unit | 
 
 def embed_unit(ext: FiniteExtension, u: Unit) -> Unit:
     """Image of a base unit in the top field."""
-    if not ext.base.is_finite:
-        return Unit(ext.top, u.value)
-    if ext.base.degree == 1:
-        return Unit(ext.top, (u.value[0],) + (0,) * (ext.top.degree - 1))
-    image = _evaluate(ext.top, u.value, embedding_image_of_generator(ext))
+    if not ext.base.is_finite or ext.base.degree == 1:
+        return Unit(ext.top, u.value)  # a rational, or a constant code below p
+    image = _evaluate(ext.top, ext.base.coefficients(u.value), embedding_image_of_generator(ext))
     assert image is not None
     return image
 

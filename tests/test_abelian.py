@@ -13,7 +13,6 @@ from mwslice.abelian import (
     full_subgroup,
     hnf,
     smith_normal_form,
-    zero_subgroup,
 )
 
 GW_R = Ambient(2, (), ("rank", "index"), "GW(R)")
@@ -128,11 +127,11 @@ def test_order_and_index():
 
 def test_full_and_zero():
     assert full_subgroup(GW_F).is_full
-    assert zero_subgroup(GW_F).is_zero
+    assert SubgroupDescription(GW_F, ()).is_zero
     assert SubgroupDescription(GW_F, ((0, 0),)).is_zero
     assert SubgroupDescription(W_Z4, ((1,),)).is_full
     trivial = Ambient(0, (), (), "0")
-    assert zero_subgroup(trivial) == full_subgroup(trivial)
+    assert SubgroupDescription(trivial, ()) == full_subgroup(trivial)
 
 
 def test_equality_is_lattice_equality():
@@ -157,8 +156,8 @@ def test_quotient_shapes():
     full = full_subgroup(GW_F)
     ideal = SubgroupDescription(GW_F, ((0, 1),))
     assert str(full.quotient_shape(ideal)) == "Z"
-    assert str(full.quotient_shape(zero_subgroup(GW_F))) == "Z + Z/2"
-    assert ideal.quotient_shape(zero_subgroup(GW_F)).order() == 2
+    assert str(full.quotient_shape(SubgroupDescription(GW_F, ()))) == "Z + Z/2"
+    assert ideal.quotient_shape(SubgroupDescription(GW_F, ())).order() == 2
     i1 = SubgroupDescription(GW_R, ((0, 1),))
     i4 = SubgroupDescription(GW_R, ((0, 8),))
     assert str(i1.quotient_shape(i4)) == "Z/8"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from array import array
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from mwslice.fields import (
     FieldMismatchError,
     FiniteField,
     RealField,
+    Unit,
     UnsupportedEnumerationError,
     default_modulus,
     enumerate_units,
@@ -315,6 +317,15 @@ def test_generator_known_large_fields():
 # -- packed multiplication against schoolbook multiply-and-divide --------------
 
 
+def _coeffs(u):
+    """The base-p digits (c_0, ..., c_(d-1)) of a finite-field carrier."""
+    return _digits(u.field, u.value)
+
+
+def _digits(field, code):
+    return tuple(code // field.p**i % field.p for i in range(field.degree))
+
+
 def _schoolbook_mul(field, a, b):
     """a * b mod (f, p) by long multiplication and division by the monic modulus."""
     p, f, d = field.p, field.modulus, field.degree
@@ -373,7 +384,8 @@ def test_packed_mul_matches_schoolbook_on_every_pair(q):
         units = _all_units(field)
         for a in units:
             for b in units:
-                assert unit_mul(a, b).value == _schoolbook_mul(field, a.value, b.value), (a, b)
+                assert _coeffs(unit_mul(a, b)) == _schoolbook_mul(field, _coeffs(a), _coeffs(b)), \
+                    (a, b)
         assert field._tables is None  # no product read or built a table
 
 
@@ -382,10 +394,11 @@ def test_packed_mul_matches_schoolbook_on_seeded_pairs(q):
     field = finite_field(q)
     left, right = _seeded_units(field, 2000, q), _seeded_units(field, 2000, q + 1)
     for a, b in zip(left, right):
-        assert unit_mul(a, b).value == _schoolbook_mul(field, a.value, b.value), (a, b)
+        assert _coeffs(unit_mul(a, b)) == _schoolbook_mul(field, _coeffs(a), _coeffs(b)), (a, b)
     for a in left[:20]:
         for n in (2, q - 2, 10**30 + 7):
-            assert unit_pow(a, n).value == _schoolbook_pow(field, a.value, n % (q - 1)), (a, n)
+            assert _coeffs(unit_pow(a, n)) == _schoolbook_pow(field, _coeffs(a), n % (q - 1)), \
+                (a, n)
 
 
 def test_lane_width_of_the_widest_field():
@@ -410,7 +423,7 @@ def test_generator_power_matches_unit_pow_large(q):
         for k in exponents:
             got = field.generator_power(k)
             assert got == unit_pow(g, k), k
-            assert got.value == _schoolbook_pow(field, g.value, k % (q - 1)), k
+            assert _coeffs(got) == _schoolbook_pow(field, _coeffs(g), k % (q - 1)), k
         assert field._tables is None
 
 
@@ -460,9 +473,9 @@ def test_inverse_and_square_class_match_schoolbook_arithmetic(q):
     e = one(field)
     with _untabulated(field):
         for a in units:
-            assert _schoolbook_mul(field, a.value, unit_inv(a).value) == e.value, a
-            euler = _schoolbook_pow(field, a.value, (q - 1) // 2)
-            assert square_class(a) == (0 if euler == e.value else 1), a
+            assert _schoolbook_mul(field, _coeffs(a), _coeffs(unit_inv(a))) == _coeffs(e), a
+            euler = _schoolbook_pow(field, _coeffs(a), (q - 1) // 2)
+            assert square_class(a) == (0 if euler == _coeffs(e) else 1), a
         assert field._tables is None
 
 
@@ -548,11 +561,11 @@ def _unary_ops(ops, a, k):
 def test_table_holds_the_schoolbook_powers_of_g(case):
     field = _tabulated(finite_field(*case))
     exp, log = field._tables
-    g = multiplicative_generator(field).value
+    g = _coeffs(multiplicative_generator(field))
     power = (1,) + (0,) * (field.degree - 1)
-    assert len(exp) == field.order - 1
+    assert (type(exp), type(log), len(exp), len(log)) == (array, array, field.order - 1, field.order)
     for k in range(field.order - 1):
-        assert ((exp[k],) if field.degree == 1 else exp[k]) == power, k
+        assert _digits(field, exp[k]) == power, k
         assert log[exp[k]] == k, k
         assert field.literal(unit(field, power)) == f"g^{k}", k
         assert field.kmw_coords(unit(field, power)) == (k,), k
@@ -658,13 +671,53 @@ def test_zech_logs_come_with_the_tables_of_prime_power_fields_only():
     zech, n = vars(field)["_zech"], field.order - 1
     assert (zech.typecode, len(zech)) == ("H", n)  # 2 bytes per unit of Fq(2187)
     assert [k for k in range(n) if not zech[k]] == [n // 2]
+    assert log[0] == 0  # no unit has code 0
     for k in range(n):
-        one_plus = ((exp[k][0] + 1) % 3,) + exp[k][1:]  # 1 + g^k
+        c = _digits(field, exp[k])
+        one_plus = ((c[0] + 1) % 3,) + c[1:]  # 1 + g^k
         if k == n // 2:
             assert not any(one_plus)  # g^k = -1
         else:
-            assert exp[zech[k]] == one_plus, k
+            assert _digits(field, exp[zech[k]]) == one_plus, k
     a = prime.generator_power(5)
     assert prime.add(a, prime.neg(a)) is None
-    assert prime.add(a, a).value == (2 * a.value[0] % 10007,)
+    assert prime.add(a, a).value == 2 * a.value % 10007
     assert "_zech" not in vars(prime)  # a prime field adds mod p and keeps no Zech table
+
+
+# -- the carrier: one integer code per finite-field unit ---------------------------
+
+
+def test_a_finite_field_carrier_is_one_reduced_nonzero_integer():
+    for value, message in [((1, 0), "finite-field units are integer codes sum(c_i p^i)"),
+                           (True, "finite-field units are integer codes sum(c_i p^i)"),
+                           (0, "zero is not a unit"), (9, "unreduced residue 9"),
+                           (-1, "unreduced residue -1")]:
+        with pytest.raises(ValueError) as info:
+            Unit(F9, value)
+        assert str(info.value) == message, value
+    assert unit(F9, (1, 2)) == Unit(F9, 7)  # 1 + 2x is 1 + 2*3
+    g = multiplicative_generator(finite_field(2187))
+    assert type(g.value) is int and g.encoding == g.value
+
+
+@pytest.mark.parametrize("q", [10007, 2187, 3**10])
+def test_every_field_keeps_its_tables_in_two_16_bit_arrays(q):
+    exp, log = _tabulated(finite_field(q))._tables
+    assert (type(exp), type(log)) == (array, array)
+    assert (exp.typecode, log.typecode) == ("H", "H")
+
+
+def test_tabulating_a_prime_power_field_peaks_under_300_kb():
+    import tracemalloc
+
+    field = finite_field(3**10)
+    multiplicative_generator(field)
+    tracemalloc.start()
+    try:
+        exp, log = field._tabulate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(exp), len(log)) == (3**10 - 1, 3**10)
+    assert peak < 300_000

@@ -492,3 +492,21 @@ def test_each_term_of_a_normal_form_builds_one_gw_class(monkeypatch):
         built.clear()
         assert milnor_witt._term_gw_part(field, t) == want
         assert len(built) == 1, t
+
+
+def test_a_degree_one_normal_form_reads_each_word_once(monkeypatch):
+    """Each term's eta count is read once (for the degree) and its symbol once
+    (for its GW part); a degree-1 word without eta is one unit atom."""
+    reads = {"eta_power": 0, "symbol": 0}
+    for name in reads:
+        real = getattr(milnor_witt.MWMonomial, name).fget
+
+        def counted(t, name=name, real=real):
+            reads[name] += 1
+            return real(t)
+
+        monkeypatch.setattr(milnor_witt.MWMonomial, name, property(counted))
+    e = parse_expression(F7, "[3] + 2*[5] + [2]*[3]*eta + eta*[6]*[5] - [4]")
+    nf = normalize(e)
+    assert reads == {"eta_power": 5, "symbol": 5}
+    assert nf.value == unit(F7, "75/4")  # [3] + 2[5] - [4] = [3 * 5^2 / 4]

@@ -24,9 +24,9 @@ from mwslice.transfers import FiniteExtension
 F3 = finite_field(3)
 F7 = finite_field(7)
 F9 = finite_field(9)
-U3 = Unit(F7, (3,))
-U5 = Unit(F7, (5,))
-START = MWExpression(F7, (MWMonomial(1, (Unit(F7, (1,)),)),))
+U3 = Unit(F7, 3)
+U5 = Unit(F7, 5)
+START = MWExpression(F7, (MWMonomial(1, (Unit(F7, 1),)),))
 
 
 def every_record():
@@ -46,7 +46,7 @@ def every_record():
         "MWExpression": MWExpression(F7, ()),
         "MWNormalForm": MWNormalForm(F7, 1, U3),
         "Step": Step("R-one", 0, 0, {}),
-        "Derivation": derive_extended_steinberg([Unit(F7, (3,)), Unit(F7, (5,))]),
+        "Derivation": derive_extended_steinberg([Unit(F7, 3), Unit(F7, 5)]),
         "VerificationResult": VerificationResult(True),
         "FiniteExtension": FiniteExtension(F3, F9),
         "CheckResult": CheckResult("grid_law", True, 3, "ok", 0.5),
@@ -74,12 +74,12 @@ def test_assignment_raises(name):
 # (make, the compared fields in order) for each class with field-wise equality
 HASHED = {
     "Ambient": (lambda: Ambient(1, (2,), ("a", "b"), "A"), (1, (2,), ("a", "b"), "A")),
-    "Unit": (lambda: Unit(F7, (3,)), (F7, (3,))),
+    "Unit": (lambda: Unit(F7, 3), (F7, 3)),
     "FiltrationQuery": (lambda: FiltrationQuery(3, 1, 2, F7), (3, 1, 2, F7)),
-    "QuadraticForm": (lambda: form(F7, 1, 3), (F7, (Unit(F7, (1,)), U3))),
+    "QuadraticForm": (lambda: form(F7, 1, 3), (F7, (Unit(F7, 1), U3))),
     "GWClass": (lambda: GWClass(F7, (2, 3)), (F7, (2, 1))),
     "WittClass": (lambda: WittClass(F7, (5,)), (F7, (1,))),
-    "MWMonomial": (lambda: MWMonomial(2, (ETA, Unit(F7, (3,)))), (2, (ETA, U3))),
+    "MWMonomial": (lambda: MWMonomial(2, (ETA, Unit(F7, 3))), (2, (ETA, U3))),
     "MWExpression": (lambda: MWExpression(F7, (MWMonomial(1, ()),)), (F7, (MWMonomial(1, ()),))),
     "VerificationResult": (lambda: VerificationResult(False, 2, "why"), (False, 2, "why")),
     "FiniteExtension": (lambda: FiniteExtension(F3, F9), (F3, F9)),
@@ -101,7 +101,7 @@ def test_equal_fields_give_equal_objects_and_the_tuple_hash(name):
 
 def test_unequal_fields_give_unequal_objects():
     assert GWClass(F7, (2, 0)) != GWClass(F7, (2, 1))
-    assert Unit(F7, (3,)) != Unit(F7, (5,))
+    assert Unit(F7, 3) != Unit(F7, 5)
     assert Ambient(1) != Ambient(1, label="x")
 
 
@@ -126,8 +126,8 @@ def test_fields_are_compared_by_identity():
 
 def test_keyword_construction_and_defaults():
     assert GWClass(F7, (2, 0)) == GWClass(field=F7, coords=(2, 0))
-    nf = MWNormalForm(F7, 1, value=Unit(F7, (3,)))
-    assert (nf.value, nf.ideal_bit) == (Unit(F7, (3,)), 1)
+    nf = MWNormalForm(F7, 1, value=Unit(F7, 3))
+    assert (nf.value, nf.ideal_bit) == (Unit(F7, 3), 1)
     assert MWNormalForm(F7, None).value is None
     amb = Ambient(1, label="L")
     assert (amb.torsion, amb.coord_names, str(amb)) == ((), ("c0",), "L")
@@ -144,7 +144,7 @@ def test_construction_checks_still_run():
     with pytest.raises(ValueError):
         GWClass(F7, (1, 0, 1))
     with pytest.raises(ValueError):
-        Unit(F7, (7,))
+        Unit(F7, 7)
     with pytest.raises(ValueError):
         Ambient(1, (1,))
     with pytest.raises(ValueError):

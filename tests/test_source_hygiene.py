@@ -13,7 +13,8 @@ Walks over every unit of a field, and the exhaustive oracles that run them,
 are called only from ``checks`` and the few places named in ``WALK_SITES``,
 and only ``cli.cmd_check_all`` imports ``checks``.  Only
 ``filtration.kmw_times_In`` builds a filtration level from a field's
-``level_generators``.
+``level_generators``.  No module subscripts a ``.value`` attribute: a
+finite-field carrier is one integer, and no value is read apart.
 """
 
 from __future__ import annotations
@@ -256,3 +257,23 @@ def test_the_check_sees_a_second_builder():
                   "class K:\n    def level_generators(self, m, n): return level_generators(m, n)\n")
     assert call_sites({"filtration": a, "forms": b}, "level_generators") == [
         "filtration.kmw_times_In", "forms.K.level_generators", "forms.fundamental_power_description"]
+
+
+def subscripted_values(modules: dict[str, ast.Module]) -> list[str]:
+    """Each site that subscripts a ``.value`` attribute, as in ``a.value[0]``."""
+    return sorted({site for site, node in nodes_by_site(modules)
+                   if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                   and node.value.attr == "value"})
+
+
+def test_no_module_subscripts_a_value():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert subscripted_values(modules) == []
+
+
+def test_the_check_sees_a_subscripted_value():
+    a = ast.parse("def mul(a, b): return (a.value[0] * b.value[0],)\n"
+                  "class F:\n    def log(self, a): return self.log[a.value[1:]]\n"
+                  "    def add(self, a, b): return self.value + a.value, b.values[0]\n")
+    b = ast.parse("def gw(nf): return nf.value.coords[0], nf.value\n")
+    assert subscripted_values({"fields": a, "cli": b}) == ["fields.F.log", "fields.mul"]

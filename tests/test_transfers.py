@@ -260,7 +260,7 @@ def _exhaustive_root(ext: FiniteExtension):
     field, by increasing encoding, until one is a root of the base modulus."""
     top = ext.top
     for code in range(1, top.order):
-        x = Unit(top, tuple(code // top.p**i % top.p for i in range(top.degree)))
+        x = Unit(top, code)
         value = None
         for i, c in enumerate(ext.base.modulus):
             if c % top.p:
