@@ -39,10 +39,12 @@ from mwslice.fields import (
 )
 from mwslice.filtration import (
     FiltrationQuery,
+    certify_level,
     convergence_check,
     eta_image_subgroup,
     kmw_times_In,
     moore_filtration,
+    shift_index,
     tate_filtration,
 )
 from mwslice.forms import (
@@ -597,12 +599,21 @@ def check_moore_spectrum(run: _Run) -> CheckResult:
 
 
 def check_convergence(run: _Run) -> CheckResult:
-    """convergence_check passes with structural certificates, cutoff 12."""
+    """convergence_check passes with structural certificates, cutoff 12, and
+    the certificate reports R ladders stalled at I^j from cutoff max(j + 1, 2) on."""
     for field in STANDARD_FIELDS:
         run.cases += 1
         separated, details = convergence_check(field, 12)
         if not separated:
             return run.fail(f"{field}: {details}")
+    for j in range(8):  # the level at n = cutoff of the R ladder that stops at I^j
+        run.cases += 1
+        reported = [cutoff for cutoff in range(1, 9) if any(
+            certify_level(REALS, cutoff, p, q,
+                          kmw_times_In(q - p, min(shift_index(cutoff - p, cutoff - q), j), REALS))
+            for p, q in itertools.product(range(3), repeat=2))]
+        if reported != list(range(max(j + 1, 2), 9)):
+            return run.fail(f"R ladder stalled at I^{j} reported at cutoffs {reported}")
     return run.passed("I-adic filtration separated on all families")
 
 

@@ -118,8 +118,20 @@ def eta_image_subgroup(query: FiltrationQuery) -> SubgroupDescription:
     consistency tests: the main theorem's proof identifies the level with this
     eta-power image (for n > p).
     """
-    field, m, N = query.field, query.degree, query.N
-    M = N if m >= 0 else -m + N
+    m, N = query.degree, query.N
+    return eta_power_image(m, N if m >= 0 else -m + N, query.field)
+
+
+@lru_cache(maxsize=None)
+def eta_power_image(m: int, M: int, field: FieldDescriptor) -> SubgroupDescription:
+    """The image of eta^M : K^MW_{m+M} -> K^MW_m, one shared object per (m, M, field).
+
+    It pushes the unit vectors of the degree-(m+M) coordinates through
+    ``eta_coords`` and never asks for a level, so it stays independent of
+    ``kmw_times_In``.  ``MAX_INDEX`` bounds the keys per field: a query gives
+    |m| <= 2 * MAX_INDEX and 0 <= M <= 2 * MAX_INDEX (M = N when m >= 0, and
+    M = p - q + N <= n - q otherwise).
+    """
     gens = []
     for row in full_subgroup(kmw_ambient(field, m + M)).basis:  # the unit vectors
         for d in range(m + M, m, -1):
@@ -135,15 +147,10 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> tuple[bool, tuple[
     """Verify that the filtration of K^MW_{q-p} is separated up to the cutoff.
 
     Checks monotonicity of the chain on a small (p, q) grid and certifies the
-    vanishing of the intersection structurally with the model's certificate:
-    I^2 = 0 over a finite field, the dyadic valuation bound over a real
-    closed field, and I = 0 over a quadratically closed field.  Where some
-    I^k vanishes the tail of each chain must be zero.  Over R the level at
-    n = cutoff must lie in 2^k L, L the ambient lattice, for the k that the
-    ladder I(R)^N = 2^(N-1) Z gives; the lattices 2^k L meet in zero, so the
-    bound proves the whole chain separated.  Returns whether the filtration
-    is separated and the details: each failure found, or a line saying that
-    the intersection is zero.
+    vanishing of the intersection structurally with ``certify_level`` at
+    n = cutoff; where some I^k vanishes, I^k must be zero.  Returns whether
+    the filtration is separated and the details: each failure found, or a
+    line saying that the intersection is zero.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -159,28 +166,35 @@ def convergence_check(field: FieldDescriptor, cutoff: int) -> tuple[bool, tuple[
             for a, b in zip(chain, chain[1:]):
                 if not b <= a:
                     details.append(f"monotonicity fails at (p,q)=({p},{q})")
-            # The level at n = cutoff has N = cutoff - max(p, q).  The certificate
-            # I^k = 0 (k = vanishing) kills K^MW_m * I^N in every degree m once
-            # N >= k, so from that cutoff on a nonzero tail is a failure.
-            if vanishing is not None:
-                if not chain[-1].is_zero and cutoff >= max(p, q) + vanishing:
-                    details.append(f"tail not zero at (p,q)=({p},{q})")
-                continue
-            # Over R, I(R)^N = 2^(N-1) Z in the index coordinate (N >= 1) puts the
-            # level in 2^(N-1) L when m = 0 and in 2^N L when m != 0 (signatures
-            # and c of c [-1]^m gain the factor 2), so k = N - [p == q].  The
-            # least 2-adic valuation of the basis entries is that of the level.
-            k = cutoff - max(p, q) - (p == q)
-            low = min(((e & -e).bit_length() - 1 for row in chain[-1].basis for e in row if e),
-                      default=k)
-            if low < k:
-                details.append(f"level not in 2^{k} L at (p,q)=({p},{q})")
+            details += certify_level(field, cutoff, p, q, chain[-1])
     if vanishing is not None and not kmw_times_In(0, vanishing, field).is_zero:
         details.append(f"I^{vanishing} is not zero")
     separated = not details
     if separated:
         details.append("intersection of the chain is zero at the cutoff")
     return separated, tuple(details)
+
+
+def certify_level(field: FieldDescriptor, cutoff: int, p: int, q: int,
+                  level: SubgroupDescription) -> tuple[str, ...]:
+    """The failures, none or one, of the field's certificate on the level at
+    n = cutoff of the chain at (p, q).  Where some I^k vanishes (I^2 over F_q,
+    I over C) the tail must be zero.  Over R the level must lie in 2^k L, L the
+    ambient lattice; the lattices 2^k L meet in zero, so the chain is separated.
+    """
+    # The level has N = cutoff - max(p, q).  The certificate I^k = 0
+    # (k = vanishing) kills K^MW_m * I^N in every degree m once N >= k, so
+    # from that cutoff on a nonzero tail is a failure.
+    if field.vanishing_power is not None:
+        tail = not level.is_zero and cutoff >= max(p, q) + field.vanishing_power
+        return (f"tail not zero at (p,q)=({p},{q})",) if tail else ()
+    # Over R, I(R)^N = 2^(N-1) Z in the index coordinate (N >= 1) puts the
+    # level in 2^(N-1) L when m = 0 and in 2^N L when m != 0 (signatures
+    # and c of c [-1]^m gain the factor 2), so k = N - [p == q].  The
+    # least 2-adic valuation of the basis entries is that of the level.
+    k = cutoff - max(p, q) - (p == q)
+    low = min(((e & -e).bit_length() - 1 for row in level.basis for e in row if e), default=k)
+    return (f"level not in 2^{k} L at (p,q)=({p},{q})",) if low < k else ()
 
 
 # -- the Moore-spectrum counterexample ---------------------------------------------

@@ -1,11 +1,14 @@
 """Filtration subgroups, graded pieces, convergence, the Moore counterexample."""
 
+import importlib
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwslice import fields, filtration
 from mwslice.abelian import SubgroupDescription, full_subgroup
 from mwslice.cli import main
 from mwslice.fields import COMPLEXES, REALS, finite_field
@@ -13,6 +16,7 @@ from mwslice.filtration import (
     FiltrationQuery,
     convergence_check,
     eta_image_subgroup,
+    eta_power_image,
     filtration_in_degree_coords,
     graded_piece,
     kmw_times_In,
@@ -20,7 +24,7 @@ from mwslice.filtration import (
     shift_index,
     tate_filtration,
 )
-from mwslice.checks import ideal_power_oracle
+from mwslice.checks import STANDARD_FIELDS, ideal_power_oracle
 from mwslice.milnor_witt import kmw_ambient
 
 F3 = finite_field(3)
@@ -190,17 +194,100 @@ def test_a_level_is_one_object_per_degree_and_index():
                 assert tate_filtration(FiltrationQuery(n + r, p + r, q + r, field)) is level
 
 
-def test_a_repeated_level_builds_no_subgroup(monkeypatch):
+def _count_built(monkeypatch) -> list:
+    """Record every SubgroupDescription built from now on, with no level or
+    eta image kept from earlier tests."""
     built, init = [], SubgroupDescription.__init__
     monkeypatch.setattr(SubgroupDescription, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
     kmw_times_In.cache_clear()
+    eta_power_image.cache_clear()
+    return built
+
+
+def test_a_repeated_level_builds_no_subgroup(monkeypatch):
+    built = _count_built(monkeypatch)
     first = kmw_times_In(-1, 3, REALS)
     assert len(built) == 1
     for query in (FiltrationQuery(3, 0, -1, REALS), FiltrationQuery(4, 1, 0, REALS)):
         assert tate_filtration(query) is first
     assert kmw_times_In(-1, 3, REALS) is first
     assert len(built) == 1
+
+
+def test_an_eta_image_is_one_object_per_degree_and_power():
+    for field in ALL_FIELDS:
+        for n, p, q in ((3, 0, 1), (4, 1, -1), (5, 2, 2), (2, 0, -3)):
+            image = eta_image_subgroup(FiltrationQuery(n, p, q, field))
+            m, N = q - p, shift_index(n - p, n - q)
+            assert image is eta_power_image(m, N if m >= 0 else N - m, field)
+            for r in (-2, 1, 3):
+                assert eta_image_subgroup(FiltrationQuery(n + r, p + r, q + r, field)) is image
+        # off a diagonal, equal (q - p, M) come from N = 0: every n <= max(p, q)
+        for a, b in (((1, 1, 0), (-3, 1, 0)), ((0, 0, 2), (2, 1, 3)), ((1, 2, 2), (-2, 0, 0))):
+            assert eta_image_subgroup(FiltrationQuery(*a, field)) is \
+                eta_image_subgroup(FiltrationQuery(*b, field)), (field, a, b)
+
+
+def test_a_repeated_eta_image_builds_no_subgroup(monkeypatch):
+    built = _count_built(monkeypatch)
+    first = eta_image_subgroup(FiltrationQuery(3, 1, 0, REALS))  # m = -1, M = 3
+    count = len(built)
+    assert built[-1][0] is kmw_ambient(REALS, -1)
+    for query in (FiltrationQuery(3, 1, 0, REALS), FiltrationQuery(5, 3, 2, REALS)):
+        assert eta_image_subgroup(query) is first
+    assert eta_power_image(-1, 3, REALS) is first
+    assert len(built) == count
+
+
+def test_the_kept_eta_image_equals_a_fresh_build(monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    grid_fields = importlib.import_module("workloads").GRID_FIELDS
+    assert len(grid_fields) == 8
+    for label in grid_fields:
+        field = fields.parse_field(label)
+        for n, p, q in itertools.product(range(-4, 5), repeat=3):
+            m, N = q - p, shift_index(n - p, n - q)
+            M = N if m >= 0 else N - m
+            assert eta_image_subgroup(FiltrationQuery(n, p, q, field)) == \
+                eta_power_image.__wrapped__(m, M, field), (label, n, p, q)
+
+
+def _refuse(*args):
+    raise AssertionError(f"called with {args}")
+
+
+@pytest.mark.parametrize("name", ["R", "C", "Fq(3)", "Fq(9)", "Fq(999983)"])
+def test_the_eta_image_is_the_level_at_the_corners_of_the_index_box(monkeypatch, name):
+    # each image takes well under 1 ms to build; over Fq(999983) it walks no units
+    field = fields.parse_field(name)
+    big = name == "Fq(999983)"
+    if big:
+        saved = field._tables
+        fields._set(field, "_tables", None)  # as in a fresh process
+        monkeypatch.setattr(fields.FiniteField, "_tabulate", _refuse)
+    eta_power_image.cache_clear()
+    try:
+        for n, p, q in ((1000, 999, -1000), (1000, -1000, 999), (1000, -1000, -1000)):
+            query = FiltrationQuery(n, p, q, field)
+            assert eta_image_subgroup(query) == tate_filtration(query), (n, p, q)
+    finally:
+        if big:
+            fields._set(field, "_tables", saved)
+
+
+def test_the_eta_image_never_asks_for_a_level(monkeypatch):
+    eta_power_image.cache_clear()
+    points = list(itertools.product(range(-3, 4), repeat=3))
+    with monkeypatch.context() as patch:
+        patch.setattr(filtration, "kmw_times_In", _refuse)
+        for cls in {type(field) for field in STANDARD_FIELDS}:
+            patch.setattr(cls, "level_generators", _refuse)
+        images = {(field, point): eta_image_subgroup(FiltrationQuery(*point, field))
+                  for field in STANDARD_FIELDS for point in points}
+    for (field, (n, p, q)), image in images.items():
+        if n > p:
+            assert image == tate_filtration(FiltrationQuery(n, p, q, field)), (field, n, p, q)
 
 
 def test_a_negative_ideal_power_raises_on_every_call():

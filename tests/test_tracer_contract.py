@@ -34,7 +34,8 @@ def test_traced_queries_count_built_subgroups(tracer):
     from mwslice import filtration
 
     original = SubgroupDescription.__dict__["__post_init__"]
-    filtration.kmw_times_In.cache_clear()  # levels built by earlier tests are not rebuilt
+    filtration.kmw_times_In.cache_clear()  # levels and eta images built by earlier tests
+    filtration.eta_power_image.cache_clear()  # are not rebuilt
     t = tracer.Tracer()
     t.install()
     try:
