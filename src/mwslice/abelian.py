@@ -5,7 +5,8 @@ Subgroups are handled as integer lattices in Z^(f+t) containing the torsion
 relation vectors d_i * e_{f+i}; Hermite normal form gives a canonical basis,
 so equality, membership, order and quotients are all exact integer
 computations.  A quotient of two subgroups is again an :class:`Ambient`,
-whose torsion is the Smith divisors above 1.  Every group appearing in the
+whose torsion is the Smith divisors above 1, read off Hermite forms taken
+alternately of a matrix and of its transpose.  Every group appearing in the
 library fits in f <= 2, t <= 2.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -175,55 +176,24 @@ def solve_in_basis(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[int]:
-    """Elementary divisors of an integer matrix (nonzero ones, in order)."""
-    mat = [list(r) for r in rows]
-    divisors: list[int] = []
-    top = 0
-    while top < len(mat) and top < cols:
-        if all(all(mat[i][j] == 0 for j in range(top, cols)) for i in range(top, len(mat))):
-            break
-        # move the nonzero entry of least absolute value to (top, top)
-        while True:
-            best = None
-            for i in range(top, len(mat)):
-                for j in range(top, cols):
-                    if mat[i][j] != 0 and (best is None or abs(mat[i][j]) < abs(mat[best[0]][best[1]])):
-                        best = (i, j)
-            bi, bj = best
-            mat[top], mat[bi] = mat[bi], mat[top]
-            for row in mat:
-                row[top], row[bj] = row[bj], row[top]
-            p = mat[top][top]
-            done = True
-            for i in range(top + 1, len(mat)):
-                f = mat[i][top] // p
-                if f:
-                    for j in range(cols):
-                        mat[i][j] -= f * mat[top][j]
-                if mat[i][top] != 0:
-                    done = False
-            for j in range(top + 1, cols):
-                f = mat[top][j] // p
-                if f:
-                    for i in range(len(mat)):
-                        mat[i][j] -= f * mat[i][top]
-                if mat[top][j] != 0:
-                    done = False
-            if done:
-                break
-        d = abs(mat[top][top])
-        divisors.append(d)
-        top += 1
-    # enforce divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(divisors) - 1):
-            a, b = divisors[i], divisors[i + 1]
-            if b % a != 0:
-                g = gcd(a, b)
-                divisors[i], divisors[i + 1] = g, a * b // g
-                changed = True
+    """Elementary divisors of an integer matrix (nonzero ones, in order).
+
+    The Smith form is the fixpoint of Hermite forms taken alternately of the
+    matrix and of its transpose (Kannan & Bachem, SIAM J. Comput. 8, 1979).
+    The loop ends: the top-left pivot is a positive integer that never grows,
+    since each pass makes it the gcd of a column holding it; once it stops
+    shrinking it divides its row and column, which the next pass clears, and
+    the same holds for the block below it.  A diagonal is then made a
+    divisibility chain by one gcd/lcm pass.
+    """
+    mat = hnf(rows, cols)
+    while any(x for i, row in enumerate(mat) for j, x in enumerate(row) if j != i):
+        mat = hnf(list(zip(*mat)), len(mat))
+    divisors = [row[i] for i, row in enumerate(mat)]
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            a, b = divisors[i], divisors[j]
+            divisors[i], divisors[j] = gcd(a, b), lcm(a, b)
     return divisors
 
 
@@ -313,14 +283,14 @@ class SubgroupDescription(Record):
 
     def quotient_shape(self, other: "SubgroupDescription") -> Ambient:
         """The group self/other for other <= self, its torsion in ascending order."""
-        if not other <= self:
+        if self.ambient != other.ambient:
+            raise ValueError("subgroups live in different ambients")
+        coords = [solve_in_basis(self.basis, row) for row in other.basis]
+        if None in coords:
             raise ValueError("quotient requires a contained subgroup")
-        big = self.basis
-        coords = [solve_in_basis(big, row) for row in other.basis]
-        divisors = smith_normal_form(coords, len(big))
-        free = len(big) - len(divisors)
+        divisors = smith_normal_form(coords, len(self.basis))
         torsion = tuple(d for d in divisors if d > 1)
-        return Ambient(free, torsion)
+        return Ambient(len(self.basis) - len(divisors), torsion)
 
     def canonical_generators(self) -> tuple[Vec, ...]:
         """HNF basis rows reduced into the ambient, zero rows dropped."""

@@ -42,8 +42,6 @@ from mwslice.forms import (
     gw_box,
     gw_generators,
     gw_of_unit,
-    gw_one,
-    hyperbolic,
     witt_class,
     witt_lift,
 )
@@ -136,8 +134,8 @@ def _evaluate(field: FieldDescriptor, coeffs: Sequence[int], x: Unit) -> Unit | 
 
 def embed_unit(ext: FiniteExtension, u: Unit) -> Unit:
     """Image of a base unit in the top field."""
-    if not ext.base.is_finite or ext.base.degree == 1:
-        return Unit(ext.top, u.value)  # a rational, or a constant code below p
+    if ext.base == ext.top or not ext.base.is_finite or ext.base.degree == 1:
+        return Unit(ext.top, u.value)  # u itself, a rational, or a constant code below p
     image = _evaluate(ext.top, ext.base.coefficients(u.value), embedding_image_of_generator(ext))
     assert image is not None
     return image
@@ -176,40 +174,37 @@ def transfer_of_unit_form(ext: FiniteExtension, a: Unit) -> GWClass:
     Over F_q a form is classified by rank and discriminant.  Tr_*<a> has rank
     d and determinant N(a) d_(E/F); the norm keeps square classes, and d_(E/F)
     is a square iff d is odd (Scharlau, *Quadratic and Hermitian Forms*,
-    ch. 2.5; Serre, *Local Fields*, ch. III.2).  ``checks.trace_form_oracle``
-    builds the Gram matrix instead.  The cache spares ``square_class`` its power.
+    ch. 2.5; Serre, *Local Fields*, ch. III.2).  Over C/R every a is a square,
+    so the class (2, 1) is the hyperbolic form, the Gram of Tr(a x y) in the
+    basis {1, i}.  ``checks.trace_form_oracle`` builds the Gram matrix instead.
+    The cache spares ``square_class`` its power.
     """
-    if not ext.base.is_finite:
-        return hyperbolic(ext.base)  # Gram of Tr(a x y) in basis {1, i} is hyperbolic
     d = ext.degree
     return GWClass(ext.base, (d, square_class(a) + (d % 2 == 0)))
+
+
+def _on_generators(x: GWClass, image) -> GWClass:
+    """The additive map <u> -> image(u) at x = (rank - sum c) <1> + sum c <u>, the c
+    over the field's GW generator units (as in ``milnor_witt.theta0_inverse``)."""
+    coeffs = x.coords[1:]
+    out = image(one(x.field)).scale(x.rank - sum(coeffs))
+    for c, u in zip(coeffs, x.field.gw_generator_units()):
+        out = out + image(u).scale(c)
+    return out
 
 
 def trace_transfer_gw(ext: FiniteExtension, x: GWClass) -> GWClass:
     """Additive transfer GW(top) -> GW(base), computed on rank-one generators."""
     if x.field != ext.top:
         raise ExtensionError(f"class over {x.field} is not over {ext.top}")
-    if not ext.base.is_finite:
-        return hyperbolic(ext.base).scale(x.rank)  # every <a> over C transfers to h
-    s = multiplicative_generator(ext.top)
-    dev = x.disc_dev
-    t1 = transfer_of_unit_form(ext, one(ext.top))
-    ts = transfer_of_unit_form(ext, s)
-    return t1.scale(x.rank - dev) + ts.scale(dev)
+    return _on_generators(x, lambda u: transfer_of_unit_form(ext, u))
 
 
 def p_star(ext: FiniteExtension, x: GWClass) -> GWClass:
     """Extension of scalars GW(base) -> GW(top)."""
     if x.field != ext.base:
         raise ExtensionError(f"class over {x.field} is not over {ext.base}")
-    if not ext.base.is_finite:
-        return GWClass(ext.top, (x.rank,))
-    if ext.degree == 1:
-        return GWClass(ext.top, x.coords)
-    s = multiplicative_generator(ext.base)
-    dev = x.disc_dev
-    s_up = embed_unit(ext, s)
-    return gw_one(ext.top).scale(x.rank - dev) + gw_of_unit(s_up).scale(dev)
+    return _on_generators(x, lambda u: gw_of_unit(embed_unit(ext, u)))
 
 
 def trace_transfer_witt(ext: FiniteExtension, w: WittClass) -> WittClass:

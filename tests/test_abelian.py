@@ -56,6 +56,16 @@ def test_smith_normal_form_known():
     assert smith_normal_form([[2, 0], [0, 3]], 2) == [1, 6]
     assert smith_normal_form([[2, 4], [4, 8]], 2) == [2]
     assert smith_normal_form([[1, 0], [0, 1]], 2) == [1, 1]
+    # a three-entry divisibility chain
+    assert smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]], 3) == [2, 2, 60]
+    # entries the size of the R ladder at MAX_INDEX
+    assert smith_normal_form([[2**999], [2**1000]], 1) == [2**999]
+    # consecutive Fibonacci numbers: the longest Euclid chains for their size
+    fib = [0, 1]
+    while len(fib) < 302:
+        fib.append(fib[-1] + fib[-2])
+    assert smith_normal_form([[fib[300], fib[301]]], 2) == [1]
+    assert smith_normal_form([[fib[299], fib[300]], [fib[300], fib[301]]], 2) == [1, 1]
 
 
 def _det(m):
@@ -169,6 +179,32 @@ def test_quotient_requires_containment():
     other = SubgroupDescription(GW_R, ((2, 0),))
     with pytest.raises(ValueError):
         small.quotient_shape(other)
+
+
+def test_quotient_requires_one_ambient():
+    with pytest.raises(ValueError, match="subgroups live in different ambients"):
+        full_subgroup(Ambient(2)).quotient_shape(SubgroupDescription(GW_R, ()))
+
+
+@st.composite
+def subgroup_pairs(draw):
+    """Two subgroups, each from up to three generators, of Z/d1 + Z/d2 (d <= 12) or of Z^2."""
+    ambient = draw(st.one_of(
+        st.builds(lambda d1, d2: Ambient(0, (d1, d2)), st.integers(2, 12), st.integers(2, 12)),
+        st.just(Ambient(2))))
+    gens = st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), max_size=3)
+    return tuple(SubgroupDescription(ambient, tuple(draw(gens))) for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=subgroup_pairs())
+def test_quotient_refuses_exactly_the_uncontained_subgroups(pair):
+    big, other = pair
+    if other <= big:
+        big.quotient_shape(other)
+    else:
+        with pytest.raises(ValueError, match="quotient requires a contained subgroup"):
+            big.quotient_shape(other)
 
 
 vecs = st.tuples(st.integers(-6, 6), st.integers(-6, 6))

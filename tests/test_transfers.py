@@ -3,6 +3,7 @@ the closure identity."""
 
 import itertools
 import json
+from fractions import Fraction
 from functools import reduce
 from math import isqrt
 
@@ -26,7 +27,7 @@ from mwslice.fields import (
     unit_pow,
 )
 from mwslice.filtration import FiltrationQuery, kmw_times_In, tate_filtration
-from mwslice.forms import GWClass, gw_of_unit, gw_one, hyperbolic, witt_class
+from mwslice.forms import GWClass, gw_box, gw_of_unit, gw_one, hyperbolic, witt_class
 from mwslice.milnor_witt import MWNormalForm, normalize, mw_symbol
 from mwslice.transfers import (
     ExtensionError,
@@ -69,6 +70,12 @@ def test_complex_over_real_trace_of_one():
     # Gram of Tr(xy) in basis {1, i} is diag(2, -2): the hyperbolic class
     assert trace_transfer_gw(EXT_CR, gw_one(COMPLEXES)) == hyperbolic(REALS)
     assert trace_transfer_gw(EXT_CR, GWClass(COMPLEXES, (3,))) == hyperbolic(REALS).scale(3)
+    # one Scharlau law for every extension: every unit is a square over C, so
+    # (d, sq(a) + [d even]) = (2, 1) is h, and p^* keeps only the rank
+    for a in (1, -1, 2, Fraction(-1, 3)):
+        assert transfer_of_unit_form(EXT_CR, unit(COMPLEXES, a)) == hyperbolic(REALS)
+    for x in gw_box(REALS, 4):
+        assert p_star(EXT_CR, x) == GWClass(COMPLEXES, (x.rank,))
 
 
 def test_identity_extension_is_identity():
@@ -82,6 +89,18 @@ def test_identity_extension_is_identity():
                 x = GWClass(ext.top, (r, d))
                 assert trace_transfer_gw(ext, x).coords == x.coords
                 assert p_star(ext, trace_transfer_gw(ext, x)) == x
+
+
+def test_extension_of_scalars_to_the_same_field_searches_no_root(monkeypatch):
+    # p^* over F/F is the identity; the canonical root would walk all q - 1 units
+    def no_search(ext):
+        raise AssertionError(f"root search over {ext}")
+    monkeypatch.setattr(transfers, "embedding_image_of_generator", no_search)
+    big = finite_field(994009)
+    ext = FiniteExtension(big, big)
+    for coords in ((3, 0), (3, 1), (-2, 1)):
+        x = GWClass(big, coords)
+        assert p_star(ext, x) == x
 
 
 def test_f9_over_f3_gram_values():
