@@ -37,7 +37,7 @@ def _normal_form_json(nf) -> dict:
         out["gw"] = nf.value.to_json()
     elif nf.degree is not None and nf.degree < 0:
         out["witt"] = list(nf.value.coords)
-    elif nf.degree is not None:
+    elif nf.value is not None:
         out.update(nf.field.kmw_json(nf.value))
     return out
 

@@ -146,11 +146,12 @@ class FieldDescriptor(Record):
     GW classes are coordinate vectors in ``gw_ambient``: the rank, then (over
     F_q and R) the count c of e = <u> - <1> for the generator unit u, which is
     g over F_q and -1 over R; ``gw_invariants`` reads the family's named
-    invariant off them.  A K^MW normal form in degree m >= 1 is (m, value)
-    with the field's value: the Milnor unit class over F_q in degree 1 (None
-    from degree 2, where the group is zero), and over R and C the integer c
-    of c * [-1]^m (always 0 over C).  The ``kmw_*`` methods take and return
-    that value; ``eta_coords`` maps the degree-m coordinates of
+    invariant off them.  A K^MW normal form in degree m >= 1 is (m, value).
+    Where ``kmw_ambient(m)`` is trivial (over F_q from degree 2, over C from
+    degree 1) the value is None and ``milnor_witt`` answers without the
+    field; elsewhere it is the Milnor unit class over F_q in degree 1 and the
+    integer c of c * [-1]^m over R.  The ``kmw_*`` methods take and return
+    that value; ``eta_coords`` maps the degree-m coordinates of a nontrivial
     ``kmw_ambient(m)`` to those of degree m - 1.
     """
 
@@ -553,7 +554,7 @@ class FiniteField(FieldDescriptor):
     def witt_str(self, coords) -> str:
         return f"{coords[0]} in Z/4" if self._z4 else f"{coords} in Z/2+Z/2"
 
-    # -- K^MW_m, m >= 1: K^MW_1 = F_q^x by log_g, zero from m = 2 --------------------
+    # -- K^MW_1 = F_q^x by log_g; zero from m = 2, where milnor_witt needs no hook ----
 
     def kmw_ambient(self, m: int) -> Ambient:
         if m >= 2:
@@ -561,34 +562,30 @@ class FiniteField(FieldDescriptor):
         return Ambient(0, (self.order - 1,), ("log_g",), f"K^MW_1({self})")
 
     def kmw_value_fits(self, m: int, v) -> bool:
-        return v is None if m >= 2 else isinstance(v, Unit) and v.field is self
+        return isinstance(v, Unit) and v.field is self
 
     def kmw_is_zero(self, v) -> bool:
-        return v is None or v == self.one()
+        return v == self.one()
 
     def kmw_coords(self, v) -> tuple[int, ...]:
-        return () if v is None else (self._log(v),)
+        return (self._log(v),)
 
     def kmw_str(self, m: int, v) -> str:
         return f"(unit class {v}, ideal bit {square_class(v)})"
 
     def kmw_json(self, v) -> dict:
-        if v is None:
-            return {}
         return {"unit_class": str(v), "ideal_bit": square_class(v)}
 
-    def kmw_from_coords(self, m: int, coords) -> Unit | None:
-        return None if m >= 2 else self.generator_power(coords[0])
+    def kmw_from_coords(self, m: int, coords) -> Unit:
+        return self.generator_power(coords[0])
 
-    def kmw_normalize(self, d: int, terms, gw_part) -> Unit | None:
-        """The degree-d Milnor unit class, checked against the ideal bit.
+    def kmw_normalize(self, d: int, terms, gw_part) -> Unit:
+        """The degree-1 Milnor unit class, checked against the ideal bit.
 
         The unit is the product of the degree-1 symbols; the bit is summed
         from the GW parts of all terms.  The cartesian square asks that the
         bit be the unit's square class.
         """
-        if d >= 2:
-            return None
         u_acc = self.one()
         bit = 0
         for t in terms:
@@ -602,10 +599,8 @@ class FiniteField(FieldDescriptor):
         return u_acc
 
     def eta_coords(self, m: int, coords) -> tuple[int, ...]:
-        """[g^k] to the ideal bit k mod 2 (g is a nonsquare); zero from degree 2."""
-        if m == 1:
-            return (0, coords[0] % 2)
-        return (0,) if m == 2 else ()
+        """[g^k] to the ideal bit k mod 2 (g is a nonsquare)."""
+        return (0, coords[0] % 2)
 
     def level_generators(self, m: int, n: int) -> tuple[tuple[int, ...], ...]:
         """K^MW_m I^n for n >= 1 in degree-m coordinates.
@@ -623,10 +618,7 @@ def finite_field(q: int, modulus: Sequence[int] | None = None) -> FiniteField:
 
 
 class _RationalField(FieldDescriptor):
-    """Infinite fields whose unit carriers are nonzero rationals; one object per class.
-
-    Positive-degree normal forms keep one integer as their value.
-    """
+    """Infinite fields whose unit carriers are nonzero rationals; one object per class."""
 
     def __new__(cls) -> _RationalField:
         if cls is _RationalField:  # the base of R and C is no field
@@ -669,18 +661,6 @@ class _RationalField(FieldDescriptor):
     def literal(self, u: Unit) -> str:
         return str(u.value)
 
-    def kmw_value_fits(self, m: int, v) -> bool:
-        return type(v) is int
-
-    def kmw_is_zero(self, v) -> bool:
-        return v == 0
-
-    def kmw_str(self, m: int, v) -> str:
-        return f"{v} * [-1]^{m}"
-
-    def kmw_json(self, v) -> dict:
-        return {"coord": v}
-
 
 class RealField(_RationalField):
     """A real closed field: GW = Z^2 by (rank, index), W = Z by the signature.
@@ -717,6 +697,18 @@ class RealField(_RationalField):
 
     def kmw_ambient(self, m: int) -> Ambient:
         return Ambient(1, (), ("c",), f"K^MW_{m}(R) mod divisible")
+
+    def kmw_value_fits(self, m: int, v) -> bool:
+        return type(v) is int
+
+    def kmw_is_zero(self, v) -> bool:
+        return v == 0
+
+    def kmw_str(self, m: int, v) -> str:
+        return f"{v} * [-1]^{m}"
+
+    def kmw_json(self, v) -> dict:
+        return {"coord": v}
 
     def kmw_coords(self, v) -> tuple[int, ...]:
         return (v,)
@@ -755,7 +747,8 @@ class RealField(_RationalField):
 class ClosedField(_RationalField):
     """A quadratically closed field: GW = Z by the rank, W = Z/2, I = 0.
 
-    In degree m >= 1 only the (always zero) ideal coordinate of K^MW is kept.
+    In degree m >= 1, K^MW is kept modulo its uniquely divisible part, which
+    leaves the ideal part I^m = 0: every coordinate group there is trivial.
     """
 
     name = "C"
@@ -781,21 +774,6 @@ class ClosedField(_RationalField):
 
     def kmw_ambient(self, m: int) -> Ambient:
         return Ambient(0, (), (), f"K^MW_{m}(C) ideal part = 0")
-
-    def kmw_value_fits(self, m: int, v) -> bool:
-        return type(v) is int and v == 0
-
-    def kmw_coords(self, v) -> tuple[int, ...]:
-        return ()
-
-    def kmw_from_coords(self, m: int, coords) -> int:
-        return 0
-
-    def kmw_normalize(self, d: int, terms, gw_part) -> int:
-        return 0
-
-    def eta_coords(self, m: int, coords) -> tuple[int, ...]:
-        return (0,) if m == 1 else ()
 
     def level_generators(self, m: int, n: int) -> tuple[tuple[int, ...], ...]:
         return ()

@@ -8,13 +8,13 @@ computed through per-field invariants, which are insensitive to symbol order.
 
 A normal form is a degree m and one value (the cartesian-square model):
 a GW class for m = 0 and a Witt class for m < 0 over every field, and for
-m >= 1
+m >= 1 None wherever the coordinate group ``kmw_ambient(field, m)`` is
+trivial (F_q from m = 2, C from m = 1), else
 
-* finite F_q:  m = 1 the Milnor unit class in F_q^x, whose square class is
-  the ideal bit; m >= 2 None, the group being trivial;
+* finite F_q, m = 1: the Milnor unit class in F_q^x, whose square class is
+  the ideal bit;
 * real closed: the integer c of c * [-1]^m, taken modulo the uniquely
-  divisible part;
-* quadratically closed: the integer 0, the (always zero) ideal coordinate.
+  divisible part.
 
 The exhaustive checks of this model, the order of K^M_2(F_q) from the
 Steinberg presentation and the cartesian square, live in ``mwslice.checks``.
@@ -219,13 +219,15 @@ class MWNormalForm(Record):
     legal element of every degree; its value is None.  The degree sets the
     type of ``value``, checked when the form is built: a GWClass in degree 0,
     a WittClass in degree < 0, both over the same field, and in degree >= 1
-    the field's value (see :class:`~mwslice.fields.FieldDescriptor`).
+    None where ``kmw_ambient(field, degree)`` is trivial, else the field's
+    value (see :class:`~mwslice.fields.FieldDescriptor`).  So the value is
+    None exactly when the form has no degree or a trivial coordinate group.
     """
 
     __slots__ = _fields = ("field", "degree", "value")
 
     def __init__(self, field: FieldDescriptor, degree: int | None, value=None) -> None:
-        if degree is None:
+        if degree is None or (degree >= 1 and kmw_ambient(field, degree).is_trivial):
             fits = value is None
         elif degree <= 0:
             fits = type(value) is (GWClass if degree == 0 else WittClass) and value.field is field
@@ -244,10 +246,9 @@ class MWNormalForm(Record):
 
     @property
     def is_zero(self) -> bool:
-        m = self.degree
-        if m is None:
+        if self.value is None:
             return True
-        if m <= 0:
+        if self.degree <= 0:
             return self.value.is_zero
         return self.field.kmw_is_zero(self.value)
 
@@ -272,7 +273,7 @@ class MWNormalForm(Record):
             raise ValueError("the zero normal form has no fixed degree")
         if m <= 0:
             return self.value.coords
-        return self.field.kmw_coords(self.value)
+        return () if self.value is None else self.field.kmw_coords(self.value)
 
     def __str__(self) -> str:
         m = self.degree
@@ -305,6 +306,8 @@ def normal_form_from_coords(
         return MWNormalForm(field, 0, GWClass(field, coords))
     if m < 0:
         return MWNormalForm(field, m, WittClass(field, coords))
+    if kmw_ambient(field, m).is_trivial:
+        return MWNormalForm(field, m)
     return MWNormalForm(field, m, field.kmw_from_coords(m, coords))
 
 
@@ -335,6 +338,8 @@ def normalize(e: MWExpression, degree: int | None = None) -> MWNormalForm:
         for t in e.terms:
             acc = acc + _term_gw_part(field, t)
         return MWNormalForm(field, d, acc if d == 0 else witt_class(acc))
+    if kmw_ambient(field, d).is_trivial:
+        return MWNormalForm(field, d)
     value = field.kmw_normalize(d, e.terms, partial(_term_gw_part, field))
     return MWNormalForm(field, d, value)
 
@@ -370,11 +375,14 @@ def to_witt(e: MWExpression) -> WittClass:
 
 def eta_coords(field: FieldDescriptor, m: int, coords: tuple[int, ...]) -> tuple[int, ...]:
     """Multiplication by eta on degree-m coordinates, into degree m - 1 (unreduced):
-    GW -> W in degree 0, the identity below it and the field's hook above it."""
+    GW -> W in degree 0, the identity below it, and above it the zero vector
+    from a trivial group and the field's hook otherwise."""
     if m == 0:
         return field.witt_coords(coords)
     if m < 0:
         return coords
+    if kmw_ambient(field, m).is_trivial:
+        return (0,) * kmw_ambient(field, m - 1).dim
     return field.eta_coords(m, coords)
 
 

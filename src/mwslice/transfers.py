@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from mwslice.abelian import Record, SubgroupDescription
+from mwslice.abelian import Record, SubgroupDescription, full_subgroup
 from mwslice.fields import (
     COMPLEXES,
     REALS,
@@ -35,7 +35,7 @@ from mwslice.fields import (
     unit_mul,
     unit_pow,
 )
-from mwslice.filtration import FiltrationQuery, kmw_times_In, tate_filtration
+from mwslice.filtration import kmw_times_In
 from mwslice.forms import (
     GWClass,
     WittClass,
@@ -223,9 +223,10 @@ def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
     """Transfer of a degree-m normal form, induced through the eta tower.
 
     Degree 0 is the trace transfer on GW; negative degrees go through Witt
-    coordinates; degree >= 2 over a finite field is the zero group; degree 1
-    combines the norm on the unit class with the trace transfer on the ideal
-    bit (the two agree under the square-class compatibility).
+    coordinates; a degree whose coordinate group over the base is trivial
+    maps to zero; degree 1 over a finite field combines the norm on the unit
+    class with the trace transfer on the ideal bit (the two agree under the
+    square-class compatibility).
     """
     m = nf.degree
     base, top = ext.base, ext.top
@@ -239,7 +240,7 @@ def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
         return MWNormalForm(base, m, trace_transfer_witt(ext, nf.value))
     if not base.is_finite:
         raise ExtensionError("positive-degree transfers are implemented over finite fields")
-    if m >= 2:
+    if kmw_ambient(base, m).is_trivial:
         return MWNormalForm(base, m)
     u_down = norm_to_base(ext, nf.value)
     transferred = trace_transfer_gw(ext, GWClass(top, (0, nf.ideal_bit)))
@@ -325,7 +326,7 @@ def transfer_closure_subgroup(
         raise ValueError("degree_bound must be >= 1")
     m = q - p
     if n <= p:
-        return tate_filtration(FiltrationQuery(n, p, q, base))
+        return full_subgroup(kmw_ambient(base, m))
     gens: list[MWNormalForm] = []
     for d in range(1, degree_bound + 1):
         top = base if d == 1 else finite_field(base.order**d)

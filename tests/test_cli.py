@@ -167,6 +167,47 @@ def test_mw_verify_wrong_shape_exits_2(capsys, tmp_path, content):
     assert err.startswith("error: malformed derivation") and "Traceback" not in err
 
 
+def _step(rule, bindings=None, term=0):
+    step = {"rule": rule, "position": {"term": term, "factor": 0}}
+    if bindings is not None:
+        step["bindings"] = bindings
+    return step
+
+
+@pytest.mark.parametrize("start, step, reason", [
+    ("[3]", _step("R-foo"), "unknown rule 'R-foo'"),
+    ("[3]", _step("R-steinberg", {"u": "1"}), "Steinberg relation needs u != 1"),
+    ("[3]*[5]", _step("R-sum", {"u": "3"}), "missing binding 'v'"),
+    ("[3]", _step("R-central", {"atom": "[3]"}),
+     "R-central needs a degree-0 expression binding 'z'"),
+    ("[3]", _step("R-central", {"z": "1"}), "R-central needs an atom binding 'atom'"),
+    ("[3]", _step("R-central", {"z": "1", "atom": "[3]", "side": "up"}),
+     "R-central side must be left or right, got 'up'"),
+    ("[3]", _step("R-central", {"z": "0", "atom": "[3]"}),
+     "R-central instantiates to an empty pattern"),
+    ("[1]", _step("R-one", term=5), "term index 5 out of range"),
+    ("eta", _step("R-eta-hyp"), "coefficient 1 is not a multiple of the pattern's 2"),
+], ids=["unknown-rule", "steinberg-u-1", "sum-missing-v", "central-no-z", "central-no-atom",
+        "central-side-up", "central-z-0", "term-out-of-range", "eta-hyp-coefficient"])
+def test_mw_verify_reports_a_refused_step(capsys, tmp_path, start, step, reason):
+    path = tmp_path / "derivation.json"
+    path.write_text(json.dumps({"field": "Fq(7)", "start": start, "end": "0", "steps": [step]}),
+                    encoding="utf-8")
+    code, out = run(capsys, "--output", "json", "mw-verify", "--derivation", str(path))
+    assert code == 1
+    assert json.loads(out)["result"] == {"verified": False, "failed_step": 0, "reason": reason}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gw", "--field", "Fq(9;poly=x^2+y)", "--form", "<1>"], "bad polynomial term 'y'"),
+    (["transfer", "--ext", "Fq(9)", "--form", "<1>"],
+     "extension literal must be top/base, got 'Fq(9)'"),
+], ids=["polynomial-term", "extension-literal"])
+def test_malformed_literals_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_mw_verify_refuses_boolean_positions(capsys, tmp_path):
     assert main(["--output", "json", "mw-derive", "--field", "Fq(7)", "--units", "3,5"]) == 0
     cert = json.loads(capsys.readouterr().out)["result"]

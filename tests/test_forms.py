@@ -15,6 +15,7 @@ from mwslice.checks import (
 from mwslice.fields import (
     COMPLEXES,
     REALS,
+    FieldMismatchError,
     enumerate_units,
     finite_field,
     multiplicative_generator,
@@ -29,6 +30,7 @@ from mwslice.forms import (
     QuadraticForm,
     form,
     gw_of_form,
+    gw_box,
     gw_of_unit,
     gw_one,
     gw_zero,
@@ -362,3 +364,24 @@ def test_pfister_builds_one_class(monkeypatch):
         pfister(units)
         pfister(units, 5)
         assert len(built) == 2, units
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: gw_one(F3) + gw_one(F5), "classes over Fq(3) and Fq(5)"),
+    (lambda: pfister([unit(F3, 2), unit(F5, 2)]), "pfister units must share one field"),
+    (lambda: QuadraticForm(F3, (unit(F5, 2),)), "diagonal entries must share the form's field"),
+], ids=["gw-sum", "pfister", "form-entry"])
+def test_two_fields_are_refused_with_their_message(build, message):
+    with pytest.raises(FieldMismatchError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_witt_products_over_c_are_gw_products_mod_2():
+    # W(C) = Z/2 by the rank, a ring map from GW(C) = Z
+    box = gw_box(COMPLEXES, 3)
+    assert [x.rank for x in box] == [-3, -2, -1, 0, 1, 2, 3]
+    for x, y in itertools.product(box, repeat=2):
+        product = witt_class(x) * witt_class(y)
+        assert product == witt_class(x * y)
+        assert product.coords == (x.rank * y.rank % 2,)

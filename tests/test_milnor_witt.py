@@ -290,7 +290,7 @@ def test_normal_forms_round_trip_their_coordinates(field):
     (REALS, 2, None),
     (REALS, 1, unit(REALS, -1)),
     (COMPLEXES, 1, 1),
-    (COMPLEXES, 3, None),
+    (COMPLEXES, 3, 0),
 ], ids=str)
 def test_a_normal_form_refuses_a_value_of_the_wrong_type(field, degree, value):
     with pytest.raises(ValueError):
@@ -462,6 +462,14 @@ def test_an_expression_built_from_outside_checks_its_units():
     for word in [(unit(F5, 2),), (ETA, unit(F7, 3), unit(F5, 2))]:
         with pytest.raises(FieldMismatchError, match="^symbol unit over the wrong field$"):
             MWExpression(F7, (MWMonomial(1, (unit(F7, 3),)), MWMonomial(1, word)))
+
+
+def test_a_sum_over_two_fields_is_refused():
+    from mwslice.fields import FieldMismatchError
+
+    with pytest.raises(FieldMismatchError) as info:
+        mw_symbol(unit(F5, 2)) + mw_symbol(unit(F7, 3))
+    assert str(info.value) == "expressions over Fq(5) and Fq(7)"
 
 
 def test_a_long_product_is_refused_before_its_word_is_built(monkeypatch):

@@ -1,19 +1,23 @@
 """No CLI command walks the units of a large field.
 
 ``FiniteField._tabulate`` builds the exp/log tables of all q - 1 powers of
-the generator; it is the one walk of a field, run by the first discrete log
-and so by ``enumerate_units`` and ``discrete_log_table``.  Here it refuses
-every field of order above 10^5, and each command below must still exit 0
-over fields of order near the 10^6 bound; so must the degree-1 transfer
-over a trivial extension, which no command reaches, and the eta image that
-``grid_law`` compares with each level.  These commands ask for
-no discrete log, so they build no tables, not even for the quadratic
-transfer's base Fq(729).  Unit arithmetic builds no tables either: it
-runs on the packed kernel until a discrete log has built them, and reads
-them from then on.  ``mw-derive`` is left out: it prints its units as
-``g^k`` literals, so it builds the tables of its field, an O(q) walk of
-arrays over F_p (the MENDED entry on ``cli.cmd_mw_derive`` in CHANGES.md);
-``tests/test_cli.py`` bounds its memory and pins its bytes.
+the generator; it is the walk of a field, run by the first discrete log
+and so by ``enumerate_units`` and ``discrete_log_table``.  An extension has
+two walks of its own over the q_b - 1 units of its base's copy in the top
+field: the root search ``transfers.embedding_image_of_generator`` and the
+inverse table ``transfers._embedding_inverse_table``.  Here the first
+refuses every field and the other two every base of order above 10^5, and
+each command below must still exit 0 over fields of order near the 10^6
+bound; so must the degree-1 transfer over a trivial extension, which no
+command reaches, and the eta image that ``grid_law`` compares with each
+level.  These commands ask for no discrete log, so they build no tables,
+not even for the quadratic transfer's base Fq(729).  Unit arithmetic
+builds no tables either: it runs on the packed kernel until a discrete log
+has built them, and reads them from then on.  ``mw-derive`` is left out:
+it prints its units as ``g^k`` literals, so it builds the tables of its
+field, an O(q) walk of arrays over F_p (the MENDED entry on
+``cli.cmd_mw_derive`` in CHANGES.md); ``tests/test_cli.py`` bounds its
+memory and pins its bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import json
 
 import pytest
 
-from mwslice import fields
+from mwslice import fields, transfers
 from mwslice.cli import main
 from mwslice.filtration import FiltrationQuery, eta_image_subgroup, eta_power_image, tate_filtration
 from mwslice.milnor_witt import mw_symbol, normalize
@@ -35,6 +39,19 @@ BIG = "Fq(999983)"
 FIELDS = (BIG, "Fq(994009)", "Fq(531441)", "Fq(729)", "Fq(16411)", "Fq(59049)")
 
 
+# A proper extension has q_b^2 <= MAX_FIELD_ORDER, so only an extension of a
+# field by itself has a base above WALK_LIMIT.
+SUBFIELD_WALKS = ("embedding_image_of_generator", "_embedding_inverse_table")
+
+
+def _refusing_a_big_base(name, real):
+    def walk(ext):
+        if ext.base.order > WALK_LIMIT:
+            raise AssertionError(f"{name} walked the {ext.base.order - 1} units of {ext.base}")
+        return real(ext)
+    return walk
+
+
 @pytest.fixture(autouse=True)
 def refuse_big_walks(monkeypatch):
     real = fields.FiniteField._tabulate
@@ -45,6 +62,8 @@ def refuse_big_walks(monkeypatch):
         return real(field)
 
     monkeypatch.setattr(fields.FiniteField, "_tabulate", tabulate)
+    for name in SUBFIELD_WALKS:
+        monkeypatch.setattr(transfers, name, _refusing_a_big_base(name, getattr(transfers, name)))
     used = [fields.parse_field(f) for f in FIELDS]
     saved = [field._tables for field in used]
     for field in used:

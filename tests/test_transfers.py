@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from mwslice import checks, fields, transfers
+from mwslice import checks, fields, filtration, transfers
 from mwslice.checks import _Run, check_transfers, trace_form_oracle
 from mwslice.cli import main
 from mwslice.fields import (
@@ -169,13 +169,20 @@ def test_transfer_preserves_rank_zero_and_ideal_bit():
 
 
 def test_witt_transfer_well_defined():
-    for ext in (EXT_93, EXT_255, EXT_273):
+    for ext in (EXT_93, EXT_255, EXT_273, EXT_CR):
         h = hyperbolic(ext.top)
         assert witt_class(trace_transfer_gw(ext, h)).is_zero
-        box = [GWClass(ext.top, (r, d)) for r in range(0, 3) for d in (0, 1)]
+        if ext is EXT_CR:
+            box = gw_box(COMPLEXES, 3)
+        else:
+            box = [GWClass(ext.top, (r, d)) for r in range(0, 3) for d in (0, 1)]
         for x in box:
             assert trace_transfer_witt(ext, witt_class(x)) == \
                 witt_class(trace_transfer_gw(ext, x))
+    for x in gw_box(COMPLEXES, 3):
+        # the trace of a rank-r class is r * h, of signature 0
+        assert trace_transfer_gw(EXT_CR, x) == hyperbolic(REALS).scale(x.rank)
+        assert trace_transfer_witt(EXT_CR, witt_class(x)).is_zero
 
 
 def test_p_star_extension_of_scalars():
@@ -258,6 +265,18 @@ def test_transfer_closure_matches_filtration(base):
         closure = transfer_closure_subgroup(base, q, p, n, 3)
         level = tate_filtration(FiltrationQuery(n, p, q, base))
         assert closure == level, (n, p, q)
+
+
+def test_closure_criterion_sees_a_wrong_level_in_the_stabilization_regime(monkeypatch):
+    # a level of I^1 where n <= p, in place of the whole group
+    def shifted(a, b):
+        return 1 if a <= 0 else max(0, min(a, b))
+
+    monkeypatch.setattr(filtration, "shift_index", shifted)
+    assert FiltrationQuery(-3, -3, -3, F3).N == 1
+    result = check_transfers(_Run("11 transfers", "full"))
+    assert not result.ok
+    assert result.detail == "base Fq(3), (n,p,q)=(-3,-3,-3): closure != filtration"
 
 
 def test_closure_rejects_bad_bound():
