@@ -249,10 +249,8 @@ def k2_brute_force_order(field: FieldDescriptor) -> int:
     ann = q - 1
     e = one(field)
     for u in enumerate_units(field):
-        if u == e:
-            continue
         w = unit_sub(e, u)
-        if w is None:
+        if w is None:  # u = 1
             continue
         ann = gcd(ann, field.kmw_coords(u)[0] * field.kmw_coords(w)[0] % (q - 1))
     return ann

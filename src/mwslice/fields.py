@@ -434,13 +434,15 @@ class FiniteField(FieldDescriptor):
         if self.degree == 1:
             return _kernel_unit(self, a.value * b.value % self.p)
         if self._tables is not None:
-            return self._exp(self._log(a) + self._log(b))
+            exp, log = self._tables
+            return _kernel_unit(self, exp[(log[a.value] + log[b.value]) % (self.order - 1)])
         return Unit(self, self._unpack(self._mul_packed(self._pack(a.value), self._pack(b.value))))
 
     def pow(self, a: Unit, n: int) -> Unit:
         """a^n for any integer n, reduced mod q - 1."""
         if self._tables is not None:
-            return self._exp(self._log(a) * n)
+            exp, log = self._tables
+            return _kernel_unit(self, exp[log[a.value] * n % (self.order - 1)])
         return Unit(self, self.carrier_pow(a.value, n % (self.order - 1)))
 
     def carrier_pow(self, c: int, n: int) -> int:
@@ -481,11 +483,7 @@ class FiniteField(FieldDescriptor):
 
     def _log(self, a: Unit) -> int:
         """k with a = g^k, 0 <= k < q - 1."""
-        return self._exp_log()[1][a.value]
-
-    def _exp(self, k: int) -> Unit:
-        """g^k read off ``exp``, once built; unchecked, as the kernel computed it."""
-        return _kernel_unit(self, self._tables[0][k % (self.order - 1)])
+        return (self._tables or self._exp_log())[1][a.value]
 
     @cached_property
     def _zech(self) -> array:
@@ -498,7 +496,7 @@ class FiniteField(FieldDescriptor):
         """g^k for the canonical generator g: an ``exp`` entry once tabulated,
         a kernel power before."""
         if self._tables is not None:
-            return self._exp(k)
+            return _kernel_unit(self, self._tables[0][k % (self.order - 1)])
         return self.pow(multiplicative_generator(self), k)
 
     def inv(self, a: Unit) -> Unit:
@@ -512,17 +510,17 @@ class FiniteField(FieldDescriptor):
             s = (a.value + b.value) % self.p
             return _kernel_unit(self, s) if s else None
         if self._tables is not None:
-            log = self._tables[1]
+            (exp, log), n = self._tables, self.order - 1
             i = log[a.value]
-            z = self._zech[(log[b.value] - i) % (self.order - 1)]
-            return self._exp(i + z) if z else None
+            z = self._zech[(log[b.value] - i) % n]
+            return _kernel_unit(self, exp[(i + z) % n]) if z else None
         s = self._unpack(self._reduce_lanes(self._pack(a.value) + self._pack(b.value)))
         return Unit(self, s) if s else None
 
     def square_class(self, a: Unit) -> int:
         """The parity of log_g a once tabulated; before, Euler's criterion a^((q-1)/2) = 1."""
         if self._tables is not None:
-            return self._log(a) & 1
+            return self._tables[1][a.value] & 1
         return 0 if self.carrier_pow(a.value, (self.order - 1) // 2) == 1 else 1
 
     def literal(self, u: Unit) -> str:
@@ -789,8 +787,8 @@ def enumerate_units(field: FieldDescriptor) -> tuple[Unit, ...]:
     read off the field's ``exp`` table."""
     if not field.is_finite:
         raise UnsupportedEnumerationError(f"cannot enumerate units of {field}")
-    field._exp_log()  # the first read builds the tables
-    return tuple(map(field._exp, range(field.order - 1)))
+    exp = field._exp_log()[0]  # the first read builds the tables
+    return tuple(_kernel_unit(field, c) for c in exp)
 
 
 @lru_cache(maxsize=None)

@@ -74,17 +74,15 @@ class MWMonomial(Record):
     def degree(self) -> int:
         return len(self.factors) - 2 * self.eta_power  # = #sym - #eta
 
-    def __str__(self) -> str:
-        return _render((self,), _atom_str)
-
 
 class MWExpression(Record):
     """An ordered sum of monomials over one field.
 
     The constructor is the boundary for expressions built from outside: it
     checks that every unit atom lies over the field.  Expressions the module
-    builds from checked ones (sums, products, negations, ``collect``, the
-    parser) skip that walk; every expression is held to the size bounds.
+    builds from checked ones (sums, products, negations, ``collect``, and the
+    parser's one expression from its words) skip that walk; every expression
+    is held to the size bounds.
     """
 
     __slots__ = _fields = ("field", "terms")
@@ -111,22 +109,13 @@ class MWExpression(Record):
         self._check(other)
         return collect(self.field, self.terms + other.terms)
 
-    def __sub__(self, other: "MWExpression") -> "MWExpression":
-        return self + (-other)
-
     def __neg__(self) -> "MWExpression":
         return _expression(self.field, tuple(MWMonomial(-t.coeff, t.factors) for t in self.terms))
 
     def __mul__(self, other: "MWExpression") -> "MWExpression":
         self._check(other)
-        _check_size(len(self.terms) * len(other.terms),
-                    max((len(t.factors) for t in self.terms), default=0)
-                    + max((len(t.factors) for t in other.terms), default=0))
-        terms = []
-        for s in self.terms:
-            for t in other.terms:
-                terms.append(MWMonomial(s.coeff * t.coeff, s.factors + t.factors))
-        return collect(self.field, terms)
+        return _from_words(self.field, _word_product(
+            [(t.factors, t.coeff) for t in self.terms], [(t.factors, t.coeff) for t in other.terms]))
 
     def _check(self, other: "MWExpression") -> None:
         if self.field != other.field:
@@ -143,6 +132,11 @@ def _expression(field: FieldDescriptor, terms: tuple[MWMonomial, ...]) -> MWExpr
     _set(e, "field", field)
     _set(e, "terms", terms)
     return e
+
+
+def _from_words(field: FieldDescriptor, words: dict[tuple, int]) -> MWExpression:
+    """The expression of collected words, each with its nonzero coefficient, in their order."""
+    return _expression(field, tuple(MWMonomial(c, w) for w, c in words.items()))
 
 
 def _bounded(terms: tuple[MWMonomial, ...]) -> None:
@@ -164,6 +158,27 @@ def check_word_length(length: int) -> None:
     """Refuse a word of more than MAX_WORD_LENGTH atoms, before it is built."""
     if length > MAX_WORD_LENGTH:
         raise ValueError(f"a word of {length} atoms exceeds the supported bound {MAX_WORD_LENGTH}")
+
+
+def _word_product(left: Sequence[tuple[tuple, int]],
+                  right: Sequence[tuple[tuple, int]]) -> dict[tuple, int]:
+    """The collected product of two sums of (word, coeff) pairs: each word
+    s + t at its first occurrence, zero coefficients dropped.
+
+    The size bounds are checked before any word is joined.
+    """
+    if len(left) == 1 == len(right):  # nothing to merge
+        ((s, c),), ((t, d),) = left, right
+        check_word_length(len(s) + len(t))
+        return {s + t: c * d} if c * d else {}
+    _check_size(len(left) * len(right),
+                max((len(s) for s, _ in left), default=0) + max((len(t) for t, _ in right), default=0))
+    acc: dict[tuple, int] = {}
+    for s, c in left:
+        for t, d in right:
+            w = s + t
+            acc[w] = acc.get(w, 0) + c * d
+    return {w: c for w, c in acc.items() if c}
 
 
 def collect(field: FieldDescriptor, terms: Sequence[MWMonomial]) -> MWExpression:
@@ -450,7 +465,10 @@ MAX_NESTING = 100
 def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
     """Parse expression syntax: ``[u]``, ``eta``, integers, ``*``, ``+``, ``-``.
 
-    Example: ``eta*(2 + eta*[-1])``.
+    Example: ``eta*(2 + eta*[-1])``.  The text is read in one recursive
+    descent over its tokens; each subexpression is a collected sum, an
+    insertion-ordered ``{word: coeff}`` dict with no zero coefficient, and
+    one expression is built from the whole.
     """
     tokens = []
     pos = 0
@@ -463,16 +481,15 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
         tokens.append(m)
         pos = m.end()
 
-    items = []
+    items = []  # (kind, value); an operator is its own kind
     for m in tokens:
-        if m.group("int"):
-            items.append(("int", int(m.group("int"))))
-        elif m.group("eta"):
-            items.append(("eta", None))
-        elif m.group("sym"):
-            items.append(("sym", parse_unit(field, m.group("sym")[1:-1])))
-        else:
-            items.append((m.group("op"), None))
+        kind = m.lastgroup
+        if kind == "op":
+            items.append((m[kind], None))
+        elif kind == "int":
+            items.append((kind, int(m[kind])))
+        else:  # an atom: ETA, or the unit u of [u]
+            items.append((kind, ETA if kind == "eta" else parse_unit(field, m[kind][1:-1])))
 
     idx = 0
     depth = 0
@@ -480,32 +497,32 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
     def peek():
         return items[idx][0] if idx < len(items) else None
 
-    def parse_expr() -> MWExpression:
+    def parse_expr() -> dict[tuple, int]:
         """A sum, collected as it is read: the terms of a left fold of ``+``, in linear time."""
         nonlocal idx
-        acc = {t.factors: t.coeff for t in parse_term().terms}  # word -> nonzero coeff, in order
+        acc = parse_term()  # word -> nonzero coeff, in order
         while peek() in ("+", "-"):
             sign = 1 if peek() == "+" else -1
             idx += 1
             rhs = parse_term()
-            _check_size(len(acc) + len(rhs.terms), 0)
-            for t in rhs.terms:  # a collected summand: each word once
-                c = acc.get(t.factors, 0) + sign * t.coeff
+            _check_size(len(acc) + len(rhs), 0)
+            for w, c in rhs.items():  # a collected summand: each word once
+                c = acc.get(w, 0) + sign * c
                 if c:
-                    acc[t.factors] = c  # a word already there keeps its place
+                    acc[w] = c  # a word already there keeps its place
                 else:
-                    del acc[t.factors]
-        return _expression(field, tuple(MWMonomial(c, w) for w, c in acc.items()))
+                    del acc[w]
+        return acc
 
-    def parse_term() -> MWExpression:
+    def parse_term() -> dict[tuple, int]:
         nonlocal idx
         out = parse_factor()
         while peek() == "*":
             idx += 1
-            out = out * parse_factor()
+            out = _word_product(out.items(), parse_factor().items())
         return out
 
-    def parse_factor() -> MWExpression:
+    def parse_factor() -> dict[tuple, int]:
         nonlocal idx, depth
         kind = peek()
         if kind is None:
@@ -516,7 +533,7 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
             depth += 1
             idx += 1
             if kind == "-":
-                inner = -parse_factor()
+                inner = {w: -c for w, c in parse_factor().items()}
             else:
                 inner = parse_expr()
                 if peek() != ")":
@@ -524,20 +541,15 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
                 idx += 1
             depth -= 1
             return inner
-        if kind == "int":
-            n = items[idx][1]
+        if kind in ("int", "eta", "sym"):
+            value = items[idx][1]
             idx += 1
-            return mw_int(field, n)
-        if kind == "eta":
-            idx += 1
-            return mw_eta(field)
-        if kind == "sym":
-            u = items[idx][1]
-            idx += 1
-            return mw_symbol(u)
+            if kind == "int":
+                return {(): value} if value else {}
+            return {(value,): 1}
         raise ValueError(f"unexpected token {kind!r} in {text!r}")
 
     out = parse_expr()
     if idx != len(items):
         raise ValueError(f"trailing tokens in {text!r}")
-    return out
+    return _from_words(field, out)

@@ -5,7 +5,7 @@ import itertools
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwslice import checks, milnor_witt
@@ -43,6 +43,7 @@ from mwslice.milnor_witt import (
     mw_eta,
     mw_int,
     mw_symbol,
+    mw_symbols,
     mw_unit_form,
     normal_form_from_coords,
     normalize,
@@ -402,6 +403,88 @@ def test_a_sum_parses_to_the_fold_of_its_summands(pairs):
     assert parse_expression(F7, text).terms == functools.reduce(operator.add, parts).terms
 
 
+# Unit literals per field for the expression trees below.
+TREE_UNITS = {F7: ("3", "-1", "2/3", "g^2"), F9: ("1", "2", "g", "g^5"), REALS: ("-1", "2", "-3/4")}
+
+
+def _tree_text(tree) -> tuple[str, int]:
+    """The text of an expression tree and its grammar level: 0 a factor, 1 a
+    product, 2 a sum.  A child above the level its place takes is parenthesized."""
+
+    def at(child, level):
+        text, own = _tree_text(child)
+        return text if own <= level else f"({text})"
+
+    kind, *args = tree
+    if kind == "int":
+        return str(args[0]), 0
+    if kind == "eta":
+        return "eta", 0
+    if kind == "unit":
+        return f"[{args[0]}]", 0
+    if kind == "neg":
+        return "-" + at(args[0], 0), 0
+    if kind == "paren":
+        return f"({_tree_text(args[0])[0]})", 0
+    if kind == "mul":
+        return f"{at(args[0], 1)}*{at(args[1], 0)}", 1
+    first, rest = args
+    return at(first, 2) + "".join(f" {op} {at(x, 1)}" for op, x in rest), 2
+
+
+def _tree_value(field, tree):
+    """The tree evaluated with ``+`` and ``*`` of ``MWExpression``, a unary
+    minus as the product by -1 and a sum as the left fold of its summands."""
+    kind, *args = tree
+    if kind == "int":
+        return mw_int(field, args[0])
+    if kind == "eta":
+        return mw_eta(field)
+    if kind == "unit":
+        return mw_symbol(unit(field, args[0]))
+    if kind == "neg":
+        return mw_int(field, -1) * _tree_value(field, args[0])
+    if kind == "paren":
+        return _tree_value(field, args[0])
+    if kind == "mul":
+        return _tree_value(field, args[0]) * _tree_value(field, args[1])
+    first, rest = args
+    out = _tree_value(field, first)
+    for op, x in rest:
+        value = _tree_value(field, x)
+        out = out + (value if op == "+" else mw_int(field, -1) * value)
+    return out
+
+
+def _trees(units):
+    atoms = st.one_of(st.tuples(st.just("int"), st.integers(0, 5)), st.just(("eta",)),
+                      st.tuples(st.just("unit"), st.sampled_from(units)))
+    return st.recursive(atoms, lambda children: st.one_of(
+        st.tuples(st.just("neg"), children),
+        st.tuples(st.just("paren"), children),
+        st.tuples(st.just("mul"), children, children),
+        st.tuples(st.just("sum"), children,
+                  st.lists(st.tuples(st.sampled_from("+-"), children), min_size=1, max_size=5)),
+    ), max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(TREE_UNITS)).flatmap(lambda f: st.tuples(st.just(f), _trees(TREE_UNITS[f]))))
+@example((F7, ("sum", ("int", 1), [("+", ("eta",)), ("-", ("int", 1)), ("+", ("int", 1))])))
+def test_a_parsed_expression_equals_its_tree_evaluated(case):
+    """The example ``1 + eta - 1 + 1`` cancels a word and adds it back, last."""
+    field, tree = case
+    text = _tree_text(tree)[0]
+    parsed = parse_expression(field, text)
+    assert parsed.field is field
+    assert parsed.terms == _tree_value(field, tree).terms, text
+
+
+def test_a_trailing_blank_is_ignored():
+    assert parse_expression(F7, "[3] ") == parse_expression(F7, "[3]")
+    assert parse_expression(F7, "[3] ").terms == (milnor_witt.MWMonomial(1, (unit(F7, 3),)),)
+
+
 def test_a_long_sum_is_collected_once_not_per_summand(monkeypatch):
     real, calls = milnor_witt.collect, []
     monkeypatch.setattr(milnor_witt, "collect", lambda field, terms: calls.append(terms) or real(field, terms))
@@ -464,6 +547,21 @@ def test_an_expression_built_from_outside_checks_its_units():
             MWExpression(F7, (MWMonomial(1, (unit(F7, 3),)), MWMonomial(1, word)))
 
 
+def test_an_expression_past_the_bounds_is_refused_with_its_message():
+    from mwslice.milnor_witt import MWExpression, MWMonomial
+
+    units = enumerate_units(F7)
+    with pytest.raises(ValueError) as info:
+        MWExpression(F7, (MWMonomial(1, (units[1],) * 1001),))
+    assert str(info.value) == "a word of 1001 atoms exceeds the supported bound 1000"
+    words = list(itertools.product(units, repeat=4))
+    a, b = (MWExpression(F7, tuple(MWMonomial(1, w) for w in part))
+            for part in (words[:600], words[600:1200]))
+    with pytest.raises(ValueError) as info:
+        a + b
+    assert str(info.value) == "1200 monomials exceed the supported bound 1000"
+
+
 def test_a_sum_over_two_fields_is_refused():
     from mwslice.fields import FieldMismatchError
 
@@ -473,15 +571,32 @@ def test_a_sum_over_two_fields_is_refused():
 
 
 def test_a_long_product_is_refused_before_its_word_is_built(monkeypatch):
-    built, real = [], milnor_witt.MWMonomial
-    monkeypatch.setattr(milnor_witt, "MWMonomial",
-                        lambda coeff, word: built.append(len(word)) or real(coeff, word))
+    """Every product goes through ``_word_product``; the probe hands it words
+    that record the length of each word joined from them."""
+    joined, real = [], milnor_witt._word_product
+
+    class Word(tuple):
+        def __add__(self, other):
+            joined.append(len(self) + len(other))
+            return Word(tuple.__add__(self, other))
+
+    monkeypatch.setattr(milnor_witt, "_word_product",
+                        lambda left, right: real([(Word(w), c) for w, c in left], right))
     limit = milnor_witt.MAX_WORD_LENGTH
+    message = f"^a word of {limit + 1} atoms exceeds the supported bound {limit}$"
     assert len(parse_expression(F7, "*".join(["[2]"] * limit)).terms[0].factors) == limit
-    built.clear()
-    with pytest.raises(ValueError, match=f"^a word of {limit + 1} atoms exceeds the supported bound {limit}$"):
+    assert max(joined) == limit
+    joined.clear()
+    with pytest.raises(ValueError, match=message):
         parse_expression(F7, "*".join(["[2]"] * (limit + 1)))
-    assert built and max(built) == limit
+    assert joined and max(joined) == limit
+    joined.clear()
+    u = unit(F7, 2)
+    long_word = mw_symbols([u] * (limit - 499))
+    for left in (mw_symbols([u] * 500), mw_symbols([u] * 500) + mw_int(F7, 1)):
+        with pytest.raises(ValueError, match=message):
+            left * long_word
+    assert joined == []
 
 
 def test_each_term_of_a_normal_form_builds_one_gw_class(monkeypatch):
