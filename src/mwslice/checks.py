@@ -483,9 +483,8 @@ def check_relation_soundness(run: _Run) -> CheckResult:
             for ctx in contexts:
                 left, right = lhs, rhs
                 if ctx is not None:
-                    width = max(
-                        (len(t.symbol) for t in (lhs.terms + rhs.terms)), default=0
-                    )
+                    width = max((sum(a is not ETA for a in w)
+                                 for w, _ in lhs.terms + rhs.terms), default=0)
                     if width >= 3:
                         continue
                     ctx_expr = mw_symbols([ctx])

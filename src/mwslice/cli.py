@@ -176,15 +176,13 @@ def cmd_moore(args) -> int:
 
     field = parse_field(args.field)
     desc = moore_filtration(args.ell, field, args.n)
-    tag = desc.order_or_index()
     if desc.is_zero:
         human = "0"
     elif desc.is_full:
         human = f"full GW/{args.ell}"
-    elif isinstance(tag, tuple) and tag[0] == "order" and tag[1] == args.ell:
+    else:  # for an odd prime ell, every other level is cyclic of order ell
+        assert desc.order_or_index() == ("order", args.ell), desc
         human = f"Z/{args.ell}"
-    else:
-        human = str(desc)
     payload = {"command": "moore",
                "input": {"field": args.field, "ell": args.ell, "n": args.n},
                "result": {"image": human, "subgroup": desc.describe()}}

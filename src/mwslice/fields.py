@@ -151,8 +151,11 @@ class FieldDescriptor(Record):
     degree 1) the value is None and ``milnor_witt`` answers without the
     field; elsewhere it is the Milnor unit class over F_q in degree 1 and the
     integer c of c * [-1]^m over R.  The ``kmw_*`` methods take and return
-    that value; ``eta_coords`` maps the degree-m coordinates of a nontrivial
-    ``kmw_ambient(m)`` to those of degree m - 1.
+    that value; ``kmw_normalize(d, terms, gw_part)`` reads it off the
+    ``(word, coeff)`` pairs of a degree-d expression, where
+    ``gw_part(word, coeff)`` is the GW class of one pair; ``eta_coords``
+    maps the degree-m coordinates of a nontrivial ``kmw_ambient(m)`` to those
+    of degree m - 1.
     """
 
     __eq__ = object.__eq__
@@ -586,10 +589,10 @@ class FiniteField(FieldDescriptor):
         """
         u_acc = self.one()
         bit = 0
-        for t in terms:
-            if len(t.factors) == 1:  # in degree 1, the words without eta: one unit [u]
-                u_acc = unit_mul(u_acc, unit_pow(t.factors[0], t.coeff))
-            bit = (bit + gw_part(t).coords[1]) % 2
+        for w, c in terms:
+            if len(w) == 1:  # in degree 1, the words without eta: one unit [u]
+                u_acc = unit_mul(u_acc, unit_pow(w[0], c))
+            bit = (bit + gw_part(w, c).coords[1]) % 2
         if square_class(u_acc) != bit:
             raise ValueError(
                 f"cartesian-square compatibility violated: unit {u_acc} vs ideal bit {bit}"
@@ -717,8 +720,8 @@ class RealField(_RationalField):
     def kmw_normalize(self, d: int, terms, gw_part) -> int:
         """c normalized so that [-1]^d has c = 1: signature / (-2)^d."""
         c = 0
-        for t in terms:
-            q, r = divmod(gw_part(t).signature, (-2) ** d)
+        for word, coeff in terms:
+            q, r = divmod(gw_part(word, coeff).signature, (-2) ** d)
             assert r == 0, "ideal part of a degree-d monomial must lie in I^d"
             c += q
         return c

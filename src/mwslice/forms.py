@@ -47,9 +47,6 @@ class QuadraticForm(Record):
     def rank(self) -> int:
         return len(self.diagonal)
 
-    def __str__(self) -> str:
-        return "<" + ",".join(str(u) for u in self.diagonal) + ">"
-
 
 def form(field: FieldDescriptor, *entries) -> QuadraticForm:
     return QuadraticForm(field, tuple(unit(field, e) for e in entries))

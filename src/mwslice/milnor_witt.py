@@ -1,10 +1,10 @@
 """Formal Milnor-Witt K-theory: expressions in [u] and eta, and normal forms.
 
-Expressions are ordered sums of monomials; each monomial is an integer
-coefficient times an ordered word, a tuple whose atoms are the marker ``ETA``
-for eta and units u for [u].  No
-commutativity beyond the presented relations is ever assumed: normal forms are
-computed through per-field invariants, which are insensitive to symbol order.
+An expression is a collected sum of monomials, held as ``(word, coeff)``
+pairs: a word is a tuple whose atoms are the marker ``ETA`` for eta and units
+u for [u], and coeff is a nonzero integer.  No commutativity beyond the
+presented relations is ever assumed: normal forms are computed through
+per-field invariants, which are insensitive to symbol order.
 
 A normal form is a degree m and one value (the cartesian-square model):
 a GW class for m = 0 and a Witt class for m < 0 over every field, and for
@@ -53,44 +53,25 @@ MAX_TERMS = 1000
 _set = object.__setattr__
 
 
-class MWMonomial(Record):
-    """coeff times an ordered word: a tuple whose atoms are ``ETA`` and units u for [u]."""
-
-    __slots__ = _fields = ("coeff", "factors")
-
-    def __init__(self, coeff: int, factors: tuple) -> None:
-        _set(self, "coeff", coeff)
-        _set(self, "factors", factors)
-
-    @property
-    def eta_power(self) -> int:
-        return sum(1 for a in self.factors if a is ETA)
-
-    @property
-    def symbol(self) -> tuple[Unit, ...]:
-        return tuple(a for a in self.factors if a is not ETA)
-
-    @property
-    def degree(self) -> int:
-        return len(self.factors) - 2 * self.eta_power  # = #sym - #eta
-
-
 class MWExpression(Record):
-    """An ordered sum of monomials over one field.
+    """A sum over one field of ``(word, coeff)`` pairs: each word once, each
+    coeff a nonzero integer, in the order the words first occur.
 
+    A word's degree is its number of unit atoms less its number of eta atoms.
     The constructor is the boundary for expressions built from outside: it
-    checks that every unit atom lies over the field.  Expressions the module
-    builds from checked ones (sums, products, negations, ``collect``, and the
-    parser's one expression from its words) skip that walk; every expression
-    is held to the size bounds.
+    collects the pairs it is given and checks that every unit atom lies over
+    the field.  Expressions the module builds from checked ones (sums,
+    products, ``collect``, and the parser's one expression from its words)
+    skip that walk; every expression is held to the size bounds.
     """
 
     __slots__ = _fields = ("field", "terms")
 
-    def __init__(self, field: FieldDescriptor, terms: tuple[MWMonomial, ...]) -> None:
+    def __init__(self, field: FieldDescriptor, terms: Sequence[tuple[tuple, int]]) -> None:
         _bounded(terms)
-        for t in terms:
-            for a in t.factors:
+        terms = collect(field, terms).terms
+        for w, _ in terms:
+            for a in w:
                 if a is not ETA and a.field is not field:
                     raise FieldMismatchError("symbol unit over the wrong field")
         _set(self, "field", field)
@@ -98,7 +79,7 @@ class MWExpression(Record):
 
     def degree(self) -> int | None:
         """Common degree of all terms; None for the empty expression."""
-        degs = {t.degree for t in self.terms}
+        degs = {len(w) - 2 * sum(a is ETA for a in w) for w, _ in self.terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -109,13 +90,9 @@ class MWExpression(Record):
         self._check(other)
         return collect(self.field, self.terms + other.terms)
 
-    def __neg__(self) -> "MWExpression":
-        return _expression(self.field, tuple(MWMonomial(-t.coeff, t.factors) for t in self.terms))
-
     def __mul__(self, other: "MWExpression") -> "MWExpression":
         self._check(other)
-        return _from_words(self.field, _word_product(
-            [(t.factors, t.coeff) for t in self.terms], [(t.factors, t.coeff) for t in other.terms]))
+        return _expression(self.field, tuple(_word_product(self.terms, other.terms).items()))
 
     def _check(self, other: "MWExpression") -> None:
         if self.field != other.field:
@@ -125,8 +102,9 @@ class MWExpression(Record):
         return _render(self.terms, _atom_str)
 
 
-def _expression(field: FieldDescriptor, terms: tuple[MWMonomial, ...]) -> MWExpression:
-    """An expression whose atoms already lie over field; only the size bounds are checked."""
+def _expression(field: FieldDescriptor, terms: tuple[tuple[tuple, int], ...]) -> MWExpression:
+    """An expression of collected pairs whose atoms already lie over field;
+    only the size bounds are checked."""
     _bounded(terms)
     e = object.__new__(MWExpression)
     _set(e, "field", field)
@@ -134,18 +112,13 @@ def _expression(field: FieldDescriptor, terms: tuple[MWMonomial, ...]) -> MWExpr
     return e
 
 
-def _from_words(field: FieldDescriptor, words: dict[tuple, int]) -> MWExpression:
-    """The expression of collected words, each with its nonzero coefficient, in their order."""
-    return _expression(field, tuple(MWMonomial(c, w) for w, c in words.items()))
-
-
-def _bounded(terms: tuple[MWMonomial, ...]) -> None:
+def _bounded(terms: Sequence[tuple[tuple, int]]) -> None:
     """Refuse more than MAX_TERMS monomials or a word of more than MAX_WORD_LENGTH atoms."""
     if len(terms) > MAX_TERMS:  # compare first: every expression passes here
         _check_size(len(terms), 0)
-    for t in terms:
-        if len(t.factors) > MAX_WORD_LENGTH:
-            check_word_length(len(t.factors))
+    for w, _ in terms:
+        if len(w) > MAX_WORD_LENGTH:
+            check_word_length(len(w))
 
 
 def _check_size(terms: int, longest_word: int) -> None:
@@ -181,20 +154,19 @@ def _word_product(left: Sequence[tuple[tuple, int]],
     return {w: c for w, c in acc.items() if c}
 
 
-def collect(field: FieldDescriptor, terms: Sequence[MWMonomial]) -> MWExpression:
-    """The sum of these monomials: identical words merged where each first
-    occurs, zero coefficients dropped.
+def collect(field: FieldDescriptor, terms: Sequence[tuple[tuple, int]]) -> MWExpression:
+    """The sum of these (word, coeff) pairs: identical words merged where each
+    first occurs, zero coefficients dropped.
 
-    The monomials come from checked expressions over field, as they are or
-    with their words spliced and joined, so their atoms are not walked again.
+    The words come from checked expressions over field, as they are or
+    spliced and joined, so their atoms are not walked again.
     """
     if len(terms) == 1:  # nothing to merge
-        (t,) = terms
-        return _expression(field, (t,) if t.coeff else ())
+        return _expression(field, tuple(terms) if terms[0][1] else ())
     acc: dict[tuple, int] = {}
-    for t in terms:
-        acc[t.factors] = acc.get(t.factors, 0) + t.coeff
-    return _expression(field, tuple(MWMonomial(c, w) for w, c in acc.items() if c))
+    for w, c in terms:
+        acc[w] = acc.get(w, 0) + c
+    return _expression(field, tuple((w, c) for w, c in acc.items() if c))
 
 
 def mw_zero(field: FieldDescriptor) -> MWExpression:
@@ -204,24 +176,24 @@ def mw_zero(field: FieldDescriptor) -> MWExpression:
 def mw_int(field: FieldDescriptor, n: int) -> MWExpression:
     if n == 0:
         return mw_zero(field)
-    return _expression(field, (MWMonomial(n, ()),))
+    return _expression(field, (((), n),))
 
 
 def mw_eta(field: FieldDescriptor) -> MWExpression:
-    return _expression(field, (MWMonomial(1, (ETA,)),))
+    return _expression(field, (((ETA,), 1),))
 
 
 def mw_symbol(u: Unit) -> MWExpression:
-    return _expression(u.field, (MWMonomial(1, (u,)),))
+    return _expression(u.field, (((u,), 1),))
 
 
 def mw_symbols(units: Sequence[Unit]) -> MWExpression:
-    return MWExpression(units[0].field, (MWMonomial(1, tuple(units)),))
+    return MWExpression(units[0].field, ((tuple(units), 1),))
 
 
 def mw_unit_form(u: Unit) -> MWExpression:
     """<u> = 1 + eta*[u], the degree-zero unit form."""
-    return mw_int(u.field, 1) + _expression(u.field, (MWMonomial(1, (ETA, u)),))
+    return _expression(u.field, (((), 1), ((ETA, u), 1)))
 
 
 # -- normal forms ------------------------------------------------------------------
@@ -326,12 +298,12 @@ def normal_form_from_coords(
     return MWNormalForm(field, m, field.kmw_from_coords(m, coords))
 
 
-def _term_gw_part(field: FieldDescriptor, t: MWMonomial) -> GWClass:
-    """c * prod(<u_i> - <1>) over the symbols of the monomial, as one class."""
-    symbol = t.symbol
+def _term_gw_part(field: FieldDescriptor, word: tuple, coeff: int) -> GWClass:
+    """coeff * prod(<u_i> - <1>) over the unit atoms u_i of the word, as one class."""
+    symbol = tuple(a for a in word if a is not ETA)
     if symbol:
-        return pfister(symbol, t.coeff)
-    return GWClass(field, (t.coeff, 0)[:field.gw_ambient.dim])
+        return pfister(symbol, coeff)
+    return GWClass(field, (coeff, 0)[:field.gw_ambient.dim])
 
 
 def normalize(e: MWExpression, degree: int | None = None) -> MWNormalForm:
@@ -350,8 +322,8 @@ def normalize(e: MWExpression, degree: int | None = None) -> MWNormalForm:
         return MWNormalForm(field, None)
     if d <= 0:  # GW in degree 0; below it the Witt class of the same sum
         acc = gw_zero(field)
-        for t in e.terms:
-            acc = acc + _term_gw_part(field, t)
+        for w, c in e.terms:
+            acc = acc + _term_gw_part(field, w, c)
         return MWNormalForm(field, d, acc if d == 0 else witt_class(acc))
     if kmw_ambient(field, d).is_trivial:
         return MWNormalForm(field, d)
@@ -374,7 +346,7 @@ def theta0_inverse(x: GWClass) -> MWExpression:
     e = mw_int(f, x.rank)
     for c, u in zip(x.coords[1:], f.gw_generator_units()):
         if c:
-            e = e + _expression(f, (MWMonomial(c, (ETA, u)),))
+            e = e + _expression(f, (((ETA, u), c),))
     return e
 
 
@@ -413,7 +385,7 @@ def kmw_generating_expressions(field: FieldDescriptor, m: int) -> tuple[MWExpres
     gens0 = [mw_int(field, 1)] + [mw_unit_form(u) for u in units]
     if m == 0:
         return tuple(gens0)
-    eta_pow = _expression(field, (MWMonomial(1, (ETA,) * -m),))
+    eta_pow = _expression(field, (((ETA,) * -m, 1),))
     return tuple(eta_pow * g for g in gens0)
 
 
@@ -431,22 +403,22 @@ def expression_literal(e: MWExpression) -> str:
     return _render(e.terms, atom_literal)
 
 
-def _render(terms: Sequence[MWMonomial], atom_str) -> str:
+def _render(terms: Sequence[tuple[tuple, int]], atom_str) -> str:
     """A signed sum of monomials coeff*atom*...*atom, atoms drawn by atom_str."""
 
-    def term_str(t: MWMonomial) -> str:
-        if not t.factors:
-            return str(t.coeff)
-        word = "*".join(atom_str(a) for a in t.factors)
-        if t.coeff in (1, -1):
-            return word if t.coeff == 1 else f"-{word}"
-        return f"{t.coeff}*{word}"
+    def term_str(w: tuple, c: int) -> str:
+        if not w:
+            return str(c)
+        word = "*".join(atom_str(a) for a in w)
+        if c in (1, -1):
+            return word if c == 1 else f"-{word}"
+        return f"{c}*{word}"
 
     if not terms:
         return "0"
-    out = term_str(terms[0])
+    out = term_str(*terms[0])
     for t in terms[1:]:
-        s = term_str(t)
+        s = term_str(*t)
         out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
     return out
 
@@ -470,7 +442,7 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
     insertion-ordered ``{word: coeff}`` dict with no zero coefficient, and
     one expression is built from the whole.
     """
-    tokens = []
+    items = []  # (kind, token text), then (kind, value); an operator is its own kind
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -478,18 +450,17 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
             if text[pos:].strip():
                 raise ValueError(f"bad token at {text[pos:]!r}")
             break
-        tokens.append(m)
+        items.append((m.lastgroup, m[m.lastgroup]))
         pos = m.end()
 
-    items = []  # (kind, value); an operator is its own kind
-    for m in tokens:
-        kind = m.lastgroup
+    # every token is read before any literal, so a bad token is reported first
+    for i, (kind, token) in enumerate(items):
         if kind == "op":
-            items.append((m[kind], None))
+            items[i] = (token, None)
         elif kind == "int":
-            items.append((kind, int(m[kind])))
+            items[i] = (kind, int(token))
         else:  # an atom: ETA, or the unit u of [u]
-            items.append((kind, ETA if kind == "eta" else parse_unit(field, m[kind][1:-1])))
+            items[i] = (kind, ETA if kind == "eta" else parse_unit(field, token[1:-1]))
 
     idx = 0
     depth = 0
@@ -552,4 +523,4 @@ def parse_expression(field: FieldDescriptor, text: str) -> MWExpression:
     out = parse_expr()
     if idx != len(items):
         raise ValueError(f"trailing tokens in {text!r}")
-    return _from_words(field, out)
+    return _expression(field, tuple(out.items()))

@@ -31,7 +31,6 @@ from mwslice.fields import (
 from mwslice.milnor_witt import (
     ETA,
     MWExpression,
-    MWMonomial,
     atom_literal,
     check_word_length,
     collect,
@@ -58,11 +57,11 @@ class SearchExhaustedError(RuntimeError):
     """The derivation did not end at 0."""
 
 
-def _mono(coeff: int, *atoms) -> MWMonomial:
-    return MWMonomial(coeff, tuple(atoms))
+def _mono(coeff: int, *atoms) -> tuple[tuple, int]:
+    return atoms, coeff
 
 
-def _expr(fld: FieldDescriptor, *monos: MWMonomial) -> MWExpression:
+def _expr(fld: FieldDescriptor, *monos: tuple[tuple, int]) -> MWExpression:
     """A rule side, collected: its units are bindings checked over fld, and no
     side has words that cancel, so collecting it changes no step's result."""
     return collect(fld, monos)
@@ -273,48 +272,48 @@ def apply_step(expr: MWExpression, step: Step) -> MWExpression:
     lhs, rhs = instantiate(step.rule, expr.field, dict(step.bindings))
     if not lhs.terms:
         raise StepMismatchError(f"{step.rule} instantiates to an empty pattern")
-    anchor = lhs.terms[0]
+    anchor, anchor_coeff = lhs.terms[0]
     if not (0 <= step.term_index < len(expr.terms)):
         raise StepMismatchError(f"term index {step.term_index} out of range")
-    t = expr.terms[step.term_index]
+    word, coeff = expr.terms[step.term_index]
     j = step.factor_index
-    width = len(anchor.factors)
-    if not (0 <= j <= len(t.factors) - width):
+    width = len(anchor)
+    if not (0 <= j <= len(word) - width):
         raise StepMismatchError(f"factor index {j} out of range")
-    if t.factors[j : j + width] != anchor.factors:
+    if word[j : j + width] != anchor:
         raise StepMismatchError(
             f"{step.rule} does not match factors at term {step.term_index}, offset {j}"
         )
-    if anchor.coeff == 0 or t.coeff % anchor.coeff != 0:
+    if coeff % anchor_coeff != 0:  # coefficients of an expression are nonzero
         raise StepMismatchError(
-            f"coefficient {t.coeff} is not a multiple of the pattern's {anchor.coeff}"
+            f"coefficient {coeff} is not a multiple of the pattern's {anchor_coeff}"
         )
-    c = t.coeff // anchor.coeff
-    prefix, suffix = t.factors[:j], t.factors[j + width :]
+    c = coeff // anchor_coeff
+    prefix, suffix = word[:j], word[j + width :]
     if rhs.terms:  # the longest new word, refused before any is built
-        check_word_length(len(t.factors) - width + max(len(r.factors) for r in rhs.terms))
+        check_word_length(len(word) - width + max(len(r) for r, _ in rhs.terms))
 
     remaining = list(expr.terms)
     remaining[step.term_index] = None  # anchor term consumed
     # consume the other monomials of a multi-term pattern
-    for extra in lhs.terms[1:]:
-        want_factors = prefix + extra.factors + suffix
-        want_coeff = c * extra.coeff
+    for extra, extra_coeff in lhs.terms[1:]:
+        want_word = prefix + extra + suffix
+        want_coeff = c * extra_coeff
         for i, term in enumerate(remaining):
-            if term is not None and term.factors == want_factors:
-                left = term.coeff - want_coeff
-                remaining[i] = MWMonomial(left, term.factors) if left else None
+            if term is not None and term[0] == want_word:
+                left = term[1] - want_coeff
+                remaining[i] = (term[0], left) if left else None
                 break
         else:
             raise StepMismatchError(
-                f"{step.rule} needs a companion term {want_coeff} x {want_factors}"
+                f"{step.rule} needs a companion term {want_coeff} x {want_word}"
             )
 
-    new_terms: list[MWMonomial] = []
+    new_terms: list[tuple[tuple, int]] = []
     for i, term in enumerate(remaining):
         if i == step.term_index:
-            for r in rhs.terms:
-                new_terms.append(MWMonomial(c * r.coeff, prefix + r.factors + suffix))
+            for r, rc in rhs.terms:
+                new_terms.append((prefix + r + suffix, c * rc))
         if term is not None:
             new_terms.append(term)
     return collect(expr.field, new_terms)
@@ -338,7 +337,7 @@ def verify_derivation(d: Derivation) -> VerificationResult:
             current = apply_step(current, step)
         except ValueError as exc:
             return VerificationResult(False, i, str(exc))
-    if collect(current.field, current.terms).terms != collect(d.end.field, d.end.terms).terms:
+    if current.terms != d.end.terms:  # both collected, so equal sums are equal pairs
         return VerificationResult(False, None, f"derivation ends at {current}, not {d.end}")
     return VerificationResult(True)
 

@@ -107,8 +107,6 @@ def embedding_image_of_generator(ext: FiniteExtension) -> Unit:
     """
     assert ext.base.is_finite
     top, qb = ext.top, ext.base.order
-    if ext.base.degree == 1:
-        return one(top)
     h = unit_pow(multiplicative_generator(top), (top.order - 1) // (qb - 1))
     roots, x = [], one(top)
     for _ in range(qb - 1):
@@ -223,10 +221,11 @@ def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
     """Transfer of a degree-m normal form, induced through the eta tower.
 
     Degree 0 is the trace transfer on GW; negative degrees go through Witt
-    coordinates; a degree whose coordinate group over the base is trivial
-    maps to zero; degree 1 over a finite field combines the norm on the unit
-    class with the trace transfer on the ideal bit (the two agree under the
-    square-class compatibility).
+    coordinates; a degree whose coordinate group over the top field is
+    trivial (every m >= 2 over F_q, every m >= 1 over C) maps to zero;
+    degree 1 over a finite field combines the norm on the unit class with the
+    trace transfer on the ideal bit (the two agree under the square-class
+    compatibility).
     """
     m = nf.degree
     base, top = ext.base, ext.top
@@ -238,10 +237,11 @@ def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
         return MWNormalForm(base, 0, trace_transfer_gw(ext, nf.value))
     if m < 0:
         return MWNormalForm(base, m, trace_transfer_witt(ext, nf.value))
-    if not base.is_finite:
-        raise ExtensionError("positive-degree transfers are implemented over finite fields")
-    if kmw_ambient(base, m).is_trivial:
-        return MWNormalForm(base, m)
+    if kmw_ambient(top, m).is_trivial:
+        # the group is divisible (zero over F_q, K^M_m(C) over C), and the image
+        # of a divisible group lies in the base's divisible part, which the
+        # coordinates quotient out
+        return normal_form_from_coords(base, m, (0,) * kmw_ambient(base, m).dim)
     u_down = norm_to_base(ext, nf.value)
     transferred = trace_transfer_gw(ext, GWClass(top, (0, nf.ideal_bit)))
     if transferred.rank != 0 or transferred.disc_dev != square_class(u_down):

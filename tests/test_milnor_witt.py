@@ -257,7 +257,7 @@ def test_degree_one_coordinates_need_no_unit_walk(monkeypatch):
 def test_kmw_normalize_refuses_a_bit_that_is_not_the_square_class():
     g = multiplicative_generator(F7)  # a nonsquare: the true ideal bit is 1
     with pytest.raises(ValueError, match="cartesian-square"):
-        F7.kmw_normalize(1, mw_symbol(g).terms, lambda t: gw_zero(F7))
+        F7.kmw_normalize(1, mw_symbol(g).terms, lambda word, coeff: gw_zero(F7))
 
 
 @pytest.mark.parametrize("field", [F7, F9, finite_field(25), REALS, COMPLEXES], ids=str)
@@ -398,7 +398,7 @@ SUMMANDS = ("1", "2", "eta", "[2]", "[3]", "-[2]", "eta*[2]", "eta*[3]", "[2]*[3
 def test_a_sum_parses_to_the_fold_of_its_summands(pairs):
     text = pairs[0][1] + "".join(f" {op} {summand}" for op, summand in pairs[1:])
     parts = [parse_expression(F7, pairs[0][1])] + [
-        parse_expression(F7, summand) if op == "+" else -parse_expression(F7, summand)
+        parse_expression(F7, summand) if op == "+" else mw_int(F7, -1) * parse_expression(F7, summand)
         for op, summand in pairs[1:]]
     assert parse_expression(F7, text).terms == functools.reduce(operator.add, parts).terms
 
@@ -482,7 +482,7 @@ def test_a_parsed_expression_equals_its_tree_evaluated(case):
 
 def test_a_trailing_blank_is_ignored():
     assert parse_expression(F7, "[3] ") == parse_expression(F7, "[3]")
-    assert parse_expression(F7, "[3] ").terms == (milnor_witt.MWMonomial(1, (unit(F7, 3),)),)
+    assert parse_expression(F7, "[3] ").terms == (((unit(F7, 3),), 1),)
 
 
 def test_a_long_sum_is_collected_once_not_per_summand(monkeypatch):
@@ -538,24 +538,43 @@ def test_parser_refusals_keep_their_messages(field, text, message):
 
 def test_an_expression_built_from_outside_checks_its_units():
     from mwslice.fields import FieldMismatchError
-    from mwslice.milnor_witt import ETA, MWExpression, MWMonomial
+    from mwslice.milnor_witt import ETA, MWExpression
 
-    ok = MWExpression(F7, (MWMonomial(2, (ETA, unit(F7, 3))), MWMonomial(1, ())))
+    ok = MWExpression(F7, (((ETA, unit(F7, 3)), 2), ((), 1)))
     assert str(ok) == "2*eta*[3] + 1"
     for word in [(unit(F5, 2),), (ETA, unit(F7, 3), unit(F5, 2))]:
         with pytest.raises(FieldMismatchError, match="^symbol unit over the wrong field$"):
-            MWExpression(F7, (MWMonomial(1, (unit(F7, 3),)), MWMonomial(1, word)))
+            MWExpression(F7, (((unit(F7, 3),), 1), (word, 1)))
+
+
+def test_an_expression_built_from_outside_is_collected(monkeypatch):
+    """Each word once, in first-occurrence order, with a nonzero coefficient;
+    so a derivation's end, however built, is compared pair by pair."""
+    from mwslice import rewriting
+    from mwslice.milnor_witt import ETA, MWExpression
+    from mwslice.rewriting import Derivation, verify_derivation
+
+    u, v = unit(F7, 3), unit(F7, 5)
+    e = MWExpression(F7, [((u,), 2), ((ETA, v), 1), ((), 4), ((u,), -2), ((ETA, v), 1), ((), 0)])
+    assert e.terms == (((ETA, v), 2), ((), 4))
+    assert MWExpression(F7, [((u,), 0)]).terms == ()
+    start = parse_expression(F7, "2*eta*[5] + 4")
+    d = Derivation(F7, start, (), e)
+    real, calls = rewriting.collect, []
+    monkeypatch.setattr(rewriting, "collect", lambda field, terms: calls.append(terms) or real(field, terms))
+    assert verify_derivation(d).ok
+    assert calls == []
 
 
 def test_an_expression_past_the_bounds_is_refused_with_its_message():
-    from mwslice.milnor_witt import MWExpression, MWMonomial
+    from mwslice.milnor_witt import MWExpression
 
     units = enumerate_units(F7)
     with pytest.raises(ValueError) as info:
-        MWExpression(F7, (MWMonomial(1, (units[1],) * 1001),))
+        MWExpression(F7, (((units[1],) * 1001, 1),))
     assert str(info.value) == "a word of 1001 atoms exceeds the supported bound 1000"
     words = list(itertools.product(units, repeat=4))
-    a, b = (MWExpression(F7, tuple(MWMonomial(1, w) for w in part))
+    a, b = (MWExpression(F7, tuple((w, 1) for w in part))
             for part in (words[:600], words[600:1200]))
     with pytest.raises(ValueError) as info:
         a + b
@@ -584,7 +603,7 @@ def test_a_long_product_is_refused_before_its_word_is_built(monkeypatch):
                         lambda left, right: real([(Word(w), c) for w, c in left], right))
     limit = milnor_witt.MAX_WORD_LENGTH
     message = f"^a word of {limit + 1} atoms exceeds the supported bound {limit}$"
-    assert len(parse_expression(F7, "*".join(["[2]"] * limit)).terms[0].factors) == limit
+    assert len(parse_expression(F7, "*".join(["[2]"] * limit)).terms[0][0]) == limit
     assert max(joined) == limit
     joined.clear()
     with pytest.raises(ValueError, match=message):
@@ -601,35 +620,27 @@ def test_a_long_product_is_refused_before_its_word_is_built(monkeypatch):
 
 def test_each_term_of_a_normal_form_builds_one_gw_class(monkeypatch):
     from mwslice.forms import pfister
-    from mwslice.milnor_witt import ETA, MWMonomial
+    from mwslice.milnor_witt import ETA
 
     u7, u9, m1 = unit(F7, 3), unit(F9, (1, 1)), unit(REALS, -1)
-    cases = [(F7, MWMonomial(4, (ETA, u7))), (F7, MWMonomial(-3, (ETA, ETA, u7, u7))),
-             (F7, MWMonomial(5, ())), (F9, MWMonomial(2, (u9, ETA, ETA, ETA))),
-             (REALS, MWMonomial(-2, (ETA, m1, ETA, m1))), (COMPLEXES, MWMonomial(3, ()))]
-    expected = [(pfister(t.symbol) if t.symbol else gw_one(f)).scale(t.coeff)
-                for f, t in cases]
+    cases = [(F7, (ETA, u7), 4), (F7, (ETA, ETA, u7, u7), -3), (F7, (), 5),
+             (F9, (u9, ETA, ETA, ETA), 2), (REALS, (ETA, m1, ETA, m1), -2), (COMPLEXES, (), 3)]
+    symbols = [tuple(a for a in w if a is not ETA) for _, w, _ in cases]
+    expected = [(pfister(s) if s else gw_one(f)).scale(c) for (f, _, c), s in zip(cases, symbols)]
     built, init = [], GWClass.__init__
     monkeypatch.setattr(GWClass, "__init__", lambda self, *args: built.append(args) or init(self, *args))
-    for (field, t), want in zip(cases, expected):
+    for (field, w, c), want in zip(cases, expected):
         built.clear()
-        assert milnor_witt._term_gw_part(field, t) == want
-        assert len(built) == 1, t
+        assert milnor_witt._term_gw_part(field, w, c) == want
+        assert len(built) == 1, w
 
 
 def test_a_degree_one_normal_form_reads_each_word_once(monkeypatch):
-    """Each term's eta count is read once (for the degree) and its symbol once
-    (for its GW part); a degree-1 word without eta is one unit atom."""
-    reads = {"eta_power": 0, "symbol": 0}
-    for name in reads:
-        real = getattr(milnor_witt.MWMonomial, name).fget
-
-        def counted(t, name=name, real=real):
-            reads[name] += 1
-            return real(t)
-
-        monkeypatch.setattr(milnor_witt.MWMonomial, name, property(counted))
+    """Each term's GW part is built once; a degree-1 word without eta is one unit atom."""
+    real, parts = milnor_witt._term_gw_part, []
+    monkeypatch.setattr(milnor_witt, "_term_gw_part",
+                        lambda field, w, c: parts.append(w) or real(field, w, c))
     e = parse_expression(F7, "[3] + 2*[5] + [2]*[3]*eta + eta*[6]*[5] - [4]")
     nf = normalize(e)
-    assert reads == {"eta_power": 5, "symbol": 5}
+    assert parts == [w for w, _ in e.terms]
     assert nf.value == unit(F7, "75/4")  # [3] + 2[5] - [4] = [3 * 5^2 / 4]

@@ -17,7 +17,7 @@ from mwslice.fields import (
 )
 from mwslice.filtration import FiltrationQuery
 from mwslice.forms import GWClass, QuadraticForm, WittClass, form
-from mwslice.milnor_witt import ETA, MWExpression, MWMonomial, MWNormalForm
+from mwslice.milnor_witt import MWExpression, MWNormalForm
 from mwslice.rewriting import Derivation, Step, VerificationResult, derive_extended_steinberg
 from mwslice.transfers import FiniteExtension
 
@@ -26,7 +26,7 @@ F7 = finite_field(7)
 F9 = finite_field(9)
 U3 = Unit(F7, 3)
 U5 = Unit(F7, 5)
-START = MWExpression(F7, (MWMonomial(1, (Unit(F7, 1),)),))
+START = MWExpression(F7, (((Unit(F7, 1),), 1),))
 
 
 def every_record():
@@ -42,7 +42,6 @@ def every_record():
         "QuadraticForm": form(F7, 1, 3),
         "GWClass": GWClass(F7, (2, 0)),
         "WittClass": WittClass(F7, (1,)),
-        "MWMonomial": MWMonomial(2, (ETA, U3)),
         "MWExpression": MWExpression(F7, ()),
         "MWNormalForm": MWNormalForm(F7, 1, U3),
         "Step": Step("R-one", 0, 0, {}),
@@ -55,7 +54,7 @@ def every_record():
 
 def test_every_record_is_its_named_class():
     records = every_record()
-    assert len(records) == 18
+    assert len(records) == 17
     for name, obj in records.items():
         assert type(obj).__name__ == name
 
@@ -79,8 +78,7 @@ HASHED = {
     "QuadraticForm": (lambda: form(F7, 1, 3), (F7, (Unit(F7, 1), U3))),
     "GWClass": (lambda: GWClass(F7, (2, 3)), (F7, (2, 1))),
     "WittClass": (lambda: WittClass(F7, (5,)), (F7, (1,))),
-    "MWMonomial": (lambda: MWMonomial(2, (ETA, Unit(F7, 3))), (2, (ETA, U3))),
-    "MWExpression": (lambda: MWExpression(F7, (MWMonomial(1, ()),)), (F7, (MWMonomial(1, ()),))),
+    "MWExpression": (lambda: MWExpression(F7, (((), 1),)), (F7, (((), 1),))),
     "VerificationResult": (lambda: VerificationResult(False, 2, "why"), (False, 2, "why")),
     "FiniteExtension": (lambda: FiniteExtension(F3, F9), (F3, F9)),
     "CheckResult": (lambda: CheckResult("n", True, 3, "d", 0.5), ("n", True, 3, "d", 0.5)),
@@ -116,6 +114,15 @@ def test_custom_equality_is_kept():
     assert SubgroupDescription(amb, ((2,),)) == SubgroupDescription(amb, ((6,), (2,)))
     assert hash(SubgroupDescription(amb, ((2,),))) == hash(SubgroupDescription(amb, ((6,),)))
     assert MWNormalForm(F7, None) == MWNormalForm(F7, 2)
+
+
+def test_a_normal_form_equals_only_normal_forms_over_its_field():
+    nf = MWNormalForm(F7, 1, U3)
+    assert nf.__eq__(U3) is NotImplemented and nf != U3 and MWNormalForm(F7, None) != 0
+    # zero forms of any degree are equal over one field, and unequal across two
+    assert (MWNormalForm(F7, None) == MWNormalForm(F3, None)) is False
+    assert (MWNormalForm(F7, 2) == MWNormalForm(F3, 2)) is False
+    assert MWNormalForm(F7, 0, GWClass(F7, (1, 0))) != MWNormalForm(F3, 0, GWClass(F3, (1, 0)))
 
 
 def test_fields_are_compared_by_identity():

@@ -192,7 +192,7 @@ def test_central_steps_serialize_their_atoms():
 
 def test_a_word_holds_its_units():
     u, v = unit(F7, 3), unit(F7, 5)
-    assert mw_symbols([u, v]).terms[0].factors == (u, v)
+    assert mw_symbols([u, v]).terms[0] == ((u, v), 1)
 
 
 def test_central_rule_rejects_nonzero_degree():
@@ -287,9 +287,9 @@ def test_a_derivation_refuses_expressions_over_another_field():
 def test_a_step_that_grows_a_word_past_the_bound_is_refused_before_it_is_built(monkeypatch):
     # [6] = [2] + [3] + eta*[2]*[3] turns the first atom of a full word into three
     start = parse_expression(F7, "*".join(["[6]"] + ["[2]"] * (MAX_WORD_LENGTH - 1)))
-    built, real = [], rw.MWMonomial
-    monkeypatch.setattr(rw, "MWMonomial",
-                        lambda coeff, word: built.append(len(word)) or real(coeff, word))
+    built, real = [], rw.collect
+    monkeypatch.setattr(rw, "collect",
+                        lambda field, terms: built.extend(len(w) for w, _ in terms) or real(field, terms))
     step = Step("R-product", 0, 0, {"u": unit(F7, 2), "v": unit(F7, 3)})
     message = f"^a word of {MAX_WORD_LENGTH + 2} atoms exceeds the supported bound {MAX_WORD_LENGTH}$"
     with pytest.raises(ValueError, match=message):
@@ -324,3 +324,74 @@ def test_a_round_trip_over_tabulated_fields_rechecks_nothing(monkeypatch):
         assert verify_derivation(replayed).ok and data["end"] == "0"
         assert len(replayed.steps) == 3, data  # two sums and a closing rule
     assert counts == {"check_carrier": 0, "_mul_packed": 0}
+
+
+# -- failure details of criteria 4 and 5 -------------------------------------------
+
+
+def _steinberg_detail() -> str:
+    from mwslice import checks
+
+    result = checks.check_extended_steinberg(checks._Run("4 extended_steinberg", "full"))
+    assert not result.ok
+    return result.detail
+
+
+def test_extended_steinberg_names_a_tuple_whose_derivation_gets_stuck(monkeypatch):
+    real = rw.instantiate
+
+    def kept(rule, fld, bindings):  # the Steinberg relation leaves its symbol in place
+        lhs, rhs = real(rule, fld, bindings)
+        return (lhs, lhs) if rule == "R-steinberg" else (lhs, rhs)
+
+    monkeypatch.setattr(rw, "instantiate", kept)
+    assert _steinberg_detail() == "q=3 tuple ('2', '2'): derivation failed to reach 0, stuck at [2]*[2]"
+
+
+def test_extended_steinberg_names_a_tuple_whose_certificate_does_not_replay(monkeypatch):
+    from mwslice import checks
+
+    def short(units):  # the certificate loses its last step
+        d = derive_extended_steinberg(units)
+        return Derivation(d.field, d.start, d.steps[:-1], d.end)
+
+    monkeypatch.setattr(checks, "derive_extended_steinberg", short)
+    assert _steinberg_detail() == "q=3 tuple ('2', '2'): derivation ends at [2]*[2], not 0"
+
+
+def test_extended_steinberg_names_a_tuple_whose_symbol_does_not_vanish(monkeypatch):
+    from mwslice import checks
+    from mwslice.milnor_witt import normal_form_from_coords
+
+    monkeypatch.setattr(checks, "normalize",
+                        lambda e, degree=None: normal_form_from_coords(e.field, 1, (1,)))
+    assert _steinberg_detail() == "q=3 tuple ('2', '2'): nonzero normal form"
+
+
+def _soundness_detail() -> str:
+    from mwslice import checks
+
+    result = checks.check_relation_soundness(checks._Run("5 relation_soundness", "full"))
+    assert not result.ok
+    return result.detail
+
+
+def test_relation_soundness_names_a_rule_whose_sides_differ(monkeypatch):
+    from mwslice import checks
+    from mwslice.milnor_witt import mw_eta
+
+    def eta_hyp_to_eta(rule, fld, bindings):  # 2 eta + eta^2 [-1] = eta, not 0
+        lhs, rhs = instantiate(rule, fld, bindings)
+        return (lhs, mw_eta(fld)) if rule == "R-eta-hyp" else (lhs, rhs)
+
+    monkeypatch.setattr(checks, "instantiate", eta_hyp_to_eta)
+    assert _soundness_detail() == "R-eta-hyp over F3 with {}: normal forms differ"
+
+
+def test_relation_soundness_names_a_rule_it_never_ran(monkeypatch):
+    from mwslice import checks
+
+    real = checks._rule_instances
+    monkeypatch.setattr(checks, "_rule_instances",
+                        lambda field: ((r, b) for r, b in real(field) if r != "R-sum"))
+    assert _soundness_detail() == "rules not exercised: {'R-sum'}"

@@ -28,7 +28,7 @@ from mwslice.fields import (
 )
 from mwslice.filtration import FiltrationQuery, kmw_times_In, tate_filtration
 from mwslice.forms import GWClass, gw_box, gw_of_unit, gw_one, hyperbolic, witt_class
-from mwslice.milnor_witt import MWNormalForm, normalize, mw_symbol
+from mwslice.milnor_witt import MWNormalForm, mw_symbol, mw_symbols, normalize
 from mwslice.transfers import (
     ExtensionError,
     FiniteExtension,
@@ -354,3 +354,38 @@ def test_largest_extension_never_enumerates_its_top_field(monkeypatch, capsys):
     # a quadratic extension takes <g^k> to a rank-2 form of discriminant dev 1 + k
     ks = (0, 1)
     assert (result["rank"], result["disc_dev"]) == (2 * len(ks), sum(1 + k for k in ks) % 2)
+
+
+def test_a_positive_degree_transfer_from_c_to_r_is_zero():
+    # K^MW_m(C) is divisible for m >= 1, and so is its image in K^MW_m(R)
+    for m in (1, 2, 3):
+        down = transfer_kmw(EXT_CR, normalize(mw_symbols([unit(COMPLEXES, 2)] * m)))
+        assert down == MWNormalForm(REALS, m, 0)
+        assert (down.degree, down.value, down.coords()) == (m, 0, (0,))
+
+
+# Each refusal of the extension layer with its exact message.
+EXTENSION_REFUSALS = [
+    ("trace-wrong-field", lambda: trace_transfer_gw(EXT_93, gw_one(F3)),
+     ExtensionError, "class over Fq(3) is not over Fq(9;poly=x^2+1)"),
+    ("p-star-wrong-field", lambda: p_star(EXT_93, gw_one(F9)),
+     ExtensionError, "class over Fq(9;poly=x^2+1) is not over Fq(3)"),
+    ("kmw-wrong-field", lambda: transfer_kmw(EXT_93, normalize(mw_symbol(unit(F3, 2)))),
+     ExtensionError, "normal form over Fq(3) is not over Fq(9;poly=x^2+1)"),
+    ("degree-mismatch", lambda: FiniteExtension(F9, F27),
+     ExtensionError, "Fq(27;poly=x^3+2*x+1) does not contain Fq(9;poly=x^2+1): degree mismatch"),
+    ("preservation-over-c-r", lambda: filtration_preservation_check(EXT_CR, 1, 1),
+     ExtensionError, "the exhaustive check runs over finite extensions"),
+    ("preservation-negative-n", lambda: filtration_preservation_check(EXT_93, 1, -1),
+     ValueError, "N must be a natural number"),
+    ("closure-over-r", lambda: transfer_closure_subgroup(REALS, 1, 0, 1, 2),
+     ExtensionError, "transfer closures are computed over finite base fields"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in EXTENSION_REFUSALS],
+                         ids=[case[0] for case in EXTENSION_REFUSALS])
+def test_extension_refusals_keep_their_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
