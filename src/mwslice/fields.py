@@ -308,15 +308,15 @@ class FiniteField(FieldDescriptor):
     the packed kernel and keeps two arrays: ``exp`` (k -> the code of g^k)
     and ``log`` (code -> k), as systems for finite fields keep them (Lidl
     and Niederreiter, *Finite Fields*).  Every later discrete log is one
-    lookup, and ``enumerate_units`` reads ``exp``.  Then unit arithmetic is
-    index arithmetic mod q - 1: a product adds logs (over F_p it stays one
-    product mod p), an inverse negates one, a square has an even log (g is
-    a nonsquare), and over F_(p^d), d >= 2, a sum is g^(a + Z(b - a)) =
-    g^a + g^b by the Zech logs Z(k) = log(1 + g^k) (ibid. 10.3), which the
-    first such sum tabulates.  A negation is the product by -1, whose code
-    is p - 1.  Before the tables, every operation but the F_p sum and
-    product runs the kernel above, which the tests take as the reference
-    for the tables.
+    lookup; ``enumerate_units`` reads ``exp``, ``discrete_log_table`` returns
+    ``log`` and builds nothing else.  Then unit arithmetic is index arithmetic
+    mod q - 1: a product adds logs (over F_p it stays one product mod p), an
+    inverse negates one, a square has an even log (g is a nonsquare), and
+    over F_(p^d), d >= 2, a sum is g^(a + Z(b - a)) = g^a + g^b by the Zech
+    logs Z(k) = log(1 + g^k) (ibid. 10.3), which the first such sum
+    tabulates.  A negation is the product by -1, whose code is p - 1.
+    Before the tables, every operation but the F_p sum and product runs the
+    kernel above, which the tests take as the reference for the tables.
     """
 
     _fields = ("order", "modulus")
@@ -786,8 +786,7 @@ COMPLEXES = ClosedField()
 
 @lru_cache(maxsize=None)
 def enumerate_units(field: FieldDescriptor) -> tuple[Unit, ...]:
-    """All q - 1 units as powers of the canonical multiplicative generator,
-    read off the field's ``exp`` table."""
+    """All q - 1 units as powers of the canonical generator, read off ``exp``."""
     if not field.is_finite:
         raise UnsupportedEnumerationError(f"cannot enumerate units of {field}")
     exp = field._exp_log()[0]  # the first read builds the tables
@@ -808,10 +807,11 @@ def multiplicative_generator(field: FieldDescriptor) -> Unit:
     raise RuntimeError("no multiplicative generator found")
 
 
-@lru_cache(maxsize=None)
-def discrete_log_table(field: FieldDescriptor) -> dict[Unit, int]:
-    """u -> log_g u; only ``perfbench`` set-up calls it, to build the tables."""
-    return {u: k for k, u in enumerate(enumerate_units(field))}
+def discrete_log_table(field: FieldDescriptor) -> array:
+    """The ``log`` table, code -> log_g (entry 0 unused); only ``perfbench`` set-up calls it."""
+    if not field.is_finite:
+        raise UnsupportedEnumerationError(f"cannot enumerate units of {field}")
+    return field._exp_log()[1]
 
 
 # -- literal syntax ------------------------------------------------------------

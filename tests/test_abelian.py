@@ -181,6 +181,15 @@ def test_quotient_requires_containment():
         small.quotient_shape(other)
 
 
+def test_ambient_refusals_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^coordinate names do not match dimension$"):
+        Ambient(0, (2,), ("a", "b"))
+    with pytest.raises(ValueError, match=r"^GW\(Fq\) is infinite$"):
+        GW_F.elements()
+    with pytest.raises(ValueError, match=r"^cannot enumerate a subgroup with free directions$"):
+        full_subgroup(GW_F).elements()
+
+
 def test_quotient_requires_one_ambient():
     with pytest.raises(ValueError, match="subgroups live in different ambients"):
         full_subgroup(Ambient(2)).quotient_shape(SubgroupDescription(GW_R, ()))

@@ -23,6 +23,7 @@ from mwslice.fields import (
     Unit,
     UnsupportedEnumerationError,
     default_modulus,
+    discrete_log_table,
     enumerate_units,
     finite_field,
     multiplicative_generator,
@@ -90,8 +91,9 @@ def test_enumerate_units():
     u5 = enumerate_units(F5)
     assert len(u5) == 4 and u5[0] == one(F5)
     assert len(enumerate_units(F9)) == 8
-    with pytest.raises(UnsupportedEnumerationError):
-        enumerate_units(REALS)
+    for walk in (enumerate_units, discrete_log_table):
+        with pytest.raises(UnsupportedEnumerationError, match=r"^cannot enumerate units of R$"):
+            walk(REALS)
 
 
 def test_enumeration_order_is_generator_powers():
@@ -643,19 +645,27 @@ def test_no_table_is_built_before_a_discrete_log():
 
 
 def test_the_benchmark_fields_tabulate_in_under_600_kb():
+    # discrete_log_table builds the exp/log arrays and nothing else: no unit
+    # per code and no dict from units to logs
     import tracemalloc
 
-    both = [finite_field(10007), finite_field(2187)]
-    for field in both:
-        multiplicative_generator(field)
-    tracemalloc.start()
-    try:
-        tables = [field._tabulate() for field in both]
-        size = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert [len(exp) for exp, _ in tables] == [10006, 2186]
-    assert size <= 600_000
+    prime, extension = finite_field(10007), finite_field(2187)
+    for field in (prime, extension):
+        multiplicative_generator(field)  # the search for g is set-up, not a table
+    with _untabulated(prime), _untabulated(extension):
+        tracemalloc.start()
+        try:
+            tables = [discrete_log_table(field) for field in (prime, extension)]
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert size <= 600_000
+        rng = random.Random(2187)
+        for field, table in zip((prime, extension), tables):
+            assert table is field._tables[1]
+            assert len(field._tables[0]) == len(table) - 1 == field.order - 1
+            for k in [0, 1, field.order - 2] + [rng.randrange(field.order - 1) for _ in range(8)]:
+                assert table[field.generator_power(k).value] == k
 
 
 def test_zech_logs_come_with_the_tables_of_prime_power_fields_only():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwslice import fields, filtration
+from mwslice import checks, fields, filtration
 from mwslice.abelian import SubgroupDescription, full_subgroup
 from mwslice.cli import main
 from mwslice.fields import COMPLEXES, REALS, finite_field
@@ -384,3 +384,55 @@ def test_a_stalled_tail_is_caught_once_the_certificate_kills_it(monkeypatch, fie
         assert not separated
         reported += expected
     assert reported
+
+
+# -- failure details of criteria 2 and 3 ------------------------------------------
+
+
+def test_filtration_at_origin_names_the_first_level_off_its_oracle(monkeypatch):
+    monkeypatch.setattr(checks, "ideal_power_oracle",
+                        lambda field, n: ideal_power_oracle(field, n + 1))
+    result = checks.check_filtration_at_origin(checks._Run("2 filtration_at_origin", "quick"))
+    assert (result.ok, result.cases) == (False, 5)  # n = -3..0 want the whole group
+    assert result.detail == "F=R, n=1: <(0, 1)> < GW(R) (index 1) != <(0, 2)> < GW(R) (index 2)"
+
+
+def _one_deeper(query):
+    return FiltrationQuery(query.n + 1, query.p, query.q, query.field)
+
+
+def _grid_law_failure() -> tuple[int, str]:
+    result = checks.check_grid_law(checks._Run("3 grid_law", "quick"))
+    assert not result.ok
+    return result.cases, result.detail
+
+
+def test_grid_law_names_a_level_below_the_whole_group_in_the_stable_range(monkeypatch):
+    def deeper_when_stable(query):  # I^1 where n <= p asks for the whole group
+        return tate_filtration(_one_deeper(query) if query.n <= query.p else query)
+
+    monkeypatch.setattr(checks, "tate_filtration", deeper_when_stable)
+    assert _grid_law_failure() == (1, "R (-3, -3, -3): law fails")
+
+
+def test_grid_law_names_a_level_off_the_eta_image(monkeypatch):
+    monkeypatch.setattr(checks, "eta_image_subgroup",
+                        lambda query: eta_image_subgroup(_one_deeper(query)))
+    assert _grid_law_failure() == (50, "R (-2, -3, -3): level != eta-image")
+
+
+def test_grid_law_names_a_level_off_the_paper_cases(monkeypatch):
+    real = checks._case_index
+    monkeypatch.setattr(checks, "_case_index", lambda n, p, q: real(n, p, q) + 1)
+    assert _grid_law_failure() == (1, "R (-3, -3, -3): level != K^MW I^N by cases")
+
+
+def test_grid_law_names_a_level_that_grows_with_n(monkeypatch):
+    # past the quick grid's edge n = 3 the filtration is the whole group again,
+    # which only the comparison with the next level sees
+    def whole_past_the_edge(query):
+        level = tate_filtration(query)
+        return full_subgroup(level.ambient) if query.n > 3 else level
+
+    monkeypatch.setattr(checks, "tate_filtration", whole_past_the_edge)
+    assert _grid_law_failure() == (295, "R (3, -3, -3): not monotone")

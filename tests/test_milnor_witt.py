@@ -31,6 +31,7 @@ from mwslice.forms import (
     gw_of_form,
     gw_one,
     gw_zero,
+    witt_zero,
 )
 from mwslice.milnor_witt import (
     DegreeError,
@@ -45,6 +46,7 @@ from mwslice.milnor_witt import (
     mw_symbol,
     mw_symbols,
     mw_unit_form,
+    mw_zero,
     normal_form_from_coords,
     normalize,
     parse_expression,
@@ -157,6 +159,12 @@ def test_to_witt_examples():
     assert to_witt(parse_expression(F5, "2*eta + eta*eta*[-1]")).is_zero
     with pytest.raises(DegreeError):
         to_witt(mw_int(F5, 1))
+
+
+def test_the_zero_expression_is_zero_in_w_and_has_no_coordinates():
+    assert to_witt(mw_zero(F7)) == witt_zero(F7)
+    with pytest.raises(ValueError, match=r"^the zero normal form has no fixed degree$"):
+        normalize(mw_zero(F7)).coords()
 
 
 def test_negative_degree_collapse_matches_normalize():

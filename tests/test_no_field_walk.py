@@ -69,12 +69,10 @@ def refuse_big_walks(monkeypatch):
     for field in used:
         fields._set(field, "_tables", None)  # as in a fresh process
     fields.enumerate_units.cache_clear()
-    fields.discrete_log_table.cache_clear()
     yield
     for field, tables in zip(used, saved):
         fields._set(field, "_tables", tables)
     fields.enumerate_units.cache_clear()
-    fields.discrete_log_table.cache_clear()
 
 
 @pytest.fixture

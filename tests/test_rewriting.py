@@ -206,6 +206,11 @@ def test_sum_rule_side_condition():
         instantiate("R-sum", F7, {"u": unit(F7, 3), "v": unit(F7, 4)})
 
 
+def test_a_rule_refuses_a_binding_that_is_not_a_unit():
+    with pytest.raises(RuleConditionError, match=r"^binding 'u' must be a unit$"):
+        instantiate("R-sum", F7, {"u": 3, "v": unit(F7, 2)})
+
+
 def test_rules_in_context_positions():
     # a zero rewrite strictly inside a longer word kills the whole monomial:
     # [2][5] = [2][-2] in F_7, so R-negself at offset 1 annihilates [5][2][5]

@@ -170,14 +170,11 @@ def test_the_check_sees_a_record_field_nothing_reads():
 
 # The walks: called by name, or as a method such as ``FiniteField._tabulate``.
 WALKS = {"enumerate_units", "discrete_log_table", "sum_to_one_tuples", "_tabulate"}
-# Where a walk may run outside ``checks``: the walks themselves, and the one
-# reader of a finite field's exp/log tables, whose first call builds them;
-# discrete logs, g^k literals and K^MW_1 coordinates go through it.
-WALK_SITES = {
-    "fields.enumerate_units",
-    "fields.discrete_log_table",
-    "fields.FiniteField._exp_log",
-}
+# Where a walk may run outside ``checks``: the one reader of a finite field's
+# exp/log tables, whose first call builds them; discrete logs, g^k literals,
+# K^MW_1 coordinates, ``enumerate_units`` and ``discrete_log_table`` go
+# through it.  Each site must call a walk (``stale_walk_sites``).
+WALK_SITES = {"fields.FiniteField._exp_log"}
 
 
 def nodes_by_site(modules: dict[str, ast.Module]):
@@ -225,7 +222,7 @@ def test_only_checks_walks_fields():
 
 
 def test_the_check_sees_a_misplaced_walk():
-    a = ast.parse("def enumerate_units(f): return f._tabulate()\n"
+    a = ast.parse("class FiniteField:\n    def _exp_log(self): return self._tabulate()\n"
                   "class K:\n    def logs(self): return [discrete_log_table(self)]\n"
                   "    def literal(self): return enumerate_units(self)\n")
     b = ast.parse("import mwslice.checks\n"
@@ -238,6 +235,25 @@ def test_the_check_sees_a_misplaced_walk():
         "fields.K.literal calls enumerate_units",
         "fields.K.logs calls discrete_log_table",
     ]
+
+
+def stale_walk_sites(modules: dict[str, ast.Module]) -> list[str]:
+    """Each site of ``WALK_SITES`` that calls no walk, so allows nothing."""
+    walking = {site for site, node in nodes_by_site(modules) if called_name(node) in WALKS}
+    return sorted(WALK_SITES - walking)
+
+
+def test_every_allowed_walk_site_walks():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert stale_walk_sites(modules) == []
+
+
+def test_the_check_sees_an_allowed_site_that_calls_no_walk():
+    walks = ast.parse("class FiniteField:\n    def _exp_log(self): return self._tabulate()\n")
+    reads = ast.parse("class FiniteField:\n    def _exp_log(self): return self._tables\n"
+                      "    def _log(self, a): return self._tabulate()[1][a]\n")
+    assert stale_walk_sites({"fields": walks}) == []
+    assert stale_walk_sites({"fields": reads}) == ["fields.FiniteField._exp_log"]
 
 
 def call_sites(modules: dict[str, ast.Module], name: str) -> list[str]:
