@@ -243,16 +243,19 @@ def k2_brute_force_order(field: FieldDescriptor) -> int:
     """Order of K^M_2(F_q) computed from the Steinberg presentation.
 
     The group is cyclic, generated by {g, g}; each relation {u, 1-u} = 0
-    contributes log(u)*log(1-u) to the annihilator of the generator.
+    contributes log(u)*log(1-u) to the annihilator of the generator.  The
+    units come as the powers g^0, g^1, ..., so each log is a position.
     """
     q = field.order
     ann = q - 1
     e = one(field)
-    for u in enumerate_units(field):
+    units = enumerate_units(field)
+    log = {u: k for k, u in enumerate(units)}
+    for k, u in enumerate(units):
         w = unit_sub(e, u)
         if w is None:  # u = 1
             continue
-        ann = gcd(ann, field.kmw_coords(u)[0] * field.kmw_coords(w)[0] % (q - 1))
+        ann = gcd(ann, k * log[w] % (q - 1))
     return ann
 
 

@@ -31,6 +31,7 @@ import re
 from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import isqrt
 from typing import Iterator, Sequence
 
 from mwslice.abelian import Ambient, Record
@@ -42,6 +43,10 @@ from mwslice.abelian import Ambient, Record
 MAX_FIELD_ORDER = 10**6
 # The degree d of a supported F_(p^d) is at most this: 3^d <= MAX_FIELD_ORDER.
 MAX_FIELD_DEGREE = next(d for d in itertools.count() if 3 ** (d + 1) > MAX_FIELD_ORDER)
+# The first discrete log over a field of order q <= TABLE_ORDER builds its
+# exp/log tables, two arrays of 16-bit entries; above it each log is a
+# Pohlig-Hellman solve that builds no table.
+TABLE_ORDER = 2**16
 
 
 class FieldMismatchError(ValueError):
@@ -146,16 +151,16 @@ class FieldDescriptor(Record):
     GW classes are coordinate vectors in ``gw_ambient``: the rank, then (over
     F_q and R) the count c of e = <u> - <1> for the generator unit u, which is
     g over F_q and -1 over R; ``gw_invariants`` reads the family's named
-    invariant off them.  A K^MW normal form in degree m >= 1 is (m, value).
-    Where ``kmw_ambient(m)`` is trivial (over F_q from degree 2, over C from
-    degree 1) the value is None and ``milnor_witt`` answers without the
-    field; elsewhere it is the Milnor unit class over F_q in degree 1 and the
-    integer c of c * [-1]^m over R.  The ``kmw_*`` methods take and return
-    that value; ``kmw_normalize(d, terms, gw_part)`` reads it off the
-    ``(word, coeff)`` pairs of a degree-d expression, where
-    ``gw_part(word, coeff)`` is the GW class of one pair; ``eta_coords``
-    maps the degree-m coordinates of a nontrivial ``kmw_ambient(m)`` to those
-    of degree m - 1.
+    invariant off them.  A K^MW normal form in degree m >= 1 is its
+    coordinate vector in ``kmw_ambient(m)``.  Where that group is trivial
+    (over F_q from degree 2, over C from degree 1) the vector is ``()`` and
+    ``milnor_witt`` answers without the field; elsewhere it is (log_g u,) for
+    the Milnor unit class u over F_q in degree 1 and (c,) for c * [-1]^m
+    over R.  The ``kmw_*`` methods take and return those coordinates;
+    ``kmw_normalize(d, terms, gw_part)`` reads them off the ``(word, coeff)``
+    pairs of a degree-d expression, where ``gw_part(word, coeff)`` is the GW
+    class of one pair; ``eta_coords`` maps the degree-m coordinates of a
+    nontrivial ``kmw_ambient(m)`` to those of degree m - 1.
     """
 
     __eq__ = object.__eq__
@@ -305,11 +310,13 @@ class FiniteField(FieldDescriptor):
 
     The first discrete log, asked for by a ``g^k`` output or a K^MW_1
     coordinate, walks the q - 1 powers of the canonical generator g once on
-    the packed kernel and keeps two arrays: ``exp`` (k -> the code of g^k)
-    and ``log`` (code -> k), as systems for finite fields keep them (Lidl
-    and Niederreiter, *Finite Fields*).  Every later discrete log is one
-    lookup; ``enumerate_units`` reads ``exp``, ``discrete_log_table`` returns
-    ``log`` and builds nothing else.  Then unit arithmetic is index arithmetic
+    the packed kernel while q <= TABLE_ORDER and keeps two arrays: ``exp``
+    (k -> the code of g^k) and ``log`` (code -> k), as systems for finite
+    fields keep them (Lidl and Niederreiter, *Finite Fields*).  Every later
+    discrete log is one lookup; ``enumerate_units`` reads ``exp``,
+    ``discrete_log_table`` returns ``log`` and builds nothing else.  Above
+    TABLE_ORDER a discrete log is a Pohlig-Hellman solve on the kernel and
+    builds no table.  Once built, unit arithmetic is index arithmetic
     mod q - 1: a product adds logs (over F_p it stays one product mod p), an
     inverse negates one, a square has an even log (g is a nonsquare), and
     over F_(p^d), d >= 2, a sum is g^(a + Z(b - a)) = g^a + g^b by the Zech
@@ -485,8 +492,39 @@ class FiniteField(FieldDescriptor):
         return self._tables
 
     def _log(self, a: Unit) -> int:
-        """k with a = g^k, 0 <= k < q - 1."""
+        """k with a = g^k, 0 <= k < q - 1: a ``log`` lookup, the first one building
+        the tables while q <= TABLE_ORDER; above it, without tables, a Pohlig-Hellman solve."""
+        if self._tables is None and self.order > TABLE_ORDER:
+            return self._pohlig_hellman(a.value)
         return (self._tables or self._exp_log())[1][a.value]
+
+    def _pohlig_hellman(self, code: int) -> int:
+        """log_g of a code on the packed kernel (Pohlig and Hellman, IEEE Trans. IT 24, 1978).
+
+        For each prime r of multiplicity e in q - 1, the base-r digits of
+        k mod r^e are logs in the subgroup of order r, each found by
+        baby-step giant-step over ceil(sqrt r) powers; the CRT joins the
+        residues.  The answer is checked by one power.
+        """
+        n, mul, pw = self.order - 1, self._mul_packed, self._pow_packed
+        g, a = self._pack(multiplicative_generator(self).value), self._pack(code)
+        k, done = 0, 1  # k = log mod done
+        for r in _prime_factors(n):
+            gamma, m = pw(g, n // r), isqrt(r - 1) + 1  # gamma has order r; m * m >= r
+            powers = itertools.accumulate(itertools.repeat(gamma, m - 1), mul, initial=1)
+            baby, stride = {x: i for i, x in enumerate(powers)}, pw(gamma, r - m)  # gamma^(-m)
+            x, rj = 0, 1  # x = log mod rj
+            while n % (rj * r) == 0:
+                h = pw(mul(a, pw(g, n - x)), n // (rj * r))  # gamma^(digit)
+                for j in range(m):
+                    if h in baby:
+                        break
+                    h = mul(h, stride)
+                x, rj = x + (j * m + baby.get(h, 0)) * rj, rj * r
+            k, done = k + done * ((x - k) * pow(done, -1, rj) % rj), done * rj
+        if pw(g, k) != a:
+            raise RuntimeError(f"no discrete log of {self.carrier_str(code)} in {self}")
+        return k
 
     @cached_property
     def _zech(self) -> array:
@@ -562,42 +600,28 @@ class FiniteField(FieldDescriptor):
             return Ambient(0, (), (), f"K^MW_{m}({self}) = 0")
         return Ambient(0, (self.order - 1,), ("log_g",), f"K^MW_1({self})")
 
-    def kmw_value_fits(self, m: int, v) -> bool:
-        return isinstance(v, Unit) and v.field is self
+    def kmw_str(self, m: int, coords) -> str:
+        return f"(unit class {self.generator_power(coords[0])}, ideal bit {coords[0] % 2})"
 
-    def kmw_is_zero(self, v) -> bool:
-        return v == self.one()
+    def kmw_json(self, coords) -> dict:
+        return {"unit_class": str(self.generator_power(coords[0])), "ideal_bit": coords[0] % 2}
 
-    def kmw_coords(self, v) -> tuple[int, ...]:
-        return (self._log(v),)
+    def kmw_normalize(self, d: int, terms, gw_part) -> tuple[int]:
+        """(log_g of the Milnor unit class,) in degree 1, checked against the ideal bit.
 
-    def kmw_str(self, m: int, v) -> str:
-        return f"(unit class {v}, ideal bit {square_class(v)})"
-
-    def kmw_json(self, v) -> dict:
-        return {"unit_class": str(v), "ideal_bit": square_class(v)}
-
-    def kmw_from_coords(self, m: int, coords) -> Unit:
-        return self.generator_power(coords[0])
-
-    def kmw_normalize(self, d: int, terms, gw_part) -> Unit:
-        """The degree-1 Milnor unit class, checked against the ideal bit.
-
-        The unit is the product of the degree-1 symbols; the bit is summed
-        from the GW parts of all terms.  The cartesian square asks that the
-        bit be the unit's square class.
+        The log is summed over the degree-1 symbols; the bit is summed from
+        the GW parts of all terms.  The cartesian square asks that the bit be
+        the unit's square class, the parity of its log (g is a nonsquare).
         """
-        u_acc = self.one()
-        bit = 0
+        k = bit = 0
         for w, c in terms:
             if len(w) == 1:  # in degree 1, the words without eta: one unit [u]
-                u_acc = unit_mul(u_acc, unit_pow(w[0], c))
-            bit = (bit + gw_part(w, c).coords[1]) % 2
-        if square_class(u_acc) != bit:
-            raise ValueError(
-                f"cartesian-square compatibility violated: unit {u_acc} vs ideal bit {bit}"
-            )
-        return u_acc
+                k += c * self._log(w[0])
+            bit += gw_part(w, c).coords[1]
+        if (k - bit) % 2:
+            raise ValueError(f"cartesian-square compatibility violated: "
+                             f"unit {self.generator_power(k)} vs ideal bit {bit % 2}")
+        return (k % (self.order - 1),)
 
     def eta_coords(self, m: int, coords) -> tuple[int, ...]:
         """[g^k] to the ideal bit k mod 2 (g is a nonsquare)."""
@@ -699,32 +723,20 @@ class RealField(_RationalField):
     def kmw_ambient(self, m: int) -> Ambient:
         return Ambient(1, (), ("c",), f"K^MW_{m}(R) mod divisible")
 
-    def kmw_value_fits(self, m: int, v) -> bool:
-        return type(v) is int
+    def kmw_str(self, m: int, coords) -> str:
+        return f"{coords[0]} * [-1]^{m}"
 
-    def kmw_is_zero(self, v) -> bool:
-        return v == 0
+    def kmw_json(self, coords) -> dict:
+        return {"coord": coords[0]}
 
-    def kmw_str(self, m: int, v) -> str:
-        return f"{v} * [-1]^{m}"
-
-    def kmw_json(self, v) -> dict:
-        return {"coord": v}
-
-    def kmw_coords(self, v) -> tuple[int, ...]:
-        return (v,)
-
-    def kmw_from_coords(self, m: int, coords) -> int:
-        return coords[0]
-
-    def kmw_normalize(self, d: int, terms, gw_part) -> int:
-        """c normalized so that [-1]^d has c = 1: signature / (-2)^d."""
+    def kmw_normalize(self, d: int, terms, gw_part) -> tuple[int]:
+        """(c,) normalized so that [-1]^d has c = 1: signature / (-2)^d."""
         c = 0
         for word, coeff in terms:
             q, r = divmod(gw_part(word, coeff).signature, (-2) ** d)
             assert r == 0, "ideal part of a degree-d monomial must lie in I^d"
             c += q
-        return c
+        return (c,)
 
     def eta_coords(self, m: int, coords) -> tuple[int, ...]:
         """c [-1]^m to c (<-1> - <1>) in degree 1 and to -2c [-1]^(m-1) above."""

@@ -8,13 +8,12 @@ per-field invariants, which are insensitive to symbol order.
 
 A normal form is a degree m and one value (the cartesian-square model):
 a GW class for m = 0 and a Witt class for m < 0 over every field, and for
-m >= 1 None wherever the coordinate group ``kmw_ambient(field, m)`` is
-trivial (F_q from m = 2, C from m = 1), else
+m >= 1 its coordinate vector in ``kmw_ambient(field, m)``: ``()`` wherever
+that group is trivial (F_q from m = 2, C from m = 1), else
 
-* finite F_q, m = 1: the Milnor unit class in F_q^x, whose square class is
-  the ideal bit;
-* real closed: the integer c of c * [-1]^m, taken modulo the uniquely
-  divisible part.
+* finite F_q, m = 1: (log_g u,) for the Milnor unit class u in F_q^x, whose
+  parity, the square class of u, is the ideal bit;
+* real closed: (c,) for c * [-1]^m, taken modulo the uniquely divisible part.
 
 The exhaustive checks of this model, the order of K^M_2(F_q) from the
 Steinberg presentation and the cartesian square, live in ``mwslice.checks``.
@@ -27,7 +26,7 @@ from functools import lru_cache, partial
 from typing import Sequence
 
 from mwslice.abelian import Ambient, Record
-from mwslice.fields import FieldDescriptor, FieldMismatchError, Unit, parse_unit, square_class
+from mwslice.fields import FieldDescriptor, FieldMismatchError, Unit, parse_unit
 from mwslice.forms import GWClass, WittClass, gw_zero, pfister, witt_class, witt_zero
 
 
@@ -206,20 +205,20 @@ class MWNormalForm(Record):
     legal element of every degree; its value is None.  The degree sets the
     type of ``value``, checked when the form is built: a GWClass in degree 0,
     a WittClass in degree < 0, both over the same field, and in degree >= 1
-    None where ``kmw_ambient(field, degree)`` is trivial, else the field's
-    value (see :class:`~mwslice.fields.FieldDescriptor`).  So the value is
-    None exactly when the form has no degree or a trivial coordinate group.
+    a reduced tuple of integers in ``kmw_ambient(field, degree)``, ``()``
+    where that group is trivial.
     """
 
     __slots__ = _fields = ("field", "degree", "value")
 
     def __init__(self, field: FieldDescriptor, degree: int | None, value=None) -> None:
-        if degree is None or (degree >= 1 and kmw_ambient(field, degree).is_trivial):
+        if degree is None:
             fits = value is None
         elif degree <= 0:
             fits = type(value) is (GWClass if degree == 0 else WittClass) and value.field is field
-        else:
-            fits = field.kmw_value_fits(degree, value)
+        else:  # reduce refuses a vector of the wrong length
+            fits = (type(value) is tuple and all(type(c) is int for c in value)
+                    and kmw_ambient(field, degree).reduce(value) == value)
         if not fits:
             raise ValueError(f"{value!r} is not a degree-{degree} value over {field}")
         _set(self, "field", field)
@@ -228,8 +227,9 @@ class MWNormalForm(Record):
 
     @property
     def ideal_bit(self) -> int:
-        """The square class of the unit over F_q in degree 1; 0 elsewhere."""
-        return square_class(self.value) if isinstance(self.value, Unit) else 0
+        """The parity of the one coordinate log_g u over F_q in degree 1, the square
+        class of u; 0 elsewhere."""
+        return sum(self.value) % 2 if self.field.is_finite and self.degree == 1 else 0
 
     @property
     def is_zero(self) -> bool:
@@ -237,7 +237,7 @@ class MWNormalForm(Record):
             return True
         if self.degree <= 0:
             return self.value.is_zero
-        return self.field.kmw_is_zero(self.value)
+        return not any(self.value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MWNormalForm):
@@ -258,9 +258,7 @@ class MWNormalForm(Record):
         m = self.degree
         if m is None:
             raise ValueError("the zero normal form has no fixed degree")
-        if m <= 0:
-            return self.value.coords
-        return () if self.value is None else self.field.kmw_coords(self.value)
+        return self.value.coords if m <= 0 else self.value
 
     def __str__(self) -> str:
         m = self.degree
@@ -293,9 +291,7 @@ def normal_form_from_coords(
         return MWNormalForm(field, 0, GWClass(field, coords))
     if m < 0:
         return MWNormalForm(field, m, WittClass(field, coords))
-    if kmw_ambient(field, m).is_trivial:
-        return MWNormalForm(field, m)
-    return MWNormalForm(field, m, field.kmw_from_coords(m, coords))
+    return MWNormalForm(field, m, kmw_ambient(field, m).reduce(coords))
 
 
 def _term_gw_part(field: FieldDescriptor, word: tuple, coeff: int) -> GWClass:
@@ -326,9 +322,8 @@ def normalize(e: MWExpression, degree: int | None = None) -> MWNormalForm:
             acc = acc + _term_gw_part(field, w, c)
         return MWNormalForm(field, d, acc if d == 0 else witt_class(acc))
     if kmw_ambient(field, d).is_trivial:
-        return MWNormalForm(field, d)
-    value = field.kmw_normalize(d, e.terms, partial(_term_gw_part, field))
-    return MWNormalForm(field, d, value)
+        return MWNormalForm(field, d, ())
+    return MWNormalForm(field, d, field.kmw_normalize(d, e.terms, partial(_term_gw_part, field)))
 
 
 def theta0(e: MWExpression) -> GWClass:

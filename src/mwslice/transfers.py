@@ -11,7 +11,7 @@ preservation and the closure identity.
 
 Degree-shifted transfers are induced through the eta tower: negative degrees
 through Witt coordinates, degree one over a finite field by the norm on the
-unit class together with the trace transfer on the ideal bit.
+log coordinate together with the trace transfer on the ideal bit.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from mwslice.milnor_witt import (
     MWNormalForm,
     kmw_ambient,
     kmw_generating_expressions,
+    mw_symbol,
     normal_form_from_coords,
     normalize,
 )
@@ -140,29 +141,16 @@ def embed_unit(ext: FiniteExtension, u: Unit) -> Unit:
 
 
 @lru_cache(maxsize=None)
-def _embedding_inverse_table(ext: FiniteExtension) -> dict[Unit, Unit]:
-    """Embedded base unit -> base unit.
+def _norm_log_factor(ext: FiniteExtension) -> int:
+    """j with N(G^k) = g^(k j) for the generators G of the top field and g of the base.
 
-    The embedding is a ring map, so it sends g^k to the k-th power of the
-    image of the base generator g.
+    The norm is u -> u^t, t = (Q - 1)/(q_b - 1), and the embedded g is
+    G^(t e) for some e prime to q_b - 1, so N(G^k) = G^(t k) embeds g^(k / e):
+    j = 1/e mod q_b - 1, from one log over the top field.
     """
-    base = ext.base
-    step = embed_unit(ext, base.generator_power(1))
-    table, x = {}, one(ext.top)
-    for k in range(base.order - 1):
-        table[x] = base.generator_power(k)
-        x = unit_mul(x, step)
-    return table
-
-
-def _down(ext: FiniteExtension, v: Unit) -> Unit:
-    """The base unit that embeds as v; over F/F that is v itself."""
-    if ext.base == ext.top:
-        return v
-    table = _embedding_inverse_table(ext)
-    if v not in table:
-        raise ExtensionError(f"{v} is not in the embedded base field")
-    return table[v]
+    base, top = ext.base, ext.top
+    (k,) = normalize(mw_symbol(embed_unit(ext, base.generator_power(1)))).coords()
+    return pow(k // ((top.order - 1) // (base.order - 1)), -1, base.order - 1)
 
 
 @lru_cache(maxsize=None)
@@ -210,22 +198,15 @@ def trace_transfer_witt(ext: FiniteExtension, w: WittClass) -> WittClass:
     return witt_class(trace_transfer_gw(ext, witt_lift(w)))
 
 
-def norm_to_base(ext: FiniteExtension, u: Unit) -> Unit:
-    """Field norm top -> base: u^((Q-1)/(q_b-1)), the product of the d conjugates
-    u^(q_b^i), i < d, for Q = q_b^d."""
-    assert ext.base.is_finite
-    return _down(ext, unit_pow(u, (ext.top.order - 1) // (ext.base.order - 1)))
-
-
 def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
     """Transfer of a degree-m normal form, induced through the eta tower.
 
     Degree 0 is the trace transfer on GW; negative degrees go through Witt
     coordinates; a degree whose coordinate group over the top field is
     trivial (every m >= 2 over F_q, every m >= 1 over C) maps to zero;
-    degree 1 over a finite field combines the norm on the unit class with the
-    trace transfer on the ideal bit (the two agree under the square-class
-    compatibility).
+    degree 1 over a finite field takes the coordinate log_G u to the base
+    log k j of the norm of u, checked against the trace transfer on the ideal
+    bit (the two agree under the square-class compatibility).
     """
     m = nf.degree
     base, top = ext.base, ext.top
@@ -242,13 +223,14 @@ def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
         # of a divisible group lies in the base's divisible part, which the
         # coordinates quotient out
         return normal_form_from_coords(base, m, (0,) * kmw_ambient(base, m).dim)
-    u_down = norm_to_base(ext, nf.value)
+    (k,) = nf.value
+    down = k * _norm_log_factor(ext) % (base.order - 1)
     transferred = trace_transfer_gw(ext, GWClass(top, (0, nf.ideal_bit)))
-    if transferred.rank != 0 or transferred.disc_dev != square_class(u_down):
+    if transferred.rank != 0 or transferred.disc_dev != down % 2:
         raise ExtensionError(
             "trace transfer on the ideal bit disagrees with the norm's square class"
         )
-    return MWNormalForm(base, 1, u_down)
+    return MWNormalForm(base, 1, (down,))
 
 
 # -- exhaustive property checks ---------------------------------------------------

@@ -39,6 +39,7 @@ from mwslice.fields import (
     unit_neg,
     unit_pow,
 )
+from mwslice.milnor_witt import mw_symbol, normalize
 
 F3 = finite_field(3)
 F5 = finite_field(5)
@@ -570,7 +571,7 @@ def test_table_holds_the_schoolbook_powers_of_g(case):
         assert _digits(field, exp[k]) == power, k
         assert log[exp[k]] == k, k
         assert field.literal(unit(field, power)) == f"g^{k}", k
-        assert field.kmw_coords(unit(field, power)) == (k,), k
+        assert normalize(mw_symbol(unit(field, power))).coords() == (k,), k
         power = _schoolbook_mul(field, power, g)
     assert power == (1,) + (0,) * (field.degree - 1)  # g^(q-1) = 1
 
@@ -613,7 +614,41 @@ def test_logs_above_the_table_order_invert_the_kernel_power(q):
     for k in [0, 1, q - 2, -1, 10**30 + 7] + [rng.randrange(-q, 2 * q) for _ in range(200)]:
         u = _Kernel(field).generator_power(k)  # a kernel power: no table
         assert field.literal(u) == f"g^{k % (q - 1)}", k
-        assert field.kmw_coords(u) == (k % (q - 1),), k
+        assert normalize(mw_symbol(u)).coords() == (k % (q - 1),), k
+
+
+@pytest.mark.parametrize("case", TABLE_CASES, ids=_table_case_id)
+def test_pohlig_hellman_matches_the_tables_on_every_unit(case, monkeypatch):
+    field = _tabulated(finite_field(*case))
+    exp = field._tables[0]
+    monkeypatch.setattr(fields, "TABLE_ORDER", field.order - 1)  # every log now solves
+    with _untabulated(field):
+        for k, code in enumerate(exp):
+            assert field._log(Unit(field, code)) == k, k
+        assert field._tables is None
+
+
+def _refuse_tabulation(field):
+    raise AssertionError(f"walked the {field.order - 1} units of {field}")
+
+
+@pytest.mark.parametrize("q", [999983, 3**12, 997**2])
+def test_pohlig_hellman_over_the_large_fields_builds_no_tables(q, monkeypatch):
+    monkeypatch.setattr(FiniteField, "_tabulate", _refuse_tabulation)
+    rng = random.Random(q)
+    with _untabulated(finite_field(q)) as field:
+        for k in [0, 1, (q - 1) // 2, q - 2] + [rng.randrange(q - 1) for _ in range(40)]:
+            u = _Kernel(field).generator_power(k)
+            assert field._log(u) == k, k
+        assert field._tables is None
+
+
+def test_a_log_that_fails_its_check_is_refused(monkeypatch):
+    # 1 generates nothing, so no exponent of it reaches 2
+    monkeypatch.setattr(fields, "multiplicative_generator", lambda field: field.one())
+    with _untabulated(finite_field(999983)) as field, pytest.raises(RuntimeError) as info:
+        field._log(Unit(field, 2))
+    assert str(info.value) == "no discrete log of 2 in Fq(999983)"
 
 
 def test_a_tabulated_operation_makes_no_packed_product(monkeypatch):
@@ -624,7 +659,7 @@ def test_a_tabulated_operation_makes_no_packed_product(monkeypatch):
     for op in (lambda: unit_mul(a, b), lambda: unit_inv(a), lambda: unit_pow(a, -2),
                lambda: unit_neg(a), lambda: unit_add(a, b), lambda: square_class(a),
                lambda: field.generator_power(77), lambda: field.literal(a),
-               lambda: field.kmw_coords(a)):
+               lambda: normalize(mw_symbol(a))):
         op()
     assert calls == []
 

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from mwslice import checks, milnor_witt
 from mwslice.abelian import Ambient
-from mwslice.checks import cartesian_check, k2_brute_force_order
+from mwslice.checks import cartesian_check, ideal_power_oracle, k2_brute_force_order
 
 from mwslice.fields import (
     COMPLEXES,
@@ -217,18 +218,19 @@ def test_eta_power_images_equal_ideal_powers():
 def test_degree_one_finite_coordinates():
     g = multiplicative_generator(F9)
     nf = normalize(mw_symbol(g))
-    assert nf.value == g and nf.ideal_bit == 1
-    # addition is multiplicative on unit classes
+    assert nf.value == (1,) and nf.ideal_bit == 1
+    # addition is multiplicative on unit classes: [g] + [g] = [g^2]
     two = normalize(mw_symbol(g) + mw_symbol(g))
-    assert two.value == unit_mul(g, g) and two.ideal_bit == 0
+    assert two.value == (2,) == normalize(mw_symbol(unit_mul(g, g))).value
+    assert two.ideal_bit == 0
     assert normalize(mw_int(F9, 8) * mw_symbol(g), degree=1).is_zero  # g^8 = 1 in F_9
 
 
 def test_real_degree_one_sign_coordinate():
-    assert normalize(parse_expression(REALS, "[-1]")).value == 1
-    assert normalize(parse_expression(REALS, "[2]")).value == 0
-    assert normalize(parse_expression(REALS, "[-3]")).value == 1
-    assert normalize(parse_expression(REALS, "[-1]*[-1]")).value == 1
+    assert normalize(parse_expression(REALS, "[-1]")).value == (1,)
+    assert normalize(parse_expression(REALS, "[2]")).value == (0,)
+    assert normalize(parse_expression(REALS, "[-3]")).value == (1,)
+    assert normalize(parse_expression(REALS, "[-1]*[-1]")).value == (1,)
     assert normalize(parse_expression(REALS, "[-1]*[2]"), degree=2).is_zero
 
 
@@ -256,8 +258,12 @@ def test_degree_one_coordinates_need_no_unit_walk(monkeypatch):
         g = multiplicative_generator(field)
         for k in (0, 1, field.order - 2, -1, 123457):
             nf = normal_form_from_coords(field, 1, (k,))
-            assert nf.value == unit_pow(g, k)
+            assert nf.value == (k % (field.order - 1),)
             assert nf.ideal_bit == k % 2
+            shown = f"(unit class {unit_pow(g, k)}, ideal bit {k % 2})" if k else "0 (degree 1)"
+            assert str(nf) == shown
+            assert normalize(mw_symbol(unit_pow(g, k))) == nf
+        assert field._tables is None
     finally:
         fields._set(field, "_tables", tables)
 
@@ -300,6 +306,18 @@ def test_normal_forms_round_trip_their_coordinates(field):
     (REALS, 1, unit(REALS, -1)),
     (COMPLEXES, 1, 1),
     (COMPLEXES, 3, 0),
+    # a positive-degree value is a reduced vector of integers in kmw_ambient
+    (F7, 1, unit(F7, 3)),
+    (F7, 1, (6,)),
+    (F7, 1, (-1,)),
+    (F7, 1, (True,)),
+    (F7, 1, (1, 0)),
+    (F7, 1, [1]),
+    (F7, 2, None),
+    (F7, 2, (0,)),
+    (REALS, 1, (Fraction(1, 2),)),
+    (REALS, 1, 1),
+    (COMPLEXES, 1, None),
 ], ids=str)
 def test_a_normal_form_refuses_a_value_of_the_wrong_type(field, degree, value):
     with pytest.raises(ValueError):
@@ -651,4 +669,37 @@ def test_a_degree_one_normal_form_reads_each_word_once(monkeypatch):
     e = parse_expression(F7, "[3] + 2*[5] + [2]*[3]*eta + eta*[6]*[5] - [4]")
     nf = normalize(e)
     assert parts == [w for w, _ in e.terms]
-    assert nf.value == unit(F7, "75/4")  # [3] + 2[5] - [4] = [3 * 5^2 / 4]
+    assert nf.value == (1,)  # [3] + 2[5] - [4] = [3 * 5^2 / 4] = [3] = [g]
+
+
+# -- failure details of criterion 6 -------------------------------------------------
+
+
+def _theta0_failure() -> tuple[int, str]:
+    result = checks.check_theta0_and_eta_images(checks._Run("6 theta0_eta_images", "full"))
+    assert not result.ok
+    return result.cases, result.detail
+
+
+def test_theta0_check_names_a_map_that_is_not_multiplicative(monkeypatch):
+    # 2 * theta0 is additive, and 2 * (1 * 1) != (2 * 1) * (2 * 1)
+    monkeypatch.setattr(checks, "theta0", lambda e: theta0(e).scale(2))
+    assert _theta0_failure() == (1, "theta0 not multiplicative over F3")
+
+
+def test_theta0_check_names_a_map_that_is_not_additive(monkeypatch):
+    # x -> x^2 is multiplicative on the commutative GW, and (1 + 1)^2 != 1 + 1
+    monkeypatch.setattr(checks, "theta0", lambda e: theta0(e) * theta0(e))
+    assert _theta0_failure() == (1, "theta0 not additive over F3")
+
+
+def test_theta0_check_names_a_class_its_inverse_misses(monkeypatch):
+    monkeypatch.setattr(checks, "theta0_inverse",
+                        lambda x: theta0_inverse(x) + mw_int(x.field, 1))
+    assert _theta0_failure() == (333, "theta0 not onto (rank -4, signature -4) over R")
+
+
+def test_theta0_check_names_an_eta_image_off_its_ideal_power(monkeypatch):
+    monkeypatch.setattr(checks, "ideal_power_oracle",
+                        lambda field, n: ideal_power_oracle(field, n + 1))
+    assert _theta0_failure() == (374, "eta^1 image != I^1 over R")

@@ -1,23 +1,21 @@
 """No CLI command walks the units of a large field.
 
 ``FiniteField._tabulate`` builds the exp/log tables of all q - 1 powers of
-the generator; it is the walk of a field, run by the first discrete log
-and so by ``enumerate_units`` and ``discrete_log_table``.  An extension has
-two walks of its own over the q_b - 1 units of its base's copy in the top
-field: the root search ``transfers.embedding_image_of_generator`` and the
-inverse table ``transfers._embedding_inverse_table``.  Here the first
-refuses every field and the other two every base of order above 10^5, and
-each command below must still exit 0 over fields of order near the 10^6
-bound; so must the degree-1 transfer over a trivial extension, which no
-command reaches, and the eta image that ``grid_law`` compares with each
-level.  These commands ask for no discrete log, so they build no tables,
-not even for the quadratic transfer's base Fq(729).  Unit arithmetic
-builds no tables either: it runs on the packed kernel until a discrete log
-has built them, and reads them from then on.  ``mw-derive`` is left out:
-it prints its units as ``g^k`` literals, so it builds the tables of its
-field, an O(q) walk of arrays over F_p (the MENDED entry on
-``cli.cmd_mw_derive`` in CHANGES.md); ``tests/test_cli.py`` bounds its
-memory and pins its bytes.
+the generator; it is the walk of a field, run by ``enumerate_units``, by
+``discrete_log_table`` and by the first discrete log over a field of order at
+most ``fields.TABLE_ORDER``.  Above that order a discrete log is a
+Pohlig-Hellman solve that builds no table.  An extension has one walk of its
+own over the q_b - 1 units of its base's copy in the top field: the root
+search ``transfers.embedding_image_of_generator``.  Here the first refuses
+every field and the second every base of order above 10^5, and each command
+below must still exit 0 over fields of order near the 10^6 bound; so must
+the degree-1 transfer over a trivial extension, which no command reaches,
+and the eta image that ``grid_law`` compares with each level.  The commands
+build no tables, not even for the quadratic transfer's base Fq(729): unit
+arithmetic runs on the packed kernel until a discrete log has built them,
+and reads them from then on.  ``mw-normalize`` in degree 1 and ``mw-derive``,
+which prints its units as ``g^k`` literals, take their logs by
+Pohlig-Hellman.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ FIELDS = (BIG, "Fq(994009)", "Fq(531441)", "Fq(729)", "Fq(16411)", "Fq(59049)")
 
 # A proper extension has q_b^2 <= MAX_FIELD_ORDER, so only an extension of a
 # field by itself has a base above WALK_LIMIT.
-SUBFIELD_WALKS = ("embedding_image_of_generator", "_embedding_inverse_table")
+SUBFIELD_WALKS = ("embedding_image_of_generator",)
 
 
 def _refusing_a_big_base(name, real):
@@ -104,6 +102,9 @@ COMMANDS = {
     "transfer-trivial-projection": ["transfer", "--ext", "Fq(994009)/Fq(994009)",
                                     "--check", "projection"],
     "transfer-quadratic": ["transfer", "--ext", "Fq(531441)/Fq(729)", "--form", "<1,g>"],
+    "mw-derive-prime": ["mw-derive", "--field", BIG, "--units", "2,999982"],
+    "mw-derive-square": ["mw-derive", "--field", "Fq(994009)", "--units", "2,994008"],
+    "mw-derive-power": ["mw-derive", "--field", "Fq(531441)", "--units", "2,2"],
 }
 @pytest.mark.parametrize("output", ["table", "json"])
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -124,10 +125,13 @@ def test_no_field_above_the_table_order_is_tabulated(tables_built, monkeypatch):
     for field in above:
         _arithmetic(field)
     assert tables_built == []  # arithmetic asks for no discrete log
-    for field in above[:2]:
+    for field in above:
         g = field.generator_power(1)
-        assert [field.literal(g), field.literal(g), field.kmw_coords(g)] == ["g^1", "g^1", (1,)]
-    assert tables_built == [str(f) for f in above[:2]]  # once per field, on its first log
+        coords = normalize(mw_symbol(g)).coords()
+        assert [field.literal(g), field.literal(g), coords] == ["g^1", "g^1", (1,)]
+    # once per field up to TABLE_ORDER, on its first log; above it, never
+    assert tables_built == [str(f) for f in above[:2]]
+    assert max(f.order for f in above[:2]) <= fields.TABLE_ORDER < min(f.order for f in above[2:])
     calls = []
     real = fields.FiniteField._mul_packed
     monkeypatch.setattr(fields.FiniteField, "_mul_packed",
@@ -141,7 +145,7 @@ def test_degree_one_transfer_over_a_trivial_extension():
     field = fields.parse_field("Fq(994009)")
     g = fields.multiplicative_generator(field)
     down = transfer_kmw(FiniteExtension(field, field), normalize(mw_symbol(g)))
-    assert (down.field, down.value, down.ideal_bit) == (field, g, 1)
+    assert (down.field, down.value, down.ideal_bit) == (field, (1,), 1)
 
 
 @pytest.mark.parametrize("name", [BIG, "Fq(994009)", "Fq(531441)"])

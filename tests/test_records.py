@@ -43,7 +43,7 @@ def every_record():
         "GWClass": GWClass(F7, (2, 0)),
         "WittClass": WittClass(F7, (1,)),
         "MWExpression": MWExpression(F7, ()),
-        "MWNormalForm": MWNormalForm(F7, 1, U3),
+        "MWNormalForm": MWNormalForm(F7, 1, (1,)),  # [3] = [g]
         "Step": Step("R-one", 0, 0, {}),
         "Derivation": derive_extended_steinberg([Unit(F7, 3), Unit(F7, 5)]),
         "VerificationResult": VerificationResult(True),
@@ -113,15 +113,15 @@ def test_custom_equality_is_kept():
     amb = Ambient(0, (4,))
     assert SubgroupDescription(amb, ((2,),)) == SubgroupDescription(amb, ((6,), (2,)))
     assert hash(SubgroupDescription(amb, ((2,),))) == hash(SubgroupDescription(amb, ((6,),)))
-    assert MWNormalForm(F7, None) == MWNormalForm(F7, 2)
+    assert MWNormalForm(F7, None) == MWNormalForm(F7, 2, ())
 
 
 def test_a_normal_form_equals_only_normal_forms_over_its_field():
-    nf = MWNormalForm(F7, 1, U3)
+    nf = MWNormalForm(F7, 1, (1,))
     assert nf.__eq__(U3) is NotImplemented and nf != U3 and MWNormalForm(F7, None) != 0
     # zero forms of any degree are equal over one field, and unequal across two
     assert (MWNormalForm(F7, None) == MWNormalForm(F3, None)) is False
-    assert (MWNormalForm(F7, 2) == MWNormalForm(F3, 2)) is False
+    assert (MWNormalForm(F7, 2, ()) == MWNormalForm(F3, 2, ())) is False
     assert MWNormalForm(F7, 0, GWClass(F7, (1, 0))) != MWNormalForm(F3, 0, GWClass(F3, (1, 0)))
 
 
@@ -133,8 +133,8 @@ def test_fields_are_compared_by_identity():
 
 def test_keyword_construction_and_defaults():
     assert GWClass(F7, (2, 0)) == GWClass(field=F7, coords=(2, 0))
-    nf = MWNormalForm(F7, 1, value=Unit(F7, 3))
-    assert (nf.value, nf.ideal_bit) == (Unit(F7, 3), 1)
+    nf = MWNormalForm(F7, 1, value=(1,))  # [g] for g = 3
+    assert (nf.value, nf.ideal_bit) == ((1,), 1)
     assert MWNormalForm(F7, None).value is None
     amb = Ambient(1, label="L")
     assert (amb.torsion, amb.coord_names, str(amb)) == ((), ("c0",), "L")

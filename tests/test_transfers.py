@@ -3,6 +3,7 @@ the closure identity."""
 
 import itertools
 import json
+import random
 from fractions import Fraction
 from functools import reduce
 from math import isqrt
@@ -35,7 +36,6 @@ from mwslice.transfers import (
     embed_unit,
     embedding_image_of_generator,
     filtration_preservation_check,
-    norm_to_base,
     p_star,
     parse_extension,
     projection_formula_check,
@@ -165,7 +165,7 @@ def test_transfer_preserves_rank_zero_and_ideal_bit():
         image = trace_transfer_gw(ext, x)
         assert image.rank == 0
         assert image.disc_dev == 1
-        assert square_class(norm_to_base(ext, s)) == 1
+        assert square_class(_norm_in_base(ext, s)) == 1
 
 
 def test_witt_transfer_well_defined():
@@ -230,21 +230,61 @@ def test_transfer_kmw_rejects_a_zero_form_over_another_field():
             transfer_kmw(EXT_93, MWNormalForm(field, None))
 
 
+def _norm_in_base(ext, u):
+    """The product of the conjugates u^(q_b^i), read back in the base through an
+    inverse of ``embed_unit`` over every base unit."""
+    norm = reduce(unit_mul, [unit_pow(u, ext.base.order**i) for i in range(ext.degree)])
+    inverse = {embed_unit(ext, v): v for v in enumerate_units(ext.base)}
+    return inverse[norm]
+
+
+def _base_log(ext, u):
+    """log_g of the norm of u for the base generator g: its place in the powers of g."""
+    return enumerate_units(ext.base).index(_norm_in_base(ext, u))
+
+
 def test_transfer_kmw_degree_one():
     g9 = multiplicative_generator(F9)
     nf = normalize(mw_symbol(g9))
     down = transfer_kmw(EXT_93, nf)
     assert down.degree == 1
-    assert down.value == norm_to_base(EXT_93, g9)
+    assert down.value == (_base_log(EXT_93, g9),) == (1,)  # N(g9) = g9^4 = -1 = g3
     assert down.ideal_bit == 1
+
+
+def _norm_matches_the_conjugates(ext, units):
+    for u in units:
+        down = transfer_kmw(ext, normalize(mw_symbol(u)))
+        assert down.coords() == (_base_log(ext, u),), u
 
 
 @pytest.mark.parametrize("top, base", [(9, 3), (27, 3), (25, 5), (81, 9)])
 def test_norm_is_the_product_of_the_conjugates(top, base):
     ext = FiniteExtension(finite_field(base), finite_field(top))
-    for u in enumerate_units(ext.top):
-        conjugates = [unit_pow(u, base**i) for i in range(ext.degree)]
-        assert norm_to_base(ext, u) == transfers._down(ext, reduce(unit_mul, conjugates)), u
+    _norm_matches_the_conjugates(ext, enumerate_units(ext.top))
+
+
+def test_norm_over_a_large_extension_builds_no_top_tables(monkeypatch):
+    ext = FiniteExtension(finite_field(729), finite_field(531441))
+    real = fields.FiniteField._tabulate
+
+    def tabulate(field):
+        assert field.order <= 10**5, f"walked the {field.order - 1} units of {field}"
+        return real(field)
+
+    monkeypatch.setattr(fields.FiniteField, "_tabulate", tabulate)
+    tables = ext.top._tables
+    fields._set(ext.top, "_tables", None)  # as in a fresh process: the field is interned
+    transfers._norm_log_factor.cache_clear()
+    try:
+        rng = random.Random(729)
+        g = multiplicative_generator(ext.top)
+        _norm_matches_the_conjugates(
+            ext, [ext.top.pow(g, rng.randrange(ext.top.order - 1)) for _ in range(12)])
+        assert ext.top._tables is None
+    finally:
+        fields._set(ext.top, "_tables", tables)
+        transfers._norm_log_factor.cache_clear()
 
 
 def test_transfer_closure_examples():
@@ -345,7 +385,6 @@ def test_largest_extension_never_enumerates_its_top_field(monkeypatch, capsys):
 
     monkeypatch.setattr(fields.FiniteField, "_tabulate", refuse_top)
     # a GW transfer reads the class off rank and discriminant: no embedding
-    monkeypatch.setattr(transfers, "_embedding_inverse_table", refuse_base_walk)
     monkeypatch.setattr(transfers, "embedding_image_of_generator", refuse_base_walk)
     code = main(["--output", "json", "transfer", "--ext", "Fq(531441)/Fq(729)",
                  "--form", "<1,g>"])
@@ -360,8 +399,8 @@ def test_a_positive_degree_transfer_from_c_to_r_is_zero():
     # K^MW_m(C) is divisible for m >= 1, and so is its image in K^MW_m(R)
     for m in (1, 2, 3):
         down = transfer_kmw(EXT_CR, normalize(mw_symbols([unit(COMPLEXES, 2)] * m)))
-        assert down == MWNormalForm(REALS, m, 0)
-        assert (down.degree, down.value, down.coords()) == (m, 0, (0,))
+        assert down == MWNormalForm(REALS, m, (0,))
+        assert (down.degree, down.value, down.coords()) == (m, (0,), (0,))
 
 
 # Each refusal of the extension layer with its exact message.
@@ -389,3 +428,35 @@ def test_extension_refusals_keep_their_messages(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_norm_off_the_trace_on_the_ideal_bit_is_refused(monkeypatch):
+    # an even factor makes every norm a square, but Tr(<g9> - <1>) has disc_dev 1
+    monkeypatch.setattr(transfers, "_norm_log_factor", lambda ext: 2)
+    with pytest.raises(ExtensionError) as info:
+        transfer_kmw(EXT_93, normalize(mw_symbol(multiplicative_generator(F9))))
+    assert str(info.value) == "trace transfer on the ideal bit disagrees with the norm's square class"
+
+
+# -- failure details of criterion 11 ------------------------------------------------
+
+
+def _transfers_failure() -> tuple[int, str]:
+    result = check_transfers(_Run("11 transfers", "full"))
+    assert not result.ok
+    return result.cases, result.detail
+
+
+def test_transfer_check_names_a_projection_formula_counterexample(monkeypatch):
+    monkeypatch.setattr(transfers, "p_star", lambda ext, x: p_star(ext, x) + gw_one(ext.top))
+    assert _transfers_failure() == (
+        59, "Fq(9;poly=x^2+1)/Fq(3): y=(rank -4, disc_dev 0), x=(rank 1, disc_dev 0): "
+            "(rank -16, disc_dev 0) != (rank -8, disc_dev 0)")
+
+
+def test_transfer_check_names_an_element_that_leaves_its_level(monkeypatch):
+    # the Witt transfer shifted by <1>, which lies outside I
+    monkeypatch.setattr(transfers, "trace_transfer_witt",
+                        lambda ext, w: trace_transfer_witt(ext, w) + witt_class(gw_one(ext.base)))
+    assert _transfers_failure() == (
+        186, "Fq(9;poly=x^2+1)/Fq(3) m=-3 N=1: element (0, 0) of degree -3 transfers outside I^1")
