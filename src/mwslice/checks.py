@@ -68,7 +68,6 @@ from mwslice.milnor_witt import (
 )
 from mwslice.rewriting import (
     RULE_NAMES,
-    RuleConditionError,
     derive_extended_steinberg,
     instantiate,
     verify_derivation,
@@ -479,17 +478,10 @@ def check_relation_soundness(run: _Run) -> CheckResult:
         contexts = [None] + [u for u in enumerate_units(field)[:2]]
         for rule, bindings in _rule_instances(field):
             seen_rules.add(rule)
-            try:
-                lhs, rhs = instantiate(rule, field, bindings)
-            except RuleConditionError:
-                continue
+            lhs, rhs = instantiate(rule, field, bindings)
             for ctx in contexts:
                 left, right = lhs, rhs
                 if ctx is not None:
-                    width = max((sum(a is not ETA for a in w)
-                                 for w, _ in lhs.terms + rhs.terms), default=0)
-                    if width >= 3:
-                        continue
                     ctx_expr = mw_symbols([ctx])
                     left, right = ctx_expr * lhs, ctx_expr * rhs
                 run.cases += 1

@@ -34,9 +34,11 @@ def emit(args, payload: dict, table_lines: list[str]) -> None:
 def _normal_form_json(nf) -> dict:
     out: dict = {"degree": nf.degree, "zero": nf.is_zero}
     if nf.degree == 0:
-        out["gw"] = nf.value.to_json()
+        from mwslice.forms import GWClass
+
+        out["gw"] = GWClass(nf.field, nf.value).to_json()
     elif nf.degree is not None and nf.degree < 0:
-        out["witt"] = list(nf.value.coords)
+        out["witt"] = list(nf.value)
     elif nf.value:  # the coordinates of a nontrivial K^MW group
         out.update(nf.field.kmw_json(nf.value))
     return out

@@ -157,10 +157,10 @@ class FieldDescriptor(Record):
     ``milnor_witt`` answers without the field; elsewhere it is (log_g u,) for
     the Milnor unit class u over F_q in degree 1 and (c,) for c * [-1]^m
     over R.  The ``kmw_*`` methods take and return those coordinates;
-    ``kmw_normalize(d, terms, gw_part)`` reads them off the ``(word, coeff)``
-    pairs of a degree-d expression, where ``gw_part(word, coeff)`` is the GW
-    class of one pair; ``eta_coords`` maps the degree-m coordinates of a
-    nontrivial ``kmw_ambient(m)`` to those of degree m - 1.
+    ``kmw_normalize(d, terms, gw)`` reads them off the ``(word, coeff)``
+    pairs of a degree-d expression and ``gw``, the reduced GW coordinates of
+    the sum of their GW parts; ``eta_coords`` maps the degree-m coordinates
+    of a nontrivial ``kmw_ambient(m)`` to those of degree m - 1.
     """
 
     __eq__ = object.__eq__
@@ -606,21 +606,18 @@ class FiniteField(FieldDescriptor):
     def kmw_json(self, coords) -> dict:
         return {"unit_class": str(self.generator_power(coords[0])), "ideal_bit": coords[0] % 2}
 
-    def kmw_normalize(self, d: int, terms, gw_part) -> tuple[int]:
+    def kmw_normalize(self, d: int, terms, gw) -> tuple[int]:
         """(log_g of the Milnor unit class,) in degree 1, checked against the ideal bit.
 
-        The log is summed over the degree-1 symbols; the bit is summed from
-        the GW parts of all terms.  The cartesian square asks that the bit be
-        the unit's square class, the parity of its log (g is a nonsquare).
+        The log is summed over the degree-1 symbols; the bit is gw[1], the
+        disc_dev of the GW parts of all terms.  The cartesian square asks that
+        the bit be the unit's square class, the parity of its log (g is a
+        nonsquare).
         """
-        k = bit = 0
-        for w, c in terms:
-            if len(w) == 1:  # in degree 1, the words without eta: one unit [u]
-                k += c * self._log(w[0])
-            bit += gw_part(w, c).coords[1]
-        if (k - bit) % 2:
+        k = sum(c * self._log(w[0]) for w, c in terms if len(w) == 1)  # no eta: one unit [u]
+        if (k - gw[1]) % 2:
             raise ValueError(f"cartesian-square compatibility violated: "
-                             f"unit {self.generator_power(k)} vs ideal bit {bit % 2}")
+                             f"unit {self.generator_power(k)} vs ideal bit {gw[1]}")
         return (k % (self.order - 1),)
 
     def eta_coords(self, m: int, coords) -> tuple[int, ...]:
@@ -729,13 +726,10 @@ class RealField(_RationalField):
     def kmw_json(self, coords) -> dict:
         return {"coord": coords[0]}
 
-    def kmw_normalize(self, d: int, terms, gw_part) -> tuple[int]:
+    def kmw_normalize(self, d: int, terms, gw) -> tuple[int]:
         """(c,) normalized so that [-1]^d has c = 1: signature / (-2)^d."""
-        c = 0
-        for word, coeff in terms:
-            q, r = divmod(gw_part(word, coeff).signature, (-2) ** d)
-            assert r == 0, "ideal part of a degree-d monomial must lie in I^d"
-            c += q
+        c, r = divmod(self.witt_coords(gw)[0], (-2) ** d)
+        assert r == 0, "ideal part of a degree-d expression must lie in I^d"
         return (c,)
 
     def eta_coords(self, m: int, coords) -> tuple[int, ...]:

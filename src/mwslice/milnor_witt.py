@@ -6,14 +6,17 @@ u for [u], and coeff is a nonzero integer.  No commutativity beyond the
 presented relations is ever assumed: normal forms are computed through
 per-field invariants, which are insensitive to symbol order.
 
-A normal form is a degree m and one value (the cartesian-square model):
-a GW class for m = 0 and a Witt class for m < 0 over every field, and for
-m >= 1 its coordinate vector in ``kmw_ambient(field, m)``: ``()`` wherever
-that group is trivial (F_q from m = 2, C from m = 1), else
+A normal form is a degree m and its coordinate vector in
+``kmw_ambient(field, m)``, the cartesian-square model
+K^MW_m = K^M_m x_(I^m/I^(m+1)) I^m: the GW coordinates for m = 0 and the
+Witt coordinates for m < 0 over every field, ``()`` wherever the group is
+trivial (F_q from m = 2, C from m = 1), and otherwise
 
 * finite F_q, m = 1: (log_g u,) for the Milnor unit class u in F_q^x, whose
   parity, the square class of u, is the ideal bit;
 * real closed: (c,) for c * [-1]^m, taken modulo the uniquely divisible part.
+
+Every degree is read off one GW coordinate sum of the terms.
 
 The exhaustive checks of this model, the order of K^M_2(F_q) from the
 Steinberg presentation and the cartesian square, live in ``mwslice.checks``.
@@ -22,12 +25,12 @@ Steinberg presentation and the cartesian square, live in ``mwslice.checks``.
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Sequence
 
 from mwslice.abelian import Ambient, Record
 from mwslice.fields import FieldDescriptor, FieldMismatchError, Unit, parse_unit
-from mwslice.forms import GWClass, WittClass, gw_zero, pfister, witt_class, witt_zero
+from mwslice.forms import GWClass, WittClass, pfister, witt_zero
 
 
 class InhomogeneousError(ValueError):
@@ -202,11 +205,10 @@ class MWNormalForm(Record):
     """Canonical coordinates of a homogeneous expression: a degree and a value.
 
     ``degree`` is None only for the identically-zero expression, which is a
-    legal element of every degree; its value is None.  The degree sets the
-    type of ``value``, checked when the form is built: a GWClass in degree 0,
-    a WittClass in degree < 0, both over the same field, and in degree >= 1
-    a reduced tuple of integers in ``kmw_ambient(field, degree)``, ``()``
-    where that group is trivial.
+    legal element of every degree; its value is None.  In every other degree
+    the value is a reduced tuple of integers in ``kmw_ambient(field, degree)``,
+    checked when the form is built: GW coordinates in degree 0, Witt
+    coordinates below it, and ``()`` where the group is trivial.
     """
 
     __slots__ = _fields = ("field", "degree", "value")
@@ -214,8 +216,6 @@ class MWNormalForm(Record):
     def __init__(self, field: FieldDescriptor, degree: int | None, value=None) -> None:
         if degree is None:
             fits = value is None
-        elif degree <= 0:
-            fits = type(value) is (GWClass if degree == 0 else WittClass) and value.field is field
         else:  # reduce refuses a vector of the wrong length
             fits = (type(value) is tuple and all(type(c) is int for c in value)
                     and kmw_ambient(field, degree).reduce(value) == value)
@@ -233,11 +233,7 @@ class MWNormalForm(Record):
 
     @property
     def is_zero(self) -> bool:
-        if self.value is None:
-            return True
-        if self.degree <= 0:
-            return self.value.is_zero
-        return not any(self.value)
+        return self.value is None or not any(self.value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MWNormalForm):
@@ -255,17 +251,16 @@ class MWNormalForm(Record):
 
     def coords(self) -> tuple[int, ...]:
         """Coordinate vector in ``kmw_ambient(field, degree)``."""
-        m = self.degree
-        if m is None:
+        if self.degree is None:
             raise ValueError("the zero normal form has no fixed degree")
-        return self.value.coords if m <= 0 else self.value
+        return self.value
 
     def __str__(self) -> str:
         m = self.degree
         if m is None or self.is_zero:
             return f"0 (degree {m if m is not None else 'any'})"
         if m <= 0:
-            return str(self.value)
+            return str((GWClass if m == 0 else WittClass)(self.field, self.value))
         return self.field.kmw_str(m, self.value)
 
 
@@ -287,26 +282,24 @@ def kmw_ambient(field: FieldDescriptor, m: int) -> Ambient:
 def normal_form_from_coords(
     field: FieldDescriptor, m: int, coords: tuple[int, ...]
 ) -> MWNormalForm:
-    if m == 0:
-        return MWNormalForm(field, 0, GWClass(field, coords))
-    if m < 0:
-        return MWNormalForm(field, m, WittClass(field, coords))
     return MWNormalForm(field, m, kmw_ambient(field, m).reduce(coords))
 
 
-def _term_gw_part(field: FieldDescriptor, word: tuple, coeff: int) -> GWClass:
-    """coeff * prod(<u_i> - <1>) over the unit atoms u_i of the word, as one class."""
+def _term_gw_part(field: FieldDescriptor, word: tuple, coeff: int) -> tuple[int, ...]:
+    """coeff * prod(<u_i> - <1>) over the unit atoms u_i of the word, as GW coordinates."""
     symbol = tuple(a for a in word if a is not ETA)
     if symbol:
-        return pfister(symbol, coeff)
-    return GWClass(field, (coeff, 0)[:field.gw_ambient.dim])
+        return pfister(symbol, coeff).coords
+    return (coeff, 0)[:field.gw_ambient.dim]
 
 
 def normalize(e: MWExpression, degree: int | None = None) -> MWNormalForm:
     """Canonical coordinates of a homogeneous expression.
 
     ``degree`` pins the degree of an identically-zero expression; for nonempty
-    expressions it must agree with the computed degree.
+    expressions it must agree with the computed degree.  Every degree is read
+    off the reduced GW coordinate sum of the terms: as it is in degree 0, as
+    its Witt coordinates below, and through ``field.kmw_normalize`` above.
     """
     d = e.degree()
     if d is None:
@@ -316,19 +309,20 @@ def normalize(e: MWExpression, degree: int | None = None) -> MWNormalForm:
     field = e.field
     if d is None:
         return MWNormalForm(field, None)
-    if d <= 0:  # GW in degree 0; below it the Witt class of the same sum
-        acc = gw_zero(field)
-        for w, c in e.terms:
-            acc = acc + _term_gw_part(field, w, c)
-        return MWNormalForm(field, d, acc if d == 0 else witt_class(acc))
-    if kmw_ambient(field, d).is_trivial:
+    if d >= 1 and kmw_ambient(field, d).is_trivial:
         return MWNormalForm(field, d, ())
-    return MWNormalForm(field, d, field.kmw_normalize(d, e.terms, partial(_term_gw_part, field)))
+    parts = [_term_gw_part(field, w, c) for w, c in e.terms]
+    gw = field.gw_ambient.reduce([sum(x) for x in zip((0,) * field.gw_ambient.dim, *parts)])
+    if d == 0:
+        return MWNormalForm(field, 0, gw)
+    if d < 0:
+        return normal_form_from_coords(field, d, field.witt_coords(gw))
+    return MWNormalForm(field, d, field.kmw_normalize(d, e.terms, gw))
 
 
 def theta0(e: MWExpression) -> GWClass:
     """The degree-zero evaluation: ring isomorphism onto GW coordinates."""
-    return normalize(e, degree=0).value
+    return GWClass(e.field, normalize(e, degree=0).value)
 
 
 def theta0_inverse(x: GWClass) -> MWExpression:
@@ -352,7 +346,7 @@ def to_witt(e: MWExpression) -> WittClass:
         return witt_zero(e.field)
     if nf.degree >= 0:
         raise DegreeError(f"to_witt needs degree < 0, got {nf.degree}")
-    return nf.value
+    return WittClass(e.field, nf.value)
 
 
 def eta_coords(field: FieldDescriptor, m: int, coords: tuple[int, ...]) -> tuple[int, ...]:

@@ -215,9 +215,9 @@ def transfer_kmw(ext: FiniteExtension, nf: MWNormalForm) -> MWNormalForm:
     if m is None:
         return MWNormalForm(base, None)
     if m == 0:
-        return MWNormalForm(base, 0, trace_transfer_gw(ext, nf.value))
+        return MWNormalForm(base, 0, trace_transfer_gw(ext, GWClass(top, nf.value)).coords)
     if m < 0:
-        return MWNormalForm(base, m, trace_transfer_witt(ext, nf.value))
+        return MWNormalForm(base, m, trace_transfer_witt(ext, WittClass(top, nf.value)).coords)
     if kmw_ambient(top, m).is_trivial:
         # the group is divisible (zero over F_q, K^M_m(C) over C), and the image
         # of a divisible group lies in the base's divisible part, which the

@@ -15,6 +15,7 @@ import pathlib
 
 import pytest
 
+from mwslice import checks
 from mwslice.checks import CRITERIA, _Run
 
 GOLDEN = {
@@ -36,3 +37,14 @@ def test_acceptance_criterion(label, check):
     assert result.ok, result.line()
     got = {"name": result.name, "ok": result.ok, "cases": result.cases, "detail": result.detail}
     assert got == GOLDEN[result.name]
+
+
+def test_a_criterion_that_raises_fails_with_its_message(monkeypatch):
+    def raises(run):
+        run.cases += 2
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(checks, "CRITERIA", (("1 raises", raises),))
+    (result,) = checks.run_all()
+    assert (result.name, result.ok, result.cases, result.detail) == (
+        "raises", False, 2, "crashed: planted")

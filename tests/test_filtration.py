@@ -25,6 +25,7 @@ from mwslice.filtration import (
     tate_filtration,
 )
 from mwslice.checks import STANDARD_FIELDS, ideal_power_oracle
+from mwslice.forms import GWClass
 from mwslice.milnor_witt import kmw_ambient
 
 F3 = finite_field(3)
@@ -436,3 +437,109 @@ def test_grid_law_names_a_level_that_grows_with_n(monkeypatch):
 
     monkeypatch.setattr(checks, "tate_filtration", whole_past_the_edge)
     assert _grid_law_failure() == (295, "R (3, -3, -3): not monotone")
+
+
+# -- failure details of criteria 1, 9 and 10 --------------------------------------
+
+
+def _ladder_failure() -> tuple[int, str]:
+    result = checks.check_real_ideal_ladder(checks._Run("1 real_ideal_ladder", "full"))
+    assert not result.ok
+    return result.cases, result.detail
+
+
+def test_real_ladder_names_a_level_zero_below_the_whole_group(monkeypatch):
+    monkeypatch.setattr(checks, "kmw_times_In", lambda m, n, field: kmw_times_In(m, n + 1, field))
+    assert _ladder_failure() == (1, "I^0 != GW at n=0")
+
+
+def test_real_ladder_names_a_level_off_its_oracle(monkeypatch):
+    monkeypatch.setattr(checks, "ideal_power_oracle",
+                        lambda field, n: ideal_power_oracle(field, n + 1))
+    assert _ladder_failure() == (2, "descriptor mismatch at n=1")
+
+
+def test_real_ladder_names_a_generator_off_the_power_of_two(monkeypatch):
+    # the level and its oracle both one power too deep from n = 1 on: they agree,
+    # and only the generator's index sees it
+    monkeypatch.setattr(checks, "kmw_times_In",
+                        lambda m, n, field: kmw_times_In(m, n + (n > 0), field))
+    monkeypatch.setattr(checks, "ideal_power_oracle",
+                        lambda field, n: ideal_power_oracle(field, n + 1))
+    assert _ladder_failure() == (2, "ideal generator != 2^0")
+
+
+def test_real_ladder_names_a_signature_class_the_level_misses(monkeypatch):
+    # a class of rank 1 lies in no power of I
+    monkeypatch.setattr(checks, "GWClass",
+                        lambda field, coords: GWClass(field, (coords[0] + 1, coords[1])))
+    assert _ladder_failure() == (2, "2^1 signature missing at n=1")
+
+
+def test_real_ladder_names_a_class_the_level_should_not_hold(monkeypatch):
+    # index 2 (1 - 2) = -2 lies in I^2 = (2) in the index coordinate
+    monkeypatch.setattr(checks, "GWClass",
+                        lambda field, coords: GWClass(field, (coords[0], 2 * coords[1])))
+    assert _ladder_failure() == (3, "spurious element at n=2")
+
+
+def _moore_failure() -> tuple[int, str]:
+    result = checks.check_moore_spectrum(checks._Run("9 moore_spectrum", "full"))
+    assert not result.ok
+    return result.cases, result.detail
+
+
+def test_moore_check_names_a_level_zero_image_that_is_not_full(monkeypatch):
+    monkeypatch.setattr(checks, "moore_filtration",
+                        lambda ell, field, n: moore_filtration(ell, field, n + 1))
+    assert _moore_failure() == (1, "ell=3: I^0 image not full")
+
+
+def test_moore_check_names_a_real_image_of_the_wrong_order(monkeypatch):
+    monkeypatch.setattr(checks, "moore_filtration",
+                        lambda ell, field, n: moore_filtration(ell, F3 if field is REALS else field, n))
+    assert _moore_failure() == (2, "ell=3, n=1: image order 1")
+
+
+def test_moore_check_names_a_real_image_that_moves(monkeypatch):
+    def rank_line_at_two(ell, field, n):  # order ell, but the rank line, not the index line
+        image = moore_filtration(ell, field, n)
+        return SubgroupDescription(image.ambient, ((1, 0),)) if field is REALS and n == 2 else image
+
+    monkeypatch.setattr(checks, "moore_filtration", rank_line_at_two)
+    assert _moore_failure() == (3, "ell=3, n=2: not constant")
+
+
+def test_moore_check_names_a_finite_image_that_does_not_vanish(monkeypatch):
+    monkeypatch.setattr(checks, "moore_filtration",
+                        lambda ell, field, n: moore_filtration(ell, REALS, n))
+    assert _moore_failure() == (12, "ell=3, q=3, n=1: image nonzero")
+
+
+def _grows_at_the_cutoff(query):
+    """The level, except the whole group at n = 12, p = q = 0."""
+    level = tate_filtration(query)
+    return full_subgroup(level.ambient) if (query.n, query.p, query.q) == (12, 0, 0) else level
+
+
+def test_convergence_check_names_a_chain_that_grows(monkeypatch):
+    monkeypatch.setattr(filtration, "tate_filtration", _grows_at_the_cutoff)
+    assert convergence_check(F3, 12) == (
+        False, ("monotonicity fails at (p,q)=(0,0)", "tail not zero at (p,q)=(0,0)"))
+
+
+def _convergence_failure() -> tuple[int, str]:
+    result = checks.check_convergence(checks._Run("10 convergence", "full"))
+    assert not result.ok
+    return result.cases, result.detail
+
+
+def test_convergence_criterion_names_a_field_whose_chain_grows(monkeypatch):
+    monkeypatch.setattr(filtration, "tate_filtration", _grows_at_the_cutoff)
+    assert _convergence_failure() == (
+        1, "R: ('monotonicity fails at (p,q)=(0,0)', 'level not in 2^11 L at (p,q)=(0,0)')")
+
+
+def test_convergence_criterion_names_a_stalled_ladder_it_never_reports(monkeypatch):
+    monkeypatch.setattr(checks, "certify_level", lambda *args: ())
+    assert _convergence_failure() == (7, "R ladder stalled at I^0 reported at cutoffs []")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mwslice import checks
 from mwslice.checks import (
     binary_isometric,
     brute_force_gw,
@@ -21,6 +22,7 @@ from mwslice.fields import (
     multiplicative_generator,
     one,
     parse_field,
+    square_class,
     unit,
     unit_mul,
 )
@@ -385,3 +387,40 @@ def test_witt_products_over_c_are_gw_products_mod_2():
         product = witt_class(x) * witt_class(y)
         assert product == witt_class(x * y)
         assert product.coords == (x.rank * y.rank % 2,)
+
+
+# -- failure details of criterion 8 -----------------------------------------------
+
+
+def _oracle_failure() -> tuple[int, str]:
+    result = checks.check_oracle_equivalence(checks._Run("8 oracle_equivalence", "full"))
+    assert not result.ok
+    return result.cases, result.detail
+
+
+def test_oracle_check_names_a_rank_with_the_wrong_number_of_classes(monkeypatch):
+    monkeypatch.setattr(checks, "brute_force_gw", lambda field, n: brute_force_gw(field, n)[1:])
+    assert _oracle_failure() == (1, "q=3 rank 0: 0 classes")
+
+
+def test_oracle_check_names_an_invariant_that_splits_a_class(monkeypatch):
+    def first_entry_only(qf):  # <1, g> and <g, 1> get different discriminants
+        bit = square_class(qf.diagonal[0]) if qf.diagonal else 0
+        return GWClass(qf.field, (qf.rank, bit))
+
+    monkeypatch.setattr(checks, "gw_of_form", first_entry_only)
+    assert _oracle_failure() == (11, "q=3: invariants not constant on a class")
+
+
+def test_oracle_check_names_a_witt_group_of_the_wrong_size(monkeypatch):
+    monkeypatch.setattr(checks, "witt_oracle_classes",
+                        lambda field, n: witt_oracle_classes(field, n)[1:])
+    assert _oracle_failure() == (21, "q=3: W has 3 classes, not 4")
+
+
+def test_oracle_check_names_a_witt_group_of_the_wrong_structure(monkeypatch):
+    def hyperbolic_ones(field, n):  # <1, 1> joins the zero class: W(F_3) looks like Z/2 x Z/2
+        return tuple(c + ((0, 0),) if () in c else c for c in witt_oracle_classes(field, n))
+
+    monkeypatch.setattr(checks, "witt_oracle_classes", hyperbolic_ones)
+    assert _oracle_failure() == (22, "q=3: Z/4 structure is False")

@@ -31,7 +31,6 @@ from mwslice.forms import (
     form,
     gw_of_form,
     gw_one,
-    gw_zero,
     witt_zero,
 )
 from mwslice.milnor_witt import (
@@ -174,7 +173,7 @@ def test_negative_degree_collapse_matches_normalize():
         for text in exprs:
             e = parse_expression(field, text)
             if e.degree() is not None and e.degree() < 0:
-                assert normalize(e).value == to_witt(e)
+                assert normalize(e).value == to_witt(e).coords
 
 
 def test_eta_action_on_coordinates():
@@ -270,8 +269,9 @@ def test_degree_one_coordinates_need_no_unit_walk(monkeypatch):
 
 def test_kmw_normalize_refuses_a_bit_that_is_not_the_square_class():
     g = multiplicative_generator(F7)  # a nonsquare: the true ideal bit is 1
-    with pytest.raises(ValueError, match="cartesian-square"):
-        F7.kmw_normalize(1, mw_symbol(g).terms, lambda word, coeff: gw_zero(F7))
+    with pytest.raises(ValueError, match="^cartesian-square compatibility violated: "
+                                         "unit 3 vs ideal bit 0$"):
+        F7.kmw_normalize(1, mw_symbol(g).terms, (1, 0))
 
 
 @pytest.mark.parametrize("field", [F7, F9, finite_field(25), REALS, COMPLEXES], ids=str)
@@ -318,6 +318,12 @@ def test_normal_forms_round_trip_their_coordinates(field):
     (REALS, 1, (Fraction(1, 2),)),
     (REALS, 1, 1),
     (COMPLEXES, 1, None),
+    # and so is every other: GW coordinates in degree 0, Witt coordinates below
+    (F5, 0, GWClass(F5, (1, 0))),
+    (REALS, -1, WittClass(REALS, (1,))),
+    (F7, 0, (1, 2)),
+    (REALS, -1, (1, 0)),
+    (F7, 0, [1, 0]),
 ], ids=str)
 def test_a_normal_form_refuses_a_value_of_the_wrong_type(field, degree, value):
     with pytest.raises(ValueError):
@@ -644,7 +650,9 @@ def test_a_long_product_is_refused_before_its_word_is_built(monkeypatch):
     assert joined == []
 
 
-def test_each_term_of_a_normal_form_builds_one_gw_class(monkeypatch):
+def test_each_term_of_a_normal_form_builds_at_most_one_gw_class(monkeypatch):
+    """A word with unit atoms folds its Pfister element into one class; the
+    word without any takes its coordinates as they are."""
     from mwslice.forms import pfister
     from mwslice.milnor_witt import ETA
 
@@ -657,8 +665,8 @@ def test_each_term_of_a_normal_form_builds_one_gw_class(monkeypatch):
     monkeypatch.setattr(GWClass, "__init__", lambda self, *args: built.append(args) or init(self, *args))
     for (field, w, c), want in zip(cases, expected):
         built.clear()
-        assert milnor_witt._term_gw_part(field, w, c) == want
-        assert len(built) == 1, w
+        assert milnor_witt._term_gw_part(field, w, c) == want.coords
+        assert len(built) == (1 if any(a is not ETA for a in w) else 0), w
 
 
 def test_a_degree_one_normal_form_reads_each_word_once(monkeypatch):

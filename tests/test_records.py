@@ -122,7 +122,7 @@ def test_a_normal_form_equals_only_normal_forms_over_its_field():
     # zero forms of any degree are equal over one field, and unequal across two
     assert (MWNormalForm(F7, None) == MWNormalForm(F3, None)) is False
     assert (MWNormalForm(F7, 2, ()) == MWNormalForm(F3, 2, ())) is False
-    assert MWNormalForm(F7, 0, GWClass(F7, (1, 0))) != MWNormalForm(F3, 0, GWClass(F3, (1, 0)))
+    assert MWNormalForm(F7, 0, (1, 0)) != MWNormalForm(F3, 0, (1, 0))
 
 
 def test_fields_are_compared_by_identity():

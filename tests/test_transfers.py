@@ -230,6 +230,12 @@ def test_transfer_kmw_rejects_a_zero_form_over_another_field():
             transfer_kmw(EXT_93, MWNormalForm(field, None))
 
 
+def test_transfer_kmw_takes_the_zero_form_to_the_base_fields_zero_form():
+    for ext in (EXT_93, EXT_CR):
+        down = transfer_kmw(ext, MWNormalForm(ext.top, None))
+        assert (down.field, down.degree, down.value) == (ext.base, None, None)
+
+
 def _norm_in_base(ext, u):
     """The product of the conjugates u^(q_b^i), read back in the base through an
     inverse of ``embed_unit`` over every base unit."""

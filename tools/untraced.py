@@ -9,8 +9,10 @@ root, so with its ``testpaths``) under a ``sys.settrace`` line tracer, with
 the package imported from ``src``.  Afterwards every statement of the package
 that has bytecode but never fired a line event is printed as
 ``path:line: text``, in file order; the exit status is pytest's.  Commands
-that tests start in a subprocess are not traced, so a statement that only a
-subprocess reaches is listed too.  Hypothesis runs derandomized, so the
+that tests start in a subprocess are not traced.  The statements that only
+such a process reaches, read from the AST (all of ``__main__.py`` and the
+body of each ``if __name__ == "__main__":``), are printed apart, on one
+last ``subprocess only:`` line.  Hypothesis runs derandomized, so the
 list does not change between runs of one tree.  The tracer stops tracing a code object
 once every line of it has run, which keeps the run to a few times the
 untraced suite.
@@ -101,6 +103,18 @@ def untraced(path: Path, seen: set[tuple[str, int]]) -> list[tuple[int, str]]:
     return sorted(out)
 
 
+def script_lines(path: Path) -> set[int]:
+    """The first lines of the statements that run only when the file runs as a
+    script: every one of ``__main__.py``, and those under ``if __name__ == "__main__":``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.name == "__main__.py":
+        blocks = tree.body
+    else:
+        blocks = [stmt for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'" for stmt in node.body]
+    return {node.lineno for block in blocks for node in ast.walk(block) if isinstance(node, ast.stmt)}
+
+
 class _TraceProfile:
     """Hypothesis without a deadline, which the tracer's slowdown would break,
     and with fixed examples, so that two runs list the same statements."""
@@ -124,9 +138,17 @@ def main(argv: list[str]) -> int:
         status = pytest.main(["-q", "-p", "no:cacheprovider", *argv], plugins=[_TraceProfile()])
     finally:
         tracer.stop()
+    subprocess_only = []
     for path in sorted(PACKAGE.glob("*.py")):
+        script = script_lines(path)
         for line, text in untraced(path, tracer.seen):
-            print(f"{path.relative_to(ROOT)}:{line}: {text}")
+            where = f"{path.relative_to(ROOT)}:{line}"
+            if line in script:
+                subprocess_only.append(where)
+            else:
+                print(f"{where}: {text}")
+    if subprocess_only:
+        print("subprocess only:", " ".join(subprocess_only))
     return int(status)
 
 
